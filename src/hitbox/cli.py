@@ -16,13 +16,11 @@ from fractions import Fraction
 from .curves import (
     PARAMETRIZATIONS,
     PlaneCurve,
-    CurvePoint,
     EllipticCurve,
     bounded_point_search,
     ec_torsion_lutz_nagell,
     eval_map,
     pullback_fiber,
-    transform_scaled_model,
     verify_case_identities,
     verify_parametrization,
 )
@@ -44,16 +42,12 @@ from .harness import (
 )
 from .localsolve import REAL, bad_places, conic_solvable_global, conic_solvable_local, finite_place
 from .polys import (
-    bipoly_str,
+    _frac_str,
     discriminant_in_x,
     discriminant_uni,
     parse_poly,
     poly_str,
 )
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -72,9 +66,9 @@ def cmd_factor(args) -> int:
     f = parse_poly(args.poly).as_unipoly_x()
     fac = factor_over_Q(f)
     parts = [f"({poly_str(g)})" + (f"^{m}" if m > 1 else "") for g, m in fac.factors]
-    table = f"{_frac(fac.unit)} * " + " * ".join(parts) if parts else _frac(fac.unit)
+    table = f"{_frac_str(fac.unit)} * " + " * ".join(parts) if parts else _frac_str(fac.unit)
     payload = {
-        "unit": _frac(fac.unit),
+        "unit": _frac_str(fac.unit),
         "factors": [{"poly": poly_str(g), "multiplicity": m} for g, m in fac.factors],
         "type": list(fac.type()),
         "irreducible": fac.is_irreducible(),
@@ -85,7 +79,7 @@ def cmd_factor(args) -> int:
 
 def cmd_galois(args) -> int:
     f = parse_poly(args.poly).as_unipoly_x()
-    gid = identify_galois(f, args.primes)
+    gid = identify_galois(factor_over_Q(f), args.primes)
     payload = {
         "mode": gid.mode,
         "label": gid.label,
@@ -106,14 +100,14 @@ def cmd_disc(args) -> int:
     else:
         f = P.as_unipoly_x() if P.degree_x > 0 else P.as_unipoly_t()
         d = discriminant_uni(f)
-        _emit(args, {"discriminant": _frac(d)}, _frac(d))
+        _emit(args, {"discriminant": _frac_str(d)}, _frac_str(d))
     return 0
 
 
 def cmd_hit_compute_d(args) -> int:
     data = load_fixture(args.fixture)
     ds = sorted(data.D)
-    _emit(args, {"fixture": data.name, "D": [_frac(t) for t in ds]}, "{" + ", ".join(_frac(t) for t in ds) + "}")
+    _emit(args, {"fixture": data.name, "D": [_frac_str(t) for t in ds]}, "{" + ", ".join(_frac_str(t) for t in ds) + "}")
     return 0
 
 
@@ -195,12 +189,12 @@ def cmd_curve_param_check(args) -> int:
     payload = {
         "fixture": data.name,
         "parametrization_verified": ok,
-        "unit_fiber_points": [[_frac(t), _frac(x)] for t, x in fibers],
+        "unit_fiber_points": [[_frac_str(t), _frac_str(x)] for t, x in fibers],
     }
     table = (
         f"parametrization identities: {'pass' if ok else 'FAIL'}\n"
         f"pullback of +-1 (height <= {args.height}): "
-        + ", ".join(f"({_frac(t)}, {_frac(x)})" for t, x in fibers)
+        + ", ".join(f"({_frac_str(t)}, {_frac_str(x)})" for t, x in fibers)
     )
     _emit(args, payload, table)
     return 0 if ok else 1
@@ -213,7 +207,7 @@ def cmd_curve_torsion(args) -> int:
         "curve": f"y^2 = x^3 + {args.A}*x + {args.B}",
         "order": len(pts),
         "points": [
-            "infinity" if p.is_infinity else [_frac(p.x), _frac(p.y)] for p in pts
+            "infinity" if p.is_infinity else [_frac_str(p.x), _frac_str(p.y)] for p in pts
         ],
     }
     _emit(args, payload, f"torsion order {len(pts)}: " + ", ".join(str(p) for p in pts))
@@ -223,8 +217,8 @@ def cmd_curve_torsion(args) -> int:
 def cmd_curve_search(args) -> int:
     C = PlaneCurve(parse_poly(args.curve))
     pts = bounded_point_search(C, args.height)
-    payload = {"points": [[_frac(t), _frac(x)] for t, x in pts]}
-    table = "\n".join(f"({_frac(t)}, {_frac(x)})" for t, x in pts) or "(none)"
+    payload = {"points": [[_frac_str(t), _frac_str(x)] for t, x in pts]}
+    table = "\n".join(f"({_frac_str(t)}, {_frac_str(x)})" for t, x in pts) or "(none)"
     _emit(args, payload, table)
     return 0
 

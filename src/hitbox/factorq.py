@@ -497,6 +497,15 @@ class Factorization:
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
+    @property
+    def degree(self) -> int:
+        return sum(f.degree * m for f, m in self.factors)
+
+    def radical(self) -> "Factorization":
+        """The distinct monic factors, each once: the factorization of the
+        squarefree part of the input."""
+        return Factorization(unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
+
 
 def _yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun decomposition of monic f over Q: [(squarefree monic, mult)]."""

@@ -1,6 +1,9 @@
 """Galois group identification for specialized polynomials of degree 2-6.
 
-Degrees up to 4 are classified definitively (discriminant square test,
+Identification consumes one ``Factorization`` over Q of the polynomial and
+never factors it again: the splitting field only sees distinct roots, so
+every classifier reads the radical (the distinct monic factors).  Radicals
+of degree up to 4 are classified definitively (discriminant square test,
 resolvent cubic, exact splitting-field composition for reducible inputs).
 Degrees 5 and 6 get a cycle-type sieve against embedded transitive-group
 tables: the candidate set always contains the true group, so the only
@@ -14,12 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InconclusiveError
-from .factorq import cycle_type_mod_p, factor_over_Q
-from .polys import UniPoly, discriminant_uni, squarefree_part
+from .factorq import Factorization, cycle_type_mod_p, factor_over_Q
+from .polys import UniPoly, discriminant_uni
 from .permgroups import PermGroup, closure, conjugate_in_symmetric, parse_perm
-from .rationals import is_prime, is_square_rational, squarefree_kernel
-
-is_square = is_square_rational  # square test for disc in Q*^2 (G inside A_n)
+from .rationals import factor_int, is_prime, is_square_rational, squarefree_kernel
 
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------
@@ -178,29 +179,11 @@ class GaloisId:
 # -- square-class linear algebra -------------------------------------------------
 
 
-def _class_set(kernel: int) -> frozenset[int]:
-    """Square class as a set of 'prime' markers (-1 for the sign)."""
-    out = set()
-    if kernel < 0:
-        out.add(-1)
-        kernel = -kernel
-    n = kernel
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            n //= p
-        else:
-            p += 1
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
-
-
 def _f2_rank(kernels: list[int]) -> int:
+    """Rank over F_2 of squarefree kernels, each a set of primes (-1 for the sign)."""
     basis: list[set[int]] = []
     for k in kernels:
-        v = set(_class_set(k))
+        v = set(factor_int(k)) | ({-1} if k < 0 else set())
         for b in basis:
             if max(b) in v:
                 v ^= b
@@ -302,20 +285,20 @@ def _splitting_of_factors(factors: list[UniPoly]) -> tuple[str, int] | None:
     return _compose_kind("S3", r)
 
 
-def classify_degree_le4(f: UniPoly) -> GaloisId:
-    """Definitive Galois group of a polynomial of degree 1..4.
+def classify_degree_le4(fac: Factorization) -> GaloisId:
+    """Definitive Galois group of a polynomial whose radical has degree 1..4.
 
-    Non-squarefree input is replaced by its radical first: the splitting
-    field only sees distinct roots (the degenerate specializations audited
-    inside exclusion sets need this).
+    Only the radical of the factorization is read: the splitting field only
+    sees distinct roots (the degenerate specializations audited inside
+    exclusion sets need this).
     """
-    if f.is_zero() or f.degree < 1:
+    if fac.degree < 1:
         raise DomainError("classification needs degree >= 1")
-    g = squarefree_part(f)
-    if g.degree > 4:
+    rad = fac.radical()
+    if rad.degree > 4:
         raise DomainError("degree > 4")
-    fac = factor_over_Q(g)
-    if fac.is_irreducible():
+    if rad.is_irreducible():
+        g = rad.factors[0][0]
         n = g.degree
         if n == 1:
             label, kind, order = None, "C1", 1
@@ -329,19 +312,19 @@ def classify_degree_le4(f: UniPoly) -> GaloisId:
         else:
             label, kind, order = _classify_irreducible_quartic(g)
         return GaloisId(
-            degree=f.degree, mode="definitive", label=label, kind=kind, order=order
+            degree=fac.degree, mode="definitive", label=label, kind=kind, order=order
         )
-    data = _splitting_of_factors([h for h, _ in fac.factors])
+    data = _splitting_of_factors([h for h, _ in rad.factors])
     if data is None:
         raise DomainError("unreachable: factors of a quartic are at most cubic")
     kind, order = data
     return GaloisId(
-        degree=f.degree,
+        degree=fac.degree,
         mode="definitive",
         label=None,
         kind=kind,
         order=order,
-        factor_degrees=fac.type(),
+        factor_degrees=rad.type(),
     )
 
 
@@ -360,32 +343,34 @@ def _usable_primes(f: UniPoly, budget: int):
         p += 2
 
 
-def sieve_degree_5_6(f: UniPoly, budget: int) -> GaloisId:
-    """Cycle-type sieve for irreducible quintics/sextics.
+def sieve_degree_5_6(fac: Factorization, budget: int) -> GaloisId:
+    """Cycle-type sieve for a polynomial whose radical has degree 5 or 6.
 
     Candidates are the transitive groups whose cycle types contain every
-    observed residue type, cut down by the discriminant square test; the
-    true group always survives, so increasing the budget never enlarges
-    the set.  Reducible input is rejected with its factor degrees.
+    observed residue type of the (irreducible) radical, cut down by the
+    discriminant square test; the true group always survives, so increasing
+    the budget never enlarges the set.  A reducible radical gets its
+    splitting field when that is resolved here, else only its factor degrees.
     """
     if budget < 1:
         raise DomainError("prime budget must be at least 1")
-    n = f.degree
-    if n not in (5, 6):
+    rad = fac.radical()
+    if rad.degree not in (5, 6):
         raise DomainError("sieve handles degrees 5 and 6")
-    fac = factor_over_Q(f)
-    if not fac.is_irreducible():
-        data = _splitting_of_factors([h for h, _ in fac.factors])
-        if data is not None and all(m == 1 for _, m in fac.factors):
+    n = fac.degree
+    if not rad.is_irreducible():
+        data = _splitting_of_factors([h for h, _ in rad.factors])
+        if data is not None:
             kind, order = data
             return GaloisId(
                 degree=n,
                 mode="definitive",
                 kind=kind,
                 order=order,
-                factor_degrees=fac.type(),
+                factor_degrees=rad.type(),
             )
-        return GaloisId(degree=n, mode="factored", factor_degrees=fac.type())
+        return GaloisId(degree=n, mode="factored", factor_degrees=rad.type())
+    f = rad.factors[0][0]
     disc_sq = is_square_rational(discriminant_uni(f))
     observed: set[tuple[int, ...]] = set()
     primes: list[int] = []
@@ -394,7 +379,7 @@ def sieve_degree_5_6(f: UniPoly, budget: int) -> GaloisId:
         observed.add(ct)
     candidates = [
         e
-        for e in transitive_table(n)
+        for e in transitive_table(f.degree)
         if e.in_alternating == disc_sq and observed <= e.cycle_types
     ]
     if not candidates:
@@ -423,22 +408,17 @@ def sieve_degree_5_6(f: UniPoly, budget: int) -> GaloisId:
     )
 
 
-def identify_galois(f: UniPoly, budget: int = 32) -> GaloisId:
-    """Identify the Galois group of any nonconstant f of degree <= 6."""
-    if f.is_zero() or f.degree < 1:
+def identify_galois(fac: Factorization, budget: int = 32) -> GaloisId:
+    """Identify the Galois group of a nonconstant polynomial of degree <= 6.
+
+    Identification consumes the polynomial's one factorization over Q and
+    never factors the polynomial again.
+    """
+    if fac.degree < 1:
         raise DomainError("identification needs degree >= 1")
-    g = squarefree_part(f)
-    if g.degree <= 4:
-        gid = classify_degree_le4(g)
-        return GaloisId(
-            degree=f.degree,
-            mode=gid.mode,
-            label=gid.label,
-            kind=gid.kind,
-            order=gid.order,
-            factor_degrees=gid.factor_degrees,
-        )
-    return sieve_degree_5_6(g, budget)
+    if fac.radical().degree <= 4:
+        return classify_degree_le4(fac)
+    return sieve_degree_5_6(fac, budget)
 
 
 def groups_match(gid: GaloisId, reference: PermGroup) -> bool | None:

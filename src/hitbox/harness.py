@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, FixtureError, InconclusiveError
-from .factorq import factorization_type, rational_roots
+from .factorq import factor_over_Q, factorization_type, rational_roots
 from .galois import (
     GaloisId,
     groups_match,
@@ -34,7 +34,7 @@ from .galois import (
 from .permgroups import PermGroup, maximal_classes
 from .polys import (
     BiPoly,
-    bipoly_str,
+    _frac_str,
     discriminant_in_x,
     leading_coeff_in_x,
     parse_poly,
@@ -119,7 +119,7 @@ def compute_exclusion_set(P: BiPoly, S) -> frozenset[Fraction]:
     return frozenset(out)
 
 
-def _find_witness(S, t: Fraction) -> tuple[int, Fraction] | None:
+def _find_witness(t: Fraction, S) -> tuple[int, Fraction] | None:
     for i, f in enumerate(S):
         roots = rational_roots(f.specialize(t))
         if roots:
@@ -133,16 +133,21 @@ def exceptional_test(
     reference: PermGroup | None = None,
     budget: int = DEFAULT_PRIME_BUDGET,
 ) -> SpecializationRecord:
-    """Classify one parameter value, with audit fields always populated."""
+    """Classify one parameter value, with audit fields always populated.
+
+    P(t, X) is factored over Q once; its factorization type and its Galois
+    identification both come from that one factorization.
+    """
     t = Fraction(t)
     in_d = t in data.D
-    witness = _find_witness(data.S, t)
+    witness = _find_witness(t, data.S)
     pt = data.P.specialize(t)
     ftype: tuple[int, ...] = ()
     gid: GaloisId | None = None
     if pt.degree >= 1:
-        ftype = factorization_type(pt)
-        gid = identify_galois(pt, budget)
+        fac = factor_over_Q(pt)
+        ftype = fac.type()
+        gid = identify_galois(fac, budget)
     if in_d:
         verdict = "excluded"
     elif witness is not None:
@@ -183,7 +188,7 @@ def generic_group(P: BiPoly, samples, budget: int = 48) -> GenericGroupSummary:
         pt = P.specialize(t)
         if pt.degree < 1:
             continue
-        gid = identify_galois(pt, budget)
+        gid = identify_galois(factor_over_Q(pt), budget)
         if gid.mode == "definitive":
             attained = gid.order
         elif gid.mode == "sieved":
@@ -254,27 +259,28 @@ def _sweep_values(data: HitData, height_bound: int) -> list[Fraction]:
     return [t for t in rationals_up_to_height(height_bound) if t not in data.D]
 
 
-def _record_chunk(args) -> list[SpecializationRecord]:
-    data, reference, ts, budget = args
-    return [exceptional_test(t, data, reference, budget) for t in ts]
+def _map_chunk(job) -> list:
+    fn, args, ts = job
+    return [fn(t, *args) for t in ts]
 
 
-def _sweep_records(
-    data: HitData,
-    reference: PermGroup | None,
-    values,
-    budget: int,
-    workers: int,
-) -> list[SpecializationRecord]:
-    values = list(values)
+def _parallel_map(fn, values: list, workers: int, *args) -> list:
+    """``[fn(t, *args) for t in values]``, in order.
+
+    Sweeps of 64 values or more are split into strided chunks over a
+    process pool of at most ``os.cpu_count()`` workers, and the results are
+    interleaved back into the order of ``values``.  ``fn`` must be a
+    module-level function, so that workers receive it by name.
+    """
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(values) < 64:
-        return [exceptional_test(t, data, reference, budget) for t in values]
-    chunks = [values[i::workers] for i in range(workers)]
+        return [fn(t, *args) for t in values]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_record_chunk, [(data, reference, c, budget) for c in chunks]))
-    records = [r for part in parts for r in part]
-    records.sort(key=SpecializationRecord.sort_key)
-    return records
+        parts = pool.map(_map_chunk, [(fn, args, values[i::workers]) for i in range(workers)])
+        out: list = [None] * len(values)
+        for i, part in enumerate(parts):
+            out[i::workers] = part
+    return out
 
 
 def default_workers() -> int:
@@ -296,7 +302,8 @@ def verify_equivalence(
     """Check (some f in S has a rational root at t) <=> (G_t differs from G)
     for every t outside D up to the height bound."""
     workers = default_workers() if workers is None else workers
-    records = _sweep_records(data, reference, _sweep_values(data, height_bound), budget, workers)
+    values = _sweep_values(data, height_bound)
+    records = _parallel_map(exceptional_test, values, workers, data, reference, budget)
     violations = []
     indeterminates = []
     counts: dict[str, int] = {}
@@ -350,7 +357,8 @@ def verify_factorization_implication(
     """Check: factorization type changed at t => some f in S has a root at t."""
     workers = default_workers() if workers is None else workers
     generic_type = generic_factorization_type(data)
-    records = _sweep_records(data, None, _sweep_values(data, height_bound), budget, workers)
+    values = _sweep_values(data, height_bound)
+    records = _parallel_map(exceptional_test, values, workers, data, None, budget)
     violations = []
     counts: dict[str, int] = {}
     changed = 0
@@ -377,11 +385,6 @@ def verify_factorization_implication(
     )
 
 
-def _witness_chunk(args) -> list[Fraction]:
-    data, ts = args
-    return [t for t in ts if _find_witness(data.S, t) is not None]
-
-
 def enumerate_exceptional(
     data: HitData,
     height_bound: int,
@@ -396,17 +399,12 @@ def enumerate_exceptional(
     """
     workers = default_workers() if workers is None else workers
     values = _sweep_values(data, height_bound)
-    if workers <= 1 or len(values) < 64:
-        hits = [t for t in values if _find_witness(data.S, t) is not None]
-    else:
-        chunks = [values[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_witness_chunk, [(data, c) for c in chunks]))
-        hits = sorted(
-            (t for part in parts for t in part),
-            key=lambda t: (height(t), t.numerator, t.denominator),
-        )
-    return [exceptional_test(t, data, None, budget) for t in hits]
+    witnesses = _parallel_map(_find_witness, values, workers, data.S)
+    return [
+        exceptional_test(t, data, None, budget)
+        for t, w in zip(values, witnesses)
+        if w is not None
+    ]
 
 
 # -- fixtures ---------------------------------------------------------------------
@@ -485,10 +483,6 @@ def load_fixture(source) -> HitData:
 
 
 # -- report serialization -----------------------------------------------------------
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def record_to_dict(rec: SpecializationRecord) -> dict:

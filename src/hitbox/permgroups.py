@@ -8,7 +8,7 @@ algorithms for testability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations as _sym
 from typing import Iterable, Sequence
 
@@ -63,12 +63,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def is_even(p: Perm) -> bool:
     return (len(p) - len(cycle_type(p))) % 2 == 0
-
-
-def perm_order(p: Perm) -> int:
-    from math import lcm
-
-    return lcm(*cycle_type(p))
 
 
 def parse_perm(text: str, degree: int) -> Perm:
@@ -310,10 +304,6 @@ def maximal_classes(G: PermGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Subg
     out = [c for c in subgroup_classes(G, bound) if c.is_maximal]
     out.sort(key=lambda c: (c.index, c.representative.order))
     return out
-
-
-def cycle_type_set(G: PermGroup) -> frozenset[tuple[int, ...]]:
-    return G.cycle_type_set()
 
 
 def conjugate_in_symmetric(A: PermGroup, B: PermGroup) -> bool:

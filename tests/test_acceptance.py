@@ -85,7 +85,7 @@ def test_criterion_03_quartic_family_classification_height_30():
         t = eval_map(psi, v)[0]
         if t == 0:
             continue
-        gid = classify_degree_le4(SERRE.P.specialize(t))
+        gid = classify_degree_le4(factor_over_Q(SERRE.P.specialize(t)))
         if gid.label == "4T4":
             bad.append(("psi", v, t))
     # direction 2: no auxiliary root forces the generic group
@@ -95,7 +95,7 @@ def test_criterion_03_quartic_family_classification_height_30():
             continue
         if rational_roots(f1.specialize(t)) or rational_roots(f2.specialize(t)):
             continue
-        gid = classify_degree_le4(SERRE.P.specialize(t))
+        gid = classify_degree_le4(factor_over_Q(SERRE.P.specialize(t)))
         if gid.label != "4T4":
             bad.append(("generic", t))
     elapsed = time.time() - t0

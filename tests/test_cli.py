@@ -60,19 +60,21 @@ def test_validation_error_exit_code(capsys, tmp_path):
 
 
 def test_verify_command_and_determinism(capsys):
-    code, out1, _ = run(
-        capsys, "hit", "verify", "--fixture", "serre-a4", "--height", "6", "--json"
-    )
-    assert code == 0
-    code, out2, _ = run(
-        capsys, "hit", "verify", "--fixture", "serre-a4", "--height", "6", "--json",
-        "--threads", "2",
-    )
-    assert code == 0
-    assert out1 == out2  # byte-identical report, parallel or not
-    payload = json.loads(out1)
-    assert payload["passed"] is True
-    assert payload["reference"]["label"] == "4T4"
+    # height 6 (46 values) stays serial; height 7 (70 values) reaches the pool
+    for height in ("6", "7"):
+        code, out1, _ = run(
+            capsys, "hit", "verify", "--fixture", "serre-a4", "--height", height, "--json"
+        )
+        assert code == 0
+        code, out2, _ = run(
+            capsys, "hit", "verify", "--fixture", "serre-a4", "--height", height, "--json",
+            "--threads", "2",
+        )
+        assert code == 0
+        assert out1 == out2  # byte-identical report, parallel or not
+        payload = json.loads(out1)
+        assert payload["passed"] is True
+        assert payload["reference"]["label"] == "4T4"
 
 
 def test_verify_table_output(capsys):

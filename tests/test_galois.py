@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hitbox.errors import DomainError
-from hitbox.factorq import cycle_type_mod_p, rational_roots
+from hitbox.factorq import cycle_type_mod_p, factor_over_Q, rational_roots
 from hitbox.galois import (
     classify_degree_le4,
     groups_match,
     identify_galois,
-    is_square,
     label_for_group,
     resolvent_cubic,
     sieve_degree_5_6,
@@ -18,6 +17,7 @@ from hitbox.galois import (
 )
 from hitbox.permgroups import maximal_classes
 from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly
+from hitbox.rationals import is_square_rational
 
 X = UniPoly.gen()
 
@@ -44,9 +44,9 @@ def test_degree6_order12_entry_matches_auxiliary_degrees():
 
 
 def test_is_square_examples():
-    assert is_square(Fraction(4, 9))
-    assert not is_square(Fraction(-1))
-    assert is_square(discriminant_uni(parse_unipoly("3*X^4-4*X^3+4")))
+    assert is_square_rational(Fraction(4, 9))
+    assert not is_square_rational(Fraction(-1))
+    assert is_square_rational(discriminant_uni(parse_unipoly("3*X^4-4*X^3+4")))
 
 
 def test_resolvent_cubic_examples():
@@ -97,14 +97,14 @@ KNOWN_QUARTICS = [
 
 def test_classify_known_quartics():
     for text, kind, order in KNOWN_QUARTICS:
-        gid = classify_degree_le4(parse_unipoly(text))
+        gid = classify_degree_le4(factor_over_Q(parse_unipoly(text)))
         assert (gid.kind, gid.order) == (kind, order), text
         assert gid.mode == "definitive"
 
 
 def test_classify_family_specializations():
     # degenerate parameter: the paper-level fact that the group has order 2
-    gid = classify_degree_le4(serre_quartic(0))
+    gid = classify_degree_le4(factor_over_Q(serre_quartic(0)))
     assert gid.order == 2
     # generic parameter: alternating of order 12; no rational root of the
     # cubic auxiliary polynomial at t = 1 forces this independently
@@ -112,41 +112,41 @@ def test_classify_family_specializations():
         "X^3 + 48*X^2 + (-1296*T^2 + 336)*X - 10368*T^2 + 640"
     ).specialize(1)
     assert rational_roots(f2_at_1) == set()
-    gid = classify_degree_le4(serre_quartic(1))
+    gid = classify_degree_le4(factor_over_Q(serre_quartic(1)))
     assert (gid.label, gid.order) == ("4T4", 12)
     # parameter hit by the parametrized family: group departs from order 12
-    gid = classify_degree_le4(serre_quartic(Fraction(10, 27)))
+    gid = classify_degree_le4(factor_over_Q(serre_quartic(Fraction(10, 27))))
     assert gid.mode == "definitive" and gid.label != "4T4"
 
 
 def test_classify_cubics_and_quadratics():
-    assert classify_degree_le4(parse_unipoly("X^2-2")).order == 2
-    assert classify_degree_le4(parse_unipoly("X^3-3*X+1")).kind == "C3"
-    assert classify_degree_le4(parse_unipoly("X^3-2")).kind == "S3"
-    assert classify_degree_le4(parse_unipoly("X^3-1")).order == 2
+    assert classify_degree_le4(factor_over_Q(parse_unipoly("X^2-2"))).order == 2
+    assert classify_degree_le4(factor_over_Q(parse_unipoly("X^3-3*X+1"))).kind == "C3"
+    assert classify_degree_le4(factor_over_Q(parse_unipoly("X^3-2"))).kind == "S3"
+    assert classify_degree_le4(factor_over_Q(parse_unipoly("X^3-1"))).order == 2
     # two quadratics: order 2 when the discriminant classes agree, else 4
-    assert classify_degree_le4(parse_unipoly("(X^2-2)*(X^2-8)")).order == 2
-    assert classify_degree_le4(parse_unipoly("(X^2-2)*(X^2-3)")).order == 4
-    assert classify_degree_le4(parse_unipoly("(X-1)*(X-2)*(X+3)")).order == 1
+    assert classify_degree_le4(factor_over_Q(parse_unipoly("(X^2-2)*(X^2-8)"))).order == 2
+    assert classify_degree_le4(factor_over_Q(parse_unipoly("(X^2-2)*(X^2-3)"))).order == 4
+    assert classify_degree_le4(factor_over_Q(parse_unipoly("(X-1)*(X-2)*(X+3)"))).order == 1
 
 
 def test_translation_invariance():
     rng = random.Random(18)
     polys = [parse_unipoly(t) for t, _, _ in KNOWN_QUARTICS[:5]]
     for f in polys:
-        base = classify_degree_le4(f)
+        base = classify_degree_le4(factor_over_Q(f))
         for _ in range(3):
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            shifted = classify_degree_le4(f.shift(c))
+            shifted = classify_degree_le4(factor_over_Q(f.shift(c)))
             assert (shifted.label, shifted.order) == (base.label, base.order)
 
 
 def test_disc_square_iff_in_alternating():
     for text, _, _ in KNOWN_QUARTICS:
         f = parse_unipoly(text)
-        gid = classify_degree_le4(f)
+        gid = classify_degree_le4(factor_over_Q(f))
         entry = table_entry(gid.label)
-        assert is_square(discriminant_uni(f)) == entry.in_alternating
+        assert is_square_rational(discriminant_uni(f)) == entry.in_alternating
 
 
 def test_dedekind_soundness():
@@ -154,7 +154,7 @@ def test_dedekind_soundness():
     done = 0
     while done < 50:
         f = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))] + [1])
-        gid = classify_degree_le4(f)
+        gid = classify_degree_le4(factor_over_Q(f))
         if gid.label is None:
             continue
         entry = table_entry(gid.label)
@@ -167,12 +167,12 @@ def test_dedekind_soundness():
 
 
 def test_sieve_quintic_definitive():
-    gid = sieve_degree_5_6(parse_unipoly("X^5-X-1"), 200)
+    gid = sieve_degree_5_6(factor_over_Q(parse_unipoly("X^5-X-1")), 200)
     assert gid.mode == "definitive" and gid.label == "5T5" and gid.order == 120
 
 
 def test_sieve_sextic_candidates():
-    gid = sieve_degree_5_6(parse_unipoly("X^6+63"), 200)
+    gid = sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6+63")), 200)
     assert gid.mode == "sieved"
     # the true dihedral group of order 12 always survives
     assert "6T3" in gid.candidates
@@ -187,37 +187,37 @@ def test_sieve_sextic_candidates():
 
 def test_sieve_monotone_in_budget():
     f = parse_unipoly("X^6+63")
-    small = sieve_degree_5_6(f, 4)
-    big = sieve_degree_5_6(f, 40)
+    small = sieve_degree_5_6(factor_over_Q(f), 4)
+    big = sieve_degree_5_6(factor_over_Q(f), 40)
     assert set(big.candidates) <= set(small.candidates)
     f5 = parse_unipoly("X^5-4*X+2")
-    small = sieve_degree_5_6(f5, 3)
-    big = sieve_degree_5_6(f5, 60)
+    small = sieve_degree_5_6(factor_over_Q(f5), 3)
+    big = sieve_degree_5_6(factor_over_Q(f5), 60)
     assert set(big.candidates or (big.label,)) <= set(small.candidates or (small.label,))
 
 
 def test_sieve_rejects_reducible_with_types():
-    gid = sieve_degree_5_6(parse_unipoly("X^6-1"), 10)
+    gid = sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6-1")), 10)
     assert gid.factor_degrees == (1, 1, 2, 2)
     # splitting field is quadratic here, so the order is still exact
     assert gid.mode == "definitive" and gid.order == 2
-    gid = sieve_degree_5_6(parse_unipoly("(X^3-2)*(X^3-3)"), 10)
+    gid = sieve_degree_5_6(factor_over_Q(parse_unipoly("(X^3-2)*(X^3-3)")), 10)
     assert gid.mode == "factored" and gid.factor_degrees == (3, 3)
     with pytest.raises(DomainError):
-        sieve_degree_5_6(parse_unipoly("X^6+63"), 0)
+        sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6+63")), 0)
 
 
 def test_groups_match():
     a4 = table_entry("4T4").group
-    gid = classify_degree_le4(serre_quartic(1))
+    gid = classify_degree_le4(factor_over_Q(serre_quartic(1)))
     assert groups_match(gid, a4) is True
-    gid0 = classify_degree_le4(serre_quartic(0))
+    gid0 = classify_degree_le4(factor_over_Q(serre_quartic(0)))
     assert groups_match(gid0, a4) is False
     d6 = table_entry("6T3").group
-    sieved = sieve_degree_5_6(parse_unipoly("X^6+63"), 40)
+    sieved = sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6+63")), 40)
     assert groups_match(sieved, d6) is None  # candidates disagree on order 12
     c2 = table_entry("2T1").group
-    assert groups_match(identify_galois(parse_unipoly("X^6-1")), c2) is True
+    assert groups_match(identify_galois(factor_over_Q(parse_unipoly("X^6-1"))), c2) is True
     # all-candidates-mismatch is a definitive no
     assert groups_match(sieved, table_entry("6T1").group) is False
 
@@ -228,7 +228,10 @@ def test_label_for_group():
 
 
 def test_identify_galois_radicalizes():
-    gid = identify_galois(X**6)  # radical is X
+    gid = identify_galois(factor_over_Q(X**6))  # radical is X
     assert gid.order == 1
-    gid = identify_galois(parse_unipoly("(X^2+1)^3"))
+    gid = identify_galois(factor_over_Q(parse_unipoly("(X^2+1)^3")))
     assert gid.order == 2
+    # serre-a4 at t = 0: (X - 1)^2 (3X^2 + 2X + 1), radical of degree 3
+    gid = identify_galois(factor_over_Q(serre_quartic(0)))
+    assert gid.degree == 4 and gid.factor_degrees == (1, 2) and gid.order == 2

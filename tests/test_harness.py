@@ -262,13 +262,87 @@ def test_enumerate_serre_height_27_matches_parametrization_image():
 
 def test_reports_are_deterministic_and_parallel_safe():
     ref, _ = resolve_reference(SERRE)
-    a = report_to_json(verify_equivalence(SERRE, ref, 6, workers=1))
-    b = report_to_json(verify_equivalence(SERRE, ref, 6, workers=1))
-    assert a == b
-    c = report_to_json(verify_equivalence(SERRE, ref, 6, workers=2))
-    assert a == c
-    payload = json.loads(a)
-    assert payload["passed"] is True and payload["kind"] == "equivalence"
+    # height 6 (46 values) stays serial; height 7 (70 values) reaches the pool
+    for bound in (6, 7):
+        a = report_to_json(verify_equivalence(SERRE, ref, bound, workers=1))
+        b = report_to_json(verify_equivalence(SERRE, ref, bound, workers=1))
+        assert a == b
+        c = report_to_json(verify_equivalence(SERRE, ref, bound, workers=2))
+        assert a == c
+        payload = json.loads(a)
+        assert payload["passed"] is True and payload["kind"] == "equivalence"
+
+
+def test_enumerate_parallel_matches_serial():
+    serial = enumerate_exceptional(FERMAT, 12, workers=1)
+    pooled = enumerate_exceptional(FERMAT, 12, workers=2)
+    assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
+    assert [r.t for r in serial] == [Fraction(0)]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, list(jobs))
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    import hitbox.harness as harness
+
+    ref, _ = resolve_reference(SERRE)
+    serial = report_to_json(verify_equivalence(SERRE, ref, 7, workers=1, keep_records=True))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    _InlinePool.sizes = []
+    capped = report_to_json(verify_equivalence(SERRE, ref, 7, workers=1000, keep_records=True))
+    assert _InlinePool.sizes == [3] and capped == serial
+    recs = enumerate_exceptional(SERRE, 10, workers=1000)
+    assert _InlinePool.sizes == [3, 3]
+    assert [r.t for r in recs] == [r.t for r in enumerate_exceptional(SERRE, 10, workers=1)]
+    # a single CPU means no pool at all
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    verify_equivalence(SERRE, ref, 7, workers=1000)
+    assert _InlinePool.sizes == [3, 3]
+
+
+def _sympy_galois_order(f) -> int:
+    galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
+    import sympy
+
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    group, _ = galoisgroups.galois_group(sympy.Poly(coeffs, x, domain="QQ"))
+    return group.order()
+
+
+def test_galois_identification_matches_sympy_oracle():
+    seen = {"definitive": 0, "sieved": 0}
+    for data in (SERRE, FERMAT):
+        n = data.P.degree_x
+        for t in rationals_up_to_height(4):
+            rec = exceptional_test(t, data)
+            if rec.factorization != (n,):
+                continue
+            order = _sympy_galois_order(data.P.specialize(t))
+            if rec.galois.mode == "definitive":
+                assert order == rec.galois.order, (data.name, t)
+            else:
+                assert rec.galois.mode == "sieved"
+                assert order in rec.galois.candidate_orders(), (data.name, t)
+            seen[rec.galois.mode] += 1
+    assert seen["definitive"] and seen["sieved"]
 
 
 def test_record_serialization():

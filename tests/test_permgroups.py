@@ -9,7 +9,6 @@ from hitbox.permgroups import (
     SubgroupClass,
     closure,
     cycle_type,
-    cycle_type_set,
     identity,
     is_even,
     maximal_classes,
@@ -111,15 +110,15 @@ def test_conjugation_lands_in_one_class():
 
 
 def test_cycle_type_sets():
-    assert cycle_type_set(A4) == frozenset({(1, 1, 1, 1), (2, 2), (3, 1)})
+    assert A4.cycle_type_set() == frozenset({(1, 1, 1, 1), (2, 2), (3, 1)})
     S4 = grp(4, "(1,2)", "(1,2,3,4)")
-    assert cycle_type_set(S4) == frozenset(
+    assert S4.cycle_type_set() == frozenset(
         {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
     )
-    assert cycle_type_set(C2) == frozenset({(1, 1), (2,)})
+    assert C2.cycle_type_set() == frozenset({(1, 1), (2,)})
     # subgroups see a subset of the parent's types
     for c in subgroup_classes(S4):
-        assert cycle_type_set(c.representative) <= cycle_type_set(S4)
+        assert c.representative.cycle_type_set() <= S4.cycle_type_set()
 
 
 def test_parity():
