@@ -1,10 +1,16 @@
 """Exact factorization over Q and over F_p, rational roots, cycle types.
 
 The rational factorization is the classical Zassenhaus pipeline: Yun
-squarefree decomposition, monic integer model, factorization modulo a good
+squarefree decomposition, monic integer model, factorization modulo one
 odd prime, quadratic multifactor Hensel lifting past the Landau-Mignotte
 bound, then subset recombination (modular factor counts stay tiny at the
-degrees this package handles).
+degrees this package handles).  The prime is the one with the fewest
+modular factors among the first few usable odd primes, counted from their
+distinct-degree splits; only that prime is factored completely.
+
+Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
+Algebra, §14) raises x to p once per prime and then steps through the
+degrees with the Frobenius matrix, one matrix-vector product per degree.
 """
 
 from __future__ import annotations
@@ -165,20 +171,48 @@ def _gp_sqf_list(f, p):
     return out
 
 
+def _gp_frobenius_rows(f, p):
+    """Rows x^(i*p) mod f for i < deg f: the matrix of h -> h^p mod f."""
+    xp = _gp_pow_mod([0, 1], p, f, p)
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(_gp_rem(_gp_mul(rows[-1], xp, p), f, p))
+    return rows
+
+
+def _gp_frobenius(h, rows, p):
+    """h^p mod f = h(x^p) mod f = sum h_i * row_i, one matrix-vector product."""
+    out = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return _gp_trim([v % p for v in out])
+
+
 def _gp_ddf(f, p):
-    """Distinct-degree split of a monic squarefree f: [(product, degree)]."""
+    """Distinct-degree split of a monic squarefree f: [(product, degree)].
+
+    x^p mod f is computed once and gives the Frobenius rows x^(i*p) mod f;
+    step d then raises h = x^(p^(d-1)) to x^(p^d) with one matrix-vector
+    product, and gcd(h - x, f) is the product of the degree-d factors.
+    When such a product splits off, h and the rows are reduced modulo the
+    cofactor, which keeps them the Frobenius map of what is left.
+    """
     out = []
+    rows = _gp_frobenius_rows(f, p)
     h = [0, 1]
     x = [0, 1]
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _gp_pow_mod(h, p, f, p)
+        h = _gp_frobenius(h, rows, p)
         g = _gp_gcd(_gp_sub(h, x, p), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = _gp_divmod(f, g, p)[0]
             h = _gp_rem(h, f, p)
+            rows = [_gp_rem(r, f, p) for r in rows[: len(f) - 1]]
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -225,9 +259,10 @@ def _gp_factor_sqf(f, p):
     return sorted(out, key=lambda h: (len(h), h))
 
 
-def _unipoly_mod_p(f: UniPoly, p: int) -> list[int]:
+def _coeffs_mod_p(coeffs, p: int) -> list[int]:
+    """Integer or Fraction coefficients reduced mod p, trimmed."""
     out = []
-    for c in f.coeffs:
+    for c in coeffs:
         if c.denominator % p == 0:
             raise DomainError(f"prime {p} divides a coefficient denominator")
         out.append(c.numerator * pow(c.denominator, p - 2, p) % p)
@@ -244,7 +279,7 @@ class ModFactorization:
 def factor_mod_p(f: UniPoly, p) -> ModFactorization:
     """Complete factorization of f mod p into monic irreducibles."""
     p = as_prime(p)
-    fp = _unipoly_mod_p(f, p)
+    fp = _coeffs_mod_p(f.coeffs, p)
     if not fp:
         raise DomainError("polynomial vanishes mod p")
     unit = fp[-1]
@@ -256,27 +291,34 @@ def factor_mod_p(f: UniPoly, p) -> ModFactorization:
     return ModFactorization(p=p, unit=unit, factors=tuple(out))
 
 
+def _usable_ddf(coeffs, p):
+    """Distinct-degree split of f mod p, or None if p is unusable for f
+    (as ``cycle_type_mod_p`` defines it); ``coeffs`` are f's ascending
+    integer or Fraction coefficients."""
+    try:
+        fp = _coeffs_mod_p(coeffs, p)
+    except DomainError:
+        return None  # p divides a denominator
+    if len(fp) != len(coeffs) or len(fp) < 2:
+        return None  # the leading coefficient died, or f is constant
+    d = _gp_deriv(fp, p)
+    if not d or len(_gp_gcd(fp, d, p)) > 1:
+        return None  # not squarefree mod p
+    return _gp_ddf(_gp_monic(fp, p), p)
+
+
 def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
     """Degrees of f mod p's irreducible factors, or None if p is unusable.
 
     Usable means: p divides neither the leading coefficient nor any
     denominator, and f stays squarefree mod p.
     """
-    p = as_prime(p)
-    try:
-        fp = _unipoly_mod_p(f, p)
-    except DomainError:
+    split = _usable_ddf(f.coeffs, as_prime(p))
+    if split is None:
         return None
-    if len(fp) != len(f.coeffs):
-        return None  # leading coefficient died
-    if not fp or len(fp) == 1:
-        return None
-    d = _gp_deriv(fp, p)
-    if not d or len(_gp_gcd(fp, d, p)) > 1:
-        return None  # not squarefree mod p
     degs: list[int] = []
-    for g, d_ in _gp_ddf(_gp_monic(fp, p), p):
-        degs.extend([d_] * ((len(g) - 1) // d_))  # squarefree: distinct factors
+    for g, d in split:
+        degs.extend([d] * ((len(g) - 1) // d))  # squarefree: distinct factors
     return tuple(sorted(degs, reverse=True))
 
 
@@ -386,27 +428,35 @@ def _mignotte_bound(f: list[int]) -> int:
     return s * (1 << n) * a
 
 
+# Usable primes _good_prime examines at most, when none keeps f irreducible.
+_PRIME_SCAN = 5
+
+
 def _good_prime(f: list[int]) -> tuple[int, list[list[int]]]:
-    """Smallest-ish odd prime keeping f squarefree mod p, fewest factors."""
-    best = None
+    """An odd prime keeping monic f squarefree mod p, and f's factors mod p.
+
+    The usable odd primes are examined in increasing order, at most
+    ``_PRIME_SCAN`` of them, stopping at the first that leaves f
+    irreducible.  Each prime's factor count comes from its distinct-degree
+    split alone; the prime with the fewest factors wins (the smaller prime
+    on a tie), and only the winner is factored completely.  The choice
+    changes the cost of Zassenhaus, never its answer.
+    """
+    best_p, best_count = 0, 0
     tried = 0
     p = 3
-    while tried < 25:
-        if is_prime(p) and f[-1] % p:
-            fp = _gp_trim([c % p for c in f])
-            if len(fp) == len(f):
-                d = _gp_deriv(fp, p)
-                if d and len(_gp_gcd(fp, d, p)) == 1:
-                    fac = _gp_factor_sqf(_gp_monic(fp, p), p)
-                    tried += 1
-                    if best is None or len(fac) < len(best[1]):
-                        best = (p, fac)
-                    if len(fac) == 1:
-                        break
+    while tried < _PRIME_SCAN:
+        if is_prime(p):
+            split = _usable_ddf(f, p)
+            if split is not None:
+                tried += 1
+                count = sum((len(g) - 1) // d for g, d in split)
+                if not best_p or count < best_count:
+                    best_p, best_count = p, count
+                if count == 1:
+                    break
         p += 2
-    if best is None:
-        raise DomainError("no usable prime found for factorization")
-    return best
+    return best_p, _gp_factor_sqf([c % best_p for c in f], best_p)
 
 
 def _zassenhaus_monic(f: list[int]) -> list[list[int]]:

@@ -13,6 +13,7 @@ by every surviving candidate.  Honesty lives in the ``mode`` field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -123,8 +124,13 @@ def table_entry(label: str) -> TransitiveGroupEntry:
     raise DomainError(f"unknown transitive group label {label}")
 
 
+@functools.cache
 def label_for_group(G: PermGroup) -> str | None:
-    """nTk label of a transitive G of degree 2..6, by conjugacy matching."""
+    """nTk label of a transitive G of degree 2..6, by conjugacy matching.
+
+    Cached: a sweep asks for its reference group's label once per record,
+    and every brute-force match runs over all of S_n.
+    """
     if G.degree not in _TABLE_DATA or not G.is_transitive():
         return None
     for e in transitive_table(G.degree):

@@ -305,43 +305,6 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
     return cf**g.degree * cg**f.degree * Fraction(r)
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        raise DomainError("sylvester matrix needs nonzero polynomials")
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([_ZERO] * i + fc + [_ZERO] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([_ZERO] * i + gc + [_ZERO] * (size - i - n - 1))
-    return rows
-
-
-def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Determinant of the Sylvester matrix; independent check of resultant()."""
-    M = [row[:] for row in sylvester_matrix(f, g)]
-    n = len(M)
-    det = _ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col]), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                factor = M[r][col] * inv
-                for c in range(col, n):
-                    M[r][c] -= factor * M[col][c]
-    return det
-
-
 def discriminant_uni(f: UniPoly) -> Fraction:
     """(-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
     n = f.degree

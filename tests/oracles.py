@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from hitbox.errors import DomainError
 from hitbox.permgroups import PermGroup, closure, identity, perm_mul
 from hitbox.polys import UniPoly
 
@@ -42,6 +43,43 @@ def conjugacy_partition(G: PermGroup, subgroups: set[frozenset]) -> list[set[fro
         remaining -= cls
         classes.append(cls)
     return classes
+
+
+def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:
+    m, n = f.degree, g.degree
+    if m < 0 or n < 0:
+        raise DomainError("sylvester matrix needs nonzero polynomials")
+    size = m + n
+    rows = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - i - m - 1))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - i - n - 1))
+    return rows
+
+
+def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
+    """Determinant of the Sylvester matrix by Gaussian elimination over Q."""
+    M = [row[:] for row in sylvester_matrix(f, g)]
+    n = len(M)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det *= M[col][col]
+        inv = 1 / M[col][col]
+        for r in range(col + 1, n):
+            if M[r][col]:
+                factor = M[r][col] * inv
+                for c in range(col, n):
+                    M[r][c] -= factor * M[col][c]
+    return det
 
 
 def divisor_root_candidates(f: UniPoly):

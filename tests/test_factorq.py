@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import roots_by_divisor_check, trial_division_irreducible
 
+from hitbox import factorq
 from hitbox.errors import DomainError
 from hitbox.factorq import (
     cycle_type_mod_p,
@@ -14,8 +17,9 @@ from hitbox.factorq import (
     is_irreducible,
     rational_roots,
 )
-from hitbox.polys import UniPoly, parse_unipoly, poly_str
-from hitbox.rationals import rationals_up_to_height
+from hitbox.harness import load_fixture
+from hitbox.polys import UniPoly, parse_unipoly, poly_str, uni_gcd
+from hitbox.rationals import is_prime, rationals_up_to_height
 
 
 def rand_poly(rng, max_deg=8, max_c=9):
@@ -89,8 +93,6 @@ def test_factorization_type_additive_on_products():
     done = 0
     while done < 40:
         f, g = rand_poly(rng, 4), rand_poly(rng, 4)
-        from hitbox.polys import uni_gcd
-
         if uni_gcd(f, g).degree != 0:
             continue
         combined = sorted(factorization_type(f) + factorization_type(g))
@@ -146,3 +148,154 @@ def test_cycle_type_mod_p():
         ct = cycle_type_mod_p(f, p)
         if ct is not None:
             assert sum(ct) == f.degree
+
+
+# -- oracles: sympy's factorizer and distinct-degree split ----------------------
+
+
+def _sympy_factors(f: UniPoly):
+    """(lc, sorted [(monic coefficients, multiplicity)]) from sympy over QQ."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    unit, factors = sympy.Poly(coeffs, x, domain="QQ").factor_list()
+    out = []
+    for g, m in factors:
+        unit *= g.LC() ** m
+        monic = [Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())]
+        out.append((tuple(monic), m))
+    return Fraction(int(unit.p), int(unit.q)), sorted(out)
+
+
+def _our_factors(f: UniPoly):
+    fac = factor_over_Q(f)
+    return fac.unit, sorted((g.coeffs, m) for g, m in fac.factors)
+
+
+def _assert_matches_sympy(f: UniPoly):
+    assert _our_factors(f) == _sympy_factors(f), poly_str(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0))
+def test_factor_over_Q_matches_sympy_on_random_polynomials(coeffs):
+    _assert_matches_sympy(UniPoly(coeffs))
+
+
+def test_factor_over_Q_matches_sympy_on_products_with_repeated_factors():
+    rng = random.Random(15)
+    pieces = [parse_unipoly(s) for s in (
+        "X - 3", "2*X + 5", "X^2 + 1", "X^2 - 2", "3*X^2 - X + 7", "X^3 - 2",
+        "X^4 - 10*X^2 + 1", "X^4 + 8*X + 12",
+    )]
+    for _ in range(40):
+        f = UniPoly.constant(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5])))
+        for g in rng.sample(pieces, rng.randint(1, 3)):
+            f = f * g ** rng.randint(1, 3)
+        _assert_matches_sympy(f)
+
+
+def test_recombination_for_a_quartic_that_splits_modulo_every_prime():
+    # X^4 - 10X^2 + 1 (minimal polynomial of sqrt2 + sqrt3) is irreducible
+    # over Q, but has Galois group V4, so no prime leaves it irreducible:
+    # Zassenhaus must rule out every pairing of the modular factors.
+    f = parse_unipoly("X^4-10*X^2+1")
+    assert is_irreducible(f)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        assert max(cycle_type_mod_p(f, p)) <= 2
+    _assert_matches_sympy(f)
+    _assert_matches_sympy(f * parse_unipoly("X^4-4*X^2+1") * parse_unipoly("X^2-6"))
+
+
+@pytest.mark.parametrize("name", ["serre-a4", "fermat-x6"])
+def test_factor_over_Q_matches_sympy_on_fixture_specializations(name):
+    data = load_fixture(name)
+    for t in rationals_up_to_height(4):
+        _assert_matches_sympy(data.P.specialize(t))
+
+
+def _first_usable_counts(f: list[int], scan: int):
+    """(p, number of factors mod p) for the first usable odd primes of a
+    monic f, from complete factorizations mod p."""
+    out = []
+    p = 3
+    while len(out) < scan:
+        if is_prime(p):
+            m = factor_mod_p(UniPoly(f), p)
+            if all(mult == 1 for _, mult in m.factors):
+                out.append((p, len(m.factors)))
+                if len(m.factors) == 1:
+                    break
+        p += 2
+    return out
+
+
+def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
+    usable, complete = [], []
+    real_usable, real_sqf = factorq._usable_ddf, factorq._gp_factor_sqf
+
+    def counting_usable(f, p):
+        split = real_usable(f, p)
+        if split is not None:
+            usable.append(p)
+        return split
+
+    def counting_sqf(f, p):
+        complete.append(p)
+        return real_sqf(f, p)
+
+    monkeypatch.setattr(factorq, "_usable_ddf", counting_usable)
+    monkeypatch.setattr(factorq, "_gp_factor_sqf", counting_sqf)
+    rng = random.Random(16)
+    polys = [[12, 8, 0, 0, 1], [1, 0, -10, 0, 1], [1, 1, 0, 0, 1]]
+    polys += [[rng.randint(-20, 20) for _ in range(rng.randint(2, 6))] + [1] for _ in range(60)]
+    for f in polys:
+        F = UniPoly(f)
+        if uni_gcd(F, F.derivative()).degree > 0:
+            continue  # _good_prime expects a squarefree polynomial
+        expected = _first_usable_counts(f, 5)
+        usable.clear()
+        complete.clear()
+        p, modular = factorq._good_prime(f)
+        assert usable == [q for q, _ in expected], f
+        assert len(usable) <= 5
+        fewest = min(count for _, count in expected)
+        assert p == next(q for q, count in expected if count == fewest), f
+        assert complete == [p] and len(modular) == fewest
+        assert sorted(modular) == sorted(
+            [c % p for c in g.coeffs] for g, _ in factor_mod_p(UniPoly(f), p).factors
+        )
+    # an A4 quartic never stays irreducible mod p, so the scan runs to its cap
+    usable.clear()
+    factorq._good_prime([12, 8, 0, 0, 1])
+    assert len(usable) == 5
+
+
+def _random_monic_squarefree(rng, p, max_deg=8):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_sqf_p
+
+    while True:
+        f = [rng.randrange(p) for _ in range(rng.randint(1, max_deg))] + [1]
+        if gf_sqf_p(list(reversed(f)), p, ZZ):
+            return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_ddf_matches_sympy_and_complete_factorization(p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus
+
+    rng = random.Random(17 + p)
+    for _ in range(60):
+        f = _random_monic_squarefree(rng, p)
+        ours = sorted((tuple(g), d) for g, d in factorq._gp_ddf(list(f), p))
+        theirs = sorted(
+            (tuple(int(c) for c in reversed(g)), d)
+            for g, d in gf_ddf_zassenhaus(list(reversed(f)), p, ZZ)
+        )
+        assert ours == theirs, (f, p)
+        F = UniPoly(f)
+        degrees = sorted((g.degree for g, _ in factor_mod_p(F, p).factors), reverse=True)
+        assert cycle_type_mod_p(F, p) == tuple(degrees), (f, p)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import sylvester_resultant
+
 from hitbox.errors import DomainError, ParseError
 from hitbox.factorq import rational_roots
 from hitbox.polys import (
@@ -18,7 +20,6 @@ from hitbox.polys import (
     resultant,
     resultant_in_x,
     squarefree_part,
-    sylvester_resultant,
     uni_gcd,
 )
 
