@@ -1,41 +1,75 @@
-"""Exact factorization over Q and over F_p, rational roots, cycle types.
+"""Exact factorization over Q, rational roots, residue cycle types.
+
+Everything modular runs on one dense core, the ``_gp_*`` helpers on
+ascending integer lists: modulo a prime for factoring and root finding,
+modulo prime powers for Hensel lifting.  The odd primes come from one
+cached sieve (``odd_primes``).
 
 The rational factorization is the classical Zassenhaus pipeline: Yun
 squarefree decomposition, monic integer model, factorization modulo one
-odd prime, quadratic multifactor Hensel lifting past the Landau-Mignotte
-bound, then subset recombination (modular factor counts stay tiny at the
-degrees this package handles).  The prime is the one with the fewest
-modular factors among the first few usable odd primes, counted from their
-distinct-degree splits; only that prime is factored completely.
+odd prime, quadratic multifactor Hensel lifting modulo m^2 past the
+Landau-Mignotte bound, then subset recombination (modular factor counts
+stay tiny at the degrees this package handles).  The prime is the one with
+the fewest modular factors among the first few usable odd primes, counted
+from their distinct-degree splits; only that prime is factored completely.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
 degrees with the Frobenius matrix, one matrix-vector product per degree.
+
+Rational roots of degree 1 and 2 have closed forms.  Higher degrees need
+no integer factoring: the monic integer model is reduced modulo its first
+usable odd prime, the roots of the degree-1 part of the split are found by
+evaluation, Newton-lifted past twice the Cauchy bound and kept only if they
+are exact integer roots of the model (ibid., §15).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import DomainError
 from .polys import UniPoly, squarefree_part, uni_gcd
-from .rationals import as_prime, divisors, is_prime, is_square_int
+from .rationals import as_prime, is_square_int
+
+# -- odd primes ----------------------------------------------------------------
+
+
+@functools.cache
+def _odd_primes_below(n: int) -> tuple[int, ...]:
+    """The odd primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for i in range(3, math.isqrt(n - 1) + 1, 2):
+        if sieve[i]:
+            sieve[i * i :: 2 * i] = bytes(len(range(i * i, n, 2 * i)))
+    return tuple(i for i in range(3, n, 2) if sieve[i])
+
+
+def odd_primes():
+    """The odd primes in increasing order, without end."""
+    n, start = 256, 0
+    while True:
+        primes = _odd_primes_below(n)
+        yield from primes[start:]
+        n, start = 2 * n, len(primes)
+
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
+#
+# Inputs are reduced mod p.  Inverses are taken with pow(c, -1, p), so Hensel
+# lifting runs the same helpers modulo a prime power, where it divides only
+# by monic polynomials.
 
 
 def _gp_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _gp_neg(f, p):
-    return [(-c) % p for c in f]
 
 
 def _gp_add(f, g, p):
@@ -48,7 +82,7 @@ def _gp_add(f, g, p):
 
 
 def _gp_sub(f, g, p):
-    return _gp_add(f, _gp_neg(g, p), p)
+    return _gp_add(f, [(-c) % p for c in g], p)
 
 
 def _gp_mul(f, g, p):
@@ -70,13 +104,13 @@ def _gp_mul_ground(f, c, p):
 def _gp_monic(f, p):
     if not f:
         return []
-    return _gp_mul_ground(f, pow(f[-1], p - 2, p), p)
+    return _gp_mul_ground(f, pow(f[-1], -1, p), p)
 
 
 def _gp_divmod(f, g, p):
     if not g:
         raise DomainError("division by zero mod p")
-    inv = pow(g[-1], p - 2, p)
+    inv = pow(g[-1], -1, p)
     rem = list(f)
     dq = len(rem) - len(g)
     if dq < 0:
@@ -113,7 +147,7 @@ def _gp_gcdex(f, g, p):
         t0, t1 = t1, _gp_sub(t0, _gp_mul(q, t1, p), p)
     if not r0:
         return [], [], []
-    inv = pow(r0[-1], p - 2, p)
+    inv = pow(r0[-1], -1, p)
     return (
         _gp_mul_ground(s0, inv, p),
         _gp_mul_ground(t0, inv, p),
@@ -141,34 +175,6 @@ def _gp_eval(f, x, p):
     for c in reversed(f):
         acc = (acc * x + c) % p
     return acc
-
-
-def _gp_sqf_list(f, p):
-    """Squarefree decomposition mod p: [(monic factor, multiplicity)]."""
-    out = []
-    mult = 1
-    f = _gp_monic(f, p)
-    while len(f) > 1:
-        d = _gp_deriv(f, p)
-        if not d:
-            # f is a polynomial in x^p: take p-th root (Frobenius)
-            f = [pow(c, 1, p) if i % p == 0 else 0 for i, c in enumerate(f)]
-            f = _gp_trim([f[i] for i in range(0, len(f), p)])
-            mult *= p
-            continue
-        g = _gp_gcd(f, d, p)
-        w = _gp_divmod(f, g, p)[0]
-        i = 1
-        while len(w) > 1:
-            y = _gp_gcd(w, g, p)
-            z = _gp_divmod(w, y, p)[0]
-            if len(z) > 1:
-                out.append((z, mult * i))
-            w = y
-            g = _gp_divmod(g, y, p)[0]
-            i += 1
-        f = g
-    return out
 
 
 def _gp_frobenius_rows(f, p):
@@ -269,28 +275,6 @@ def _coeffs_mod_p(coeffs, p: int) -> list[int]:
     return _gp_trim(out)
 
 
-@dataclass(frozen=True)
-class ModFactorization:
-    p: int
-    unit: int
-    factors: tuple[tuple[UniPoly, int], ...]
-
-
-def factor_mod_p(f: UniPoly, p) -> ModFactorization:
-    """Complete factorization of f mod p into monic irreducibles."""
-    p = as_prime(p)
-    fp = _coeffs_mod_p(f.coeffs, p)
-    if not fp:
-        raise DomainError("polynomial vanishes mod p")
-    unit = fp[-1]
-    out = []
-    for g, mult in _gp_sqf_list(fp, p):
-        for h in _gp_factor_sqf(g, p):
-            out.append((UniPoly(h), mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
-    return ModFactorization(p=p, unit=unit, factors=tuple(out))
-
-
 def _usable_ddf(coeffs, p):
     """Distinct-degree split of f mod p, or None if p is unusable for f
     (as ``cycle_type_mod_p`` defines it); ``coeffs`` are f's ascending
@@ -325,90 +309,44 @@ def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
 # -- Hensel lifting (monic integer polynomials, ascending int lists) -----------
 
 
-def _z_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _z_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _z_trim(out)
-
-
-def _z_add(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return _z_trim(out)
-
-
-def _z_sub(f, g):
-    return _z_add(f, [-c for c in g])
-
-
 def _z_trunc(f, m):
+    """Symmetric representatives mod m."""
     half = m // 2
-    return _z_trim([(c + half) % m - half for c in f])
-
-
-def _z_divmod_monic(f, g, m):
-    """Division by monic g in (Z/m)[x], symmetric representatives."""
-    rem = list(f)
-    dq = len(rem) - len(g)
-    if dq < 0:
-        return [], _z_trunc(rem, m)
-    quo = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(g) - 1] % m
-        quo[k] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[k + j] -= c * b
-    return _z_trunc(quo, m), _z_trunc(rem[: len(g) - 1], m)
+    return _gp_trim([(c + half) % m - half for c in f])
 
 
 def _hensel_step(m, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to modulus m^2; h monic."""
     M = m * m
-    e = _z_trunc(_z_sub(f, _z_mul(g, h)), M)
-    q, r = _z_divmod_monic(_z_mul(s, e), h, M)
-    G = _z_trunc(_z_add(g, _z_add(_z_mul(t, e), _z_mul(q, g))), M)
-    H = _z_trunc(_z_add(h, r), M)
-    b = _z_trunc(_z_sub(_z_add(_z_mul(s, G), _z_mul(t, H)), [1]), M)
-    c, d = _z_divmod_monic(_z_mul(s, b), H, M)
-    S = _z_trunc(_z_sub(s, d), M)
-    T = _z_trunc(_z_sub(t, _z_add(_z_mul(t, b), _z_mul(c, G))), M)
+    e = _gp_sub([c % M for c in f], _gp_mul(g, h, M), M)
+    q, r = _gp_divmod(_gp_mul(s, e, M), h, M)
+    G = _gp_add(g, _gp_add(_gp_mul(t, e, M), _gp_mul(q, g, M), M), M)
+    H = _gp_add(h, r, M)
+    b = _gp_sub(_gp_add(_gp_mul(s, G, M), _gp_mul(t, H, M), M), [1], M)
+    c, d = _gp_divmod(_gp_mul(s, b, M), H, M)
+    S = _gp_sub(s, d, M)
+    T = _gp_sub(t, _gp_add(_gp_mul(t, b, M), _gp_mul(c, G, M), M), M)
     return G, H, S, T
 
 
 def _hensel_lift(p, f, factors, l):
     """Monic f in Z[x] with f = prod(factors) mod p, all monic and coprime
-    mod p; returns monic lifts F_i with f = prod(F_i) mod p^l."""
+    mod p; returns monic lifts F_i, reduced mod p^l, with f = prod(F_i)
+    mod p^l."""
     r = len(factors)
     if r == 1:
-        return [_z_trunc(f, p**l)]
+        return [_gp_trim([c % p**l for c in f])]
     k = r // 2
     d = max(1, math.ceil(math.log2(l)))
     g = [1]
     for fi in factors[:k]:
-        g = _gp_mul(g, [c % p for c in fi], p)
+        g = _gp_mul(g, fi, p)
     h = [1]
     for fi in factors[k:]:
-        h = _gp_mul(h, [c % p for c in fi], p)
+        h = _gp_mul(h, fi, p)
     s, t, one = _gp_gcdex(g, h, p)
     if one != [1]:
         raise DomainError("modular factors are not coprime")
-    g, h = _z_trunc(g, p), _z_trunc(h, p)
-    s, t = _z_trunc(s, p), _z_trunc(t, p)
     m = p
     for _ in range(d):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
@@ -444,18 +382,16 @@ def _good_prime(f: list[int]) -> tuple[int, list[list[int]]]:
     """
     best_p, best_count = 0, 0
     tried = 0
-    p = 3
-    while tried < _PRIME_SCAN:
-        if is_prime(p):
-            split = _usable_ddf(f, p)
-            if split is not None:
-                tried += 1
-                count = sum((len(g) - 1) // d for g, d in split)
-                if not best_p or count < best_count:
-                    best_p, best_count = p, count
-                if count == 1:
-                    break
-        p += 2
+    for p in odd_primes():
+        split = _usable_ddf(f, p)
+        if split is None:
+            continue
+        tried += 1
+        count = sum((len(g) - 1) // d for g, d in split)
+        if not best_p or count < best_count:
+            best_p, best_count = p, count
+        if count == 1 or tried == _PRIME_SCAN:
+            break
     return best_p, _gp_factor_sqf([c % best_p for c in f], best_p)
 
 
@@ -489,7 +425,8 @@ def _zassenhaus_monic(f: list[int]) -> list[list[int]]:
                 continue
             G = [1]
             for i in combo:
-                G = _z_trunc(_z_mul(G, lifted[i]), pl)
+                G = _gp_mul(G, lifted[i], pl)
+            G = _z_trunc(G, pl)
             q, r = _z_divmod_exact(rest, G)
             if r is None:
                 continue
@@ -583,7 +520,7 @@ def _monic_int_model(g: UniPoly) -> tuple[list[int], int]:
     """Monic integer F with F(y) = m^deg * g(y/m); roots scale by m."""
     m = math.lcm(*[c.denominator for c in g.coeffs])
     n = g.degree
-    return [int(c * m ** (n - i)) for i, c in enumerate(g.coeffs)], m
+    return [c.numerator * (m ** (n - i) // c.denominator) for i, c in enumerate(g.coeffs)], m
 
 
 def factor_over_Q(f: UniPoly) -> Factorization:
@@ -629,28 +566,48 @@ def _quadratic_roots(c0: int, c1: int, c2: int) -> set[Fraction]:
     return {Fraction(-c1 + r, 2 * c2), Fraction(-c1 - r, 2 * c2)}
 
 
-_PRESCREEN_PRIMES = (101, 103, 107)
+def _first_usable(F: list[int], primes) -> tuple[int, list]:
+    """The first of ``primes`` usable for F, and F's split mod it."""
+    for p in primes:
+        split = _usable_ddf(F, p)
+        if split is not None:
+            return p, split
+    return 0, []
 
 
-def _has_root_mod(ints: list[int], ell: int) -> bool:
-    """Root-existence test mod ell for the monicized integer model.
+def _lifted_roots(g: UniPoly) -> set[Fraction]:
+    """Rational roots of g from the roots of its monic integer model mod p.
 
-    A rational root of the primitive model gives an integer root of the
-    monicized model, which survives reduction mod every prime; so a prime
-    with no root certifies there is no rational root at all.
+    The model F has integer roots only, each a root mod every prime.  Mod a
+    prime keeping F squarefree each root mod p lifts uniquely (Newton), and
+    past twice the Cauchy bound 1 + max|F_i| its symmetric representative
+    is the only integer it can be; every candidate is checked exactly.  A
+    repeated factor makes every prime unusable, so when none of the first
+    ``_PRIME_SCAN`` odd primes is usable the squarefree part, usable at all
+    but finitely many primes, takes over.
     """
-    n = len(ints) - 1
-    if ints[n] % ell == 0:
-        return True  # monicization degenerates; stay conservative
-    # monicized: y^n + sum c_i lc^(n-1-i) y^i, reduced mod ell
-    g = [ints[i] * pow(ints[n], n - 1 - i, ell) % ell for i in range(n)] + [1]
-    for y in range(ell):
-        acc = 0
-        for c in reversed(g):
-            acc = (acc * y + c) % ell
-        if acc == 0:
-            return True
-    return False
+    F, m = _monic_int_model(g.monic())
+    p, split = _first_usable(F, islice(odd_primes(), _PRIME_SCAN))
+    if not p:
+        F, m = _monic_int_model(squarefree_part(g))
+        p, split = _first_usable(F, odd_primes())
+    linear = next((h for h, d in split if d == 1), None)
+    if linear is None:
+        return set()
+    dF = [i * c for i, c in enumerate(F)][1:]
+    bound = 2 * (1 + max(abs(c) for c in F))
+    roots = set()
+    for r in range(p):
+        if _gp_eval(linear, r, p):
+            continue
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - _gp_eval(F, r, q) * pow(_gp_eval(dF, r, q), -1, q)) % q
+        y = r - q if 2 * r > q else r
+        if sum(c * y**i for i, c in enumerate(F)) == 0:
+            roots.add(Fraction(y, m))
+    return roots
 
 
 def rational_roots(f: UniPoly) -> set[Fraction]:
@@ -658,9 +615,8 @@ def rational_roots(f: UniPoly) -> set[Fraction]:
 
     Degrees 1 and 2 are solved in closed form with exact integer square
     roots (bounded curve searches hit quadratics whose constant terms are
-    far too large to factor); higher degrees run the rational-root theorem
-    on the primitive integer model after a mod-ell root prescreen, every
-    candidate verified by exact evaluation.
+    far too large to factor); higher degrees lift roots mod a small prime
+    (``_lifted_roots``), every candidate verified by exact evaluation.
     """
     if f.is_zero():
         raise DomainError("the zero polynomial has every root")
@@ -681,35 +637,5 @@ def rational_roots(f: UniPoly) -> set[Fraction]:
         roots.add(Fraction(-ints[0], ints[1]))
         return roots
     if n == 2:
-        disc = ints[1] * ints[1] - 4 * ints[2] * ints[0]
-        if disc == 0:
-            roots.add(Fraction(-ints[1], 2 * ints[2]))
-            return roots
         return roots | _quadratic_roots(ints[0], ints[1], ints[2])
-    if not all(_has_root_mod(ints, ell) for ell in _PRESCREEN_PRIMES):
-        return roots
-    g = squarefree_part(f)
-    ints, _ = g.primitive_int()
-    while ints[0] == 0:
-        ints = ints[1:]
-    n = len(ints) - 1
-    if n <= 2:
-        return roots | {r for r in rational_roots(g) if f(r) == 0}
-    s1 = sum(ints)
-    s2 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    for q in divisors(ints[n]):
-        for pp in divisors(ints[0]):
-            for num in (pp, -pp):
-                if math.gcd(abs(num), q) != 1:
-                    continue
-                if s1 and (q - num) and s1 % (q - num):
-                    continue
-                if s2 and (q + num) and s2 % (q + num):
-                    continue
-                # exact evaluation of sum c_i num^i q^(n-i)
-                val = 0
-                for i, c in enumerate(ints):
-                    val += c * num**i * q ** (n - i)
-                if val == 0:
-                    roots.add(Fraction(num, q))
-    return {r for r in roots if f(r) == 0}
+    return roots | _lifted_roots(UniPoly(ints))

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InconclusiveError
-from .factorq import Factorization, cycle_type_mod_p, factor_over_Q
+from .factorq import Factorization, cycle_type_mod_p, factor_over_Q, odd_primes
 from .polys import UniPoly, discriminant_uni
 from .permgroups import PermGroup, closure, conjugate_in_symmetric, parse_perm
-from .rationals import factor_int, is_prime, is_square_rational, squarefree_kernel
+from .rationals import factor_int, is_square_rational, squarefree_kernel
 
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------
@@ -338,15 +338,14 @@ def classify_degree_le4(fac: Factorization) -> GaloisId:
 
 
 def _usable_primes(f: UniPoly, budget: int):
-    p = 3
     found = 0
-    while found < budget:
-        if is_prime(p):
-            ct = cycle_type_mod_p(f, p)
-            if ct is not None:
-                found += 1
-                yield p, ct
-        p += 2
+    for p in odd_primes():
+        if found == budget:
+            return
+        ct = cycle_type_mod_p(f, p)
+        if ct is not None:
+            found += 1
+            yield p, ct
 
 
 def sieve_degree_5_6(fac: Factorization, budget: int) -> GaloisId:

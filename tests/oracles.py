@@ -82,27 +82,32 @@ def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
     return det
 
 
-def divisor_root_candidates(f: UniPoly):
-    """All rational-root-theorem candidates of the primitive model of f."""
+def roots_by_divisor_check(f: UniPoly) -> set[Fraction]:
+    """Rational roots by the rational-root theorem: every candidate p/q of
+    the primitive integer model (p divides the constant term, q the leading
+    coefficient) is checked exactly, as the integer q^n * f(p/q)."""
     from hitbox.rationals import divisors
     import math
 
     ints, _ = f.primitive_int()
-    while ints and ints[0] == 0:
+    out = {Fraction(0)} if ints[0] == 0 else set()
+    while ints[0] == 0:
         ints = ints[1:]
-    if not ints or len(ints) == 1:
-        return set()
-    out = {Fraction(0)}
+    n = len(ints) - 1
+    if n == 0:
+        return out
     for q in divisors(ints[-1]):
+        scaled = [c * q ** (n - i) for i, c in enumerate(ints)]
         for p in divisors(ints[0]):
-            if math.gcd(p, q) == 1:
-                out.add(Fraction(p, q))
-                out.add(Fraction(-p, q))
+            if math.gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                acc = 0
+                for c in reversed(scaled):
+                    acc = acc * num + c
+                if acc == 0:
+                    out.add(Fraction(num, q))
     return out
-
-
-def roots_by_divisor_check(f: UniPoly) -> set[Fraction]:
-    return {r for r in divisor_root_candidates(f) if f(r) == 0}
 
 
 def trial_division_irreducible(f: UniPoly) -> bool:

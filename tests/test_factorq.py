@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import roots_by_divisor_check, trial_division_irreducible
 
-from hitbox import factorq
+from hitbox import factorq, rationals
 from hitbox.errors import DomainError
 from hitbox.factorq import (
     cycle_type_mod_p,
-    factor_mod_p,
     factor_over_Q,
     factorization_type,
     is_irreducible,
@@ -19,7 +18,7 @@ from hitbox.factorq import (
 )
 from hitbox.harness import load_fixture
 from hitbox.polys import UniPoly, parse_unipoly, poly_str, uni_gcd
-from hitbox.rationals import is_prime, rationals_up_to_height
+from hitbox.rationals import rationals_up_to_height
 
 
 def rand_poly(rng, max_deg=8, max_c=9):
@@ -45,11 +44,38 @@ def test_rational_roots_examples():
         rational_roots(UniPoly())
 
 
-def test_rational_roots_against_divisor_oracle():
+def test_rational_roots_against_divisor_oracle(monkeypatch):
     rng = random.Random(10)
     for _ in range(150):
         f = rand_poly(rng, 6, 8)
         assert rational_roots(f) == roots_by_divisor_check(f)
+    # products with repeated factors and roots with denominators
+    pieces = [parse_unipoly(s) for s in (
+        "X", "X - 3", "2*X + 5", "7*X - 4", "X^2 + 1", "3*X^2 - X + 7", "X^3 - 2",
+    )]
+    for _ in range(60):
+        f = UniPoly.constant(rng.choice([1, -2, 3]))
+        for g in rng.sample(pieces, rng.randint(1, 3)):
+            f = f * g ** rng.randint(1, 3)
+        assert rational_roots(f) == roots_by_divisor_check(f), poly_str(f)
+    # the cubic auxiliary polynomial of fermat-x6 along a sweep, and cubics
+    # with repeated roots mod the first odd primes: X(X - 1155)(X - 2310)
+    # (whose root 0 leaves a quadratic) and (X - 1)(X - 15016)(X - 30031),
+    # which no odd prime up to 13 keeps squarefree
+    cubic = load_fixture("fermat-x6").S[3]
+    cubics = [cubic.specialize(t) for t in rationals_up_to_height(25)]
+    for a, step in ((0, 1155), (1, 15015)):
+        cubics.append(UniPoly([-a, 1]) * UniPoly([-a - step, 1]) * UniPoly([-a - 2 * step, 1]))
+    factored, sqf_parts = [], []
+    real_factor_int, real_sqf = rationals.factor_int, factorq.squarefree_part
+    monkeypatch.setattr(rationals, "factor_int", lambda n: factored.append(n) or real_factor_int(n))
+    monkeypatch.setattr(factorq, "squarefree_part", lambda f: sqf_parts.append(f) or real_sqf(f))
+    ours = [rational_roots(f) for f in cubics]
+    assert factored == []
+    assert sqf_parts[-1] == cubics[-1]  # the fallback to the squarefree part ran
+    monkeypatch.undo()
+    assert ours == [roots_by_divisor_check(f) for f in cubics]
+    assert ours[-2:] == [{0, 1155, 2310}, {1, 15016, 30031}]
 
 
 def test_factor_examples():
@@ -105,28 +131,6 @@ def test_reducibility_matches_small_sweep():
     for t in rationals_up_to_height(8):
         sext = UniPoly([Fraction(t) ** 6 - 1, 0, 0, 0, 0, 0, 1])
         assert is_irreducible(sext) == (t not in (0, 1, -1))
-
-
-def test_factor_mod_p_examples():
-    m = factor_mod_p(parse_unipoly("X^2+1"), 5)
-    assert [(poly_str(g), mult) for g, mult in m.factors] == [("X + 2", 1), ("X + 3", 1)]
-    m = factor_mod_p(parse_unipoly("X^2+1"), 3)
-    assert [(g.degree, mult) for g, mult in m.factors] == [(2, 1)]
-    m = factor_mod_p(parse_unipoly("X^6-1"), 7)
-    assert [g.degree for g, _ in m.factors] == [1] * 6
-    # reconstruction mod p including multiplicities and the unit
-    rng = random.Random(13)
-    for _ in range(100):
-        f = rand_poly(rng, 7)
-        p = rng.choice([2, 3, 5, 7, 11, 13])
-        try:
-            m = factor_mod_p(f, p)
-        except DomainError:
-            continue  # vanishes mod p
-        prod = UniPoly.constant(m.unit)
-        for g, mult in m.factors:
-            prod = prod * g**mult
-        assert all(c.denominator == 1 and c.numerator % p == 0 for c in (f - prod).coeffs)
 
 
 def test_cycle_type_mod_p():
@@ -214,20 +218,30 @@ def test_factor_over_Q_matches_sympy_on_fixture_specializations(name):
         _assert_matches_sympy(data.P.specialize(t))
 
 
+def _sympy_factors_mod_p(f: list[int], p: int):
+    """Sorted monic irreducible factors (ascending coefficients) of monic f
+    mod p from sympy, or None if f is not squarefree mod p."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
+
+    g = gf_from_int_poly(list(reversed(f)), p)
+    if not gf_sqf_p(g, p, ZZ):
+        return None
+    return sorted([int(c) for c in reversed(h)] for h in gf_factor_sqf(g, p, ZZ)[1])
+
+
 def _first_usable_counts(f: list[int], scan: int):
     """(p, number of factors mod p) for the first usable odd primes of a
     monic f, from complete factorizations mod p."""
     out = []
-    p = 3
-    while len(out) < scan:
-        if is_prime(p):
-            m = factor_mod_p(UniPoly(f), p)
-            if all(mult == 1 for _, mult in m.factors):
-                out.append((p, len(m.factors)))
-                if len(m.factors) == 1:
-                    break
-        p += 2
-    return out
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        factors = _sympy_factors_mod_p(f, p)
+        if factors is not None:
+            out.append((p, len(factors)))
+            if len(factors) == 1 or len(out) == scan:
+                return out
+    raise AssertionError(f"too few usable primes below 50 for {f}")
 
 
 def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
@@ -262,9 +276,7 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
         fewest = min(count for _, count in expected)
         assert p == next(q for q, count in expected if count == fewest), f
         assert complete == [p] and len(modular) == fewest
-        assert sorted(modular) == sorted(
-            [c % p for c in g.coeffs] for g, _ in factor_mod_p(UniPoly(f), p).factors
-        )
+        assert sorted(modular) == _sympy_factors_mod_p(f, p)
     # an A4 quartic never stays irreducible mod p, so the scan runs to its cap
     usable.clear()
     factorq._good_prime([12, 8, 0, 0, 1])
@@ -296,6 +308,5 @@ def test_ddf_matches_sympy_and_complete_factorization(p):
             for g, d in gf_ddf_zassenhaus(list(reversed(f)), p, ZZ)
         )
         assert ours == theirs, (f, p)
-        F = UniPoly(f)
-        degrees = sorted((g.degree for g, _ in factor_mod_p(F, p).factors), reverse=True)
-        assert cycle_type_mod_p(F, p) == tuple(degrees), (f, p)
+        degrees = sorted((len(g) - 1 for g in _sympy_factors_mod_p(f, p)), reverse=True)
+        assert cycle_type_mod_p(UniPoly(f), p) == tuple(degrees), (f, p)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -278,6 +279,33 @@ def test_enumerate_parallel_matches_serial():
     pooled = enumerate_exceptional(FERMAT, 12, workers=2)
     assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
     assert [r.t for r in serial] == [Fraction(0)]
+
+
+# sha256 of the canonical JSON of sweeps whose outputs must never change;
+# a refactor of the arithmetic underneath has to reproduce them byte for byte
+GOLDEN_VERIFY_HEIGHT_8 = {
+    "serre-a4": "b0384ab870d0cbb5310f270aa2553c8575cfee3a4acf0252ce8e52c3bb21c12c",
+    "fermat-x6": "fdc4d051389075e6a8f4389c3f308c2403cca05398ea723d90bfc6590eb796fa",
+}
+GOLDEN_ENUMERATE_FERMAT_HEIGHT_12 = "ca6ac89625a28793b243307d24762e83b2212ce3efff251277952980b478fb73"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("data", [SERRE, FERMAT], ids=lambda d: d.name)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_output_matches_golden_digest(data, workers):
+    ref, _ = resolve_reference(data)
+    report = verify_equivalence(data, ref, 8, workers=workers, keep_records=True)
+    assert _sha256(report_to_json(report)) == GOLDEN_VERIFY_HEIGHT_8[data.name]
+
+
+def test_enumerate_output_matches_golden_digest():
+    records = enumerate_exceptional(FERMAT, 12, workers=1)
+    text = json.dumps([record_to_dict(r) for r in records], sort_keys=True, separators=(",", ":"))
+    assert _sha256(text) == GOLDEN_ENUMERATE_FERMAT_HEIGHT_12
 
 
 class _InlinePool:
