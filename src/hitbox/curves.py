@@ -125,9 +125,7 @@ def bounded_point_search(C: PlaneCurve, height_bound: int) -> list[tuple[Fractio
     out: list[tuple[Fraction, Fraction]] = []
     for t in rationals_up_to_height(height_bound):
         ft = C.f.specialize(t)
-        if ft.is_zero():
-            continue
-        if ft.degree < 1:
+        if ft.degree < 1:  # a vertical line inside C, or no point above t
             continue
         for x in sorted(rational_roots(ft)):
             if height(x) <= height_bound:

@@ -3,7 +3,7 @@
 Everything modular runs on one dense core, the ``_gp_*`` helpers on
 ascending integer lists: modulo a prime for factoring and root finding,
 modulo prime powers for Hensel lifting.  The odd primes come from one
-cached sieve (``odd_primes``).
+cached sieve (``rationals.odd_primes``).
 
 The rational factorization is the classical Zassenhaus pipeline: Yun
 squarefree decomposition, monic integer model, factorization modulo one
@@ -17,16 +17,17 @@ Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
 degrees with the Frobenius matrix, one matrix-vector product per degree.
 
-Rational roots of degree 1 and 2 have closed forms.  Higher degrees need
-no integer factoring: the monic integer model is reduced modulo its first
-usable odd prime, the roots of the degree-1 part of the split are found by
-evaluation, Newton-lifted past twice the Cauchy bound and kept only if they
-are exact integer roots of the model (ibid., §15).
+Rational roots work on the primitive integer coefficients.  Degrees 1 and
+2 have closed forms.  Higher degrees need no integer factoring: the roots
+of the monic integer model F modulo a small odd prime p are found by
+evaluating F at the p residues.  p is usable when each of them is a simple
+root (F'(r) != 0 mod p); then each lifts uniquely by Newton's method, past
+twice the Cauchy bound, and is kept only if it is an exact integer root of
+F (ibid., §15).  Rejecting a prime costs at most p evaluations.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -35,29 +36,7 @@ from itertools import combinations, islice
 
 from .errors import DomainError
 from .polys import UniPoly, squarefree_part, uni_gcd
-from .rationals import as_prime, is_square_int
-
-# -- odd primes ----------------------------------------------------------------
-
-
-@functools.cache
-def _odd_primes_below(n: int) -> tuple[int, ...]:
-    """The odd primes below n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * n
-    for i in range(3, math.isqrt(n - 1) + 1, 2):
-        if sieve[i]:
-            sieve[i * i :: 2 * i] = bytes(len(range(i * i, n, 2 * i)))
-    return tuple(i for i in range(3, n, 2) if sieve[i])
-
-
-def odd_primes():
-    """The odd primes in increasing order, without end."""
-    n, start = 256, 0
-    while True:
-        primes = _odd_primes_below(n)
-        yield from primes[start:]
-        n, start = 2 * n, len(primes)
-
+from .rationals import as_prime, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
 #
@@ -516,11 +495,14 @@ def _yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-def _monic_int_model(g: UniPoly) -> tuple[list[int], int]:
-    """Monic integer F with F(y) = m^deg * g(y/m); roots scale by m."""
-    m = math.lcm(*[c.denominator for c in g.coeffs])
-    n = g.degree
-    return [c.numerator * (m ** (n - i) // c.denominator) for i, c in enumerate(g.coeffs)], m
+def _monic_int_model(ints: list[int]) -> tuple[list[int], int]:
+    """Monic integer F with F(y) = m^n * g(y/m) for g the monic multiple
+    of sum ints[i] x^i, n its degree, and m the least common denominator
+    of g's coefficients ints[i]/ints[n]; roots scale by m."""
+    n = len(ints) - 1
+    lead = ints[n]
+    m = math.lcm(*[abs(lead) // math.gcd(c, lead) for c in ints])
+    return [c * m ** (n - i) // lead for i, c in enumerate(ints)], m
 
 
 def factor_over_Q(f: UniPoly) -> Factorization:
@@ -533,7 +515,7 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     fm = f.monic()
     out: list[tuple[UniPoly, int]] = []
     for piece, mult in _yun_squarefree(fm):
-        F, m = _monic_int_model(piece)
+        F, m = _monic_int_model(piece.primitive_int()[0])
         for h in _zassenhaus_monic(F):
             # undo y = m*x and renormalize monic
             g = UniPoly([Fraction(c) * m**i for i, c in enumerate(h)]).monic()
@@ -566,40 +548,47 @@ def _quadratic_roots(c0: int, c1: int, c2: int) -> set[Fraction]:
     return {Fraction(-c1 + r, 2 * c2), Fraction(-c1 - r, 2 * c2)}
 
 
-def _first_usable(F: list[int], primes) -> tuple[int, list]:
-    """The first of ``primes`` usable for F, and F's split mod it."""
-    for p in primes:
-        split = _usable_ddf(F, p)
-        if split is not None:
-            return p, split
-    return 0, []
+def _simple_roots_mod(F: list[int], p: int) -> list[int] | None:
+    """The roots of F in F_p, found by evaluation, or None if one of them
+    is a multiple root (F'(r) = 0 mod p): then p is unusable."""
+    Fp = [c % p for c in F]
+    dFp = _gp_deriv(Fp, p)
+    roots = []
+    for r in range(p):
+        if _gp_eval(Fp, r, p) == 0:
+            if _gp_eval(dFp, r, p) == 0:
+                return None
+            roots.append(r)
+    return roots
 
 
-def _lifted_roots(g: UniPoly) -> set[Fraction]:
-    """Rational roots of g from the roots of its monic integer model mod p.
+def _lifted_roots(ints: list[int]) -> set[Fraction]:
+    """Rational roots of sum ints[i] x^i from the roots of its monic
+    integer model F mod p.
 
-    The model F has integer roots only, each a root mod every prime.  Mod a
-    prime keeping F squarefree each root mod p lifts uniquely (Newton), and
-    past twice the Cauchy bound 1 + max|F_i| its symmetric representative
-    is the only integer it can be; every candidate is checked exactly.  A
-    repeated factor makes every prime unusable, so when none of the first
-    ``_PRIME_SCAN`` odd primes is usable the squarefree part, usable at all
-    but finitely many primes, takes over.
+    F has integer roots only, each a root mod every prime.  A prime is
+    usable when every root of F in F_p is simple; each such root then lifts
+    uniquely (Newton), and past twice the Cauchy bound 1 + max|F_i| its
+    symmetric representative is the only integer root of F it can be; every
+    candidate is checked exactly.  A repeated factor may make every prime
+    unusable, so when none of the first ``_PRIME_SCAN`` odd primes is usable
+    the squarefree part, usable at all but finitely many primes, takes over.
     """
-    F, m = _monic_int_model(g.monic())
-    p, split = _first_usable(F, islice(odd_primes(), _PRIME_SCAN))
-    if not p:
-        F, m = _monic_int_model(squarefree_part(g))
-        p, split = _first_usable(F, odd_primes())
-    linear = next((h for h, d in split if d == 1), None)
-    if linear is None:
-        return set()
+    F, m = _monic_int_model(ints)
+    for p in islice(odd_primes(), _PRIME_SCAN):
+        residues = _simple_roots_mod(F, p)
+        if residues is not None:
+            break
+    else:
+        F, m = _monic_int_model(squarefree_part(UniPoly(ints)).primitive_int()[0])
+        for p in odd_primes():
+            residues = _simple_roots_mod(F, p)
+            if residues is not None:
+                break
     dF = [i * c for i, c in enumerate(F)][1:]
     bound = 2 * (1 + max(abs(c) for c in F))
     roots = set()
-    for r in range(p):
-        if _gp_eval(linear, r, p):
-            continue
+    for r in residues:
         q = p
         while q <= bound:
             q *= q
@@ -618,9 +607,10 @@ def rational_roots(f: UniPoly) -> set[Fraction]:
     far too large to factor); higher degrees lift roots mod a small prime
     (``_lifted_roots``), every candidate verified by exact evaluation.
     """
-    if f.is_zero():
+    n = f.degree
+    if n < 0:
         raise DomainError("the zero polynomial has every root")
-    if f.degree == 0:
+    if n == 0:
         return set()
     ints, _ = f.primitive_int()
     roots: set[Fraction] = set()
@@ -638,4 +628,4 @@ def rational_roots(f: UniPoly) -> set[Fraction]:
         return roots
     if n == 2:
         return roots | _quadratic_roots(ints[0], ints[1], ints[2])
-    return roots | _lifted_roots(UniPoly(ints))
+    return roots | _lifted_roots(ints)

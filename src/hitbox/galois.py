@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InconclusiveError
-from .factorq import Factorization, cycle_type_mod_p, factor_over_Q, odd_primes
+from .factorq import Factorization, cycle_type_mod_p, factor_over_Q
 from .polys import UniPoly, discriminant_uni
 from .permgroups import PermGroup, closure, conjugate_in_symmetric, parse_perm
-from .rationals import factor_int, is_square_rational, squarefree_kernel
+from .rationals import factor_int, is_square_rational, odd_primes, squarefree_kernel
 
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------

@@ -2,15 +2,27 @@
 
 ``UniPoly`` is a univariate polynomial with Fraction coefficients; ``BiPoly``
 stores an element of Q[T][X] as a tuple of T-polynomials indexed by the power
-of X.  Resultants run a subresultant pseudo-remainder sequence that works
-both over the integers (scalar case, after clearing denominators) and over
-Q[T] (bivariate case), which keeps coefficient growth under control for the
+of X.
+
+Specialization stays in integers.  On first use a ``BiPoly`` caches its
+homogenized integer form: rows C[j][i] with L * P = sum C[j][i] T^i X^j for
+a common denominator L, and its T-degree d.  Then b^d * L * P(a/b, X) has
+the integer X-coefficients N_j = sum_i C[j][i] a^i b^(d-i), and
+``BiPoly.specialize`` returns ``UniPoly.from_ints(N, L * b^d)``: a
+polynomial backed by those integers, which answers its degree and its
+primitive integer form from them and builds the Fraction tuple ``coeffs``
+only when something reads it.
+
+Resultants run a subresultant pseudo-remainder sequence that works both
+over the integers (scalar case, after clearing denominators) and over Q[T]
+(bivariate case), which keeps coefficient growth under control for the
 degree-30 discriminants this package meets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,12 +40,34 @@ def _trim(coeffs: list) -> tuple:
 
 
 class UniPoly:
-    """Univariate polynomial over Q, coefficient i belongs to X^i."""
+    """Univariate polynomial over Q, coefficient i belongs to X^i.
 
-    __slots__ = ("coeffs",)
+    A polynomial built by ``from_ints`` holds integers N_i and a denominator
+    D with coefficient i equal to N_i/D; its Fraction tuple ``coeffs`` is
+    built the first time something reads it.
+    """
+
+    __slots__ = ("_coeffs", "_ints", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+        self._coeffs = _trim([Fraction(c) for c in coeffs])
+        self._ints = None
+
+    @staticmethod
+    def from_ints(ints: Sequence[int], den: int) -> "UniPoly":
+        """The polynomial with coefficients ints[i]/den; den is nonzero."""
+        f = UniPoly.__new__(UniPoly)
+        f._coeffs = None
+        f._ints = _trim(ints)
+        f._den = den
+        return f
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(v, den) for v in self._ints)
+        return self._coeffs
 
     @staticmethod
     def constant(c) -> "UniPoly":
@@ -45,13 +79,13 @@ class UniPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._ints is None else self._ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._coeffs if self._ints is None else self._ints)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return not self.is_zero()
 
     def lc(self) -> Fraction:
         if not self.coeffs:
@@ -190,11 +224,14 @@ class UniPoly:
 
     def primitive_int(self) -> tuple[list[int], Fraction]:
         """Primitive integer coefficients F and content c with self = c*F."""
-        if self.is_zero():
+        if self._ints is None:
+            den = math.lcm(*[c.denominator for c in self._coeffs])
+            ints = [c.numerator * (den // c.denominator) for c in self._coeffs]
+        else:
+            ints, den = self._ints, self._den
+        if not ints:
             return [], _ZERO
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = math.gcd(*[abs(v) for v in ints])
+        g = math.gcd(*ints)
         if ints[-1] < 0:
             g = -g
         return [v // g for v in ints], Fraction(g, den)
@@ -322,7 +359,7 @@ def discriminant_uni(f: UniPoly) -> Fraction:
 class BiPoly:
     """Element of Q[T][X]; xcoeffs[j] is the T-polynomial on X^j."""
 
-    __slots__ = ("xcoeffs",)
+    __slots__ = ("xcoeffs", "_int_form")
 
     def __init__(self, xcoeffs: Iterable[UniPoly] = ()):
         coeffs = [c if isinstance(c, UniPoly) else UniPoly.constant(c) for c in xcoeffs]
@@ -330,6 +367,7 @@ class BiPoly:
         while n and coeffs[n - 1].is_zero():
             n -= 1
         self.xcoeffs = tuple(coeffs[:n])
+        self._int_form = None
 
     @staticmethod
     def constant(c) -> "BiPoly":
@@ -446,9 +484,24 @@ class BiPoly:
         return result
 
     def specialize(self, t) -> UniPoly:
-        """P(t, X); the X-degree may drop if the leading coefficient dies."""
-        t = Fraction(t)
-        return UniPoly([c(t) for c in self.xcoeffs])
+        """P(t, X); the X-degree may drop if the leading coefficient dies.
+
+        Computed from the cached homogenized integer form (see the module
+        docstring): the weights a^i b^(d-i) for t = a/b are shared by every
+        row.
+        """
+        if self._int_form is None:
+            den = math.lcm(*[c.denominator for cj in self.xcoeffs for c in cj.coeffs])
+            rows = [[c.numerator * (den // c.denominator) for c in cj.coeffs] for cj in self.xcoeffs]
+            self._int_form = (rows, den, max(self.degree_t, 0))
+        rows, den, d = self._int_form
+        if not isinstance(t, Fraction):
+            t = Fraction(t)
+        a, b = t.numerator, t.denominator
+        w = [b**d]  # w[i] = a^i * b^(d-i)
+        for _ in range(d):
+            w.append(w[-1] // b * a)
+        return UniPoly.from_ints([sum(map(operator.mul, row, w)) for row in rows], den * w[0])
 
     def eval(self, t, x) -> Fraction:
         return self.specialize(t)(Fraction(x))

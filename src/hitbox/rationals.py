@@ -6,6 +6,7 @@ with positive denominator), so every operation in the package is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,13 +20,34 @@ Rational = Fraction
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.cache
+def _odd_primes_below(n: int) -> tuple[int, ...]:
+    """The odd primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for i in range(3, math.isqrt(n - 1) + 1, 2):
+        if sieve[i]:
+            sieve[i * i :: 2 * i] = bytes(len(range(i * i, n, 2 * i)))
+    return tuple(i for i in range(3, n, 2) if sieve[i])
+
+
+def odd_primes():
+    """The odd primes in increasing order, without end."""
+    n, start = 256, 0
+    while True:
+        primes = _odd_primes_below(n)
+        yield from primes[start:]
+        n, start = 2 * n, len(primes)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witness set)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    """Deterministic primality test: a lookup in the cached sieve below
+    256 (the first block of ``odd_primes``), Miller-Rabin with a fixed
+    witness set above."""
+    if n < 256:
+        return n == 2 or n in _odd_primes_below(256)
+    for p in _MR_BASES:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -209,21 +231,22 @@ def squarefree_kernel(q: Fraction) -> int:
 
 
 def rationals_of_height(h: int) -> list[Fraction]:
-    """All rationals of exact height h, sorted by (numerator, denominator)."""
+    """All rationals of exact height h, sorted by (numerator, denominator).
+
+    For h > 1 and k running over 1 <= k < h coprime to h, that order is
+    -h/k (k ascending), -k/h (k descending), k/h and h/k (k ascending).
+    """
     if h < 1:
         raise DomainError("height is at least 1")
     if h == 1:
         return [Fraction(-1), Fraction(0), Fraction(1)]
-    out = []
-    for b in range(1, h + 1):
-        if math.gcd(h, b) == 1:
-            out.append(Fraction(h, b))
-            out.append(Fraction(-h, b))
-    for a in range(1, h):
-        if math.gcd(a, h) == 1:
-            out.append(Fraction(a, h))
-            out.append(Fraction(-a, h))
-    return sorted(out, key=lambda q: (q.numerator, q.denominator))
+    ks = [k for k in range(1, h) if math.gcd(k, h) == 1]
+    return (
+        [Fraction(-h, k) for k in ks]
+        + [Fraction(-k, h) for k in reversed(ks)]
+        + [Fraction(k, h) for k in ks]
+        + [Fraction(h, k) for k in ks]
+    )
 
 
 def rationals_up_to_height(bound: int) -> Iterator[Fraction]:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from hitbox.errors import DomainError
 from hitbox.permgroups import PermGroup, closure, identity, perm_mul
-from hitbox.polys import UniPoly
+from hitbox.polys import BiPoly, UniPoly
 
 
 def brute_force_subgroups(G: PermGroup) -> set[frozenset]:
@@ -43,6 +43,18 @@ def conjugacy_partition(G: PermGroup, subgroups: set[frozenset]) -> list[set[fro
         remaining -= cls
         classes.append(cls)
     return classes
+
+
+def specialize_by_horner(P: BiPoly, t) -> UniPoly:
+    """P(t, X) by Horner evaluation of each X-coefficient in Fractions."""
+    t = Fraction(t)
+    out = []
+    for c in P.xcoeffs:
+        acc = Fraction(0)
+        for a in reversed(c.coeffs):
+            acc = acc * t + a
+        out.append(acc)
+    return UniPoly(out)
 
 
 def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -225,3 +227,19 @@ def test_bounded_point_search_prefix_stability():
     # every found point is exactly on the curve
     for t, x in large:
         assert CURVE.contains(t, x)
+
+
+# sha256 of point lists that must never change; the arithmetic underneath
+# (specialization, root finding) has to reproduce them byte for byte
+GOLDEN_SEARCH = {
+    ("X^2 - 3*(T^6-1)", 30): "2ebebf696f650dbdfdd399eafacc270476c9dca45ac90cac9c59e4c7d088dca0",
+    ("quartic family", 45): "e62ac3d6ae1b24d2d961a062c193db9e45c10227f392af3934ad67278715b938",
+}
+
+
+@pytest.mark.parametrize("curve, bound", list(GOLDEN_SEARCH))
+def test_bounded_point_search_matches_golden_digest(curve, bound):
+    C = CURVE if curve == "quartic family" else PlaneCurve(parse_poly(curve))
+    pts = bounded_point_search(C, bound)
+    text = json.dumps([[str(t), str(x)] for t, x in pts])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEARCH[curve, bound]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -73,6 +74,12 @@ def test_rational_roots_against_divisor_oracle(monkeypatch):
     ours = [rational_roots(f) for f in cubics]
     assert factored == []
     assert sqf_parts[-1] == cubics[-1]  # the fallback to the squarefree part ran
+    # a repeated factor without roots mod 3 leaves 3 usable: every root it
+    # has there (only 2) is simple, so no squarefree part is taken
+    sqf_parts.clear()
+    repeated = parse_unipoly("(X^2 + 1)^2*(X - 2)")
+    assert rational_roots(repeated) == {2} == roots_by_divisor_check(repeated)
+    assert sqf_parts == []
     monkeypatch.undo()
     assert ours == [roots_by_divisor_check(f) for f in cubics]
     assert ours[-2:] == [{0, 1155, 2310}, {1, 15016, 30031}]
@@ -133,6 +140,18 @@ def test_reducibility_matches_small_sweep():
         assert is_irreducible(sext) == (t not in (0, 1, -1))
 
 
+def test_monic_int_model_matches_the_fraction_construction():
+    """F(y) = m^n g(y/m) for g the monic multiple, m its least common
+    denominator, built here from Fractions."""
+    rng = random.Random(18)
+    for _ in range(200):
+        ints = [rng.randint(-30, 30) for _ in range(rng.randint(1, 6))] + [rng.choice([-12, -5, 1, 4, 9, 30])]
+        g = UniPoly(ints).monic()
+        m = math.lcm(*[c.denominator for c in g.coeffs])
+        n = g.degree
+        assert factorq._monic_int_model(ints) == ([int(c * m ** (n - i)) for i, c in enumerate(g.coeffs)], m)
+
+
 def test_cycle_type_mod_p():
     f = parse_unipoly("X^2+1")
     assert cycle_type_mod_p(f, 5) == (1, 1)
@@ -144,6 +163,8 @@ def test_cycle_type_mod_p():
     assert cycle_type_mod_p(g, 5) is None
     assert cycle_type_mod_p(parse_unipoly("X^3-X-1"), 5) == (2, 1)
     assert cycle_type_mod_p(parse_unipoly("X^3-2"), 7) == (3,)
+    with pytest.raises(DomainError):
+        cycle_type_mod_p(f, 9)
     # degrees always sum to deg f on usable primes
     rng = random.Random(14)
     for _ in range(80):

@@ -1,9 +1,12 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import sylvester_resultant
+from oracles import specialize_by_horner, sylvester_resultant
 
 from hitbox.errors import DomainError, ParseError
 from hitbox.factorq import rational_roots
@@ -102,6 +105,58 @@ def test_specialize_examples():
     # degree drop when the leading coefficient vanishes
     Q = parse_poly("(T^2-1)*X^2 + T*X + 1")
     assert Q.specialize(1).degree == 1
+
+
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+_t_values = st.one_of(st.sampled_from([0, 1, -1]), st.fractions(min_value=-50, max_value=50, max_denominator=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(_fractions, min_size=0, max_size=7), min_size=0, max_size=7),
+    t=_t_values,
+    kill_lead=st.booleans(),
+)
+def test_specialize_matches_horner(rows, t, kill_lead):
+    """T- and X-degrees 0..6, rational coefficients, t of 0, +-1 or with a
+    denominator; with kill_lead the leading X-coefficient vanishes at t."""
+    P = BiPoly([UniPoly(r) for r in rows])
+    if kill_lead and P.degree_x >= 1 and P.degree_t < 6:
+        t = Fraction(t)
+        lead = P.xcoeffs[-1] * UniPoly([-t.numerator, t.denominator])
+        P = BiPoly(list(P.xcoeffs[:-1]) + [lead])
+    got, want = P.specialize(t), specialize_by_horner(P, t)
+    assert got.degree == want.degree
+    assert got.primitive_int() == want.primitive_int()
+    assert got == want and got.coeffs == want.coeffs
+
+
+_int_lists = st.lists(st.integers(-10**6, 10**6), max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ints=_int_lists, den=st.integers(-10**4, 10**4).filter(bool), read_first=st.booleans())
+def test_from_ints_matches_eager_construction(ints, den, read_first):
+    lazy = UniPoly.from_ints(ints, den)
+    eager = UniPoly([Fraction(v, den) for v in ints])
+    if read_first:
+        assert lazy.coeffs == eager.coeffs
+    assert lazy.degree == eager.degree
+    assert lazy.is_zero() == eager.is_zero() and bool(lazy) == bool(eager)
+    assert lazy.primitive_int() == eager.primitive_int()
+    assert lazy == eager and eager == lazy
+    assert hash(lazy) == hash(eager)
+    copy = pickle.loads(pickle.dumps(lazy))
+    assert copy == eager and copy.degree == eager.degree and hash(copy) == hash(eager)
+    assert lazy.coeffs == eager.coeffs
+
+
+def test_from_ints_answers_degree_without_fractions(monkeypatch):
+    f = UniPoly.from_ints([3, 0, -6, 0, 0], 9)
+    monkeypatch.setattr(UniPoly, "coeffs", property(lambda self: pytest.fail("coeffs read")))
+    assert f.degree == 2 and not f.is_zero() and f
+    assert f.primitive_int() == ([-1, 0, 2], Fraction(-1, 3))
+    assert UniPoly.from_ints([0, 0], 5).is_zero()
 
 
 def test_leading_coeff_examples():

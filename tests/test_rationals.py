@@ -76,6 +76,14 @@ def test_field_axioms_spot_check():
 def test_primality():
     assert is_prime(2) and is_prime(3) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**32)
+    # a plain sieve below 5000, across the cached first block and beyond
+    n = 5000
+    composite = [True, True] + [False] * (n - 2)
+    for i in range(2, n):
+        if not composite[i]:
+            for j in range(i * i, n, i):
+                composite[j] = True
+    assert [k for k in range(-3, n) if is_prime(k)] == [k for k in range(n) if not composite[k]]
     with pytest.raises(DomainError):
         PrimeModulus(15)
     assert PrimeModulus(101).p == 101
@@ -121,3 +129,11 @@ def test_sweep_order_is_canonical():
             assert height(q) == h
     all_vals = list(rationals_up_to_height(12))
     assert len(all_vals) == len(set(all_vals))
+    # the direct construction equals the sorted one
+    for h in range(1, 61):
+        nums = range(-h, h + 1)
+        expected = sorted(
+            {Fraction(a, b) for a in nums for b in range(1, h + 1) if max(abs(a), b) == h and math.gcd(a, b) == 1},
+            key=lambda q: (q.numerator, q.denominator),
+        )
+        assert rationals_of_height(h) == expected, h
