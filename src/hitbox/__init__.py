@@ -13,6 +13,7 @@ from .errors import (
     FixtureError,
     InconclusiveError,
     ParseError,
+    ReferenceMismatchError,
     ResourceLimitError,
 )
 from .polys import BiPoly, UniPoly, parse_poly, parse_unipoly
@@ -28,6 +29,7 @@ __all__ = [
     "FixtureError",
     "InconclusiveError",
     "ParseError",
+    "ReferenceMismatchError",
     "ResourceLimitError",
     "height",
     "normalize",

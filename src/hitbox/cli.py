@@ -31,6 +31,7 @@ from .harness import (
     DEFAULT_PRIME_BUDGET,
     default_workers,
     enumerate_exceptional,
+    galois_to_dict,
     load_fixture,
     record_to_dict,
     records_table,
@@ -80,15 +81,7 @@ def cmd_factor(args) -> int:
 def cmd_galois(args) -> int:
     f = parse_poly(args.poly).as_unipoly_x()
     gid = identify_galois(factor_over_Q(f), args.primes)
-    payload = {
-        "mode": gid.mode,
-        "label": gid.label,
-        "kind": gid.kind,
-        "order": gid.order,
-        "candidates": list(gid.candidates),
-        "factor_degrees": list(gid.factor_degrees),
-    }
-    _emit(args, payload, gid.describe())
+    _emit(args, galois_to_dict(gid), gid.describe())
     return 0
 
 

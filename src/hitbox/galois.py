@@ -8,7 +8,16 @@ resolvent cubic, exact splitting-field composition for reducible inputs).
 Degrees 5 and 6 get a cycle-type sieve against embedded transitive-group
 tables: the candidate set always contains the true group, so the only
 definitive verdicts it supports are singletons and order statements shared
-by every surviving candidate.  Honesty lives in the ``mode`` field.
+by every surviving candidate.
+
+Given a reference group G, the sieve starts from the table entries that are
+conjugate in S_n to a subgroup of G (the Galois group of a specialization
+outside the exclusion set is a decomposition group, hence one of them) and
+stops at the first prime that leaves a single candidate.  Such a singleton
+is exact only if G is the right generic group, so it is reported with mode
+``conditional``, never ``definitive``; a reference that is itself derived by
+sampling (as for fermat-x6) makes every conditional verdict derived too.
+Honesty lives in the ``mode`` field.
 """
 
 from __future__ import annotations
@@ -17,10 +26,10 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, InconclusiveError
+from .errors import DomainError, InconclusiveError, ReferenceMismatchError
 from .factorq import Factorization, cycle_type_mod_p, factor_over_Q
 from .polys import UniPoly, discriminant_uni
-from .permgroups import PermGroup, closure, conjugate_in_symmetric, parse_perm
+from .permgroups import PermGroup, closure, conjugate_in_symmetric, conjugates_into, parse_perm
 from .rationals import factor_int, is_square_rational, odd_primes, squarefree_kernel
 
 
@@ -139,6 +148,16 @@ def label_for_group(G: PermGroup) -> str | None:
     return None
 
 
+@functools.cache
+def transitive_subgroups(G: PermGroup) -> tuple[TransitiveGroupEntry, ...]:
+    """Table entries of G's degree that are conjugate in S_n into G.
+
+    These are the sieve's candidates inside the reference G.  Cached, like
+    ``label_for_group``: a sweep sieves every record inside one reference.
+    """
+    return tuple(e for e in transitive_table(G.degree) if conjugates_into(e.group, G))
+
+
 # -- identification results ------------------------------------------------------
 
 
@@ -154,15 +173,18 @@ class GaloisId:
     """Identification of the Galois group of a specialized polynomial.
 
     mode 'definitive': label and order are exact; kind names the abstract
-    isomorphism class.  mode 'sieved': candidates is the set of table
-    labels consistent with all observed evidence (the true group is always
-    among them).  mode 'factored': the input was a reducible quintic or
-    sextic whose splitting field is not resolved here; only the factor
-    degrees are reported.
+    isomorphism class.  mode 'conditional': as 'definitive', but the sieve
+    ran inside a reference group's subgroups, so the label is exact only if
+    the reference is the true generic group.  mode 'sieved': candidates is
+    the set of table labels consistent with all observed evidence (the true
+    group is always among them, inside the reference if one was given).
+    mode 'factored': the input was a reducible quintic or sextic whose
+    splitting field is not resolved here; only the factor degrees are
+    reported.
     """
 
     degree: int
-    mode: str  # 'definitive' | 'sieved' | 'factored'
+    mode: str  # 'definitive' | 'conditional' | 'sieved' | 'factored'
     label: str | None = None
     kind: str | None = None
     order: int | None = None
@@ -177,6 +199,8 @@ class GaloisId:
         if self.mode == "definitive":
             lbl = self.label or self.kind
             return f"{lbl} (order {self.order})"
+        if self.mode == "conditional":
+            return f"{self.label} (order {self.order}) if the reference is right"
         if self.mode == "sieved":
             return "candidates {%s}" % ",".join(self.candidates)
         return f"reducible, factor degrees {list(self.factor_degrees)}"
@@ -337,25 +361,39 @@ def classify_degree_le4(fac: Factorization) -> GaloisId:
 # -- degree 5/6 sieve --------------------------------------------------------------
 
 
-def _usable_primes(f: UniPoly, budget: int):
+def _usable_primes(f: UniPoly, disc: Fraction, budget: int):
+    """The first ``budget`` usable odd primes of f, with their cycle types.
+
+    Primes dividing the numerator of f's discriminant are skipped unread:
+    f is not squarefree mod such a prime, or not integral at it.
+    """
     found = 0
     for p in odd_primes():
         if found == budget:
             return
+        if disc.numerator % p == 0:
+            continue
         ct = cycle_type_mod_p(f, p)
         if ct is not None:
             found += 1
             yield p, ct
 
 
-def sieve_degree_5_6(fac: Factorization, budget: int) -> GaloisId:
+def sieve_degree_5_6(
+    fac: Factorization, budget: int, within: PermGroup | None = None
+) -> GaloisId:
     """Cycle-type sieve for a polynomial whose radical has degree 5 or 6.
 
     Candidates are the transitive groups whose cycle types contain every
     observed residue type of the (irreducible) radical, cut down by the
     discriminant square test; the true group always survives, so increasing
-    the budget never enlarges the set.  A reducible radical gets its
-    splitting field when that is resolved here, else only its factor degrees.
+    the budget never enlarges the set.  Primes are examined one at a time,
+    at least one and at most ``budget`` usable ones, until at most one
+    candidate is left.  With ``within``, only the groups conjugate into it
+    are candidates, and a singleton is reported as 'conditional'; an empty
+    set refutes the reference (``ReferenceMismatchError``).  A reducible
+    radical gets its splitting field when that is resolved here, else only
+    its factor degrees.
     """
     if budget < 1:
         raise DomainError("prime budget must be at least 1")
@@ -376,18 +414,26 @@ def sieve_degree_5_6(fac: Factorization, budget: int) -> GaloisId:
             )
         return GaloisId(degree=n, mode="factored", factor_degrees=rad.type())
     f = rad.factors[0][0]
-    disc_sq = is_square_rational(discriminant_uni(f))
+    if within is None:
+        table = transitive_table(f.degree)
+    elif within.degree == f.degree:
+        table = transitive_subgroups(within)
+    else:
+        raise DomainError(f"reference degree {within.degree} != {f.degree}")
+    disc = discriminant_uni(f)
+    disc_sq = is_square_rational(disc)
+    candidates = [e for e in table if e.in_alternating == disc_sq]
     observed: set[tuple[int, ...]] = set()
     primes: list[int] = []
-    for p, ct in _usable_primes(f, budget):
+    for p, ct in _usable_primes(f, disc, budget):
         primes.append(p)
         observed.add(ct)
-    candidates = [
-        e
-        for e in transitive_table(f.degree)
-        if e.in_alternating == disc_sq and observed <= e.cycle_types
-    ]
+        candidates = [e for e in candidates if ct in e.cycle_types]
+        if len(candidates) <= 1:
+            break
     if not candidates:
+        if within is not None:
+            raise ReferenceMismatchError(p, ct, label_for_group(within))
         raise InconclusiveError("no transitive group fits the evidence")
     evidence = SieveEvidence(
         primes=tuple(primes), observed_types=frozenset(observed), disc_square=disc_sq
@@ -396,7 +442,7 @@ def sieve_degree_5_6(fac: Factorization, budget: int) -> GaloisId:
         e = candidates[0]
         return GaloisId(
             degree=n,
-            mode="definitive",
+            mode="definitive" if within is None else "conditional",
             label=e.label,
             kind=e.kind,
             order=e.order,
@@ -413,17 +459,20 @@ def sieve_degree_5_6(fac: Factorization, budget: int) -> GaloisId:
     )
 
 
-def identify_galois(fac: Factorization, budget: int = 32) -> GaloisId:
+def identify_galois(
+    fac: Factorization, budget: int = 32, within: PermGroup | None = None
+) -> GaloisId:
     """Identify the Galois group of a nonconstant polynomial of degree <= 6.
 
     Identification consumes the polynomial's one factorization over Q and
-    never factors the polynomial again.
+    never factors the polynomial again.  ``within`` (a group the true one is
+    known to be conjugate into) only narrows the degree-5/6 sieve.
     """
     if fac.degree < 1:
         raise DomainError("identification needs degree >= 1")
     if fac.radical().degree <= 4:
         return classify_degree_le4(fac)
-    return sieve_degree_5_6(fac, budget)
+    return sieve_degree_5_6(fac, budget, within)
 
 
 def groups_match(gid: GaloisId, reference: PermGroup) -> bool | None:
@@ -432,7 +481,7 @@ def groups_match(gid: GaloisId, reference: PermGroup) -> bool | None:
     True/False when the identification supports a verdict; None when the
     sieve candidates disagree about matching the reference order.
     """
-    if gid.mode == "definitive":
+    if gid.mode in ("definitive", "conditional"):
         if gid.order != reference.order:
             return False
         ref_label = label_for_group(reference)

@@ -9,6 +9,14 @@ parameters together with the curve points that certify them.
 Indeterminate Galois identifications (the degree-5/6 sieve cannot always
 separate groups) are a third verdict: they are reported and counted, never
 silently passed or failed.
+
+Equivalence sweeps sieve each sextic inside the subgroups of the reference
+group, as the decomposition-group argument behind D allows for t outside D.
+A group pinned that way is 'conditional' on the reference: exact if the
+reference is the generic group, and no better than the reference when that
+is derived by specialization sampling (fermat-x6), which the report's
+reference provenance says.  Sieve evidence that no subgroup of the
+reference fits raises ``ReferenceMismatchError``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .errors import DomainError, FixtureError, InconclusiveError
+from .errors import DomainError, FixtureError, InconclusiveError, ReferenceMismatchError
 from .factorq import factor_over_Q, factorization_type, rational_roots
 from .galois import (
     GaloisId,
@@ -66,6 +74,8 @@ class SpecializationRecord:
     factorization: tuple[int, ...]
     galois: GaloisId | None
     verdict: str  # excluded | exceptional | generic | indeterminate
+    # groups_match(galois, reference) for t outside D, when a reference was given
+    match: bool | None = None
 
     def sort_key(self):
         return (height(self.t), self.t.numerator, self.t.denominator)
@@ -136,29 +146,43 @@ def exceptional_test(
     """Classify one parameter value, with audit fields always populated.
 
     P(t, X) is factored over Q once; its factorization type and its Galois
-    identification both come from that one factorization.
+    identification both come from that one factorization.  For t outside D
+    a given reference group bounds the sieve (the Galois group is conjugate
+    into it) and is matched once, on ``match``.
     """
     t = Fraction(t)
     in_d = t in data.D
+    within = None if in_d else reference
     witness = _find_witness(t, data.S)
     pt = data.P.specialize(t)
     ftype: tuple[int, ...] = ()
     gid: GaloisId | None = None
+    match: bool | None = None
     if pt.degree >= 1:
         fac = factor_over_Q(pt)
         ftype = fac.type()
-        gid = identify_galois(fac, budget)
+        try:
+            gid = identify_galois(fac, budget, within)
+        except ReferenceMismatchError as e:
+            raise ReferenceMismatchError(e.prime, e.cycle_type, e.reference, t) from None
+        if within is not None:
+            match = groups_match(gid, within)
     if in_d:
         verdict = "excluded"
     elif witness is not None:
         verdict = "exceptional"
+    elif reference is not None and gid is not None:
+        verdict = "indeterminate" if match is None else "generic"
     else:
-        if reference is not None and gid is not None:
-            verdict = "indeterminate" if groups_match(gid, reference) is None else "generic"
-        else:
-            verdict = "generic" if gid is not None and gid.mode == "definitive" else "indeterminate"
+        verdict = "generic" if gid is not None and gid.mode == "definitive" else "indeterminate"
     return SpecializationRecord(
-        t=t, in_d=in_d, witness=witness, factorization=ftype, galois=gid, verdict=verdict
+        t=t,
+        in_d=in_d,
+        witness=witness,
+        factorization=ftype,
+        galois=gid,
+        verdict=verdict,
+        match=match,
     )
 
 
@@ -309,10 +333,9 @@ def verify_equivalence(
     counts: dict[str, int] = {}
     for rec in records:
         counts[rec.verdict] = counts.get(rec.verdict, 0) + 1
-        match = groups_match(rec.galois, reference) if rec.galois else None
-        if match is None:
+        if rec.match is None:
             indeterminates.append(rec)
-        elif (rec.witness is not None) == match:
+        elif (rec.witness is not None) == rec.match:
             violations.append(rec)
     invalid = not data.S and reference.order > 1
     return EquivalenceReport(
@@ -485,17 +508,23 @@ def load_fixture(source) -> HitData:
 # -- report serialization -----------------------------------------------------------
 
 
+def galois_to_dict(gid: GaloisId) -> dict:
+    """Canonical form of an identification; ``primes`` only when sieved."""
+    out = {
+        "mode": gid.mode,
+        "label": gid.label,
+        "kind": gid.kind,
+        "order": gid.order,
+        "candidates": list(gid.candidates),
+        "factor_degrees": list(gid.factor_degrees),
+    }
+    if gid.evidence.primes:
+        out["primes"] = list(gid.evidence.primes)
+    return out
+
+
 def record_to_dict(rec: SpecializationRecord) -> dict:
-    gal = None
-    if rec.galois is not None:
-        gal = {
-            "mode": rec.galois.mode,
-            "label": rec.galois.label,
-            "kind": rec.galois.kind,
-            "order": rec.galois.order,
-            "candidates": list(rec.galois.candidates),
-            "factor_degrees": list(rec.galois.factor_degrees),
-        }
+    gal = None if rec.galois is None else galois_to_dict(rec.galois)
     return {
         "t": _frac_str(rec.t),
         "height": height(rec.t),

@@ -306,14 +306,22 @@ def maximal_classes(G: PermGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Subg
     return out
 
 
+def conjugates_into(A: PermGroup, B: PermGroup) -> bool:
+    """True iff some permutation conjugates A into a subgroup of B.
+
+    The generators decide: a conjugate of A lies in B exactly when the
+    conjugates of A's generators do.
+    """
+    if A.degree != B.degree or B.order % A.order:
+        return False
+    if not A.cycle_type_set() <= B.cycle_type_set():
+        return False
+    return any(
+        all(perm_conj(s, g) in B.elements for g in A.generators)
+        for s in _sym(range(A.degree))
+    )
+
+
 def conjugate_in_symmetric(A: PermGroup, B: PermGroup) -> bool:
     """True iff A and B are conjugate inside the full symmetric group."""
-    if A.degree != B.degree or A.order != B.order:
-        return False
-    if A.cycle_type_set() != B.cycle_type_set():
-        return False
-    for s in _sym(range(A.degree)):
-        if all(perm_conj(s, g) in B.elements for g in A.generators):
-            if {perm_conj(s, g) for g in A.elements} == B.elements:
-                return True
-    return False
+    return A.order == B.order and conjugates_into(A, B)

@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hitbox.errors import DomainError
+from hitbox.errors import DomainError, ReferenceMismatchError
 from hitbox.factorq import cycle_type_mod_p, factor_over_Q, rational_roots
 from hitbox.galois import (
     classify_degree_le4,
@@ -13,9 +16,10 @@ from hitbox.galois import (
     resolvent_cubic,
     sieve_degree_5_6,
     table_entry,
+    transitive_subgroups,
     transitive_table,
 )
-from hitbox.permgroups import maximal_classes
+from hitbox.permgroups import maximal_classes, subgroup_classes
 from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly
 from hitbox.rationals import is_square_rational
 
@@ -235,3 +239,114 @@ def test_identify_galois_radicalizes():
     # serre-a4 at t = 0: (X - 1)^2 (3X^2 + 2X + 1), radical of degree 3
     gid = identify_galois(factor_over_Q(serre_quartic(0)))
     assert gid.degree == 4 and gid.factor_degrees == (1, 2) and gid.order == 2
+
+
+def test_transitive_subgroups_of_references():
+    assert [e.label for e in transitive_subgroups(table_entry("6T3").group)] == [
+        "6T1",
+        "6T2",
+        "6T3",
+    ]
+    assert [e.label for e in transitive_subgroups(table_entry("6T1").group)] == ["6T1"]
+    # oracle: the transitive classes among all subgroup classes of small groups
+    for lbl in ("6T3", "6T5", "6T7", "5T3"):
+        G = table_entry(lbl).group
+        expect = {
+            label_for_group(c.representative)
+            for c in subgroup_classes(G)
+            if c.representative.is_transitive()
+        }
+        assert {e.label for e in transitive_subgroups(G)} == expect, lbl
+    # the full symmetric groups contain every table entry; each set builds fast
+    for lbl in ("6T16", "5T5"):
+        G = table_entry(lbl).group
+        transitive_subgroups.cache_clear()
+        start = time.perf_counter()
+        got = transitive_subgroups(G)
+        assert time.perf_counter() - start < 1.0
+        assert got == tuple(transitive_table(G.degree))
+
+
+def test_sieve_within_stops_at_first_singleton():
+    d6 = table_entry("6T3").group
+    fac = factor_over_Q(parse_unipoly("X^6+2"))
+    gid = sieve_degree_5_6(fac, 200, within=d6)
+    assert (gid.mode, gid.label, gid.kind, gid.order) == ("conditional", "6T3", "D6", 12)
+    assert 1 <= len(gid.evidence.primes) < 200
+    assert groups_match(gid, d6) is True
+    # without the reference the same evidence leaves D6's supergroups in
+    full = sieve_degree_5_6(fac, len(gid.evidence.primes))
+    assert full.mode == "sieved" and "6T3" in full.candidates
+    # the full-table sieve stops at its singleton too, with the same answer
+    quintic = factor_over_Q(parse_unipoly("X^5-X-1"))
+    early = sieve_degree_5_6(quintic, 200)
+    assert early.mode == "definitive" and early.label == "5T5"
+    assert len(early.evidence.primes) < 200
+
+
+def test_sieve_within_wrong_reference_raises():
+    d6 = table_entry("6T3").group
+    # X^6+X+1 (group S6) has cycle type (3,2,1) mod 3, which D6 lacks
+    f = parse_unipoly("X^6+X+1")
+    assert cycle_type_mod_p(f, 3) == (3, 2, 1)
+    with pytest.raises(ReferenceMismatchError) as info:
+        sieve_degree_5_6(factor_over_Q(f), 40, within=d6)
+    err = info.value
+    assert (err.prime, err.cycle_type, err.reference, err.t) == (3, (3, 2, 1), "6T3", None)
+    assert "mod 3" in str(err) and "6T3" in str(err)
+    with pytest.raises(DomainError) as info:
+        sieve_degree_5_6(factor_over_Q(parse_unipoly("X^5-X-1")), 40, within=d6)
+    assert not isinstance(info.value, ReferenceMismatchError)  # degrees differ
+
+
+def _sympy_label(f: UniPoly) -> str:
+    """nTk label of sympy's Galois group of f, matched by conjugacy in S_n."""
+    galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
+    import sympy
+
+    from hitbox.permgroups import closure
+
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    name, _ = galoisgroups.galois_group(sympy.Poly(coeffs, x, domain="QQ"), by_name=True)
+    G = name.get_perm_group()
+    return label_for_group(closure(f.degree, [tuple(g.array_form) for g in G.generators]))
+
+
+@pytest.mark.parametrize(
+    "text, sympy_label, verdict",
+    [
+        ("X^6+2", "6T3", "6T3"),
+        ("X^6+63", "6T3", "6T3"),
+        ("X^6-X^3+1", "6T1", None),
+        # cycle types never exclude D6 above its regular S3
+        ("X^6+108", "6T2", None),
+    ],
+)
+def test_sieve_within_d6_matches_sympy_oracle(text, sympy_label, verdict):
+    f = parse_unipoly(text)
+    assert _sympy_label(f) == sympy_label
+    gid = sieve_degree_5_6(factor_over_Q(f), 40, within=table_entry("6T3").group)
+    if verdict is not None:
+        assert gid.mode == "conditional" and gid.label == verdict
+        assert table_entry(gid.label).kind == "D6"
+    else:
+        assert gid.mode == "sieved" and sympy_label in gid.candidates
+        assert groups_match(gid, table_entry("6T3").group) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(-300, 300), s=st.integers(-3, 3))
+def test_sieve_within_d6_agrees_with_sympy_on_radical_sextics(a, s):
+    # (X+s)^6 + a has its Galois group inside 6T3 (C6 x| C2 acting on the
+    # sixth roots of -a), so the sieve may run inside 6T3
+    f = (X + s) ** 6 + a
+    fac = factor_over_Q(f)
+    if not fac.is_irreducible():
+        return
+    gid = sieve_degree_5_6(fac, 40, within=table_entry("6T3").group)
+    label = _sympy_label(f)
+    if gid.mode == "conditional":
+        assert gid.label == label
+    else:
+        assert gid.mode == "sieved" and label in gid.candidates

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hitbox.errors import DomainError, FixtureError
+from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
 from hitbox.galois import table_entry
 from hitbox.harness import (
     EquivalenceReport,
@@ -180,12 +180,43 @@ def test_verify_equivalence_serre_small():
 
 def test_verify_equivalence_fermat_small():
     ref, _ = resolve_reference(FERMAT)
-    rep = verify_equivalence(FERMAT, ref, 6)
+    rep = verify_equivalence(FERMAT, ref, 6, keep_records=True)
     assert rep.passed
     assert rep.counts.get("exceptional") == 1  # only t = 0
-    # indeterminates all come from the degree-6 sieve
-    for rec in rep.indeterminates:
-        assert rec.galois is not None and rec.galois.mode == "sieved"
+    # sieving inside the subgroups of 6T3 pins every irreducible sextic
+    assert not rep.indeterminates
+    for rec in rep.records:
+        if rec.factorization == (6,):
+            assert (rec.galois.mode, rec.galois.label, rec.match) == ("conditional", "6T3", True)
+
+
+def test_verify_equivalence_wrong_reference_fails_fast():
+    # C6 has no (2,2,1,1) element; the sieve meets one at a height-3 parameter
+    with pytest.raises(ReferenceMismatchError) as info:
+        verify_equivalence(FERMAT, table_entry("6T1").group, 4)
+    err = info.value
+    assert err.reference == "6T1" and err.cycle_type == (2, 2, 1, 1)
+    assert err.t is not None and height(err.t) <= 4
+    assert f"t = {err.t}" in str(err) and f"mod {err.prime}" in str(err)
+
+
+def test_groups_match_runs_once_per_record(monkeypatch):
+    import hitbox.galois
+    import hitbox.harness as harness
+
+    calls = []
+
+    def counting(gid, reference):
+        calls.append(gid)
+        return hitbox.galois.groups_match(gid, reference)
+
+    monkeypatch.setattr(harness, "groups_match", counting)
+    for data, bound in ((SERRE, 6), (FERMAT, 7)):
+        ref, _ = resolve_reference(data)
+        calls.clear()
+        rep = verify_equivalence(data, ref, bound, workers=1, keep_records=True)
+        assert len(calls) == rep.checked
+        assert all(rec.match is not None for rec in rep.records)
 
 
 def test_verify_equivalence_toy_square_family():
@@ -282,10 +313,12 @@ def test_enumerate_parallel_matches_serial():
 
 
 # sha256 of the canonical JSON of sweeps whose outputs must never change;
-# a refactor of the arithmetic underneath has to reproduce them byte for byte
+# a refactor of the arithmetic underneath has to reproduce them byte for byte.
+# fermat-x6 records its sextics as 'conditional' 6T3 with the primes used,
+# since the sieve runs inside the reference's subgroups.
 GOLDEN_VERIFY_HEIGHT_8 = {
     "serre-a4": "b0384ab870d0cbb5310f270aa2553c8575cfee3a4acf0252ce8e52c3bb21c12c",
-    "fermat-x6": "fdc4d051389075e6a8f4389c3f308c2403cca05398ea723d90bfc6590eb796fa",
+    "fermat-x6": "4286de2b94b4f66d9a105bade6da04ebcccd6b07070dc2fd00d979c3698df91e",
 }
 GOLDEN_ENUMERATE_FERMAT_HEIGHT_12 = "ca6ac89625a28793b243307d24762e83b2212ce3efff251277952980b478fb73"
 
@@ -373,9 +406,42 @@ def test_galois_identification_matches_sympy_oracle():
     assert seen["definitive"] and seen["sieved"]
 
 
+def test_conditional_verdicts_match_sympy_oracle():
+    from hitbox.galois import label_for_group
+    from hitbox.permgroups import closure
+
+    galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
+    import sympy
+
+    x = sympy.Symbol("x")
+    ref, _ = resolve_reference(FERMAT)
+    seen = {"conditional": 0, "sieved": 0}
+    for t in rationals_up_to_height(4):
+        rec = exceptional_test(t, FERMAT, ref)
+        if rec.in_d or rec.factorization != (6,):
+            continue
+        f = FERMAT.P.specialize(t)
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+        name, _ = galoisgroups.galois_group(sympy.Poly(coeffs, x, domain="QQ"), by_name=True)
+        gens = [tuple(g.array_form) for g in name.get_perm_group().generators]
+        label = label_for_group(closure(6, gens))
+        if rec.galois.mode == "conditional":
+            assert table_entry(rec.galois.label).kind == table_entry(label).kind, t
+            assert rec.galois.label == label, t
+        else:
+            assert rec.galois.mode == "sieved" and label in rec.galois.candidates, t
+        seen[rec.galois.mode] += 1
+    assert seen["conditional"] > 0
+
+
 def test_record_serialization():
     rec = exceptional_test(Fraction(10, 27), SERRE)
     d = record_to_dict(rec)
     assert d["t"] == "10/27" and d["height"] == 27
     assert d["witness"]["index"] == 1
     assert d["verdict"] == "exceptional"
+    assert "primes" not in d["galois"]  # quartics are not sieved
+    ref, _ = resolve_reference(FERMAT)
+    sieved = record_to_dict(exceptional_test(Fraction(2), FERMAT, ref))
+    assert sieved["galois"]["mode"] == "conditional"
+    assert sieved["galois"]["primes"] == [5, 11]
