@@ -1,9 +1,12 @@
 """Exact factorization over Q, rational roots, residue cycle types.
 
-Everything modular runs on one dense core, the ``_gp_*`` helpers on
-ascending integer lists: modulo a prime for factoring and root finding,
-modulo prime powers for Hensel lifting.  The odd primes come from one
-cached sieve (``rationals.odd_primes``).
+Everything runs on ascending integer lists.  The ``_gp_*`` helpers work
+modulo a prime for factoring and root finding, and modulo prime powers for
+Hensel lifting, over the integer core of ``polys`` (``_trim``, ``_mul``);
+recombination divides by monic candidates with its one pseudo-division
+(``_pseudo_divmod``).  A ``UniPoly`` is read through its integer pair, and
+factors are rebuilt from integers.  The odd primes come from one cached
+sieve (``rationals.odd_primes``).
 
 The rational factorization is the classical Zassenhaus pipeline: Yun
 squarefree decomposition, monic integer model, factorization modulo one
@@ -35,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from .errors import DomainError
-from .polys import UniPoly, squarefree_part, uni_gcd
+from .polys import UniPoly, _mul, _pseudo_divmod, _trim, squarefree_part, uni_gcd
 from .rationals import as_prime, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
@@ -45,19 +48,13 @@ from .rationals import as_prime, is_square_int, odd_primes
 # by monic polynomials.
 
 
-def _gp_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _gp_add(f, g, p):
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
     for i, c in enumerate(g):
         out[i] = (out[i] + c) % p
-    return _gp_trim(out)
+    return _trim(out)
 
 
 def _gp_sub(f, g, p):
@@ -65,19 +62,12 @@ def _gp_sub(f, g, p):
 
 
 def _gp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _gp_trim(out)
+    return _trim([c % p for c in _mul(f, g)])
 
 
 def _gp_mul_ground(f, c, p):
     c %= p
-    return _gp_trim([a * c % p for a in f])
+    return _trim([a * c % p for a in f])
 
 
 def _gp_monic(f, p):
@@ -93,7 +83,7 @@ def _gp_divmod(f, g, p):
     rem = list(f)
     dq = len(rem) - len(g)
     if dq < 0:
-        return [], _gp_trim(rem)
+        return [], _trim(rem)
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
         c = rem[k + len(g) - 1] * inv % p
@@ -101,7 +91,7 @@ def _gp_divmod(f, g, p):
         if c:
             for j, b in enumerate(g):
                 rem[k + j] = (rem[k + j] - c * b) % p
-    return _gp_trim(quo), _gp_trim(rem[: len(g) - 1])
+    return _trim(quo), _trim(rem[: len(g) - 1])
 
 
 def _gp_rem(f, g, p):
@@ -135,7 +125,7 @@ def _gp_gcdex(f, g, p):
 
 
 def _gp_deriv(f, p):
-    return _gp_trim([i * c % p for i, c in enumerate(f)][1:])
+    return _trim([i * c % p for i, c in enumerate(f)][1:])
 
 
 def _gp_pow_mod(f, n, mod, p):
@@ -172,7 +162,7 @@ def _gp_frobenius(h, rows, p):
         if c:
             for j, r in enumerate(row):
                 out[j] += c * r
-    return _gp_trim([v % p for v in out])
+    return _trim([v % p for v in out])
 
 
 def _gp_ddf(f, p):
@@ -217,7 +207,7 @@ def _gp_edf(f, d, p, rng):
         return [f]
     while True:
         a = [rng.randrange(p) for _ in range(n)]
-        a = _gp_trim(a)
+        a = _trim(a)
         if len(a) < 2:
             continue
         if p == 2:
@@ -244,25 +234,11 @@ def _gp_factor_sqf(f, p):
     return sorted(out, key=lambda h: (len(h), h))
 
 
-def _coeffs_mod_p(coeffs, p: int) -> list[int]:
-    """Integer or Fraction coefficients reduced mod p, trimmed."""
-    out = []
-    for c in coeffs:
-        if c.denominator % p == 0:
-            raise DomainError(f"prime {p} divides a coefficient denominator")
-        out.append(c.numerator * pow(c.denominator, p - 2, p) % p)
-    return _gp_trim(out)
-
-
-def _usable_ddf(coeffs, p):
-    """Distinct-degree split of f mod p, or None if p is unusable for f
-    (as ``cycle_type_mod_p`` defines it); ``coeffs`` are f's ascending
-    integer or Fraction coefficients."""
-    try:
-        fp = _coeffs_mod_p(coeffs, p)
-    except DomainError:
-        return None  # p divides a denominator
-    if len(fp) != len(coeffs) or len(fp) < 2:
+def _usable_ddf(ints, p):
+    """Distinct-degree split of sum ints[i] x^i mod p, or None if p is
+    unusable for it (as ``cycle_type_mod_p`` defines it)."""
+    fp = _trim([c % p for c in ints])
+    if len(fp) != len(ints) or len(fp) < 2:
         return None  # the leading coefficient died, or f is constant
     d = _gp_deriv(fp, p)
     if not d or len(_gp_gcd(fp, d, p)) > 1:
@@ -276,7 +252,9 @@ def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
     Usable means: p divides neither the leading coefficient nor any
     denominator, and f stays squarefree mod p.
     """
-    split = _usable_ddf(f.coeffs, as_prime(p))
+    p = as_prime(p)
+    ints, den = f.ints_den()
+    split = None if den % p == 0 else _usable_ddf(ints, p)
     if split is None:
         return None
     degs: list[int] = []
@@ -291,7 +269,7 @@ def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
 def _z_trunc(f, m):
     """Symmetric representatives mod m."""
     half = m // 2
-    return _gp_trim([(c + half) % m - half for c in f])
+    return _trim([(c + half) % m - half for c in f])
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -314,7 +292,7 @@ def _hensel_lift(p, f, factors, l):
     mod p^l."""
     r = len(factors)
     if r == 1:
-        return [_gp_trim([c % p**l for c in f])]
+        return [_trim([c % p**l for c in f])]
     k = r // 2
     d = max(1, math.ceil(math.log2(l)))
     g = [1]
@@ -406,8 +384,8 @@ def _zassenhaus_monic(f: list[int]) -> list[list[int]]:
             for i in combo:
                 G = _gp_mul(G, lifted[i], pl)
             G = _z_trunc(G, pl)
-            q, r = _z_divmod_exact(rest, G)
-            if r is None:
+            q, r = _pseudo_divmod(rest, G)
+            if r:
                 continue
             found.append(G)
             rest = q
@@ -418,24 +396,6 @@ def _zassenhaus_monic(f: list[int]) -> list[list[int]]:
             s += 1
     found.append(rest)
     return sorted(found, key=lambda h: (len(h), h))
-
-
-def _z_divmod_exact(f, g):
-    """Exact division in Z[x] by monic g, or (None, None) if inexact."""
-    rem = list(f)
-    dq = len(rem) - len(g)
-    if dq < 0:
-        return None, None
-    quo = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(g) - 1]
-        quo[k] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[k + j] -= c * b
-    if any(rem[: len(g) - 1]):
-        return None, None
-    return quo, rem
 
 
 # -- factorization over Q ------------------------------------------------------
@@ -515,11 +475,11 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     fm = f.monic()
     out: list[tuple[UniPoly, int]] = []
     for piece, mult in _yun_squarefree(fm):
-        F, m = _monic_int_model(piece.primitive_int()[0])
+        F, m = _monic_int_model(piece.primitive())
         for h in _zassenhaus_monic(F):
-            # undo y = m*x and renormalize monic
-            g = UniPoly([Fraction(c) * m**i for i, c in enumerate(h)]).monic()
-            out.append((g, mult))
+            # undo y = m*x: h(m x) / m^deg h is monic
+            g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1))
+            out.append((g.monic(), mult))
     out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
     return Factorization(unit=unit, factors=tuple(out))
 
@@ -580,7 +540,7 @@ def _lifted_roots(ints: list[int]) -> set[Fraction]:
         if residues is not None:
             break
     else:
-        F, m = _monic_int_model(squarefree_part(UniPoly(ints)).primitive_int()[0])
+        F, m = _monic_int_model(squarefree_part(UniPoly.from_ints(ints, 1)).primitive())
         for p in odd_primes():
             residues = _simple_roots_mod(F, p)
             if residues is not None:
@@ -612,7 +572,7 @@ def rational_roots(f: UniPoly) -> set[Fraction]:
         raise DomainError("the zero polynomial has every root")
     if n == 0:
         return set()
-    ints, _ = f.primitive_int()
+    ints = f.primitive()
     roots: set[Fraction] = set()
     k = 0
     while ints[k] == 0:

@@ -233,7 +233,7 @@ def resolvent_cubic(f: UniPoly) -> UniPoly:
     if f.degree != 4:
         raise DomainError("resolvent cubic needs a quartic")
     f = f.monic()
-    d, c, b, a = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
+    d, c, b, a, _ = f.coeffs
     return UniPoly(
         [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, Fraction(1)]
     )
@@ -256,7 +256,7 @@ def _classify_irreducible_quartic(f: UniPoly) -> tuple[str, str, int]:
         return ("4T2", "V4", 4)
     # exactly one rational root: C4 vs D4 (Kappe-Warren test)
     beta = next(g[0] * -1 for g, _ in rfac.factors if g.degree == 1)
-    d0, c, b, a = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
+    d0, c, b, a, _ = f.coeffs
     t1 = beta * beta - 4 * d0
     t2 = a * a - 4 * (b - beta)
     if _splits_over(t1, D) and _splits_over(t2, D):
@@ -389,9 +389,11 @@ def sieve_degree_5_6(
     discriminant square test; the true group always survives, so increasing
     the budget never enlarges the set.  Primes are examined one at a time,
     at least one and at most ``budget`` usable ones, until at most one
-    candidate is left.  With ``within``, only the groups conjugate into it
-    are candidates, and a singleton is reported as 'conditional'; an empty
-    set refutes the reference (``ReferenceMismatchError``).  A reducible
+    candidate is left; a set that starts as a singleton is read to the
+    budget, so that a wrong reference can still be refuted.  With
+    ``within``, only the groups conjugate into it are candidates, and a
+    singleton is reported as 'conditional'; an empty set refutes the
+    reference (``ReferenceMismatchError``).  A reducible
     radical gets its splitting field when that is resolved here, else only
     its factor degrees.
     """
@@ -423,13 +425,14 @@ def sieve_degree_5_6(
     disc = discriminant_uni(f)
     disc_sq = is_square_rational(disc)
     candidates = [e for e in table if e.in_alternating == disc_sq]
+    stop = 1 if len(candidates) > 1 else 0  # the set size that ends the scan
     observed: set[tuple[int, ...]] = set()
     primes: list[int] = []
     for p, ct in _usable_primes(f, disc, budget):
         primes.append(p)
         observed.add(ct)
         candidates = [e for e in candidates if ct in e.cycle_types]
-        if len(candidates) <= 1:
+        if len(candidates) <= stop:
             break
     if not candidates:
         if within is not None:

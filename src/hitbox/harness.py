@@ -283,9 +283,16 @@ def _sweep_values(data: HitData, height_bound: int) -> list[Fraction]:
     return [t for t in rationals_up_to_height(height_bound) if t not in data.D]
 
 
-def _map_chunk(job) -> list:
+def _map_chunk(job) -> tuple[list, Exception | None]:
+    """The results of one chunk up to its first failure, and that failure."""
     fn, args, ts = job
-    return [fn(t, *args) for t in ts]
+    out = []
+    for t in ts:
+        try:
+            out.append(fn(t, *args))
+        except Exception as e:
+            return out, e
+    return out, None
 
 
 def _parallel_map(fn, values: list, workers: int, *args) -> list:
@@ -293,8 +300,10 @@ def _parallel_map(fn, values: list, workers: int, *args) -> list:
 
     Sweeps of 64 values or more are split into strided chunks over a
     process pool of at most ``os.cpu_count()`` workers, and the results are
-    interleaved back into the order of ``values``.  ``fn`` must be a
-    module-level function, so that workers receive it by name.
+    interleaved back into the order of ``values``.  A failure raises the
+    exception of the first failing value in that order, as the serial map
+    does.  ``fn`` must be a module-level function, so that workers receive
+    it by name.
     """
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(values) < 64:
@@ -302,8 +311,14 @@ def _parallel_map(fn, values: list, workers: int, *args) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(_map_chunk, [(fn, args, values[i::workers]) for i in range(workers)])
         out: list = [None] * len(values)
-        for i, part in enumerate(parts):
-            out[i::workers] = part
+        failures = []
+        for i, (part, exc) in enumerate(parts):
+            if exc is None:
+                out[i::workers] = part
+            else:  # the value at chunk position len(part) failed
+                failures.append((i + len(part) * workers, exc))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return out
 
 
@@ -437,11 +452,6 @@ _FIXTURE_FIELDS = {"name", "P", "D", "S", "G_label", "G_order", "notes"}
 
 def fixture_path(name: str) -> Path:
     return Path(str(resources.files("hitbox") / "fixtures" / f"{name}.json"))
-
-
-def bundled_fixtures() -> list[str]:
-    base = resources.files("hitbox") / "fixtures"
-    return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
 
 
 def load_fixture(source) -> HitData:

@@ -1,20 +1,29 @@
 """Dense exact polynomial algebra over Q and Q[T].
 
-``UniPoly`` is a univariate polynomial with Fraction coefficients; ``BiPoly``
-stores an element of Q[T][X] as a tuple of T-polynomials indexed by the power
-of X.
+``UniPoly`` is a univariate polynomial over Q with one integer state: a
+list of integers N_i and a nonzero integer denominator D, coefficient i
+being N_i/D.  Every ring operation runs on the integers and returns its
+pair in lowest terms with D > 0; ``from_ints`` keeps the pair it is given,
+and equality and hashing compare values, not pairs.  Fractions are built
+only at the edges: parsing, ``coeffs``, ``lc`` and indexing for outside
+readers, evaluation, printing and roots.
 
-Specialization stays in integers.  On first use a ``BiPoly`` caches its
-homogenized integer form: rows C[j][i] with L * P = sum C[j][i] T^i X^j for
-a common denominator L, and its T-degree d.  Then b^d * L * P(a/b, X) has
-the integer X-coefficients N_j = sum_i C[j][i] a^i b^(d-i), and
-``BiPoly.specialize`` returns ``UniPoly.from_ints(N, L * b^d)``: a
-polynomial backed by those integers, which answers its degree and its
-primitive integer form from them and builds the Fraction tuple ``coeffs``
-only when something reads it.
+Three helpers on dense ascending lists form the integer core that
+``factorq`` shares: ``_trim`` drops trailing zeros, ``_mul`` multiplies,
+and ``_pseudo_divmod`` pseudo-divides.  The one pseudo-division serves
+``UniPoly.divmod``, the primitive PRS behind ``uni_gcd``, the subresultant
+PRS behind the resultants, and Zassenhaus recombination.
+
+``BiPoly`` stores an element of Q[T][X] as a tuple of T-polynomials indexed
+by the power of X.  Specialization stays in integers.  On first use a
+``BiPoly`` caches its homogenized integer form, built from its
+coefficients' integer pairs: rows C[j][i] with L * P = sum C[j][i] T^i X^j
+for a common denominator L, and its T-degree d.  Then b^d * L * P(a/b, X)
+has the integer X-coefficients N_j = sum_i C[j][i] a^i b^(d-i), and
+``BiPoly.specialize`` returns the pair (N, L * b^d) unreduced.
 
 Resultants run a subresultant pseudo-remainder sequence that works both
-over the integers (scalar case, after clearing denominators) and over Q[T]
+over the integers (scalar case, on primitive parts) and over Q[T]
 (bivariate case), which keeps coefficient growth under control for the
 degree-30 discriminants this package meets.
 """
@@ -29,86 +38,173 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ParseError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _trim(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
+# -- the dense integer core ---------------------------------------------------
+#
+# Lists are ascending: entry i belongs to X^i.  Entries are ints, or
+# ``UniPoly`` elements of Q[T] in the bivariate resultant.
+
+
+def _trim(L: list) -> list:
+    """Drop L's trailing zeros in place; returns L."""
+    while L and not L[-1]:
+        L.pop()
+    return L
+
+
+def _mul(f: list, g: list) -> list:
+    """The product of two trimmed integer lists."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _pseudo_divmod(A: list, B: list) -> tuple[list, list]:
+    """Q and R with lc(B)^e * A = Q*B + R and deg R < deg B, where
+    e = max(deg A - deg B + 1, 0); B is trimmed and nonzero, R comes back
+    trimmed.  With lc(B) = 1 this is plain division."""
+    b = B[-1]
+    dB = len(B) - 1
+    R = list(A)
+    Q = []  # descending until the end
+    for k in range(len(A) - len(B), -1, -1):
+        lead = R.pop()
+        if b != 1:
+            R = [b * c for c in R]
+            Q = [b * c for c in Q]
+        Q.append(lead)
+        if lead:
+            for j in range(dB):
+                R[k + j] -= lead * B[j]
+    Q.reverse()
+    return Q, _trim(R)
+
+
+def _primitive(ints: Sequence[int]) -> list[int]:
+    """The primitive part of a trimmed integer list, leading entry positive."""
+    if not ints:
+        return []
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [v // g for v in ints] if g != 1 else list(ints)
+
+
+def _power(base, n: int, one):
+    """base^n by repeated squaring."""
+    if n < 0:
+        raise DomainError("negative polynomial power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def _pair(ints: list, den: int) -> "UniPoly":
+    """The UniPoly ints/den, taking ints (trimmed) as it is."""
+    f = UniPoly.__new__(UniPoly)
+    f._ints = ints
+    f._den = den
+    return f
+
+
+def _lowest(ints: list, den: int) -> tuple[list, int]:
+    """ints/den trimmed and in lowest terms, with a positive denominator."""
+    _trim(ints)
+    g = math.gcd(den, *ints)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return ints, den
+    return [v // g for v in ints], den // g
+
+
+def _reduced(ints: list, den: int) -> "UniPoly":
+    return _pair(*_lowest(ints, den))
 
 
 class UniPoly:
     """Univariate polynomial over Q, coefficient i belongs to X^i.
 
-    A polynomial built by ``from_ints`` holds integers N_i and a denominator
-    D with coefficient i equal to N_i/D; its Fraction tuple ``coeffs`` is
-    built the first time something reads it.
+    The state is the pair (ints, den): coefficient i is ints[i]/den, ints
+    is trimmed and den is nonzero.
     """
 
-    __slots__ = ("_coeffs", "_ints", "_den")
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        self._coeffs = _trim([Fraction(c) for c in coeffs])
-        self._ints = None
+        qs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*[q.denominator for q in qs])
+        self._ints = _trim([q.numerator * (den // q.denominator) for q in qs])
+        self._den = den
 
     @staticmethod
     def from_ints(ints: Sequence[int], den: int) -> "UniPoly":
-        """The polynomial with coefficients ints[i]/den; den is nonzero."""
-        f = UniPoly.__new__(UniPoly)
-        f._coeffs = None
-        f._ints = _trim(ints)
-        f._den = den
-        return f
+        """The polynomial with coefficients ints[i]/den; den is nonzero.
+        The pair is kept as given, not reduced."""
+        return _pair(_trim(list(ints)), den)
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(v, den) for v in self._ints)
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(v, den) for v in self._ints)
+
+    def ints_den(self) -> tuple[list[int], int]:
+        """(N, D) with coefficient i equal to N[i]/D, in lowest terms, D > 0."""
+        return _lowest(list(self._ints), self._den)
 
     @staticmethod
     def constant(c) -> "UniPoly":
-        return UniPoly([Fraction(c)])
+        c = Fraction(c)
+        return _pair(_trim([c.numerator]), c.denominator)
 
     @staticmethod
     def gen() -> "UniPoly":
-        return UniPoly([0, 1])
+        return _pair([0, 1], 1)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs if self._ints is None else self._ints) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        return not (self._coeffs if self._ints is None else self._ints)
+        return not self._ints
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._ints)
 
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return _ZERO
-        return self.coeffs[-1]
+        return Fraction(self._ints[-1], self._den) if self._ints else _ZERO
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._ints):
+            return Fraction(self._ints[i], self._den)
         return _ZERO
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.constant(other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self._ints, other._ints
+        da, db = self._den, other._den
+        if da == db or len(a) != len(b):
+            return a == b
+        return all(x * db == y * da for x, y in zip(a, b))
 
     def __hash__(self):
-        return hash(self.coeffs)
+        ints, den = self.ints_den()
+        return hash((tuple(ints), den))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return _pair([-v for v in self._ints], self._den)
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
@@ -121,13 +217,17 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
+        den, db = self._den, other._den
+        if den != db:
+            a, b = [v * db for v in a], [v * den for v in b]
+            den *= db
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return _reduced(out, den)
 
     __radd__ = __add__
 
@@ -141,50 +241,29 @@ class UniPoly:
         return -(self - other)
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not isinstance(other, UniPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        return _reduced(_mul(self._ints, other._ints), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise DomainError("negative polynomial power")
-        result = UniPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, UniPoly.constant(1))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """By pseudo-division: lc(G)^e * F = Q*G + R on the integers gives
+        self = (Q * dg / s) * other + R / s with s = df * lc(G)^e."""
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        F, G = self._ints, other._ints
+        e = len(F) - len(G) + 1
+        if e <= 0:
             return UniPoly(), self
-        quo = [_ZERO] * (dq + 1)
-        inv = 1 / other.lc()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UniPoly(quo), UniPoly(rem[: other.degree])
+        Q, R = _pseudo_divmod(F, G)
+        s = self._den * G[-1] ** e
+        dg = other._den
+        return _reduced([q * dg for q in Q], s), _reduced(R, s)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[0]
@@ -198,53 +277,57 @@ class UniPoly:
             raise DomainError("inexact polynomial division")
         return q
 
-    def __call__(self, x):
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x) -> Fraction:
+        """The value at a rational x = a/b, by homogeneous Horner."""
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        acc, w = 0, 1
+        for c in reversed(self._ints):
+            acc = acc * a + c * w
+            w *= b
+        return Fraction(acc * b, self._den * w)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _reduced([i * c for i, c in enumerate(self._ints)][1:], self._den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self * (1 / self.lc())
+        return _reduced(list(self._ints), self._ints[-1])
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        """self(inner), by homogeneous Horner: with inner = I/d and n the
+        degree, d^n * self(inner) = sum N_k I^k d^(n-k)."""
+        if self.is_zero():
+            return self
+        I, d = inner._ints, inner._den
+        acc: list[int] = []
+        w = 1
+        for c in reversed(self._ints):
+            acc = _mul(acc, I) or [0]
+            acc[0] += c * w
+            w *= d
+        return _reduced(acc, self._den * (w // d))
 
     def shift(self, c) -> "UniPoly":
         """f(X + c)."""
-        return self.compose(UniPoly([Fraction(c), _ONE]))
+        return self.compose(UniPoly([c, 1]))
 
-    def primitive_int(self) -> tuple[list[int], Fraction]:
-        """Primitive integer coefficients F and content c with self = c*F."""
-        if self._ints is None:
-            den = math.lcm(*[c.denominator for c in self._coeffs])
-            ints = [c.numerator * (den // c.denominator) for c in self._coeffs]
-        else:
-            ints, den = self._ints, self._den
-        if not ints:
-            return [], _ZERO
-        g = math.gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return [v // g for v in ints], Fraction(g, den)
+    def primitive(self) -> list[int]:
+        """The primitive integer coefficients, leading one positive."""
+        return _primitive(self._ints)
 
     def __repr__(self):
         return f"UniPoly({poly_str(self)})"
 
 
 def uni_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over Q; uni_gcd(f, 0) is monic(f)."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    """Monic gcd over Q, by the primitive PRS on the integer coefficients;
+    uni_gcd(f, 0) is monic(f)."""
+    A, B = _primitive(f._ints), _primitive(g._ints)
+    while B:
+        A, B = B, _primitive(_pseudo_divmod(A, B)[1])
+    return _pair(A, A[-1]) if A else UniPoly()
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -253,7 +336,7 @@ def squarefree_part(f: UniPoly) -> UniPoly:
         raise DomainError("squarefree part of the zero polynomial")
     if f.degree == 0:
         return UniPoly.constant(1)
-    return f.exact_div(uni_gcd(f, f.derivative()) * f.lc()).monic()
+    return f.exact_div(uni_gcd(f, f.derivative())).monic()
 
 
 # -- generic subresultant PRS -------------------------------------------------
@@ -273,30 +356,6 @@ def _exact(a, b):
     if r:
         raise DomainError("inexact integer division")
     return q
-
-
-def _list_trim(L: list) -> list:
-    while L and not L[-1]:
-        L.pop()
-    return L
-
-
-def _pseudo_rem(A: list, B: list) -> list:
-    """R with lc(B)^(deg A - deg B + 1) * A = Q*B + R, deg R < deg B."""
-    dB = len(B) - 1
-    b = B[-1]
-    R = list(A)
-    e = len(A) - len(B) + 1
-    while len(R) > dB:
-        lead = R[-1]
-        R = [b * c for c in R[:-1]]
-        for j in range(dB):
-            R[len(R) - dB + j] -= lead * B[j]
-        _list_trim(R)
-        e -= 1
-    for _ in range(e):
-        R = [b * c for c in R]
-    return R
 
 
 def _prs_resultant(A: list, B: list):
@@ -319,7 +378,7 @@ def _prs_resultant(A: list, B: list):
         delta = dA - dB
         if dA % 2 and dB % 2:
             negate = not negate
-        R = _pseudo_rem(A, B)
+        R = _pseudo_divmod(A, B)[1]
         if not R:
             return zero
         A = B
@@ -333,13 +392,18 @@ def _prs_resultant(A: list, B: list):
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Resultant over Q, equal to the Sylvester determinant of f and g."""
+    """Resultant over Q, equal to the Sylvester determinant of f and g.
+
+    With f = (cf/df) F for F primitive, cf its integer content and df its
+    denominator, Res(f, g) = (cf/df)^deg g (cg/dg)^deg f Res(F, G).
+    """
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero polynomial")
-    F, cf = f.primitive_int()
-    G, cg = g.primitive_int()
+    F, G = f.primitive(), g.primitive()
     r = _prs_resultant(F, G)
-    return cf**g.degree * cg**f.degree * Fraction(r)
+    cf, cg = f._ints[-1] // F[-1], g._ints[-1] // G[-1]
+    m, n = f.degree, g.degree
+    return Fraction(cf**n * cg**m * r, f._den**n * g._den**m)
 
 
 def discriminant_uni(f: UniPoly) -> Fraction:
@@ -363,10 +427,7 @@ class BiPoly:
 
     def __init__(self, xcoeffs: Iterable[UniPoly] = ()):
         coeffs = [c if isinstance(c, UniPoly) else UniPoly.constant(c) for c in xcoeffs]
-        n = len(coeffs)
-        while n and coeffs[n - 1].is_zero():
-            n -= 1
-        self.xcoeffs = tuple(coeffs[:n])
+        self.xcoeffs = tuple(_trim(coeffs))
         self._int_form = None
 
     @staticmethod
@@ -380,14 +441,6 @@ class BiPoly:
     @staticmethod
     def var_t() -> "BiPoly":
         return BiPoly([UniPoly.gen()])
-
-    @staticmethod
-    def from_unipoly_x(f: UniPoly) -> "BiPoly":
-        return BiPoly([UniPoly.constant(c) for c in f.coeffs])
-
-    @staticmethod
-    def from_unipoly_t(f: UniPoly) -> "BiPoly":
-        return BiPoly([f])
 
     @property
     def degree_x(self) -> int:
@@ -472,16 +525,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise DomainError("negative polynomial power")
-        result = BiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, BiPoly.constant(1))
 
     def specialize(self, t) -> UniPoly:
         """P(t, X); the X-degree may drop if the leading coefficient dies.
@@ -491,8 +535,8 @@ class BiPoly:
         row.
         """
         if self._int_form is None:
-            den = math.lcm(*[c.denominator for cj in self.xcoeffs for c in cj.coeffs])
-            rows = [[c.numerator * (den // c.denominator) for c in cj.coeffs] for cj in self.xcoeffs]
+            den = math.lcm(*[cj._den for cj in self.xcoeffs])
+            rows = [[v * (den // cj._den) for v in cj._ints] for cj in self.xcoeffs]
             self._int_form = (rows, den, max(self.degree_t, 0))
         rows, den, d = self._int_form
         if not isinstance(t, Fraction):
@@ -501,7 +545,7 @@ class BiPoly:
         w = [b**d]  # w[i] = a^i * b^(d-i)
         for _ in range(d):
             w.append(w[-1] // b * a)
-        return UniPoly.from_ints([sum(map(operator.mul, row, w)) for row in rows], den * w[0])
+        return _pair(_trim([sum(map(operator.mul, row, w)) for row in rows]), den * w[0])
 
     def eval(self, t, x) -> Fraction:
         return self.specialize(t)(Fraction(x))
@@ -721,39 +765,28 @@ def _term_str(c: Fraction, monomial: str) -> str:
     return f"{_frac_str(c)}*{monomial}"
 
 
-def poly_str(f: UniPoly, var: str = "X") -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for i in range(f.degree, -1, -1):
-        c = f[i]
-        if not c:
-            continue
-        mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        parts.append(_term_str(c, mono))
-    out = parts[0]
+def _power_str(var: str, i: int) -> str:
+    return "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+
+
+def _join_terms(parts: list[str]) -> str:
+    out = parts[0] if parts else "0"
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
+
+
+def poly_str(f: UniPoly, var: str = "X") -> str:
+    terms = reversed(list(enumerate(f.coeffs)))
+    return _join_terms([_term_str(c, _power_str(var, i)) for i, c in terms if c])
 
 
 def bipoly_str(P: BiPoly) -> str:
-    if P.is_zero():
-        return "0"
     parts = []
     for j in range(P.degree_x, -1, -1):
-        cj = P.coeff(j)
-        if cj.is_zero():
-            continue
-        xmono = "" if j == 0 else ("X" if j == 1 else f"X^{j}")
-        for i in range(cj.degree, -1, -1):
-            c = cj[i]
-            if not c:
-                continue
-            tmono = "" if i == 0 else ("T" if i == 1 else f"T^{i}")
-            mono = "*".join(m for m in (tmono, xmono) if m)
-            parts.append(_term_str(c, mono))
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+        xmono = _power_str("X", j)
+        for i, c in reversed(list(enumerate(P.coeff(j).coeffs))):
+            if c:
+                mono = "*".join(m for m in (_power_str("T", i), xmono) if m)
+                parts.append(_term_str(c, mono))
+    return _join_terms(parts)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -66,24 +65,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A verified prime, usable as a modulus."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
-
-
 def as_prime(p) -> int:
-    """Coerce an int or PrimeModulus to a verified prime int."""
-    if isinstance(p, PrimeModulus):
-        return p.p
+    """p itself, after checking that it is prime."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return p

@@ -101,7 +101,7 @@ def roots_by_divisor_check(f: UniPoly) -> set[Fraction]:
     from hitbox.rationals import divisors
     import math
 
-    ints, _ = f.primitive_int()
+    ints = f.primitive()
     out = {Fraction(0)} if ints[0] == 0 else set()
     while ints[0] == 0:
         ints = ints[1:]
@@ -135,7 +135,7 @@ def trial_division_irreducible(f: UniPoly) -> bool:
     if n <= 3:
         return True
     # look for monic quadratic/cubic factors with small coefficient search
-    ints, _ = f.monic().primitive_int()
+    ints = f.monic().primitive()
     bound = 1 + max(abs(c) for c in ints)
     for d in (2, 3):
         if d > n // 2:

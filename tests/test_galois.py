@@ -19,7 +19,7 @@ from hitbox.galois import (
     transitive_subgroups,
     transitive_table,
 )
-from hitbox.permgroups import maximal_classes, subgroup_classes
+from hitbox.permgroups import closure, conjugate_in_symmetric, maximal_classes, subgroup_classes
 from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly
 from hitbox.rationals import is_square_rational
 
@@ -36,6 +36,25 @@ def test_transitive_table_counts():
     assert len(transitive_table(2)) == 1 and transitive_table(2)[0].order == 2
     with pytest.raises(DomainError):
         transitive_table(7)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_embedded_tables_match_sympy_transitive_subgroups(n):
+    """Provenance of the embedded generators: each table entry of degree n
+    is conjugate in S_n to exactly one of sympy's transitive subgroups of
+    S_n, and the matching is a bijection."""
+    galois = pytest.importorskip("sympy.combinatorics.galois")
+    names = {4: "S4TransitiveSubgroups", 5: "S5TransitiveSubgroups", 6: "S6TransitiveSubgroups"}
+    theirs = {}
+    for member in getattr(galois, names[n]):
+        G = member.get_perm_group()
+        theirs[member.name] = closure(n, [tuple(g.array_form) for g in G.generators])
+    matches = {
+        e.label: [name for name, H in theirs.items() if conjugate_in_symmetric(e.group, H)]
+        for e in transitive_table(n)
+    }
+    assert all(len(m) == 1 for m in matches.values()), matches
+    assert sorted(m[0] for m in matches.values()) == sorted(theirs)
 
 
 def test_degree6_order12_entry_matches_auxiliary_degrees():
@@ -297,6 +316,15 @@ def test_sieve_within_wrong_reference_raises():
     with pytest.raises(DomainError) as info:
         sieve_degree_5_6(factor_over_Q(parse_unipoly("X^5-X-1")), 40, within=d6)
     assert not isinstance(info.value, ReferenceMismatchError)  # degrees differ
+
+
+def test_sieve_refutes_a_wrong_single_candidate_reference():
+    # inside C6 the only candidate is C6 itself; prime 5 gives (2,2,2), which
+    # C6 has, and the D6 sextic X^6+2 first shows (2,2,1,1) mod 11
+    with pytest.raises(ReferenceMismatchError) as info:
+        sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6+2")), 40, within=table_entry("6T1").group)
+    err = info.value
+    assert (err.prime, err.cycle_type, err.reference) == (11, (2, 2, 1, 1), "6T1")
 
 
 def _sympy_label(f: UniPoly) -> str:

@@ -200,6 +200,15 @@ def test_verify_equivalence_wrong_reference_fails_fast():
     assert f"t = {err.t}" in str(err) and f"mod {err.prime}" in str(err)
 
 
+def test_pooled_sweep_raises_the_first_failure_in_sweep_order():
+    named = []
+    for workers in (1, 2):
+        with pytest.raises(ReferenceMismatchError) as info:
+            verify_equivalence(FERMAT, table_entry("6T1").group, 9, workers=workers)
+        named.append(info.value.t)
+    assert named[0] == named[1]
+
+
 def test_groups_match_runs_once_per_record(monkeypatch):
     import hitbox.galois
     import hitbox.harness as harness

@@ -127,7 +127,7 @@ def test_specialize_matches_horner(rows, t, kill_lead):
         P = BiPoly(list(P.xcoeffs[:-1]) + [lead])
     got, want = P.specialize(t), specialize_by_horner(P, t)
     assert got.degree == want.degree
-    assert got.primitive_int() == want.primitive_int()
+    assert got.primitive() == want.primitive()
     assert got == want and got.coeffs == want.coeffs
 
 
@@ -143,7 +143,7 @@ def test_from_ints_matches_eager_construction(ints, den, read_first):
         assert lazy.coeffs == eager.coeffs
     assert lazy.degree == eager.degree
     assert lazy.is_zero() == eager.is_zero() and bool(lazy) == bool(eager)
-    assert lazy.primitive_int() == eager.primitive_int()
+    assert lazy.primitive() == eager.primitive()
     assert lazy == eager and eager == lazy
     assert hash(lazy) == hash(eager)
     copy = pickle.loads(pickle.dumps(lazy))
@@ -155,7 +155,7 @@ def test_from_ints_answers_degree_without_fractions(monkeypatch):
     f = UniPoly.from_ints([3, 0, -6, 0, 0], 9)
     monkeypatch.setattr(UniPoly, "coeffs", property(lambda self: pytest.fail("coeffs read")))
     assert f.degree == 2 and not f.is_zero() and f
-    assert f.primitive_int() == ([-1, 0, 2], Fraction(-1, 3))
+    assert f.primitive() == [-1, 0, 2] and f.ints_den() == ([1, 0, -2], 3)
     assert UniPoly.from_ints([0, 0], 5).is_zero()
 
 
@@ -261,3 +261,49 @@ def test_poly_str_roundtrip():
             ]
         )
         assert parse_poly(bipoly_str(P)) == P
+
+
+# -- the integer pair against sympy over QQ -----------------------------------
+
+_pairs = st.builds(
+    UniPoly.from_ints,
+    st.lists(st.integers(-30, 30), max_size=6),
+    st.integers(-12, 12).filter(bool),
+)
+
+
+def _to_sympy(f: UniPoly):
+    sympy = pytest.importorskip("sympy")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    return sympy.Poly(coeffs or [0], sympy.Symbol("x"), domain="QQ")
+
+
+def _same(f: UniPoly, p) -> bool:
+    return _to_sympy(f) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_pairs, g=_pairs, scale=st.integers(-5, 5).filter(bool), x=_fractions)
+def test_integer_arithmetic_matches_sympy(f, g, scale, x):
+    """Unreduced (ints, den) pairs in, the field arithmetic of sympy's QQ out."""
+    sympy = pytest.importorskip("sympy")
+    F, G = _to_sympy(f), _to_sympy(g)
+    assert _same(f + g, F + G) and _same(f - g, F - G) and _same(f * g, F * G)
+    assert _same(f.derivative(), F.diff()) and _same(f.compose(g), F.compose(G))
+    assert f(x) == Fraction(str(F.eval(sympy.Rational(x.numerator, x.denominator))))
+    if not g.is_zero():
+        q, r = f.divmod(g)
+        Q, R = F.div(G)
+        assert _same(q, Q) and _same(r, R)
+    assert _same(uni_gcd(f, g), F.gcd(G))
+    if not f.is_zero():
+        assert _same(squarefree_part(f), F.sqf_part().monic())
+    if not f.is_zero() and not g.is_zero():
+        # sympy's resultant matches the Sylvester determinant when deg F >= deg G
+        m, n = f.degree, g.degree
+        want = F.resultant(G) if m >= n else (-1) ** (m * n) * G.resultant(F)
+        assert resultant(f, g) == Fraction(str(want))
+    # a value, whatever its pair: equal polynomials compare and hash equal
+    ints, den = f.ints_den()
+    twin = UniPoly.from_ints([v * scale for v in ints], den * scale)
+    assert twin == f and f == twin and hash(twin) == hash(f) == hash(UniPoly(f.coeffs))

@@ -6,7 +6,7 @@ import pytest
 
 from hitbox.errors import DomainError
 from hitbox.rationals import (
-    PrimeModulus,
+    as_prime,
     divisors,
     factor_int,
     height,
@@ -85,8 +85,8 @@ def test_primality():
                 composite[j] = True
     assert [k for k in range(-3, n) if is_prime(k)] == [k for k in range(n) if not composite[k]]
     with pytest.raises(DomainError):
-        PrimeModulus(15)
-    assert PrimeModulus(101).p == 101
+        as_prime(15)
+    assert as_prime(101) == 101
 
 
 def test_factor_int_and_divisors():
