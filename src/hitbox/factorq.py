@@ -8,13 +8,22 @@ recombination divides by monic candidates with its one pseudo-division
 factors are rebuilt from integers.  The odd primes come from one cached
 sieve (``rationals.odd_primes``).
 
-The rational factorization is the classical Zassenhaus pipeline: Yun
-squarefree decomposition, monic integer model, factorization modulo one
-odd prime, quadratic multifactor Hensel lifting modulo m^2 past the
-Landau-Mignotte bound, then subset recombination (modular factor counts
-stay tiny at the degrees this package handles).  The prime is the one with
-the fewest modular factors among the first few usable odd primes, counted
-from their distinct-degree splits; only that prime is factored completely.
+The rational factorization makes one residue pass (``_good_prime``) over
+the monic integer model F of the input: the distinct-degree splits of F
+modulo its first few usable odd primes.  Each split does four jobs.  A
+usable prime proves F squarefree, so Yun's decomposition runs only when
+none of the first primes is usable.  The degrees of F's factors over Q are
+subset sums of every modular pattern (Musser's degree-set argument, J. ACM
+22, 1975); when the intersection of these sums is {0, n}, F is irreducible
+with no lifting at all, and when it lies inside {0, 1, n-1, n}, F factors
+as its linear factors, read from its rational roots, times one irreducible
+cofactor.  Otherwise the classical Zassenhaus pipeline runs from the prime
+with the fewest modular factors, the only prime factored completely:
+quadratic multifactor Hensel lifting modulo m^2 past the Landau-Mignotte
+bound, then subset recombination (modular factor counts stay tiny at the
+degrees this package handles).  Finally, the cycle types of the splits
+ride on the ``Factorization`` (``residues``), where the Galois sieve reads
+them instead of reducing the polynomial again.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
@@ -33,9 +42,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .errors import DomainError
 from .polys import UniPoly, _mul, _pseudo_divmod, _trim, squarefree_part, uni_gcd
@@ -225,11 +235,12 @@ def _gp_edf(f, d, p, rng):
             return _gp_edf(g, d, p, rng) + _gp_edf(_gp_divmod(f, g, p)[0], d, p, rng)
 
 
-def _gp_factor_sqf(f, p):
-    """Irreducible factors of a monic squarefree f mod p, sorted."""
+def _gp_factor_sqf(f, p, split):
+    """Irreducible factors of a monic squarefree f mod p, sorted, from its
+    distinct-degree split."""
     rng = random.Random(_edf_seed(f, p))
     out = []
-    for g, d in _gp_ddf(f, p):
+    for g, d in split:
         out.extend(_gp_edf(g, d, p, rng))
     return sorted(out, key=lambda h: (len(h), h))
 
@@ -255,8 +266,11 @@ def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
     p = as_prime(p)
     ints, den = f.ints_den()
     split = None if den % p == 0 else _usable_ddf(ints, p)
-    if split is None:
-        return None
+    return None if split is None else _cycle_type(split)
+
+
+def _cycle_type(split) -> tuple[int, ...]:
+    """The factor degrees of a distinct-degree split, largest first."""
     degs: list[int] = []
     for g, d in split:
         degs.extend([d] * ((len(g) - 1) // d))  # squarefree: distinct factors
@@ -323,43 +337,92 @@ def _mignotte_bound(f: list[int]) -> int:
     return s * (1 << n) * a
 
 
-# Usable primes _good_prime examines at most, when none keeps f irreducible.
+# Usable primes the residue scan examines at most; also the odd primes it
+# tries before it leaves an input that may have a repeated factor to Yun.
 _PRIME_SCAN = 5
 
 
-def _good_prime(f: list[int]) -> tuple[int, list[list[int]]]:
-    """An odd prime keeping monic f squarefree mod p, and f's factors mod p.
+def _degree_set(split) -> int:
+    """Bit d is set when some product of the modular factors of a
+    distinct-degree split has degree d."""
+    sums = 1
+    for g, d in split:
+        for _ in range((len(g) - 1) // d):
+            sums |= sums << d
+    return sums
+
+
+class _Scan(NamedTuple):
+    """What the residue scan learned about a monic integer polynomial."""
+
+    splits: list  # (p, distinct-degree split) of each usable prime, in order
+    degrees: int  # bit d set: every split allows a factor of degree d over Q
+    prime: int  # the Zassenhaus prime, 0 when the degree set settles f
+    modular: list  # the irreducible factors mod prime
+
+
+def _good_prime(f: list[int], squarefree: bool = False) -> _Scan:
+    """The one residue pass over a monic integer f of degree n.
 
     The usable odd primes are examined in increasing order, at most
-    ``_PRIME_SCAN`` of them, stopping at the first that leaves f
-    irreducible.  Each prime's factor count comes from its distinct-degree
-    split alone; the prime with the fewest factors wins (the smaller prime
-    on a tie), and only the winner is factored completely.  The choice
-    changes the cost of Zassenhaus, never its answer.
+    ``_PRIME_SCAN`` of them, and each distinct-degree split does four jobs:
+
+    (a) A usable prime proves f squarefree over Q.  Unless the caller knows
+        f is squarefree, the scan gives up, with no splits, when none of the
+        first ``_PRIME_SCAN`` odd primes is usable.
+    (b) The degree of every factor of f over Q is a subset sum of every
+        modular pattern (Musser, J. ACM 22, 1975).  The scan stops as soon
+        as the intersection of these sums is {0, n}, which proves f
+        irreducible.  An intersection inside {0, 1, n-1, n} leaves f
+        irreducible exactly when it has no rational root, which one root
+        lift decides (``_split_off_roots``).
+    (c) Otherwise the prime with the fewest factors wins (the smaller on a
+        tie), and only it is factored completely.  The choice changes the
+        cost of Zassenhaus, never its answer.
+    (d) The splits are returned, so that their cycle types can be handed on
+        to the Galois sieve.
     """
-    best_p, best_count = 0, 0
-    tried = 0
-    for p in odd_primes():
+    n = len(f) - 1
+    splits = []
+    degrees = -1
+    for i, p in enumerate(odd_primes()):
+        if i == _PRIME_SCAN and not splits and not squarefree:
+            break
         split = _usable_ddf(f, p)
         if split is None:
             continue
-        tried += 1
-        count = sum((len(g) - 1) // d for g, d in split)
-        if not best_p or count < best_count:
-            best_p, best_count = p, count
-        if count == 1 or tried == _PRIME_SCAN:
+        splits.append((p, split))
+        degrees &= _degree_set(split)
+        if degrees == 1 | 1 << n or len(splits) == _PRIME_SCAN:
             break
-    return best_p, _gp_factor_sqf([c % best_p for c in f], best_p)
+    if not splits or not degrees & ~(3 | 3 << n - 1):
+        return _Scan(splits, degrees, 0, [])
+    p, split = min(splits, key=lambda s: len(_cycle_type(s[1])))
+    return _Scan(splits, degrees, p, _gp_factor_sqf([c % p for c in f], p, split))
 
 
-def _zassenhaus_monic(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a monic squarefree integer polynomial."""
-    n = len(f) - 1
-    if n == 1:
-        return [f]
-    p, modular = _good_prime(f)
-    if len(modular) == 1:
-        return [f]
+def _split_off_roots(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a monic squarefree integer f whose degree set
+    lies inside {0, 1, n-1, n}: its linear factors, from its rational roots,
+    and the cofactor.  The cofactor has no rational root, and a factor of
+    it of degree d would put d, with 2 <= d <= n-2, in the degree set; so it
+    is irreducible."""
+    out = []
+    for r in sorted(_lifted_roots(f)):
+        out.append([-r.numerator, 1])
+        f = _pseudo_divmod(f, out[-1])[0]
+    if len(f) > 1:
+        out.append(f)
+    return sorted(out, key=lambda h: (len(h), h))
+
+
+def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
+    """Irreducible factors of a monic squarefree integer polynomial, read
+    from its residue scan when the degree set settles them, else lifted
+    from the scan's prime."""
+    if not scan.prime:
+        return [f] if scan.degrees == 1 | 1 << len(f) - 1 else _split_off_roots(f)
+    p, modular = scan.prime, scan.modular
     B = _mignotte_bound(f)
     l = 1
     while p**l <= 2 * B:
@@ -407,6 +470,10 @@ class Factorization:
 
     unit: Fraction
     factors: tuple[tuple[UniPoly, int], ...]
+    # (p, cycle_type_mod_p(monic input, p)) at every usable odd prime up to
+    # the last one listed, in order, as the residue scan found them; empty
+    # unless the scan proved the input squarefree.
+    residues: tuple[tuple[int, tuple[int, ...]], ...] = field(default=(), compare=False)
 
     def expand(self) -> UniPoly:
         out = UniPoly.constant(self.unit)
@@ -430,7 +497,11 @@ class Factorization:
     def radical(self) -> "Factorization":
         """The distinct monic factors, each once: the factorization of the
         squarefree part of the input."""
-        return Factorization(unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
+        return Factorization(
+            unit=Fraction(1),
+            factors=tuple((f, 1) for f, _ in self.factors),
+            residues=self.residues,
+        )
 
 
 def _yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -466,22 +537,38 @@ def _monic_int_model(ints: list[int]) -> tuple[list[int], int]:
 
 
 def factor_over_Q(f: UniPoly) -> Factorization:
-    """Complete factorization into monic irreducibles over Q."""
+    """Complete factorization into monic irreducibles over Q.
+
+    One residue scan (``_good_prime``) of the monic integer model proves it
+    squarefree, settles or prepares its factorization and gives the cycle
+    types the factorization carries; Yun's decomposition runs only when the
+    scan finds no usable prime.
+    """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     unit = f.lc()
     if f.degree == 0:
         return Factorization(unit=unit, factors=())
-    fm = f.monic()
+    F, m = _monic_int_model(f.primitive())
+    scan = _good_prime(F)
+    if scan.splits:
+        pieces = [(F, m, 1, scan)]
+        # a prime dividing m is not usable for the monic input itself
+        residues = tuple((p, _cycle_type(split)) for p, split in scan.splits if m % p)
+    else:
+        pieces = []
+        for piece, mult in _yun_squarefree(f.monic()):
+            F, m = _monic_int_model(piece.primitive())
+            pieces.append((F, m, mult, _good_prime(F, squarefree=True)))
+        residues = ()
     out: list[tuple[UniPoly, int]] = []
-    for piece, mult in _yun_squarefree(fm):
-        F, m = _monic_int_model(piece.primitive())
-        for h in _zassenhaus_monic(F):
+    for F, m, mult, scan in pieces:
+        for h in _zassenhaus_monic(F, scan):
             # undo y = m*x: h(m x) / m^deg h is monic
             g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1))
             out.append((g.monic(), mult))
     out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
-    return Factorization(unit=unit, factors=tuple(out))
+    return Factorization(unit=unit, factors=tuple(out), residues=residues)
 
 
 def factorization_type(f: UniPoly) -> tuple[int, ...]:

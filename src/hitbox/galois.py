@@ -4,7 +4,8 @@ Identification consumes one ``Factorization`` over Q of the polynomial and
 never factors it again: the splitting field only sees distinct roots, so
 every classifier reads the radical (the distinct monic factors).  Radicals
 of degree up to 4 are classified definitively (discriminant square test,
-resolvent cubic, exact splitting-field composition for reducible inputs).
+rational roots of the resolvent cubic, exact splitting-field composition
+for reducible inputs).
 Degrees 5 and 6 get a cycle-type sieve against embedded transitive-group
 tables: the candidate set always contains the true group, so the only
 definitive verdicts it supports are singletons and order statements shared
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InconclusiveError, ReferenceMismatchError
-from .factorq import Factorization, cycle_type_mod_p, factor_over_Q
+from .factorq import Factorization, cycle_type_mod_p, rational_roots
 from .polys import UniPoly, discriminant_uni
 from .permgroups import PermGroup, closure, conjugate_in_symmetric, conjugates_into, parse_perm
 from .rationals import factor_int, is_square_rational, odd_primes, squarefree_kernel
@@ -225,6 +226,13 @@ def _f2_rank(kernels: list[int]) -> int:
 # -- definitive classification, degree <= 4 --------------------------------------
 
 
+def _resolvent_ints(N: list[int], D: int) -> list[int]:
+    """D^3 R(z/D) for R the resolvent cubic of the monic quartic N/D, a monic
+    integer cubic whose roots are D times those of R."""
+    n0, n1, n2, n3, _ = N
+    return [-(n3 * n3 * n0 - 4 * n2 * n0 * D + n1 * n1 * D), n3 * n1 - 4 * n0 * D, -n2, 1]
+
+
 def resolvent_cubic(f: UniPoly) -> UniPoly:
     """Cubic with roots x1x2+x3x4, x1x3+x2x4, x1x4+x2x3 of a monic quartic.
 
@@ -232,11 +240,9 @@ def resolvent_cubic(f: UniPoly) -> UniPoly:
     """
     if f.degree != 4:
         raise DomainError("resolvent cubic needs a quartic")
-    f = f.monic()
-    d, c, b, a, _ = f.coeffs
-    return UniPoly(
-        [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, Fraction(1)]
-    )
+    N, D = f.monic().ints_den()
+    r0, r1, r2, r3 = _resolvent_ints(N, D)
+    return UniPoly.from_ints([r0, r1 * D, r2 * D * D, r3 * D**3], D**3).monic()
 
 
 def _splits_over(disc_q: Fraction, D: Fraction) -> bool:
@@ -245,21 +251,25 @@ def _splits_over(disc_q: Fraction, D: Fraction) -> bool:
 
 
 def _classify_irreducible_quartic(f: UniPoly) -> tuple[str, str, int]:
-    f = f.monic()
-    D = discriminant_uni(f)
-    R = resolvent_cubic(f)
-    rfac = factor_over_Q(R)
-    rtype = rfac.type()
-    if rtype == (3,):
-        return ("4T4", "A4", 12) if is_square_rational(D) else ("4T5", "S4", 24)
-    if rtype == (1, 1, 1):
+    """Label, kind and order of an irreducible quartic's Galois group, from
+    the rational roots of its resolvent cubic R: none gives A4 or S4 by the
+    discriminant, three give V4, and one root beta gives C4 or D4 by the
+    Kappe-Warren test.  Everything is scaled to integers by the quartic's
+    common denominator D, which changes no square class."""
+    N, D = f.monic().ints_den()
+    R = UniPoly.from_ints(_resolvent_ints(N, D), 1)
+    disc = discriminant_uni(R)  # D^6 disc(f)
+    roots = rational_roots(R)
+    if not roots:
+        return ("4T4", "A4", 12) if is_square_rational(disc) else ("4T5", "S4", 24)
+    if len(roots) == 3:
         return ("4T2", "V4", 4)
-    # exactly one rational root: C4 vs D4 (Kappe-Warren test)
-    beta = next(g[0] * -1 for g, _ in rfac.factors if g.degree == 1)
-    d0, c, b, a, _ = f.coeffs
-    t1 = beta * beta - 4 * d0
-    t2 = a * a - 4 * (b - beta)
-    if _splits_over(t1, D) and _splits_over(t2, D):
+    # beta = z/D: D^2 (beta^2 - 4 n0/D) and D^2 (a^2 - 4 (b - beta)) for
+    # f = X^4 + a X^3 + b X^2 + ... must both split over Q(sqrt(disc))
+    z = roots.pop().numerator  # an integer: R is monic
+    t1 = z * z - 4 * N[0] * D
+    t2 = N[3] * N[3] - 4 * D * (N[2] - z)
+    if _splits_over(t1, disc) and _splits_over(t2, disc):
         return ("4T1", "C4", 4)
     return ("4T3", "D4", 8)
 
@@ -361,17 +371,23 @@ def classify_degree_le4(fac: Factorization) -> GaloisId:
 # -- degree 5/6 sieve --------------------------------------------------------------
 
 
-def _usable_primes(f: UniPoly, disc: Fraction, budget: int):
+def _usable_primes(f: UniPoly, disc: Fraction, budget: int, known=()):
     """The first ``budget`` usable odd primes of f, with their cycle types.
 
-    Primes dividing the numerator of f's discriminant are skipped unread:
-    f is not squarefree mod such a prime, or not integral at it.
+    ``known`` holds (p, cycle type) for every usable prime of f up to its
+    last p, as the residue scan of f's factorization found them; they are
+    read first and not computed again.  Primes dividing the numerator of
+    f's discriminant are skipped unread: f is not squarefree mod such a
+    prime, or not integral at it.
     """
-    found = 0
+    known = known[:budget]
+    yield from known
+    found = len(known)
+    last = known[-1][0] if known else 0
     for p in odd_primes():
         if found == budget:
             return
-        if disc.numerator % p == 0:
+        if p <= last or disc.numerator % p == 0:
             continue
         ct = cycle_type_mod_p(f, p)
         if ct is not None:
@@ -393,7 +409,9 @@ def sieve_degree_5_6(
     budget, so that a wrong reference can still be refuted.  With
     ``within``, only the groups conjugate into it are candidates, and a
     singleton is reported as 'conditional'; an empty set refutes the
-    reference (``ReferenceMismatchError``).  A reducible
+    reference (``ReferenceMismatchError``).  The cycle types that the
+    factorization's residue scan found (``Factorization.residues``) are read
+    before any prime is reduced again; they change no answer.  A reducible
     radical gets its splitting field when that is resolved here, else only
     its factor degrees.
     """
@@ -428,7 +446,7 @@ def sieve_degree_5_6(
     stop = 1 if len(candidates) > 1 else 0  # the set size that ends the scan
     observed: set[tuple[int, ...]] = set()
     primes: list[int] = []
-    for p, ct in _usable_primes(f, disc, budget):
+    for p, ct in _usable_primes(f, disc, budget, rad.residues):
         primes.append(p)
         observed.add(ct)
         candidates = [e for e in candidates if ct in e.cycle_types]

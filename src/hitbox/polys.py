@@ -407,14 +407,20 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
 
 
 def discriminant_uni(f: UniPoly) -> Fraction:
-    """(-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
+    """(-1)^(n(n-1)/2) Res(f, f') / lc(f).
+
+    With f = c F for F primitive, disc(f) = c^(2n-2) disc(F), and disc(F)
+    is the exact integer quotient of the integer resultant by lc(F).
+    """
     n = f.degree
     if n < 1:
         raise DomainError("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    if f.derivative().is_zero():
-        return _ZERO
-    return sign * resultant(f, f.derivative()) / f.lc()
+    F = f.primitive()
+    d = _prs_resultant(F, [i * c for i, c in enumerate(F)][1:]) // F[-1]
+    if (n * (n - 1) // 2) % 2:
+        d = -d
+    c = f._ints[-1] // F[-1]
+    return Fraction(c ** (2 * n - 2) * d, f._den ** (2 * n - 2))
 
 
 # -- bivariate polynomials ----------------------------------------------------

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from hitbox.cli import main
 
@@ -75,6 +78,28 @@ def test_verify_command_and_determinism(capsys):
         payload = json.loads(out1)
         assert payload["passed"] is True
         assert payload["reference"]["label"] == "4T4"
+
+
+# sha256 of `hit verify --json --full --height 30`, the whole report: it
+# records every verdict, factorization type and sieve prime list
+GOLDEN_VERIFY_HEIGHT_30 = {
+    "serre-a4": "687f1ffd909671e5ca58f2dc2196bfd7d2f9b334e4c140096b6deb99f99591d4",
+    "fermat-x6": "be407ca092c4f3cc6a2426d0391fedc78aec4397af5653412af6e3eec46013ff",
+}
+
+
+@pytest.mark.parametrize("fixture", ["serre-a4", "fermat-x6"])
+def test_verify_height_30_is_identical_serial_and_pooled(capsys, fixture):
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(
+            capsys, "hit", "verify", "--fixture", fixture, "--height", "30", "--json",
+            "--full", "--threads", threads,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == GOLDEN_VERIFY_HEIGHT_30[fixture]
 
 
 def test_verify_table_output(capsys):

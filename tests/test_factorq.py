@@ -220,6 +220,86 @@ def test_factor_over_Q_matches_sympy_on_products_with_repeated_factors():
         _assert_matches_sympy(f)
 
 
+# Inputs built to defeat the residue scan's shortcuts: products whose factor
+# degrees put 1 and n-1 in the degree set (linear x cubic, linear x
+# quintic), keep a middle degree in it (quad x quad, cubic x cubic, quad x
+# quartic), irreducibles it must prove, and repeated factors it must leave
+# to Yun.
+
+
+def _int_poly(degree):
+    return st.tuples(
+        st.lists(st.integers(-25, 25), min_size=degree, max_size=degree),
+        st.sampled_from([1, 1, 2, 3, -4, 6]),
+    ).map(lambda t: UniPoly(t[0] + [t[1]]))
+
+
+_SHAPES = [(1, 3), (2, 2), (1, 5), (3, 3), (2, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_SHAPES).flatmap(lambda s: st.tuples(_int_poly(s[0]), _int_poly(s[1]))),
+    st.sampled_from([1, -2, Fraction(3, 5)]),
+)
+def test_factor_over_Q_matches_sympy_on_products_of_two_shapes(pair, unit):
+    a, b = pair
+    _assert_matches_sympy(a * b * unit)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # products
+        "(2*X - 3)*(X^3 - 2)",
+        "(X + 7)*(X^3 - 3*X - 1)",
+        "(X^2 + 1)*(X^2 + 2)",
+        "(X^2 - 2)*(X^2 - 8)",
+        "(X - 1)*(X^5 - X - 1)",
+        "(3*X + 1)*(X^5 + 20*X + 16)",
+        "(X^3 - 2)*(X^3 - 3)",
+        "(X^3 - 3*X - 1)*(X^3 + X + 1)",
+        "(X^2 + 3)*(X^4 - 10*X^2 + 1)",
+        "(5*X^2 - 1)*(X^4 + 8*X + 12)",
+        # irreducible cubics, quartics (C4, V4, D4, A4, S4) and sextics
+        "X^3 - 2",
+        "X^3 - 3*X - 1",
+        "4*X^3 - 3*X + 1/2",
+        "X^4 + X^3 + X^2 + X + 1",
+        "X^4 - 10*X^2 + 1",
+        "X^4 - 2",
+        "X^4 + 8*X + 12",
+        "X^4 + X + 1",
+        "X^6 + 3",
+        "X^6 - X - 1",
+        "X^6 + X^3 + 1",
+        "X^6 + 63",
+        "X^6 - 3*X^2 - 1",
+    ],
+)
+def test_factor_over_Q_matches_sympy_on_shortcut_cases(text):
+    _assert_matches_sympy(parse_unipoly(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(X^2 + 1)^2*(X^3 - 2)",
+        "(X - 1)^3*(X^2 - 2)^2",
+        "(2*X + 1)^2*(X^4 + 8*X + 12)",
+        "(X^3 - 3*X - 1)^2*(X + 5)",
+    ],
+)
+def test_repeated_factors_take_the_yun_path(monkeypatch, text):
+    yun = _counting(monkeypatch, "_yun_squarefree")
+    f = parse_unipoly(text)
+    fac = factor_over_Q(f)
+    assert len(yun) == 1 and fac.residues == ()
+    assert max(m for _, m in fac.factors) > 1
+    monkeypatch.undo()
+    _assert_matches_sympy(f)
+
+
 def test_recombination_for_a_quartic_that_splits_modulo_every_prime():
     # X^4 - 10X^2 + 1 (minimal polynomial of sqrt2 + sqrt3) is irreducible
     # over Q, but has Galois group V4, so no prime leaves it irreducible:
@@ -252,22 +332,46 @@ def _sympy_factors_mod_p(f: list[int], p: int):
     return sorted([int(c) for c in reversed(h)] for h in gf_factor_sqf(g, p, ZZ)[1])
 
 
-def _first_usable_counts(f: list[int], scan: int):
-    """(p, number of factors mod p) for the first usable odd primes of a
-    monic f, from complete factorizations mod p."""
-    out = []
+def _subset_sums(degrees):
+    sums = {0}
+    for d in degrees:
+        sums |= {s + d for s in sums}
+    return sums
+
+
+def _expected_scan(f: list[int], scan: int):
+    """(p, factor degrees mod p) for the usable odd primes a residue scan of
+    the monic f reads, from complete factorizations mod p, and the
+    intersection of their subset sums: the scan stops at the first prime
+    that brings the intersection down to {0, n}, or at the scan-th."""
+    n = len(f) - 1
+    out, common = [], set(range(n + 1))
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         factors = _sympy_factors_mod_p(f, p)
         if factors is not None:
-            out.append((p, len(factors)))
-            if len(factors) == 1 or len(out) == scan:
-                return out
+            degrees = tuple(sorted((len(g) - 1 for g in factors), reverse=True))
+            out.append((p, degrees))
+            common &= _subset_sums(degrees)
+            if common == {0, n} or len(out) == scan:
+                return out, common
     raise AssertionError(f"too few usable primes below 50 for {f}")
 
 
+def _counting(monkeypatch, name):
+    """Record the calls of factorq.<name> (its first arguments) in a list."""
+    calls, real = [], getattr(factorq, name)
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(factorq, name, counted)
+    return calls
+
+
 def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
-    usable, complete = [], []
-    real_usable, real_sqf = factorq._usable_ddf, factorq._gp_factor_sqf
+    usable, complete = [], _counting(monkeypatch, "_gp_factor_sqf")
+    real_usable = factorq._usable_ddf
 
     def counting_usable(f, p):
         split = real_usable(f, p)
@@ -275,33 +379,68 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
             usable.append(p)
         return split
 
-    def counting_sqf(f, p):
-        complete.append(p)
-        return real_sqf(f, p)
-
     monkeypatch.setattr(factorq, "_usable_ddf", counting_usable)
-    monkeypatch.setattr(factorq, "_gp_factor_sqf", counting_sqf)
     rng = random.Random(16)
-    polys = [[12, 8, 0, 0, 1], [1, 0, -10, 0, 1], [1, 1, 0, 0, 1]]
-    polys += [[rng.randint(-20, 20) for _ in range(rng.randint(2, 6))] + [1] for _ in range(60)]
+    # A4, V4 and S4 quartics, a D4 quartic, and products quad*quad and
+    # quad*cubic whose degree sets keep a 2
+    polys = [[12, 8, 0, 0, 1], [1, 0, -10, 0, 1], [1, 1, 0, 0, 1], [-2, 0, 0, 0, 1]]
+    polys += [[2, 0, 3, 0, 1], [-6, 0, 1, 0, 1], [1, 2, 2, 2, 1, 1]]
+    polys += [[rng.randint(-20, 20) for _ in range(rng.randint(2, 6))] + [1] for _ in range(80)]
+    zassenhaus = 0
     for f in polys:
         F = UniPoly(f)
         if uni_gcd(F, F.derivative()).degree > 0:
-            continue  # _good_prime expects a squarefree polynomial
-        expected = _first_usable_counts(f, 5)
+            continue  # the scan of a repeated factor is tested below
+        n = F.degree
+        expected, common = _expected_scan(f, 5)
         usable.clear()
         complete.clear()
-        p, modular = factorq._good_prime(f)
-        assert usable == [q for q, _ in expected], f
-        assert len(usable) <= 5
-        fewest = min(count for _, count in expected)
-        assert p == next(q for q, count in expected if count == fewest), f
-        assert complete == [p] and len(modular) == fewest
-        assert sorted(modular) == _sympy_factors_mod_p(f, p)
-    # an A4 quartic never stays irreducible mod p, so the scan runs to its cap
-    usable.clear()
-    factorq._good_prime([12, 8, 0, 0, 1])
-    assert len(usable) == 5
+        scan = factorq._good_prime(f)
+        # at most 5 usable primes, in increasing order, each read once
+        assert usable == [q for q, _ in expected] and len(usable) <= 5, f
+        assert [(q, factorq._cycle_type(split)) for q, split in scan.splits] == expected, f
+        assert {d for d in range(n + 1) if scan.degrees >> d & 1} == common, f
+        if common <= {0, 1, n - 1, n}:
+            # proven irreducible, or decided by rational roots: nothing to lift
+            assert scan.prime == 0 and complete == [], f
+            continue
+        zassenhaus += 1
+        assert len(usable) == 5
+        fewest = min(len(degrees) for _, degrees in expected)
+        p = next(q for q, degrees in expected if len(degrees) == fewest)
+        assert scan.prime == p and [q for _, q in complete] == [p], f
+        assert sorted(scan.modular) == _sympy_factors_mod_p(f, p)
+    assert zassenhaus >= 5  # the Zassenhaus branch is exercised too
+
+
+def test_a4_quartic_is_proven_irreducible_without_lifting(monkeypatch):
+    # an A4 quartic is never irreducible mod p, but its (3,1) and (2,2)
+    # patterns intersect to the degree set {0, 4}
+    sqf, lifts, yun = (_counting(monkeypatch, n) for n in ("_gp_factor_sqf", "_hensel_lift", "_yun_squarefree"))
+    f = [12, 8, 0, 0, 1]
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        assert len(_sympy_factors_mod_p(f, p)) > 1
+    fac = factor_over_Q(UniPoly(f))
+    assert fac.is_irreducible() and fac.factors[0][0] == UniPoly(f)
+    assert sqf == lifts == yun == []
+
+
+def test_scan_gives_up_on_repeated_factors_and_yun_takes_over(monkeypatch):
+    yun = _counting(monkeypatch, "_yun_squarefree")
+    # (X - 1)(X - 15016)(X - 30031) is squarefree, but not modulo any odd
+    # prime up to 13: the bounded scan cannot prove it so
+    f = UniPoly([-1, 1]) * UniPoly([-15016, 1]) * UniPoly([-30031, 1])
+    assert factorq._good_prime(f.primitive()).splits == []
+    assert factorq._good_prime(f.primitive(), squarefree=True).splits[0][0] == 17
+    _assert_matches_sympy(f)
+    assert len(yun) == 1
+    yun.clear()
+    g = parse_unipoly("(X^2 - 2)^2*(X^3 + X + 1)*(2*X - 3)^3")
+    assert factorq._good_prime(factorq._monic_int_model(g.primitive())[0]).splits == []
+    fac = factor_over_Q(g)
+    assert len(yun) == 1 and fac.residues == ()
+    assert [(h.degree, m) for h, m in fac.factors] == [(1, 3), (2, 2), (3, 1)]
+    _assert_matches_sympy(g)
 
 
 def _random_monic_squarefree(rng, p, max_deg=8):

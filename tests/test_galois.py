@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitbox import factorq
 from hitbox.errors import DomainError, ReferenceMismatchError
 from hitbox.factorq import cycle_type_mod_p, factor_over_Q, rational_roots
 from hitbox.galois import (
@@ -20,10 +21,12 @@ from hitbox.galois import (
     transitive_table,
 )
 from hitbox.permgroups import closure, conjugate_in_symmetric, maximal_classes, subgroup_classes
-from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly
-from hitbox.rationals import is_square_rational
+from hitbox.harness import load_fixture
+from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly, poly_str
+from hitbox.rationals import is_prime, is_square_rational, rationals_up_to_height
 
 X = UniPoly.gen()
+FERMAT = load_fixture("fermat-x6")
 
 
 def serre_quartic(t) -> UniPoly:
@@ -378,3 +381,96 @@ def test_sieve_within_d6_agrees_with_sympy_on_radical_sextics(a, s):
         assert gid.label == label
     else:
         assert gid.mode == "sieved" and label in gid.candidates
+
+
+# -- the resolvent cubic by its rational roots, and the sieve's residues ---------
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        ("X^4+X^3+X^2+X+1", "4T1"),
+        ("X^4-10*X^2+1", "4T2"),
+        ("X^4-2", "4T3"),
+        ("X^4+8*X+12", "4T4"),
+        ("X^4+X+1", "4T5"),
+    ],
+)
+def test_quartic_classifier_matches_sympy_on_each_quartic_group(text, label):
+    f = parse_unipoly(text)
+    # a rescaled, shifted, non-monic copy has the same group and puts a
+    # common denominator into the integer resolvent
+    g = f.compose(UniPoly([Fraction(1, 3), Fraction(2, 5)])) * 7
+    for h in (f, g):
+        assert _sympy_label(h) == label
+        gid = classify_degree_le4(factor_over_Q(h))
+        assert (gid.mode, gid.label) == ("definitive", label)
+
+
+def _assert_residues_are_cycle_types(f: UniPoly):
+    fac = factor_over_Q(f)
+    if not fac.residues:
+        return
+    monic = f.monic()
+    last = fac.residues[-1][0]
+    want = [(p, cycle_type_mod_p(monic, p)) for p in range(3, last + 1, 2) if is_prime(p)]
+    assert list(fac.residues) == [(p, ct) for p, ct in want if ct is not None], poly_str(f)
+    assert fac.radical().residues == fac.residues
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+    st.sampled_from([1, 2, 3, 5, 9, 15, -7]),
+)
+def test_residues_are_the_cycle_types_of_the_monic_input(coeffs, lead):
+    # the leading coefficients put primes into the monic model's scale m,
+    # where the monic input has no usable reduction
+    _assert_residues_are_cycle_types(UniPoly(coeffs + [lead]))
+
+
+def test_residues_skip_primes_dividing_the_scale():
+    # X^2 + X/3 + 1 has the model y^2 + y + 9 (m = 3), squarefree mod 3,
+    # but 3 divides the monic input's denominator
+    f = parse_unipoly("3*X^2 + X + 3")
+    assert cycle_type_mod_p(f.monic(), 3) is None
+    assert factorq._good_prime([9, 1, 1]).splits[0][0] == 3
+    assert factor_over_Q(f).residues[0][0] == 11  # 5 and 7 divide disc(f) = -35
+    _assert_residues_are_cycle_types(f)
+
+
+def _sieve_outcome(fac, budget, within):
+    try:
+        return sieve_degree_5_6(fac, budget, within)
+    except ReferenceMismatchError as e:
+        return ("mismatch", e.prime, e.cycle_type)
+
+
+def test_sieve_reads_the_same_evidence_with_or_without_residues(monkeypatch):
+    import dataclasses
+
+    from hitbox import galois
+
+    calls = []
+    real = galois.cycle_type_mod_p
+    monkeypatch.setattr(galois, "cycle_type_mod_p", lambda f, p: calls.append(p) or real(f, p))
+    sextics = [FERMAT.P.specialize(t) for t in rationals_up_to_height(6) if t not in FERMAT.D]
+    sextics += [parse_unipoly(s) for s in ("X^6+2", "X^6+X+1", "3*X^6-5*X+7", "X^6-X^3+1")]
+    refs = [None, table_entry("6T3").group, table_entry("6T1").group]
+    carried, saved = 0, 0
+    for f in sextics:
+        fac = factor_over_Q(f)
+        if not fac.is_irreducible():
+            continue
+        bare = dataclasses.replace(fac, residues=())
+        carried += bool(fac.residues)
+        for budget in (1, 3, 24):
+            for within in refs:
+                calls.clear()
+                got = _sieve_outcome(fac, budget, within)
+                with_residues = len(calls)
+                calls.clear()
+                assert got == _sieve_outcome(bare, budget, within), (poly_str(f), budget)
+                assert with_residues <= len(calls)
+                saved += len(calls) - with_residues
+    assert carried >= 20 and saved >= 100
