@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitbox import factorq
+from hitbox import factorq, galois
 from hitbox.errors import DomainError, ReferenceMismatchError
 from hitbox.factorq import cycle_type_mod_p, factor_over_Q, rational_roots
 from hitbox.galois import (
@@ -447,10 +448,6 @@ def _sieve_outcome(fac, budget, within):
 
 
 def test_sieve_reads_the_same_evidence_with_or_without_residues(monkeypatch):
-    import dataclasses
-
-    from hitbox import galois
-
     calls = []
     real = galois.cycle_type_mod_p
     monkeypatch.setattr(galois, "cycle_type_mod_p", lambda f, p: calls.append(p) or real(f, p))

@@ -80,6 +80,20 @@ def test_discriminant_examples():
         discriminant_uni(UniPoly.constant(5))
 
 
+def test_discriminant_matches_sylvester_definition():
+    # non-monic, fractional and degree-1 inputs: (-1)^(n(n-1)/2) Res(f, f')/lc(f)
+    rng = random.Random(9)
+    done = 0
+    while done < 80:
+        f = rand_unipoly(rng, 5) * Fraction(rng.choice([1, -3, 7]), rng.choice([1, 2, 15]))
+        if f.degree < 1:
+            continue
+        n = f.degree
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        assert discriminant_uni(f) == sign * sylvester_resultant(f, f.derivative()) / f.lc()
+        done += 1
+
+
 def test_discriminant_multiplicative():
     rng = random.Random(5)
     done = 0
