@@ -14,16 +14,19 @@ modulo its first few usable odd primes.  Each split does four jobs.  A
 usable prime proves F squarefree, so Yun's decomposition runs only when
 none of the first primes is usable.  The degrees of F's factors over Q are
 subset sums of every modular pattern (Musser's degree-set argument, J. ACM
-22, 1975); when the intersection of these sums is {0, n}, F is irreducible
-with no lifting at all, and when it lies inside {0, 1, n-1, n}, F factors
-as its linear factors, read from its rational roots, times one irreducible
-cofactor.  Otherwise the classical Zassenhaus pipeline runs from the prime
-with the fewest modular factors, the only prime factored completely:
-quadratic multifactor Hensel lifting modulo m^2 past the Landau-Mignotte
-bound, then subset recombination (modular factor counts stay tiny at the
-degrees this package handles).  Finally, the cycle types of the splits
-ride on the ``Factorization`` (``residues``), where the Galois sieve reads
-them instead of reducing the polynomial again.
+22, 1975), and the scan stops at the first prime that brings the
+intersection of these sums inside {0, 1, n-1, n}.  When it is {0, n}, F is
+irreducible with no lifting at all; otherwise F factors as its linear
+factors times one irreducible cofactor, and its rational roots are lifted
+from the roots mod p that the degree-1 part of a split already holds.
+Only when a degree between 2 and n-2 survives the whole scan does the
+classical Zassenhaus pipeline run, from the prime with the fewest modular
+factors, the only prime factored completely: quadratic multifactor Hensel
+lifting modulo m^2 past the Landau-Mignotte bound, then subset
+recombination (modular factor counts stay tiny at the degrees this package
+handles).  Finally, the cycle types of the splits ride on the
+``Factorization`` (``residues``), where the Galois sieve reads them instead
+of reducing the polynomial again.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
@@ -372,10 +375,10 @@ def _good_prime(f: list[int], squarefree: bool = False) -> _Scan:
         first ``_PRIME_SCAN`` odd primes is usable.
     (b) The degree of every factor of f over Q is a subset sum of every
         modular pattern (Musser, J. ACM 22, 1975).  The scan stops as soon
-        as the intersection of these sums is {0, n}, which proves f
-        irreducible.  An intersection inside {0, 1, n-1, n} leaves f
+        as the intersection of these sums lies inside {0, 1, n-1, n}.
+        {0, n} proves f irreducible; any other such set leaves f
         irreducible exactly when it has no rational root, which one root
-        lift decides (``_split_off_roots``).
+        lift from a split's degree-1 part decides (``_split_off_roots``).
     (c) Otherwise the prime with the fewest factors wins (the smaller on a
         tie), and only it is factored completely.  The choice changes the
         cost of Zassenhaus, never its answer.
@@ -383,6 +386,7 @@ def _good_prime(f: list[int], squarefree: bool = False) -> _Scan:
         to the Galois sieve.
     """
     n = len(f) - 1
+    middle = ~(3 | 3 << n - 1)  # the degrees 2 <= d <= n-2
     splits = []
     degrees = -1
     for i, p in enumerate(odd_primes()):
@@ -393,23 +397,34 @@ def _good_prime(f: list[int], squarefree: bool = False) -> _Scan:
             continue
         splits.append((p, split))
         degrees &= _degree_set(split)
-        if degrees == 1 | 1 << n or len(splits) == _PRIME_SCAN:
+        if not degrees & middle or len(splits) == _PRIME_SCAN:
             break
-    if not splits or not degrees & ~(3 | 3 << n - 1):
+    if not splits or not degrees & middle:
         return _Scan(splits, degrees, 0, [])
     p, split = min(splits, key=lambda s: len(_cycle_type(s[1])))
     return _Scan(splits, degrees, p, _gp_factor_sqf([c % p for c in f], p, split))
 
 
-def _split_off_roots(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a monic squarefree integer f whose degree set
-    lies inside {0, 1, n-1, n}: its linear factors, from its rational roots,
-    and the cofactor.  The cofactor has no rational root, and a factor of
+def _split_off_roots(f: list[int], splits) -> list[list[int]]:
+    """Irreducible factors of a monic squarefree integer f whose degree set,
+    read from the usable ``splits``, lies inside {0, 1, n-1, n}: its linear
+    factors, from its integer roots, and the cofactor.
+
+    The set is not {0, n} and is closed under d -> n-d, so it holds 1:
+    every split has a degree-1 part.  An integer root of f is a root of it,
+    and a simple one, since the prime is usable; so the roots mod p of the
+    last split are lifted (``_lift_roots``).  The cofactor has no rational root, and a factor of
     it of degree d would put d, with 2 <= d <= n-2, in the degree set; so it
     is irreducible."""
+    p, split = splits[-1]
+    linear = next(g for g, d in split if d == 1)
+    if len(linear) == 2:
+        residues = [-linear[0] % p]
+    else:
+        residues = [r for r in range(p) if _gp_eval(linear, r, p) == 0]
     out = []
-    for r in sorted(_lifted_roots(f)):
-        out.append([-r.numerator, 1])
+    for y in sorted(_lift_roots(f, p, residues)):
+        out.append([-y, 1])
         f = _pseudo_divmod(f, out[-1])[0]
     if len(f) > 1:
         out.append(f)
@@ -421,7 +436,7 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
     from its residue scan when the degree set settles them, else lifted
     from the scan's prime."""
     if not scan.prime:
-        return [f] if scan.degrees == 1 | 1 << len(f) - 1 else _split_off_roots(f)
+        return [f] if scan.degrees == 1 | 1 << len(f) - 1 else _split_off_roots(f, scan.splits)
     p, modular = scan.prime, scan.modular
     B = _mignotte_bound(f)
     l = 1
@@ -526,13 +541,32 @@ def _yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
+def _root_or_self(d: int, k: int) -> int:
+    """r if d = r^k for an integer r, else d (d >= 1): integer Newton steps
+    down from a power of two above the k-th root."""
+    if d == 1 or k == 1:
+        return d
+    r = 1 << -(-d.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + d // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == d else d
+        r = s
+
+
 def _monic_int_model(ints: list[int]) -> tuple[list[int], int]:
     """Monic integer F with F(y) = m^n * g(y/m) for g the monic multiple
-    of sum ints[i] x^i, n its degree, and m the least common denominator
-    of g's coefficients ints[i]/ints[n]; roots scale by m."""
+    of sum ints[i] x^i and n its degree; roots scale by m.
+
+    For each coefficient g_i = ints[i]/ints[n] with denominator d_i, m is a
+    multiple of the exact (n-i)-th root of d_i when there is one, else of
+    d_i, so that m^(n-i) g_i is an integer; m is the lcm of these.  It
+    divides the least common denominator of g and has the same prime
+    factors, and it is the least possible scale whenever every d_i is a
+    perfect (n-i)-th power (``X^6 - 665/729`` gets m = 3, not 729)."""
     n = len(ints) - 1
     lead = ints[n]
-    m = math.lcm(*[abs(lead) // math.gcd(c, lead) for c in ints])
+    m = math.lcm(*[_root_or_self(abs(lead) // math.gcd(c, lead), n - i) for i, c in enumerate(ints)])
     return [c * m ** (n - i) // lead for i, c in enumerate(ints)], m
 
 
@@ -609,17 +643,39 @@ def _simple_roots_mod(F: list[int], p: int) -> list[int] | None:
     return roots
 
 
+def _lift_roots(F: list[int], p: int, residues) -> list[int]:
+    """The integer roots of a monic integer F among the lifts of its simple
+    roots mod p (``residues``).
+
+    Each lifts uniquely (Newton), and past twice the Cauchy bound
+    1 + max|F_i| its symmetric representative is the only integer root of F
+    it can be; every candidate is checked exactly (von zur Gathen &
+    Gerhard, §15)."""
+    dF = [i * c for i, c in enumerate(F)][1:]
+    bound = 2 * (1 + max(abs(c) for c in F))
+    roots = []
+    for r in residues:
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - _gp_eval(F, r, q) * pow(_gp_eval(dF, r, q), -1, q)) % q
+        y = r - q if 2 * r > q else r
+        if sum(c * y**i for i, c in enumerate(F)) == 0:
+            roots.append(y)
+    return roots
+
+
 def _lifted_roots(ints: list[int]) -> set[Fraction]:
     """Rational roots of sum ints[i] x^i from the roots of its monic
     integer model F mod p.
 
     F has integer roots only, each a root mod every prime.  A prime is
-    usable when every root of F in F_p is simple; each such root then lifts
-    uniquely (Newton), and past twice the Cauchy bound 1 + max|F_i| its
-    symmetric representative is the only integer root of F it can be; every
-    candidate is checked exactly.  A repeated factor may make every prime
-    unusable, so when none of the first ``_PRIME_SCAN`` odd primes is usable
-    the squarefree part, usable at all but finitely many primes, takes over.
+    usable when every root of F in F_p is simple; then ``_lift_roots``
+    lifts them.  This search finds its own prime because the input may
+    have a repeated factor: when none of the first ``_PRIME_SCAN`` odd
+    primes is usable, the squarefree part, usable at all but finitely many
+    primes, takes over.  (``factor_over_Q`` needs none of this: its residue
+    scan has already proved the input squarefree and found the roots mod p.)
     """
     F, m = _monic_int_model(ints)
     for p in islice(odd_primes(), _PRIME_SCAN):
@@ -632,18 +688,7 @@ def _lifted_roots(ints: list[int]) -> set[Fraction]:
             residues = _simple_roots_mod(F, p)
             if residues is not None:
                 break
-    dF = [i * c for i, c in enumerate(F)][1:]
-    bound = 2 * (1 + max(abs(c) for c in F))
-    roots = set()
-    for r in residues:
-        q = p
-        while q <= bound:
-            q *= q
-            r = (r - _gp_eval(F, r, q) * pow(_gp_eval(dF, r, q), -1, q)) % q
-        y = r - q if 2 * r > q else r
-        if sum(c * y**i for i, c in enumerate(F)) == 0:
-            roots.add(Fraction(y, m))
-    return roots
+    return {Fraction(y, m) for y in _lift_roots(F, p, residues)}
 
 
 def rational_roots(f: UniPoly) -> set[Fraction]:

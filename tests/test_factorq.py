@@ -141,15 +141,39 @@ def test_reducibility_matches_small_sweep():
 
 
 def test_monic_int_model_matches_the_fraction_construction():
-    """F(y) = m^n g(y/m) for g the monic multiple, m its least common
-    denominator, built here from Fractions."""
+    """F is monic and integral, F(y) = m^n g(y/m) for g the monic multiple,
+    m divides the lcm of g's denominators (and shares its primes), and m is
+    the least such scale when each denominator of g_i is a perfect
+    (n-i)-th power.  Built here from Fractions; sympy's integer_nthroot
+    decides the perfect powers."""
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(18)
+    cases = [
+        [rng.randint(-30, 30) for _ in range(rng.randint(1, 6))] + [rng.choice([-12, -5, 1, 4, 9, 30])]
+        for _ in range(200)
+    ]
+    # g_i = a_i / r_i^(n-i): denominators that are mostly perfect powers
     for _ in range(200):
-        ints = [rng.randint(-30, 30) for _ in range(rng.randint(1, 6))] + [rng.choice([-12, -5, 1, 4, 9, 30])]
+        n = rng.randint(1, 6)
+        g = [Fraction(rng.randint(-30, 30), rng.randint(1, 6) ** (n - i)) for i in range(n)] + [Fraction(1)]
+        den = math.lcm(*[c.denominator for c in g])
+        cases.append([int(c * den) * rng.choice([1, -1]) for c in g])
+    cases.append([-665, 0, 0, 0, 0, 0, 729])  # X^6 - 665/729
+    least = 0
+    for ints in cases:
         g = UniPoly(ints).monic()
-        m = math.lcm(*[c.denominator for c in g.coeffs])
         n = g.degree
-        assert factorq._monic_int_model(ints) == ([int(c * m ** (n - i)) for i, c in enumerate(g.coeffs)], m)
+        F, m = factorq._monic_int_model(ints)
+        assert len(F) == n + 1 and F[n] == 1 and all(type(c) is int for c in F), ints
+        assert all(F[i] == c * m ** (n - i) for i, c in enumerate(g.coeffs)), ints
+        lcd = math.lcm(*[c.denominator for c in g.coeffs])
+        assert lcd % m == 0 and m ** n % lcd == 0, ints
+        if all(sympy.integer_nthroot(c.denominator, n - i)[1] for i, c in enumerate(g.coeffs[:n])):
+            scales = (s for s in range(1, m + 1) if all((c * s ** (n - i)).denominator == 1 for i, c in enumerate(g.coeffs)))
+            assert next(scales) == m, ints
+            least += m > 1 and m < lcd
+    assert least >= 20
+    assert factorq._monic_int_model([-665, 0, 0, 0, 0, 0, 729]) == ([-665, 0, 0, 0, 0, 0, 1], 3)
 
 
 def test_cycle_type_mod_p():
@@ -281,6 +305,72 @@ def test_factor_over_Q_matches_sympy_on_shortcut_cases(text):
     _assert_matches_sympy(parse_unipoly(text))
 
 
+def _irreducible(f: UniPoly) -> bool:
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Poly([int(c) for c in reversed(f.coeffs)], x).is_irreducible
+
+
+def _linear_factors(k_max):
+    """1 to k_max distinct linear factors b*X - a, as one product."""
+    root = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5]))
+    roots = st.lists(root, min_size=1, max_size=k_max, unique=True)
+    return roots.map(lambda rs: math.prod((UniPoly([-r.numerator, r.denominator]) for r in rs), start=UniPoly([1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _linear_factors(3),
+    st.integers(3, 5).flatmap(_int_poly).filter(_irreducible),
+    st.sampled_from([1, -2, Fraction(3, 5)]),
+)
+def test_factor_over_Q_matches_sympy_on_linear_factors_times_an_irreducible(linear, cofactor, unit):
+    # one linear factor leaves the degree set inside {0, 1, n-1, n} at a
+    # prime where the cofactor has an (n-1)-cycle, and the roots come from
+    # the scan's split; two or three keep 2 in it, for Zassenhaus
+    _assert_matches_sympy(linear * cofactor * unit)
+
+
+def _s3_cubic(cubic: UniPoly) -> bool:
+    """An irreducible cubic has group S3 when its discriminant is no square."""
+    sympy = pytest.importorskip("sympy")
+    disc = int(sympy.discriminant(sympy.Poly([int(c) for c in reversed(cubic.coeffs)], sympy.Symbol("x"))))
+    return _irreducible(cubic) and (disc < 0 or math.isqrt(disc) ** 2 != disc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        _int_poly(3).filter(_s3_cubic),
+        st.tuples(_linear_factors(1), _int_poly(2).filter(_irreducible)).map(lambda t: t[0] * t[1]),
+    )
+)
+def test_factor_over_Q_matches_sympy_on_cubics_with_and_without_a_rational_root(cubic):
+    # the first usable prime ends a cubic's scan: its degree set always lies
+    # inside {0, 1, 2, 3}, and one root lift decides the rest
+    _assert_matches_sympy(cubic)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(X - 2)*(X^3 - 2)",
+        "(X + 7)*(X^3 - 3*X - 1)",
+        "(3*X + 1)*(X^5 + 20*X + 16)",
+        "(2*X - 5)*(X^2 + 3)",
+        "(X - 1)*(X - 3)*(X + 5)",
+    ],
+)
+def test_split_off_roots_come_from_the_scan(monkeypatch, text):
+    calls = [_counting(monkeypatch, n) for n in _AFTER_THE_SCAN]
+    f = parse_unipoly(text)
+    fac = factor_over_Q(f)
+    assert calls == [[]] * len(_AFTER_THE_SCAN)
+    assert fac.type()[0] == 1
+    monkeypatch.undo()
+    _assert_matches_sympy(f)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -343,7 +433,7 @@ def _expected_scan(f: list[int], scan: int):
     """(p, factor degrees mod p) for the usable odd primes a residue scan of
     the monic f reads, from complete factorizations mod p, and the
     intersection of their subset sums: the scan stops at the first prime
-    that brings the intersection down to {0, n}, or at the scan-th."""
+    that brings the intersection inside {0, 1, n-1, n}, or at the scan-th."""
     n = len(f) - 1
     out, common = [], set(range(n + 1))
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -352,9 +442,15 @@ def _expected_scan(f: list[int], scan: int):
             degrees = tuple(sorted((len(g) - 1 for g in factors), reverse=True))
             out.append((p, degrees))
             common &= _subset_sums(degrees)
-            if common == {0, n} or len(out) == scan:
+            if common <= {0, 1, n - 1, n} or len(out) == scan:
                 return out, common
     raise AssertionError(f"too few usable primes below 50 for {f}")
+
+
+# What a scan whose degree set lies inside {0, 1, n-1, n} leaves undone:
+# complete factoring mod p, lifting, Yun, and the root search of
+# _lifted_roots with its squarefree fallback.
+_AFTER_THE_SCAN = ("_gp_factor_sqf", "_hensel_lift", "_yun_squarefree", "_simple_roots_mod", "squarefree_part")
 
 
 def _counting(monkeypatch, name):
@@ -369,22 +465,29 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
-    usable, complete = [], _counting(monkeypatch, "_gp_factor_sqf")
-    real_usable = factorq._usable_ddf
+def _counting_usable(monkeypatch):
+    """Record the primes that factorq._usable_ddf finds usable in a list."""
+    usable, real = [], factorq._usable_ddf
 
-    def counting_usable(f, p):
-        split = real_usable(f, p)
+    def counted(f, p):
+        split = real(f, p)
         if split is not None:
             usable.append(p)
         return split
 
-    monkeypatch.setattr(factorq, "_usable_ddf", counting_usable)
+    monkeypatch.setattr(factorq, "_usable_ddf", counted)
+    return usable
+
+
+def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
+    usable, complete = _counting_usable(monkeypatch), _counting(monkeypatch, "_gp_factor_sqf")
     rng = random.Random(16)
-    # A4, V4 and S4 quartics, a D4 quartic, and products quad*quad and
-    # quad*cubic whose degree sets keep a 2
+    # A4, V4 and S4 quartics, a D4 quartic, and products quad*quad,
+    # quad*cubic, cubic*cubic and quad*quartic whose degree sets keep a
+    # degree between 2 and n-2 (a random input seldom does)
     polys = [[12, 8, 0, 0, 1], [1, 0, -10, 0, 1], [1, 1, 0, 0, 1], [-2, 0, 0, 0, 1]]
-    polys += [[2, 0, 3, 0, 1], [-6, 0, 1, 0, 1], [1, 2, 2, 2, 1, 1]]
+    polys += [[2, 0, 3, 0, 1], [-6, 0, 1, 0, 1], [1, 2, 2, 2, 1, 1], [16, 0, -10, 0, 1]]
+    polys += [[6, 0, 0, -5, 0, 0, 1], [-1, -4, -3, 0, -2, 0, 1], [3, 0, -29, 0, -7, 0, 1]]
     polys += [[rng.randint(-20, 20) for _ in range(rng.randint(2, 6))] + [1] for _ in range(80)]
     zassenhaus = 0
     for f in polys:
@@ -414,15 +517,19 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
 
 
 def test_a4_quartic_is_proven_irreducible_without_lifting(monkeypatch):
-    # an A4 quartic is never irreducible mod p, but its (3,1) and (2,2)
-    # patterns intersect to the degree set {0, 4}
-    sqf, lifts, yun = (_counting(monkeypatch, n) for n in ("_gp_factor_sqf", "_hensel_lift", "_yun_squarefree"))
+    # an A4 quartic is never irreducible mod p; 3 is unusable here
+    # (X^4 + 2X = X(X - 1)^3 mod 3), and the (3,1) pattern at 5 puts the
+    # degree set inside {0, 1, 3, 4}, which ends the scan; the root mod 5
+    # that the split's linear factor holds lifts to no integer root
     f = [12, 8, 0, 0, 1]
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
         assert len(_sympy_factors_mod_p(f, p)) > 1
+    usable = _counting_usable(monkeypatch)
+    calls = [_counting(monkeypatch, n) for n in _AFTER_THE_SCAN]
     fac = factor_over_Q(UniPoly(f))
+    assert usable == [5] and fac.residues == ((5, (3, 1)),)
     assert fac.is_irreducible() and fac.factors[0][0] == UniPoly(f)
-    assert sqf == lifts == yun == []
+    assert calls == [[]] * len(_AFTER_THE_SCAN)
 
 
 def test_scan_gives_up_on_repeated_factors_and_yun_takes_over(monkeypatch):

@@ -431,12 +431,14 @@ def test_residues_are_the_cycle_types_of_the_monic_input(coeffs, lead):
 
 
 def test_residues_skip_primes_dividing_the_scale():
-    # X^2 + X/3 + 1 has the model y^2 + y + 9 (m = 3), squarefree mod 3,
-    # but 3 divides the monic input's denominator
-    f = parse_unipoly("3*X^2 + X + 3")
+    # X^4 + X + 2/81 has the model y^4 + 27y + 2 (m = 3), squarefree mod 3
+    # with pattern (2, 1, 1), so the scan goes on to 5, where (3, 1) ends
+    # it; but 3 divides the monic input's denominator
+    f = parse_unipoly("81*X^4 + 81*X + 2")
     assert cycle_type_mod_p(f.monic(), 3) is None
-    assert factorq._good_prime([9, 1, 1]).splits[0][0] == 3
-    assert factor_over_Q(f).residues[0][0] == 11  # 5 and 7 divide disc(f) = -35
+    scan = factorq._good_prime([2, 27, 0, 0, 1])
+    assert [p for p, _ in scan.splits] == [3, 5]
+    assert factor_over_Q(f).residues == ((5, (3, 1)),)
     _assert_residues_are_cycle_types(f)
 
 
