@@ -169,8 +169,10 @@ def test_monic_int_model_matches_the_fraction_construction():
         lcd = math.lcm(*[c.denominator for c in g.coeffs])
         assert lcd % m == 0 and m ** n % lcd == 0, ints
         if all(sympy.integer_nthroot(c.denominator, n - i)[1] for i, c in enumerate(g.coeffs[:n])):
-            scales = (s for s in range(1, m + 1) if all((c * s ** (n - i)).denominator == 1 for i, c in enumerate(g.coeffs)))
-            assert next(scales) == m, ints
+            def integral(s):
+                return all((c * s ** (n - i)).denominator == 1 for i, c in enumerate(g.coeffs))
+
+            assert next(s for s in range(1, m + 1) if integral(s)) == m, ints
             least += m > 1 and m < lcd
     assert least >= 20
     assert factorq._monic_int_model([-665, 0, 0, 0, 0, 0, 729]) == ([-665, 0, 0, 0, 0, 0, 1], 3)
@@ -326,7 +328,7 @@ def _linear_factors(k_max):
 )
 def test_factor_over_Q_matches_sympy_on_linear_factors_times_an_irreducible(linear, cofactor, unit):
     # one linear factor leaves the degree set inside {0, 1, n-1, n} at a
-    # prime where the cofactor has an (n-1)-cycle, and the roots come from
+    # prime where the cofactor stays irreducible, and the roots come from
     # the scan's split; two or three keep 2 in it, for Zassenhaus
     _assert_matches_sympy(linear * cofactor * unit)
 

@@ -436,8 +436,9 @@ def test_residues_skip_primes_dividing_the_scale():
     # it; but 3 divides the monic input's denominator
     f = parse_unipoly("81*X^4 + 81*X + 2")
     assert cycle_type_mod_p(f.monic(), 3) is None
-    scan = factorq._good_prime([2, 27, 0, 0, 1])
-    assert [p for p, _ in scan.splits] == [3, 5]
+    F, m = factorq._monic_int_model(f.primitive())
+    assert (F, m) == ([2, 27, 0, 0, 1], 3)
+    assert [p for p, _ in factorq._good_prime(F).splits] == [3, 5]
     assert factor_over_Q(f).residues == ((5, (3, 1)),)
     _assert_residues_are_cycle_types(f)
 
