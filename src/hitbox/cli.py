@@ -39,7 +39,6 @@ from .harness import (
     report_to_json,
     resolve_reference,
     verify_equivalence,
-    verify_factorization_implication,
 )
 from .localsolve import REAL, bad_places, conic_solvable_global, conic_solvable_local, finite_place
 from .polys import (
@@ -115,14 +114,8 @@ def cmd_hit_verify(args) -> int:
         budget=args.primes,
         workers=args.threads,
         keep_records=args.full,
+        factor_types=args.factor_types,
     )
-    if args.factor_types:
-        rep2 = verify_factorization_implication(
-            data, args.height, budget=args.primes, workers=args.threads
-        )
-        rep.counts["factorization_violations"] = len(rep2.violations)
-        if not rep2.passed:
-            rep.violations.extend(rep2.violations)
     _emit(args, json.loads(report_to_json(rep)), report_table(rep))
     return 0 if rep.passed else 1
 

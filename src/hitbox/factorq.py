@@ -10,21 +10,21 @@ sieve (``rationals.odd_primes``).
 
 The rational factorization makes one residue pass (``_good_prime``) over
 the monic integer model F of the input: the distinct-degree splits of F
-modulo its first few usable odd primes.  Each split does four jobs.  A
-usable prime proves F squarefree, so Yun's decomposition runs only when
-none of the first primes is usable.  The degrees of F's factors over Q are
-subset sums of every modular pattern (Musser's degree-set argument, J. ACM
-22, 1975), and the scan stops at the first prime that brings the
-intersection of these sums inside {0, 1, n-1, n}.  When it is {0, n}, F is
-irreducible with no lifting at all; otherwise F factors as its linear
-factors times one irreducible cofactor, and its rational roots are lifted
-from the roots mod p that the degree-1 part of a split already holds.
-Only when a degree between 2 and n-2 survives the whole scan does the
-classical Zassenhaus pipeline run, from the prime with the fewest modular
-factors, the only prime factored completely: quadratic multifactor Hensel
-lifting modulo m^2 past the Landau-Mignotte bound, then subset
-recombination (modular factor counts stay tiny at the degrees this package
-handles).  Finally, the cycle types of the splits ride on the
+modulo its first few usable odd primes that do not divide its scale.  Each
+split does four jobs.  A usable prime proves F squarefree, so Yun's
+decomposition runs only when none of those primes is usable.  The degrees
+of F's factors over Q are subset sums of every modular pattern (Musser's
+degree-set argument, J. ACM 22, 1975), and the scan stops at the first
+prime that brings the intersection of these sums inside {0, 1, n-1, n}.
+When it is {0, n}, F is irreducible with no lifting at all; otherwise F
+factors as its linear factors times one irreducible cofactor, and its
+rational roots are lifted from the roots mod p that the degree-1 part of a
+split already holds.  Only when a degree between 2 and n-2 survives the
+whole scan does the classical Zassenhaus pipeline run, from the prime with
+the fewest modular factors, the only prime factored completely: quadratic
+multifactor Hensel lifting modulo m^2 past the Landau-Mignotte bound, then
+subset recombination (modular factor counts stay tiny at the degrees this
+package handles).  Finally, the cycle types of the splits ride on the
 ``Factorization`` (``residues``), where the Galois sieve reads them instead
 of reducing the polynomial again.
 
@@ -214,7 +214,8 @@ def _edf_seed(f, p):
 
 
 def _gp_edf(f, d, p, rng):
-    """Split monic squarefree f, all of whose factors have degree d."""
+    """Split monic squarefree f mod an odd prime p, all of whose factors
+    have degree d."""
     n = len(f) - 1
     if n == d:
         return [f]
@@ -223,17 +224,8 @@ def _gp_edf(f, d, p, rng):
         a = _trim(a)
         if len(a) < 2:
             continue
-        if p == 2:
-            # trace from F_{2^d} down to F_2: a + a^2 + ... + a^(2^(d-1))
-            b = list(a)
-            t = list(a)
-            for _ in range(d - 1):
-                t = _gp_rem(_gp_mul(t, t, p), f, p)
-                b = _gp_add(b, t, p)
-            g = _gp_gcd(b, f, p)
-        else:
-            b = _gp_pow_mod(a, (p**d - 1) // 2, f, p)
-            g = _gp_gcd(_gp_sub(b, [1], p), f, p)
+        b = _gp_pow_mod(a, (p**d - 1) // 2, f, p)
+        g = _gp_gcd(_gp_sub(b, [1], p), f, p)
         if 1 < len(g) < len(f):
             return _gp_edf(g, d, p, rng) + _gp_edf(_gp_divmod(f, g, p)[0], d, p, rng)
 
@@ -364,15 +356,20 @@ class _Scan(NamedTuple):
     modular: list  # the irreducible factors mod prime
 
 
-def _good_prime(f: list[int], squarefree: bool = False) -> _Scan:
-    """The one residue pass over a monic integer f of degree n.
+def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
+    """The one residue pass over a monic integer f of degree n, the model
+    of scale m of a monic rational polynomial g (``_monic_int_model``).
 
-    The usable odd primes are examined in increasing order, at most
-    ``_PRIME_SCAN`` of them, and each distinct-degree split does four jobs:
+    The odd primes that do not divide m are examined in increasing order.
+    A prime dividing m is not usable for g, and it seldom narrows the degree
+    set: modulo a prime dividing b, fermat-x6 at t = a/b has the model
+    y^6 + a^6, which always has a quadratic factor.  At most
+    ``_PRIME_SCAN`` usable primes are read, and each distinct-degree split
+    does four jobs:
 
     (a) A usable prime proves f squarefree over Q.  Unless the caller knows
         f is squarefree, the scan gives up, with no splits, when none of the
-        first ``_PRIME_SCAN`` odd primes is usable.
+        first ``_PRIME_SCAN`` odd primes prime to m is usable.
     (b) The degree of every factor of f over Q is a subset sum of every
         modular pattern (Musser, J. ACM 22, 1975).  The scan stops as soon
         as the intersection of these sums lies inside {0, 1, n-1, n}.
@@ -382,14 +379,14 @@ def _good_prime(f: list[int], squarefree: bool = False) -> _Scan:
     (c) Otherwise the prime with the fewest factors wins (the smaller on a
         tie), and only it is factored completely.  The choice changes the
         cost of Zassenhaus, never its answer.
-    (d) The splits are returned, so that their cycle types can be handed on
-        to the Galois sieve.
+    (d) The splits are returned, so that their cycle types, which are g's,
+        can be handed on to the Galois sieve.
     """
     n = len(f) - 1
     middle = ~(3 | 3 << n - 1)  # the degrees 2 <= d <= n-2
     splits = []
     degrees = -1
-    for i, p in enumerate(odd_primes()):
+    for i, p in enumerate(p for p in odd_primes() if m % p):
         if i == _PRIME_SCAN and not splits and not squarefree:
             break
         split = _usable_ddf(f, p)
@@ -584,16 +581,15 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     if f.degree == 0:
         return Factorization(unit=unit, factors=())
     F, m = _monic_int_model(f.primitive())
-    scan = _good_prime(F)
+    scan = _good_prime(F, m)
     if scan.splits:
         pieces = [(F, m, 1, scan)]
-        # a prime dividing m is not usable for the monic input itself
-        residues = tuple((p, _cycle_type(split)) for p, split in scan.splits if m % p)
+        residues = tuple((p, _cycle_type(split)) for p, split in scan.splits)
     else:
         pieces = []
         for piece, mult in _yun_squarefree(f.monic()):
             F, m = _monic_int_model(piece.primitive())
-            pieces.append((F, m, mult, _good_prime(F, squarefree=True)))
+            pieces.append((F, m, mult, _good_prime(F, m, squarefree=True)))
         residues = ()
     out: list[tuple[UniPoly, int]] = []
     for F, m, mult, scan in pieces:

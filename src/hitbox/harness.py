@@ -83,7 +83,6 @@ class SpecializationRecord:
 
 @dataclass
 class EquivalenceReport:
-    kind: str
     fixture: str
     height_bound: int
     prime_budget: int
@@ -96,6 +95,7 @@ class EquivalenceReport:
     indeterminates: list[SpecializationRecord]
     invalid_configuration: bool = False
     records: list[SpecializationRecord] = field(default_factory=list)
+    kind = "equivalence"
 
     @property
     def passed(self) -> bool:
@@ -337,9 +337,18 @@ def verify_equivalence(
     budget: int = DEFAULT_PRIME_BUDGET,
     workers: int | None = None,
     keep_records: bool = False,
+    factor_types: bool = False,
 ) -> EquivalenceReport:
     """Check (some f in S has a rational root at t) <=> (G_t differs from G)
-    for every t outside D up to the height bound."""
+    for every t outside D up to the height bound.
+
+    With ``factor_types`` the same records also check the implication
+    (the factorization type of P(t, X) differs from P's over Q(T)) => (some
+    f in S has a rational root at t).  Its violations follow the
+    equivalence violations, and ``counts["factorization_violations"]``
+    says how many there are.  P's generic type is certified after the
+    sweep, so a sweep error is raised before its ``InconclusiveError``.
+    """
     workers = default_workers() if workers is None else workers
     values = _sweep_values(data, height_bound)
     records = _parallel_map(exceptional_test, values, workers, data, reference, budget)
@@ -352,9 +361,13 @@ def verify_equivalence(
             indeterminates.append(rec)
         elif (rec.witness is not None) == rec.match:
             violations.append(rec)
+    if factor_types:
+        generic_type = generic_factorization_type(data)
+        changed = [r for r in records if r.factorization != generic_type and r.witness is None]
+        counts["factorization_violations"] = len(changed)
+        violations += changed
     invalid = not data.S and reference.order > 1
     return EquivalenceReport(
-        kind="equivalence",
         fixture=data.name,
         height_bound=height_bound,
         prime_budget=budget,
@@ -382,44 +395,6 @@ def generic_factorization_type(
             return (deg,)
     raise InconclusiveError(
         "no sampled specialization certifies irreducibility of P over Q(T)"
-    )
-
-
-def verify_factorization_implication(
-    data: HitData,
-    height_bound: int,
-    budget: int = DEFAULT_PRIME_BUDGET,
-    workers: int | None = None,
-    keep_records: bool = False,
-) -> EquivalenceReport:
-    """Check: factorization type changed at t => some f in S has a root at t."""
-    workers = default_workers() if workers is None else workers
-    generic_type = generic_factorization_type(data)
-    values = _sweep_values(data, height_bound)
-    records = _parallel_map(exceptional_test, values, workers, data, None, budget)
-    violations = []
-    counts: dict[str, int] = {}
-    changed = 0
-    for rec in records:
-        counts[rec.verdict] = counts.get(rec.verdict, 0) + 1
-        if rec.factorization != generic_type:
-            changed += 1
-            if rec.witness is None:
-                violations.append(rec)
-    counts["type_changed"] = changed
-    return EquivalenceReport(
-        kind="factorization",
-        fixture=data.name,
-        height_bound=height_bound,
-        prime_budget=budget,
-        reference_label=None,
-        reference_order=None,
-        reference_provenance="generic type " + str(list(generic_type)),
-        checked=len(records),
-        counts=counts,
-        violations=violations,
-        indeterminates=[],
-        records=records if keep_records else [],
     )
 
 

@@ -191,26 +191,6 @@ def closure(degree: int, gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND)
     return PermGroup(degree=degree, generators=gens, elements=frozenset(elements))
 
 
-def _span(parent: PermGroup, seed: frozenset[Perm], bound: int) -> frozenset[Perm]:
-    """Subgroup of parent generated by a set already inside parent."""
-    elements = set(seed)
-    elements.add(identity(parent.degree))
-    frontier = list(elements)
-    gens = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = perm_mul(g, x)
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-                    if len(elements) > bound:
-                        raise ResourceLimitError("subgroup span exceeded bound")
-        frontier = nxt
-    return frozenset(elements)
-
-
 def _class_key(parent: PermGroup, H: frozenset[Perm]) -> tuple:
     """Canonical key of the conjugacy class of H inside parent."""
     best = None
@@ -259,7 +239,7 @@ def subgroup_classes(G: PermGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Sub
         for C in cyclics:
             if C <= H:
                 continue
-            J = _span(G, H | C, bound)
+            J = closure(G.degree, H | C, bound).elements
             key = _class_key(G, J)
             if key not in reps:
                 reps[key] = J

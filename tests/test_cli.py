@@ -102,6 +102,45 @@ def test_verify_height_30_is_identical_serial_and_pooled(capsys, fixture):
     assert hashlib.sha256(outs[0].encode()).hexdigest() == GOLDEN_VERIFY_HEIGHT_30[fixture]
 
 
+# the same with --factor-types, recorded when the factorization check ran
+# a second sweep of its own
+GOLDEN_VERIFY_FACTOR_TYPES_HEIGHT_30 = {
+    "serre-a4": "d9dd761f51058852683cf06feb4b6b0fd6ef10c72ce67d06dd5116912a681902",
+    "fermat-x6": "f5655cad0bb0f107c6ca532c3b352035f240c92b63af814cb441c70565d02361",
+}
+
+
+@pytest.mark.parametrize("fixture", ["serre-a4", "fermat-x6"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_factor_types_height_30_matches_golden_digest(capsys, fixture, threads):
+    code, out, _ = run(
+        capsys, "hit", "verify", "--fixture", fixture, "--height", "30", "--json",
+        "--full", "--factor-types", "--threads", threads,
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_VERIFY_FACTOR_TYPES_HEIGHT_30[fixture]
+
+
+def test_verify_factor_types_runs_one_sweep(capsys, monkeypatch):
+    import hitbox.harness as harness
+
+    calls = []
+    real = harness.exceptional_test
+
+    def counting(t, *args):
+        calls.append(t)
+        return real(t, *args)
+
+    monkeypatch.setattr(harness, "exceptional_test", counting)
+    code, out, _ = run(
+        capsys, "hit", "verify", "--fixture", "fermat-x6", "--height", "6", "--json",
+        "--factor-types", "--threads", "1",
+    )
+    assert code == 0
+    assert len(calls) == json.loads(out)["checked"]
+
+
 def test_verify_table_output(capsys):
     code, out, _ = run(capsys, "hit", "verify", "--fixture", "serre-a4", "--height", "5")
     assert code == 0

@@ -500,7 +500,7 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
         expected, common = _expected_scan(f, 5)
         usable.clear()
         complete.clear()
-        scan = factorq._good_prime(f)
+        scan = factorq._good_prime(f, 1)
         # at most 5 usable primes, in increasing order, each read once
         assert usable == [q for q, _ in expected] and len(usable) <= 5, f
         assert [(q, factorq._cycle_type(split)) for q, split in scan.splits] == expected, f
@@ -539,13 +539,13 @@ def test_scan_gives_up_on_repeated_factors_and_yun_takes_over(monkeypatch):
     # (X - 1)(X - 15016)(X - 30031) is squarefree, but not modulo any odd
     # prime up to 13: the bounded scan cannot prove it so
     f = UniPoly([-1, 1]) * UniPoly([-15016, 1]) * UniPoly([-30031, 1])
-    assert factorq._good_prime(f.primitive()).splits == []
-    assert factorq._good_prime(f.primitive(), squarefree=True).splits[0][0] == 17
+    assert factorq._good_prime(f.primitive(), 1).splits == []
+    assert factorq._good_prime(f.primitive(), 1, squarefree=True).splits[0][0] == 17
     _assert_matches_sympy(f)
     assert len(yun) == 1
     yun.clear()
     g = parse_unipoly("(X^2 - 2)^2*(X^3 + X + 1)*(2*X - 3)^3")
-    assert factorq._good_prime(factorq._monic_int_model(g.primitive())[0]).splits == []
+    assert factorq._good_prime(*factorq._monic_int_model(g.primitive())).splits == []
     fac = factor_over_Q(g)
     assert len(yun) == 1 and fac.residues == ()
     assert [(h.degree, m) for h, m in fac.factors] == [(1, 3), (2, 2), (3, 1)]

@@ -432,13 +432,14 @@ def test_residues_are_the_cycle_types_of_the_monic_input(coeffs, lead):
 
 def test_residues_skip_primes_dividing_the_scale():
     # X^4 + X + 2/81 has the model y^4 + 27y + 2 (m = 3), squarefree mod 3
-    # with pattern (2, 1, 1), so the scan goes on to 5, where (3, 1) ends
-    # it; but 3 divides the monic input's denominator
+    # with pattern (2, 1, 1); but 3 divides the monic input's denominator,
+    # so the scan passes over it and (3, 1) at 5 ends it
     f = parse_unipoly("81*X^4 + 81*X + 2")
     assert cycle_type_mod_p(f.monic(), 3) is None
     F, m = factorq._monic_int_model(f.primitive())
     assert (F, m) == ([2, 27, 0, 0, 1], 3)
-    assert [p for p, _ in factorq._good_prime(F).splits] == [3, 5]
+    assert factorq._usable_ddf(F, 3) is not None
+    assert [p for p, _ in factorq._good_prime(F, m).splits] == [5]
     assert factor_over_Q(f).residues == ((5, (3, 1)),)
     _assert_residues_are_cycle_types(f)
 

@@ -11,6 +11,7 @@ from hitbox.harness import (
     compute_exclusion_set,
     enumerate_exceptional,
     exceptional_test,
+    fixture_path,
     generic_factorization_type,
     generic_group,
     load_fixture,
@@ -18,7 +19,6 @@ from hitbox.harness import (
     report_to_json,
     resolve_reference,
     verify_equivalence,
-    verify_factorization_implication,
 )
 from hitbox.polys import parse_poly
 from hitbox.rationals import height, rationals_up_to_height
@@ -250,11 +250,29 @@ def test_degenerate_empty_s_flags_invalid():
 
 def test_factorization_implication_small():
     assert generic_factorization_type(FERMAT) == (6,)
-    rep = verify_factorization_implication(FERMAT, 8)
-    assert rep.passed
-    assert rep.counts["type_changed"] == 1  # only t = 0 inside this bound
-    rep2 = verify_factorization_implication(SERRE, 8)
-    assert rep2.passed
+    ref, _ = resolve_reference(FERMAT)
+    rep = verify_equivalence(FERMAT, ref, 8, keep_records=True, factor_types=True)
+    assert rep.passed and rep.counts["factorization_violations"] == 0
+    # only t = 0 changes type inside this bound
+    assert [r.t for r in rep.records if r.factorization != (6,)] == [0]
+    ref, _ = resolve_reference(SERRE)
+    rep2 = verify_equivalence(SERRE, ref, 8, factor_types=True)
+    assert rep2.passed and rep2.counts["factorization_violations"] == 0
+
+
+def test_factorization_implication_detects_a_missing_witness():
+    # without the third and fourth auxiliary polynomials t = 0, where
+    # X^6 - 1 splits, has no witness: an equivalence violation, and a
+    # changed factorization type with no witness after it
+    raw = json.loads(fixture_path("fermat-x6").read_text())
+    two = load_fixture({**raw, "name": "fermat-two-quadratics", "S": raw["S"][:2]})
+    rep = verify_equivalence(two, table_entry("6T3").group, 4, factor_types=True)
+    assert [r.t for r in rep.violations] == [0, 0]
+    assert rep.counts["factorization_violations"] == 1
+    assert not rep.passed and rep.kind == EquivalenceReport.kind == "equivalence"
+    without = verify_equivalence(two, table_entry("6T3").group, 4)
+    assert [r.t for r in without.violations] == [0]
+    assert "factorization_violations" not in without.counts
 
 
 def test_enumerate_exceptional_monotone_prefix():
