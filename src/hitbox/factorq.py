@@ -39,6 +39,24 @@ evaluating F at the p residues.  p is usable when each of them is a simple
 root (F'(r) != 0 mod p); then each lifts uniquely by Newton's method, past
 twice the Cauchy bound, and is kept only if it is an exact integer root of
 F (ibid., §15).  Rejecting a prime costs at most p evaluations.
+
+The witness scan asks whether f(t, X) has a rational root, for a fixed f
+in Q[T][X] and many t; almost never is the answer yes.  A local root sieve
+answers most of these no before f is specialized, as rational-point
+searches do (Stoll's ratpoints; Bruin & Stoll, LMS J. Comput. Math. 13,
+2010).  Write t = a/b in lowest terms and let N(U, V) be the homogenized
+integer form of f(t, X), its X-coefficients evaluated at (a, b) and
+divided by the content of f.  A rational root u/v in lowest terms makes
+(u mod p : v mod p) a projective root of N mod p; so if N mod p is not
+zero, its leading coefficient does not vanish mod p and it has no root in
+F_p, then f(t, X) has no rational root.  This is a proof, not a
+heuristic.  Since N is homogeneous in (a, b), the answer depends only on
+the point (a : b) of P^1(F_p), and each f caches one table per prime, read
+off p + 1 points on first use (``may_have_rational_root``).  The bounded
+point search on a plane curve (``curves.bounded_point_search``) does not
+use the sieve: it specializes and solves every fibre, which keeps it an
+unsieved reference that other searches are checked against, and keeps the
+benchmark's search workload a measure of specialization and root finding.
 """
 
 from __future__ import annotations
@@ -51,7 +69,7 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import DomainError
-from .polys import UniPoly, _mul, _pseudo_divmod, _trim, squarefree_part, uni_gcd
+from .polys import BiPoly, UniPoly, _mul, _pseudo_divmod, _trim, squarefree_part, uni_gcd
 from .rationals import as_prime, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
@@ -717,3 +735,66 @@ def rational_roots(f: UniPoly) -> set[Fraction]:
     if n == 2:
         return roots | _quadratic_roots(ints[0], ints[1], ints[2])
     return roots | _lifted_roots(ints)
+
+
+# -- local root sieve ----------------------------------------------------------
+
+# The odd primes of the local root sieve; a polynomial keeps those that
+# reject some point of P^1(F_p).
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+
+
+def _root_table(rows: list[list[int]], d: int, p: int) -> bytes | None:
+    """Entry (b mod p) * p + (a mod p) is 0 when N(U, V) at t = a/b (in
+    lowest terms) has no projective root mod p, else 1; None when p rejects
+    no point.  ``rows`` is the homogenized integer form of a polynomial in
+    X over Q[T], of T-degree d.
+
+    N is homogeneous in (a, b), so its coefficients mod p at (a, b) are
+    those at the point (a : b) of P^1(F_p) times a common unit: the table
+    is read off p + 1 points, (x : 1) by Horner and (1 : 0) from the
+    T^d column.  N has the root (1 : 0) when its leading coefficient
+    vanishes mod p, which covers N = 0 mod p."""
+    seen: dict[tuple[int, ...], int] = {}
+    us = range(p)
+
+    def has_root(cs):
+        if not cs[-1]:
+            return 1
+        if cs not in seen:  # Horner at every u of F_p at once
+            vals = [cs[-1]] * p
+            for c in cs[-2::-1]:
+                vals = [(v * u + c) % p for v, u in zip(vals, us)]
+            seen[cs] = int(0 in vals)
+        return seen[cs]
+
+    proj = bytes(has_root(tuple(_gp_eval(row, x, p) for row in rows)) for x in range(p))
+    inf = has_root(tuple(row[d] % p if len(row) > d else 0 for row in rows))
+    if all(proj) and inf:
+        return None
+    # (a : b) = (a / b : 1) for b != 0; the row of b is proj read with step 1/b
+    return bytes([inf]) * p + b"".join((proj * p)[:: pow(b, -1, p)][:p] for b in range(1, p))
+
+
+def _sieve_tables(f: BiPoly) -> tuple[tuple[int, bytes], ...]:
+    """(p, ``_root_table``) for each sieve prime that rejects some point,
+    from f's integer form divided by its content."""
+    rows, _, d = f.int_form()
+    if not rows:
+        return ()
+    g = math.gcd(*[c for row in rows for c in row])
+    rows = [[c // g for c in row] for row in rows]
+    tables = ((p, _root_table(rows, d, p)) for p in _SIEVE_PRIMES)
+    return tuple((p, tab) for p, tab in tables if tab is not None)
+
+
+def may_have_rational_root(f: BiPoly, t: Fraction) -> bool:
+    """False only when f(t, X) has no rational root, by the local root
+    sieve; the tables are built on f's first call and cached on f."""
+    if f._sieve is None:
+        f._sieve = _sieve_tables(f)
+    a, b = t.numerator, t.denominator
+    for p, table in f._sieve:
+        if not table[b % p * p + a % p]:
+            return False
+    return True

@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, FixtureError, InconclusiveError, ReferenceMismatchError
-from .factorq import factor_over_Q, factorization_type, rational_roots
+from .factorq import factor_over_Q, factorization_type, may_have_rational_root, rational_roots
 from .galois import (
     GaloisId,
     groups_match,
@@ -131,6 +131,8 @@ def compute_exclusion_set(P: BiPoly, S) -> frozenset[Fraction]:
 
 def _find_witness(t: Fraction, S) -> tuple[int, Fraction] | None:
     for i, f in enumerate(S):
+        if not may_have_rational_root(f, t):
+            continue
         roots = rational_roots(f.specialize(t))
         if roots:
             return (i, min(roots))

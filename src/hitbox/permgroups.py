@@ -215,12 +215,15 @@ def subgroup_classes(G: PermGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Sub
 
     Classes are grown by joining class representatives with cyclic
     subgroups; every subgroup is a join of cyclic subgroups, so the sweep
-    is exhaustive.  Maximality is decided by inclusion testing between
-    classes afterwards.
+    is exhaustive.  A join is closed from the few generators it was built
+    from, and one met before is skipped before its class key (the costly
+    step: a conjugation by every element of G) is computed.  Maximality is
+    decided by inclusion testing between classes afterwards.
     """
     if G.order > bound:
         raise ResourceLimitError(f"group order {G.order} exceeds bound {bound}")
     cyclics: set[frozenset[Perm]] = set()
+    generator: dict[frozenset[Perm], Perm] = {}
     for g in G.elements:
         if g == identity(G.degree):
             continue
@@ -231,20 +234,26 @@ def subgroup_classes(G: PermGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[Sub
             x = perm_mul(x, g)
         cyc.add(identity(G.degree))
         cyclics.add(frozenset(cyc))
+        generator.setdefault(frozenset(cyc), g)
     trivial = frozenset({identity(G.degree)})
     reps: dict[tuple, frozenset[Perm]] = {_class_key(G, trivial): trivial}
-    queue = [trivial]
+    seen = {trivial}  # joins whose class is already known
+    queue = [(trivial, ())]  # a subgroup and the generators it was joined from
     while queue:
-        H = queue.pop()
+        H, gens = queue.pop()
         for C in cyclics:
             if C <= H:
                 continue
-            J = closure(G.degree, H | C, bound).elements
+            J_gens = gens + (generator[C],)
+            J = closure(G.degree, J_gens, bound).elements
+            if J in seen:
+                continue
+            seen.add(J)
             key = _class_key(G, J)
             if key not in reps:
                 reps[key] = J
                 if len(J) < G.order:
-                    queue.append(J)
+                    queue.append((J, J_gens))
     subgroups = sorted(reps.values(), key=lambda H: (len(H), sorted(H)))
     classes: list[SubgroupClass] = []
     for H in subgroups:

@@ -429,12 +429,15 @@ def discriminant_uni(f: UniPoly) -> Fraction:
 class BiPoly:
     """Element of Q[T][X]; xcoeffs[j] is the T-polynomial on X^j."""
 
-    __slots__ = ("xcoeffs", "_int_form")
+    # _int_form: the homogenized integer form (``int_form``); _sieve: the
+    # local root sieve tables that ``factorq.may_have_rational_root`` builds
+    __slots__ = ("xcoeffs", "_int_form", "_sieve")
 
     def __init__(self, xcoeffs: Iterable[UniPoly] = ()):
         coeffs = [c if isinstance(c, UniPoly) else UniPoly.constant(c) for c in xcoeffs]
         self.xcoeffs = tuple(_trim(coeffs))
         self._int_form = None
+        self._sieve = None
 
     @staticmethod
     def constant(c) -> "BiPoly":
@@ -533,18 +536,22 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         return _power(self, n, BiPoly.constant(1))
 
-    def specialize(self, t) -> UniPoly:
-        """P(t, X); the X-degree may drop if the leading coefficient dies.
-
-        Computed from the cached homogenized integer form (see the module
-        docstring): the weights a^i b^(d-i) for t = a/b are shared by every
-        row.
-        """
+    def int_form(self) -> tuple[list[list[int]], int, int]:
+        """The homogenized integer form (rows C, denominator L, T-degree d)
+        of the module docstring, built on first use and cached."""
         if self._int_form is None:
             den = math.lcm(*[cj._den for cj in self.xcoeffs])
             rows = [[v * (den // cj._den) for v in cj._ints] for cj in self.xcoeffs]
             self._int_form = (rows, den, max(self.degree_t, 0))
-        rows, den, d = self._int_form
+        return self._int_form
+
+    def specialize(self, t) -> UniPoly:
+        """P(t, X); the X-degree may drop if the leading coefficient dies.
+
+        Computed from the homogenized integer form (``int_form``): the
+        weights a^i b^(d-i) for t = a/b are shared by every row.
+        """
+        rows, den, d = self._int_form or self.int_form()
         if not isinstance(t, Fraction):
             t = Fraction(t)
         a, b = t.numerator, t.denominator

@@ -15,10 +15,11 @@ from hitbox.factorq import (
     factor_over_Q,
     factorization_type,
     is_irreducible,
+    may_have_rational_root,
     rational_roots,
 )
 from hitbox.harness import load_fixture
-from hitbox.polys import UniPoly, parse_unipoly, poly_str, uni_gcd
+from hitbox.polys import BiPoly, UniPoly, parse_unipoly, poly_str, uni_gcd
 from hitbox.rationals import rationals_up_to_height
 
 
@@ -497,12 +498,12 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
         if uni_gcd(F, F.derivative()).degree > 0:
             continue  # the scan of a repeated factor is tested below
         n = F.degree
-        expected, common = _expected_scan(f, 5)
+        expected, common = _expected_scan(f, factorq._PRIME_SCAN)
         usable.clear()
         complete.clear()
         scan = factorq._good_prime(f, 1)
-        # at most 5 usable primes, in increasing order, each read once
-        assert usable == [q for q, _ in expected] and len(usable) <= 5, f
+        # at most _PRIME_SCAN usable primes, in increasing order, each read once
+        assert usable == [q for q, _ in expected] and len(usable) <= factorq._PRIME_SCAN, f
         assert [(q, factorq._cycle_type(split)) for q, split in scan.splits] == expected, f
         assert {d for d in range(n + 1) if scan.degrees >> d & 1} == common, f
         if common <= {0, 1, n - 1, n}:
@@ -510,7 +511,7 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
             assert scan.prime == 0 and complete == [], f
             continue
         zassenhaus += 1
-        assert len(usable) == 5
+        assert len(usable) == factorq._PRIME_SCAN
         fewest = min(len(degrees) for _, degrees in expected)
         p = next(q for q, degrees in expected if len(degrees) == fewest)
         assert scan.prime == p and [q for _, q in complete] == [p], f
@@ -579,3 +580,56 @@ def test_ddf_matches_sympy_and_complete_factorization(p):
         assert ours == theirs, (f, p)
         degrees = sorted((len(g) - 1 for g in _sympy_factors_mod_p(f, p)), reverse=True)
         assert cycle_type_mod_p(UniPoly(f), p) == tuple(degrees), (f, p)
+
+
+# -- local root sieve ----------------------------------------------------------
+
+
+def _t_poly(max_deg):
+    return st.lists(st.integers(-9, 9), min_size=1, max_size=max_deg + 1).map(UniPoly)
+
+
+def _bipoly(max_deg_x, max_deg_t):
+    return st.lists(_t_poly(max_deg_t), min_size=1, max_size=max_deg_x + 1).map(BiPoly)
+
+
+def _rejected_directly(f: BiPoly, t: Fraction) -> bool:
+    """Some sieve prime leaves the homogenized integer form N of f(t, X),
+    divided by its content, with no projective root: the definition,
+    evaluated point by point."""
+    rows, _, d = f.int_form()
+    g = math.gcd(*[c for row in rows for c in row])
+    a, b = t.numerator, t.denominator
+    N = [sum(c * a**i * b ** (d - i) for i, c in enumerate(row)) // g for row in rows]
+    for p in factorq._SIEVE_PRIMES:
+        if N[-1] % p and not any(sum(c * u**j for j, c in enumerate(N)) % p == 0 for u in range(p)):
+            return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _t_poly(3).filter(lambda c: not c.is_zero()),
+    _t_poly(3),
+    _bipoly(3, 3).filter(lambda Q: not Q.is_zero()),
+    st.sampled_from([1, 3, 5, 15, -21]),  # content divisible by sieve primes
+    st.sampled_from([1, 3, 5, 7]),  # the leading coefficient vanishes mod k
+)
+def test_root_sieve_passes_every_fibre_with_a_planted_root(c, r, Q, content, k):
+    # P = (c(T) X - r(T)) Q(T, X): deg_X <= 4, deg_T <= 6, and X = r(t)/c(t)
+    # is a rational root of P(t, X) wherever c(t) != 0
+    c = c * k
+    P = BiPoly([-r, c]) * Q * content
+    for t in rationals_up_to_height(6):
+        if c(t) != 0:
+            assert may_have_rational_root(P, t), t
+    # the linear factor gives N a projective root at every point mod p
+    assert P._sieve == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bipoly(4, 6).filter(lambda f: not f.is_zero()), st.sampled_from([1, 3, 35]))
+def test_root_sieve_tables_match_the_definition(f, content):
+    f = f * content
+    for t in rationals_up_to_height(5):
+        assert may_have_rational_root(f, t) == (not _rejected_directly(f, t)), t

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
+from hitbox.factorq import may_have_rational_root, rational_roots
 from hitbox.galois import table_entry
 from hitbox.harness import (
     EquivalenceReport,
+    _find_witness,
+    _sweep_values,
     compute_exclusion_set,
     enumerate_exceptional,
     exceptional_test,
@@ -110,8 +113,6 @@ def test_fermat_t0_is_exceptional_via_the_quadratic_witness():
     assert index == 2 and root in (Fraction(-3), Fraction(-9))
     assert FERMAT.S[index].eval(0, root) == 0
     # the cubic auxiliary polynomial also vanishes rationally at t = 0
-    from hitbox.factorq import rational_roots
-
     assert Fraction(-6) in rational_roots(FERMAT.S[3].specialize(0))
     assert rec.galois.order == 2  # splitting field of X^6 - 1
 
@@ -335,6 +336,35 @@ def test_reports_are_deterministic_and_parallel_safe():
 def test_enumerate_parallel_matches_serial():
     serial = enumerate_exceptional(FERMAT, 12, workers=1)
     pooled = enumerate_exceptional(FERMAT, 12, workers=2)
+    assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
+    assert [r.t for r in serial] == [Fraction(0)]
+
+
+@pytest.mark.parametrize("data", [SERRE, FERMAT], ids=lambda d: d.name)
+def test_root_sieve_never_rejects_a_fibre_with_a_rational_root(data):
+    # oracle: the unsieved scan, rational_roots on every specialization
+    for t in _sweep_values(data, 60):
+        unsieved = None
+        for i, f in enumerate(data.S):
+            roots = rational_roots(f.specialize(t))
+            assert may_have_rational_root(f, t) or not roots, (t, i)
+            if roots and unsieved is None:
+                unsieved = (i, min(roots))
+        assert _find_witness(t, data.S) == unsieved, t
+
+
+def test_root_sieve_leaves_only_the_exceptional_fermat_fibres():
+    values = _sweep_values(FERMAT, 25)
+    survivors = [sum(may_have_rational_root(f, t) for t in values) for f in FERMAT.S]
+    assert len(values) == 797 and survivors == [0, 0, 1, 1]
+
+
+def test_root_sieve_is_built_lazily_and_pooled_sweeps_agree():
+    fresh = load_fixture("fermat-x6")
+    assert all(f._sieve is None for f in fresh.S)  # set-up builds no table
+    serial = enumerate_exceptional(fresh, 40, workers=1)
+    assert all(f._sieve is not None for f in fresh.S)
+    pooled = enumerate_exceptional(load_fixture("fermat-x6"), 40, workers=2)
     assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
     assert [r.t for r in serial] == [Fraction(0)]
 

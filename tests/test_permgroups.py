@@ -5,6 +5,7 @@ import pytest
 from oracles import brute_force_subgroups, conjugacy_partition
 
 from hitbox.errors import DomainError, ParseError, ResourceLimitError
+from hitbox.galois import table_entry, transitive_table
 from hitbox.permgroups import (
     SubgroupClass,
     closure,
@@ -74,6 +75,37 @@ def test_a4_subgroup_structure():
     assert sorted(c.index for c in maxi) == [3, 4]
     orders = {c.index: c.representative.order for c in maxi}
     assert orders == {3: 4, 4: 3}  # V4 and C3
+
+
+# (number of conjugacy classes of subgroups, indices of the maximal ones),
+# as computed before joins were deduplicated and built from generators;
+# S4 has 11 classes and S5 19, A4 5 and A5 9
+SUBGROUP_LATTICES = {
+    "2T1": (2, [2]),
+    "3T1": (2, [3]),
+    "3T2": (4, [2, 3]),
+    "4T1": (3, [2]),
+    "4T2": (5, [2, 2, 2]),
+    "4T3": (8, [2, 2, 2]),
+    "4T4": (5, [3, 4]),
+    "4T5": (11, [2, 3, 4]),
+    "5T1": (2, [5]),
+    "5T2": (4, [2, 5]),
+    "5T3": (6, [2, 5]),
+    "5T4": (9, [5, 6, 10]),
+    "5T5": (19, [2, 5, 6, 10]),
+    "6T3": (10, [2, 2, 2, 3]),
+    "6T9": (22, [2, 2, 2, 3, 3]),
+}
+
+
+def test_subgroup_lattices_of_small_transitive_groups():
+    labels = [e.label for n in (2, 3, 4, 5) for e in transitive_table(n)]
+    assert set(labels) | {"6T3", "6T9"} == set(SUBGROUP_LATTICES)
+    for label, (count, indices) in SUBGROUP_LATTICES.items():
+        classes = subgroup_classes(table_entry(label).group)
+        assert len(classes) == count, label
+        assert sorted(c.index for c in classes if c.is_maximal) == indices, label
 
 
 def test_maximal_classes_examples():
