@@ -29,14 +29,13 @@ from .factorq import factor_over_Q, rational_roots
 from .galois import identify_galois, transitive_table
 from .harness import (
     DEFAULT_PRIME_BUDGET,
-    default_workers,
     enumerate_exceptional,
     galois_to_dict,
     load_fixture,
     record_to_dict,
     records_table,
     report_table,
-    report_to_json,
+    report_to_dict,
     resolve_reference,
     verify_equivalence,
 )
@@ -116,7 +115,7 @@ def cmd_hit_verify(args) -> int:
         keep_records=args.full,
         factor_types=args.factor_types,
     )
-    _emit(args, json.loads(report_to_json(rep)), report_table(rep))
+    _emit(args, report_to_dict(rep), report_table(rep))
     return 0 if rep.passed else 1
 
 
@@ -365,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = default_workers()
     try:
         return args.fn(args)
     except ParseError as e:

@@ -317,10 +317,10 @@ def ec_mul(E: EllipticCurve, P: CurvePoint, n: int) -> CurvePoint:
     return acc
 
 
-def point_order(E: EllipticCurve, P: CurvePoint, bound: int = MAZUR_TORSION_BOUND) -> int | None:
-    """Order of P if it is at most bound, else None."""
+def point_order(E: EllipticCurve, P: CurvePoint) -> int | None:
+    """Order of P if it is at most Mazur's torsion bound, else None."""
     acc = CurvePoint.infinity()
-    for n in range(1, bound + 1):
+    for n in range(1, MAZUR_TORSION_BOUND + 1):
         acc = ec_add(E, acc, P)
         if acc.is_infinity:
             return n

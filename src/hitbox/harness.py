@@ -228,54 +228,42 @@ def generic_group(P: BiPoly, samples, budget: int = 48) -> GenericGroupSummary:
     return GenericGroupSummary(order=best[0], attained_at=best[1], identification=best[2])
 
 
-def resolve_reference(
-    data: HitData, budget: int = 48, samples=None
-) -> tuple[PermGroup, str]:
+def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
     """Reference group for equivalence checks, with its provenance.
 
-    Preference order: fixture label, fixture order, then an order derived
-    by specialization sampling.  When auxiliary polynomials are present
-    their X-degrees must match the maximal-subgroup indices of the
-    resolved group.
+    The fixture label, else the fixture order, else an order derived by
+    specialization sampling picks the candidate table entries.  When
+    auxiliary polynomials are present, only the entries whose
+    maximal-subgroup indices are their X-degrees stay.  Exactly one entry
+    must remain.
     """
     deg = data.P.degree_x
-    sdegs = sorted(f.degree_x for f in data.S)
     if data.g_label is not None:
         e = table_entry(data.g_label)
         if e.degree != deg:
             raise FixtureError(f"reference degree {e.degree} != {deg}", "G_label")
         if data.g_order is not None and e.order != data.g_order:
             raise FixtureError("G_order contradicts G_label", "G_order")
-        ref, prov = e.group, f"fixture label {data.g_label}"
+        cands, prov = [e], f"fixture label {data.g_label}"
     else:
         if data.g_order is not None:
             order, prov = data.g_order, f"fixture order {data.g_order}"
         else:
-            if samples is None:
-                samples = sample_rationals(5, exclude=data.D | {Fraction(0)})
-            summary = generic_group(data.P, samples, budget)
-            order = summary.order
+            samples = sample_rationals(5, exclude=data.D | {Fraction(0)})
+            order = generic_group(data.P, samples, budget).order
             prov = "order derived from specialization sampling (not a proof)"
         cands = [e for e in transitive_table(deg) if e.order == order]
-        if len(cands) > 1 and sdegs:
-            cands = [
-                e
-                for e in cands
-                if sorted(c.index for c in maximal_classes(e.group)) == sdegs
-            ]
-        if len(cands) != 1:
-            raise FixtureError(
-                f"cannot pin a transitive group of degree {deg} and order {order}"
-            )
-        ref, prov = cands[0].group, prov + f", matched {cands[0].label}"
+    sdegs = sorted(f.degree_x for f in data.S)
     if sdegs:
-        idx = sorted(c.index for c in maximal_classes(ref))
-        if idx != sdegs:
-            raise FixtureError(
-                f"auxiliary X-degrees {sdegs} do not match maximal subgroup "
-                f"indices {idx} of the reference group"
-            )
-    return ref, prov
+        cands = [e for e in cands if sorted(c.index for c in maximal_classes(e.group)) == sdegs]
+    if len(cands) != 1:
+        raise FixtureError(
+            f"cannot pin one reference group of degree {deg}: table entries "
+            f"{[e.label for e in cands]} fit the auxiliary X-degrees {sdegs}"
+        )
+    if data.g_label is None:
+        prov += f", matched {cands[0].label}"
+    return cands[0].group, prov
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -385,13 +373,11 @@ def verify_equivalence(
     )
 
 
-def generic_factorization_type(
-    data: HitData, attempts: int = 40
-) -> tuple[int, ...]:
+def generic_factorization_type(data: HitData) -> tuple[int, ...]:
     """Factorization type of P over Q(T), certified by one specialization
     that stays irreducible at full degree (sound: factors specialize)."""
     deg = data.P.degree_x
-    for t in sample_rationals(attempts, exclude=data.D):
+    for t in sample_rationals(40, exclude=data.D):
         pt = data.P.specialize(t)
         if pt.degree == deg and factorization_type(pt) == (deg,):
             return (deg,)

@@ -1,9 +1,12 @@
 """Finite permutation groups by explicit element sets.
 
 Permutations are tuples mapping point i (0-based) to its image; groups are
-built by breadth-first closure from generators.  Everything here stays well
-below the configured order bound, so explicit element sets beat clever
-algorithms for testability.
+built by breadth-first closure from generators.  Subgroup classes come from
+Neubüser's cyclic extension.  Every "is H conjugate into K?" question (is a
+join a new class, is a class maximal, is a group conjugate into another
+inside S_n) goes to one test that reads only H's generators.  Everything
+here stays well below the configured order bound, so explicit element sets
+beat clever algorithms for testability.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ def identity(n: int) -> Perm:
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composition p∘q: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_inv(p: Perm) -> Perm:
@@ -191,14 +194,19 @@ def closure(degree: int, gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND)
     return PermGroup(degree=degree, generators=gens, elements=frozenset(elements))
 
 
-def _class_key(parent: PermGroup, H: frozenset[Perm]) -> tuple:
-    """Canonical key of the conjugacy class of H inside parent."""
-    best = None
-    for g in parent.elements:
-        conj = tuple(sorted(perm_conj(g, h) for h in H))
-        if best is None or conj < best:
-            best = conj
-    return best
+def _conjugates_into(
+    conjugators: Iterable[Perm], gens: tuple[Perm, ...], K: frozenset[Perm]
+) -> bool:
+    """True iff some s in conjugators puts s g s^-1 in K for every g in gens.
+
+    The generators decide: K is a group, so it holds the conjugate of the
+    group they generate exactly when it holds the conjugates of them.
+    """
+    for s in conjugators:
+        s_inv = perm_inv(s)
+        if all(perm_mul(s, perm_mul(g, s_inv)) in K for g in gens):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -210,105 +218,85 @@ class SubgroupClass:
     is_maximal: bool
 
 
-def subgroup_classes(G: PermGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[SubgroupClass]:
-    """All conjugacy classes of subgroups of G.
+def subgroup_classes(G: PermGroup) -> list[SubgroupClass]:
+    """All conjugacy classes of subgroups of G, smallest order first.
 
-    Classes are grown by joining class representatives with cyclic
-    subgroups; every subgroup is a join of cyclic subgroups, so the sweep
-    is exhaustive.  A join is closed from the few generators it was built
-    from, and one met before is skipped before its class key (the costly
-    step: a conjugation by every element of G) is computed.  Maximality is
-    decided by inclusion testing between classes afterwards.
+    Neubüser's cyclic extension: class representatives are joined with
+    cyclic subgroups, and every subgroup is a join of cyclic subgroups, so
+    the sweep is exhaustive.  A join is closed from the few generators it
+    was built from and becomes a new class unless a kept representative of
+    its order contains a conjugate of it.  A class is maximal unless its
+    representative is conjugate into a proper subgroup of larger order.
+    Both questions go to one test, ``_conjugates_into``, on the join
+    generators that each representative keeps as its ``generators``.
     """
-    if G.order > bound:
-        raise ResourceLimitError(f"group order {G.order} exceeds bound {bound}")
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise ResourceLimitError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
+    one = identity(G.degree)
     cyclics: set[frozenset[Perm]] = set()
     generator: dict[frozenset[Perm], Perm] = {}
     for g in G.elements:
-        if g == identity(G.degree):
+        if g == one:
             continue
-        cyc = set()
+        cyc = {one}
         x = g
-        while x != identity(G.degree):
+        while x != one:
             cyc.add(x)
             x = perm_mul(x, g)
-        cyc.add(identity(G.degree))
         cyclics.add(frozenset(cyc))
         generator.setdefault(frozenset(cyc), g)
-    trivial = frozenset({identity(G.degree)})
-    reps: dict[tuple, frozenset[Perm]] = {_class_key(G, trivial): trivial}
-    seen = {trivial}  # joins whose class is already known
-    queue = [(trivial, ())]  # a subgroup and the generators it was joined from
+    reps = [closure(G.degree, ())]
+    seen = {reps[0].elements}  # joins whose class is already known
+    queue = [reps[0]]
     while queue:
-        H, gens = queue.pop()
+        H = queue.pop()
         for C in cyclics:
-            if C <= H:
+            if C <= H.elements:
                 continue
-            J_gens = gens + (generator[C],)
-            J = closure(G.degree, J_gens, bound).elements
-            if J in seen:
+            J = closure(G.degree, H.generators + (generator[C],))
+            if J.elements in seen:
                 continue
-            seen.add(J)
-            key = _class_key(G, J)
-            if key not in reps:
-                reps[key] = J
-                if len(J) < G.order:
-                    queue.append((J, J_gens))
-    subgroups = sorted(reps.values(), key=lambda H: (len(H), sorted(H)))
-    classes: list[SubgroupClass] = []
-    for H in subgroups:
-        proper_over = False
-        if len(H) < G.order:
-            for K in subgroups:
-                if len(H) < len(K) < G.order and len(K) % len(H) == 0:
-                    if _subgroup_of_conjugate(G, H, K):
-                        proper_over = True
-                        break
-        rep = PermGroup(
-            degree=G.degree,
-            generators=tuple(sorted(H - {identity(G.degree)})) or (identity(G.degree),),
-            elements=H,
+            seen.add(J.elements)
+            if not any(
+                K.order == J.order and _conjugates_into(G.elements, J.generators, K.elements)
+                for K in reps
+            ):
+                reps.append(J)
+                if J.order < G.order:
+                    queue.append(J)
+    reps.sort(key=lambda H: (H.order, sorted(H.elements)))
+    return [
+        SubgroupClass(
+            representative=H,
+            index=G.order // H.order,
+            is_maximal=H.order < G.order
+            and not any(
+                H.order < K.order < G.order
+                and K.order % H.order == 0
+                and _conjugates_into(G.elements, H.generators, K.elements)
+                for K in reps
+            ),
         )
-        classes.append(
-            SubgroupClass(
-                representative=rep,
-                index=G.order // len(H),
-                is_maximal=len(H) < G.order and not proper_over,
-            )
-        )
-    return classes
+        for H in reps
+    ]
 
 
-def _subgroup_of_conjugate(G: PermGroup, H: frozenset[Perm], K: frozenset[Perm]) -> bool:
-    for g in G.elements:
-        if all(perm_conj(g, h) in K for h in H):
-            return True
-    return False
-
-
-def maximal_classes(G: PermGroup, bound: int = DEFAULT_ORDER_BOUND) -> list[SubgroupClass]:
+def maximal_classes(G: PermGroup) -> list[SubgroupClass]:
     """Conjugacy classes of maximal subgroups, smallest index first."""
     if G.order < 2:
         raise DomainError("maximal subgroups need a nontrivial group")
-    out = [c for c in subgroup_classes(G, bound) if c.is_maximal]
+    out = [c for c in subgroup_classes(G) if c.is_maximal]
     out.sort(key=lambda c: (c.index, c.representative.order))
     return out
 
 
 def conjugates_into(A: PermGroup, B: PermGroup) -> bool:
-    """True iff some permutation conjugates A into a subgroup of B.
-
-    The generators decide: a conjugate of A lies in B exactly when the
-    conjugates of A's generators do.
-    """
+    """True iff some permutation conjugates A into a subgroup of B."""
     if A.degree != B.degree or B.order % A.order:
         return False
     if not A.cycle_type_set() <= B.cycle_type_set():
         return False
-    return any(
-        all(perm_conj(s, g) in B.elements for g in A.generators)
-        for s in _sym(range(A.degree))
-    )
+    return _conjugates_into(_sym(range(A.degree)), A.generators, B.elements)
 
 
 def conjugate_in_symmetric(A: PermGroup, B: PermGroup) -> bool:

@@ -146,6 +146,13 @@ def test_resolve_reference_paths():
     )
     with pytest.raises(FixtureError):
         resolve_reference(broken)
+    # the order path: the auxiliary degrees pick 6T3 from the order-12 entries
+    raw = {**json.loads(fixture_path("fermat-x6").read_text()), "G_order": 12}
+    ref3, prov3 = resolve_reference(load_fixture(raw))
+    assert ref3 == table_entry("6T3").group and prov3 == "fixture order 12, matched 6T3"
+    # degrees [2, 2, 3] fit neither order-12 entry (6T3: [2, 2, 2, 3]; 6T4: [3, 4])
+    with pytest.raises(FixtureError):
+        resolve_reference(load_fixture({**raw, "S": raw["S"][1:]}))
 
 
 def test_generic_group_examples():

@@ -79,7 +79,8 @@ def test_a4_subgroup_structure():
 
 # (number of conjugacy classes of subgroups, indices of the maximal ones),
 # as computed before joins were deduplicated and built from generators;
-# S4 has 11 classes and S5 19, A4 5 and A5 9
+# S4 has 11 classes and S5 19, A4 5 and A5 9; the maximal indices of A5
+# and of S5 (5T5, and 6T14 = PGL(2, 5) on six points) agree with the ATLAS
 SUBGROUP_LATTICES = {
     "2T1": (2, [2]),
     "3T1": (2, [3]),
@@ -96,16 +97,25 @@ SUBGROUP_LATTICES = {
     "5T5": (19, [2, 5, 6, 10]),
     "6T3": (10, [2, 2, 2, 3]),
     "6T9": (22, [2, 2, 2, 3, 3]),
+    "6T13": (26, [2, 2, 2, 9]),
+    "6T14": (19, [2, 5, 6, 10]),
 }
 
 
 def test_subgroup_lattices_of_small_transitive_groups():
     labels = [e.label for n in (2, 3, 4, 5) for e in transitive_table(n)]
-    assert set(labels) | {"6T3", "6T9"} == set(SUBGROUP_LATTICES)
+    assert set(labels) | {"6T3", "6T9", "6T13", "6T14"} == set(SUBGROUP_LATTICES)
     for label, (count, indices) in SUBGROUP_LATTICES.items():
         classes = subgroup_classes(table_entry(label).group)
         assert len(classes) == count, label
         assert sorted(c.index for c in classes if c.is_maximal) == indices, label
+
+
+def test_maximal_indices_of_a6():
+    # ATLAS: A6 has two classes of A5 (index 6), one of 3^2:4 (index 10)
+    # and two of S4 (index 15)
+    indices = sorted(c.index for c in maximal_classes(table_entry("6T15").group))
+    assert indices == [6, 6, 10, 15, 15]
 
 
 def test_maximal_classes_examples():
