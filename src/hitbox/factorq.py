@@ -32,6 +32,23 @@ Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
 degrees with the Frobenius matrix, one matrix-vector product per degree.
 
+Three mod-p kernels sit behind one cache (``_per_residue_class``): the
+distinct-degree split that the residue scan and ``cycle_type_mod_p`` read
+(``_usable_ddf``), the equal-degree split of the Zassenhaus prime
+(``_gp_factor_sqf``) and the roots mod p (``_simple_roots_mod``).  The
+key is p and the input's integer coefficients reduced mod p, and a kernel
+is handed the key itself, so it sees nothing else: the split that
+``_gp_factor_sqf`` also takes is computed from the same key, and its
+random polynomials come from a source seeded with the key.  So each kernel
+is a function of its key, and a lookup returns exactly what a computation
+would.  Across a bounded-height sweep P(t, X) mod p takes few values, so
+a split is computed once per residue class instead of once per parameter
+(fermat-x6 at height 30 makes 7708 calls of ``_usable_ddf`` over 455
+keys).  The cache holds at most ``_RESIDUE_CACHE_SIZE`` = 4096 entries and
+drops the least recently used; an entry takes about 0.5 KB, and under
+0.7 KB for a sextic split into six linear factors, so a full cache holds
+under 3 MB.  Values are tuples, so no caller can change one.
+
 Rational roots work on the primitive integer coefficients.  Degrees 1 and
 2 have closed forms.  Higher degrees need no integer factoring: the roots
 of the monic integer model F modulo a small odd prime p are found by
@@ -61,6 +78,7 @@ benchmark's search workload a measure of specialization and root finding.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -196,6 +214,31 @@ def _gp_frobenius(h, rows, p):
     return _trim([v % p for v in out])
 
 
+# -- one cache in front of the mod-p kernels -----------------------------------
+
+# Entries the residue cache holds; the least recently used goes first.
+_RESIDUE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
+def _residue_cache(kernel, p, fp, *rest):
+    return kernel(fp, p, *rest)
+
+
+def _per_residue_class(kernel):
+    """``kernel(f, p, *rest)`` computed once per residue class: the kernel
+    is called with the key itself, f's coefficients reduced mod p (f's
+    length kept, so a leading coefficient that dies mod p shows), and
+    ``rest`` must be a function of that key.  Every caller gets the same
+    value, so the kernel returns tuples."""
+
+    @functools.wraps(kernel)
+    def cached(f, p, *rest):
+        return _residue_cache(kernel, p, tuple([c % p for c in f]), *rest)
+
+    return cached
+
+
 def _gp_ddf(f, p):
     """Distinct-degree split of a monic squarefree f: [(product, degree)].
 
@@ -248,16 +291,16 @@ def _gp_edf(f, d, p, rng):
             return _gp_edf(g, d, p, rng) + _gp_edf(_gp_divmod(f, g, p)[0], d, p, rng)
 
 
+@_per_residue_class
 def _gp_factor_sqf(f, p, split):
     """Irreducible factors of a monic squarefree f mod p, sorted, from its
     distinct-degree split."""
     rng = random.Random(_edf_seed(f, p))
-    out = []
-    for g, d in split:
-        out.extend(_gp_edf(g, d, p, rng))
-    return sorted(out, key=lambda h: (len(h), h))
+    out = [tuple(h) for g, d in split for h in _gp_edf(g, d, p, rng)]
+    return tuple(sorted(out, key=lambda h: (len(h), h)))
 
 
+@_per_residue_class
 def _usable_ddf(ints, p):
     """Distinct-degree split of sum ints[i] x^i mod p, or None if p is
     unusable for it (as ``cycle_type_mod_p`` defines it)."""
@@ -267,7 +310,7 @@ def _usable_ddf(ints, p):
     d = _gp_deriv(fp, p)
     if not d or len(_gp_gcd(fp, d, p)) > 1:
         return None  # not squarefree mod p
-    return _gp_ddf(_gp_monic(fp, p), p)
+    return tuple((tuple(g), d) for g, d in _gp_ddf(_gp_monic(fp, p), p))
 
 
 def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
@@ -417,7 +460,7 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
     if not splits or not degrees & middle:
         return _Scan(splits, degrees, 0, [])
     p, split = min(splits, key=lambda s: len(_cycle_type(s[1])))
-    return _Scan(splits, degrees, p, _gp_factor_sqf([c % p for c in f], p, split))
+    return _Scan(splits, degrees, p, [list(h) for h in _gp_factor_sqf(f, p, split)])
 
 
 def _split_off_roots(f: list[int], splits) -> list[list[int]]:
@@ -643,18 +686,20 @@ def _quadratic_roots(c0: int, c1: int, c2: int) -> set[Fraction]:
     return {Fraction(-c1 + r, 2 * c2), Fraction(-c1 - r, 2 * c2)}
 
 
-def _simple_roots_mod(F: list[int], p: int) -> list[int] | None:
-    """The roots of F in F_p, found by evaluation, or None if one of them
-    is a multiple root (F'(r) = 0 mod p): then p is unusable."""
-    Fp = [c % p for c in F]
-    dFp = _gp_deriv(Fp, p)
-    roots = []
-    for r in range(p):
-        if _gp_eval(Fp, r, p) == 0:
-            if _gp_eval(dFp, r, p) == 0:
-                return None
-            roots.append(r)
-    return roots
+@_per_residue_class
+def _simple_roots_mod(F, p: int) -> tuple[int, ...] | None:
+    """The roots of F in F_p, found by evaluation at every residue at once
+    (Horner), or None if one of them is a multiple root (F'(r) = 0 mod p):
+    then p is unusable."""
+    us = range(p)
+    vals = [F[-1]] * p
+    for c in F[-2::-1]:
+        vals = [(v * u + c) % p for v, u in zip(vals, us)]
+    if 0 not in vals:
+        return ()
+    roots = tuple([u for u, v in zip(us, vals) if not v])
+    dF = _gp_deriv(F, p)
+    return None if any(_gp_eval(dF, r, p) == 0 for r in roots) else roots
 
 
 def _lift_roots(F: list[int], p: int, residues) -> list[int]:
@@ -754,19 +799,17 @@ def _root_table(rows: list[list[int]], d: int, p: int) -> bytes | None:
     those at the point (a : b) of P^1(F_p) times a common unit: the table
     is read off p + 1 points, (x : 1) by Horner and (1 : 0) from the
     T^d column.  N has the root (1 : 0) when its leading coefficient
-    vanishes mod p, which covers N = 0 mod p."""
-    seen: dict[tuple[int, ...], int] = {}
-    us = range(p)
+    vanishes mod p, which covers N = 0 mod p.  A quadratic with a unit
+    leading coefficient has a root exactly when its discriminant is a
+    square mod p (Euler's criterion); higher degrees are evaluated, once
+    per coefficient vector (``_simple_roots_mod``)."""
 
     def has_root(cs):
         if not cs[-1]:
             return 1
-        if cs not in seen:  # Horner at every u of F_p at once
-            vals = [cs[-1]] * p
-            for c in cs[-2::-1]:
-                vals = [(v * u + c) % p for v, u in zip(vals, us)]
-            seen[cs] = int(0 in vals)
-        return seen[cs]
+        if len(cs) == 3:
+            return int(pow(cs[1] * cs[1] - 4 * cs[0] * cs[2], (p - 1) // 2, p) != p - 1)
+        return int(_simple_roots_mod(cs, p) != ())
 
     proj = bytes(has_root(tuple(_gp_eval(row, x, p) for row in rows)) for x in range(p))
     inf = has_root(tuple(row[d] % p if len(row) > d else 0 for row in rows))

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import roots_by_divisor_check, trial_division_irreducible
@@ -18,7 +18,7 @@ from hitbox.factorq import (
     may_have_rational_root,
     rational_roots,
 )
-from hitbox.harness import load_fixture
+from hitbox.harness import load_fixture, resolve_reference, verify_equivalence
 from hitbox.polys import BiPoly, UniPoly, parse_unipoly, poly_str, uni_gcd
 from hitbox.rationals import rationals_up_to_height
 
@@ -578,8 +578,57 @@ def test_ddf_matches_sympy_and_complete_factorization(p):
             for g, d in gf_ddf_zassenhaus(list(reversed(f)), p, ZZ)
         )
         assert ours == theirs, (f, p)
+        assert sorted(factorq._usable_ddf(f, p)) == theirs, (f, p)  # the cached split
         degrees = sorted((len(g) - 1 for g in _sympy_factors_mod_p(f, p)), reverse=True)
         assert cycle_type_mod_p(UniPoly(f), p) == tuple(degrees), (f, p)
+
+
+# -- the residue cache ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=7), st.sampled_from([3, 5, 7, 101]))
+def test_cached_mod_p_kernels_match_a_fresh_computation(head, p):
+    f = head + [1]  # monic, so a squarefree f mod p has an equal-degree split
+    fp = [c % p for c in f]
+    factorq._residue_cache.cache_clear()
+    split = factorq._usable_ddf.__wrapped__(f, p)
+    fresh = [split, factorq._simple_roots_mod.__wrapped__(f, p)]
+    if split is not None:
+        fresh.append(factorq._gp_factor_sqf.__wrapped__(fp, p, split))
+    for _ in range(2):  # the first call computes, the repeat looks up
+        cached = [factorq._usable_ddf(f, p), factorq._simple_roots_mod(f, p)]
+        if split is not None:
+            cached.append(factorq._gp_factor_sqf(f, p, split))
+        assert cached == fresh, (f, p)
+        hash(tuple(cached))  # built of tuples: no caller can change a cached value
+    info = factorq._residue_cache.cache_info()
+    assert info.misses == len(fresh) and info.hits == len(fresh)
+
+
+def test_residue_cache_stays_within_its_bound():
+    # synthetic keys: distinct vectors mod 3, each a few evaluations to solve
+    n = factorq._RESIDUE_CACHE_SIZE + 100
+    factorq._residue_cache.cache_clear()
+    try:
+        for i in range(n):
+            factorq._simple_roots_mod([i // 3**j % 3 for j in range(9)] + [1], 3)
+        info = factorq._residue_cache.cache_info()
+        assert info.misses == n and info.currsize == factorq._RESIDUE_CACHE_SIZE
+    finally:
+        factorq._residue_cache.cache_clear()
+
+
+def test_a_sweep_splits_each_residue_class_once(monkeypatch):
+    # P(t, X) mod p takes few values across a sweep, and the distinct-degree
+    # split runs once per (p, f mod p), however many t share it
+    factorq._residue_cache.cache_clear()
+    usable, ddf = _counting(monkeypatch, "_usable_ddf"), _counting(monkeypatch, "_gp_ddf")
+    data = load_fixture("fermat-x6")
+    reference, _ = resolve_reference(data)
+    verify_equivalence(data, reference, 30, workers=1)
+    classes = {(p, tuple(c % p for c in f)) for f, p in usable}
+    assert len(ddf) <= len(classes) < len(usable) / 5
 
 
 # -- local root sieve ----------------------------------------------------------
@@ -629,6 +678,11 @@ def test_root_sieve_passes_every_fibre_with_a_planted_root(c, r, Q, content, k):
 
 @settings(max_examples=40, deadline=None)
 @given(_bipoly(4, 6).filter(lambda f: not f.is_zero()), st.sampled_from([1, 3, 35]))
+# quadratics in X: (X + T)^2 - 105^2, whose discriminant 210^2 vanishes mod
+# 3, 5 and 7 (a double root there, and rational roots everywhere), and
+# 15 T X^2 + X + T, whose leading coefficient vanishes mod 3 and 5
+@example(BiPoly([UniPoly([-11025, 0, 1]), UniPoly([0, 2]), UniPoly([1])]), 1)
+@example(BiPoly([UniPoly([0, 1]), UniPoly([1]), UniPoly([0, 15])]), 1)
 def test_root_sieve_tables_match_the_definition(f, content):
     f = f * content
     for t in rationals_up_to_height(5):
