@@ -801,7 +801,7 @@ def _root_table(rows: list[list[int]], d: int, p: int) -> bytes | None:
     T^d column.  N has the root (1 : 0) when its leading coefficient
     vanishes mod p, which covers N = 0 mod p.  A quadratic with a unit
     leading coefficient has a root exactly when its discriminant is a
-    square mod p (Euler's criterion); higher degrees are evaluated, once
+    square mod p (Euler's criterion); other degrees are evaluated, once
     per coefficient vector (``_simple_roots_mod``)."""
 
     def has_root(cs):
