@@ -127,9 +127,11 @@ def bounded_point_search(C: PlaneCurve, height_bound: int) -> list[tuple[Fractio
         ft = C.f.specialize(t)
         if ft.degree < 1:  # a vertical line inside C, or no point above t
             continue
-        for x in sorted(rational_roots(ft)):
-            if height(x) <= height_bound:
-                out.append((t, x))
+        roots = rational_roots(ft)
+        if roots:
+            for x in sorted(roots):
+                if height(x) <= height_bound:
+                    out.append((t, x))
     return out
 
 

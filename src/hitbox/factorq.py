@@ -49,8 +49,10 @@ drops the least recently used; an entry takes about 0.5 KB, and under
 0.7 KB for a sextic split into six linear factors, so a full cache holds
 under 3 MB.  Values are tuples, so no caller can change one.
 
-Rational roots work on the primitive integer coefficients.  Degrees 1 and
-2 have closed forms.  Higher degrees need no integer factoring: the roots
+Rational roots of degree 1, and of degree 2 with a nonzero constant term,
+have closed forms read straight from the integer pair: its content and
+denominator move no root.  Other inputs work on the primitive integer
+coefficients, and higher degrees need no integer factoring: the roots
 of the monic integer model F modulo a small odd prime p are found by
 evaluating F at the p residues.  p is usable when each of them is a simple
 root (F'(r) != 0 mod p); then each lifts uniquely by Newton's method, past
@@ -658,7 +660,8 @@ def factor_over_Q(f: UniPoly) -> Factorization:
             # undo y = m*x: h(m x) / m^deg h is monic
             g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1))
             out.append((g.monic(), mult))
-    out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
+    if len(out) > 1:
+        out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
     return Factorization(unit=unit, factors=tuple(out), residues=residues)
 
 
@@ -753,12 +756,23 @@ def _lifted_roots(ints: list[int]) -> set[Fraction]:
 def rational_roots(f: UniPoly) -> set[Fraction]:
     """Exactly the rational roots of f (no multiplicities).
 
-    Degrees 1 and 2 are solved in closed form with exact integer square
-    roots (bounded curve searches hit quadratics whose constant terms are
-    far too large to factor); higher degrees lift roots mod a small prime
-    (``_lifted_roots``), every candidate verified by exact evaluation.
+    Degree 1, and degree 2 with a nonzero constant term, are solved in
+    closed form straight from f's integer numerators, with exact integer
+    square roots (bounded curve searches hit quadratics whose constant
+    terms are far too large to factor).  Scaling the coefficients by a
+    nonzero integer, the content or the denominator, changes neither the
+    roots nor whether the discriminant is a square, and ``Fraction`` puts
+    each root in lowest terms, so these need no primitive part.  Otherwise
+    f's primitive part loses its zero roots, and higher degrees lift roots
+    mod a small prime (``_lifted_roots``), every candidate verified by
+    exact evaluation.
     """
-    n = f.degree
+    ints = f._ints
+    n = len(ints) - 1
+    if n == 1:
+        return {Fraction(-ints[0], ints[1])}
+    if n == 2 and ints[0]:
+        return _quadratic_roots(ints[0], ints[1], ints[2])
     if n < 0:
         raise DomainError("the zero polynomial has every root")
     if n == 0:

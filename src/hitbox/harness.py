@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -298,6 +297,8 @@ def _parallel_map(fn, values: list, workers: int, *args) -> list:
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(values) < 64:
         return [fn(t, *args) for t in values]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for the import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(_map_chunk, [(fn, args, values[i::workers]) for i in range(workers)])
         out: list = [None] * len(values)

@@ -22,6 +22,16 @@ for a common denominator L, and its T-degree d.  Then b^d * L * P(a/b, X)
 has the integer X-coefficients N_j = sum_i C[j][i] a^i b^(d-i), and
 ``BiPoly.specialize`` returns the pair (N, L * b^d) unreduced.
 
+Most entries of those rows are zero: the row of X^2 - 3(T^6 - 1) holds 5
+zeros in 7, and a Fermat sextic X^6 + ... has no X^1..X^5 rows at all.  So
+the same cache holds a sparse index of the rows, their nonzero terms
+(j, C[j][i]) and the T-exponents i that any of them uses, and
+``specialize`` computes a^i b^(d-i) only for those exponents and sums
+only those terms.  Dropping zero terms changes no sum, so the pair is
+exactly the dense formula's, unreduced as before, and nothing that reads
+it (the root sieve, ``factor_over_Q``, the canonical digests) can tell
+the difference.
+
 Resultants run a subresultant pseudo-remainder sequence that works both
 over the integers (scalar case, on primitive parts) and over Q[T]
 (bivariate case), which keeps coefficient growth under control for the
@@ -31,7 +41,6 @@ degree-30 discriminants this package meets.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -429,8 +438,9 @@ def discriminant_uni(f: UniPoly) -> Fraction:
 class BiPoly:
     """Element of Q[T][X]; xcoeffs[j] is the T-polynomial on X^j."""
 
-    # _int_form: the homogenized integer form (``int_form``); _sieve: the
-    # local root sieve tables that ``factorq.may_have_rational_root`` builds
+    # _int_form: the homogenized integer form and its sparse index
+    # (``int_form``); _sieve: the local root sieve tables that
+    # ``factorq.may_have_rational_root`` builds
     __slots__ = ("xcoeffs", "_int_form", "_sieve")
 
     def __init__(self, xcoeffs: Iterable[UniPoly] = ()):
@@ -538,27 +548,40 @@ class BiPoly:
 
     def int_form(self) -> tuple[list[list[int]], int, int]:
         """The homogenized integer form (rows C, denominator L, T-degree d)
-        of the module docstring, built on first use and cached."""
+        of the module docstring, built on first use and cached with its
+        sparse index: the terms (j, k, C[j][i]) with C[j][i] != 0, where i
+        is the k-th T-exponent that some term uses, and those exponents as
+        pairs (i, d - i)."""
         if self._int_form is None:
             den = math.lcm(*[cj._den for cj in self.xcoeffs])
             rows = [[v * (den // cj._den) for v in cj._ints] for cj in self.xcoeffs]
-            self._int_form = (rows, den, max(self.degree_t, 0))
-        return self._int_form
+            d = max(self.degree_t, 0)
+            used = sorted({i for row in rows for i, c in enumerate(row) if c})
+            index = {i: k for k, i in enumerate(used)}
+            terms = tuple((j, index[i], c) for j, row in enumerate(rows) for i, c in enumerate(row) if c)
+            self._int_form = (rows, den, d, terms, tuple((i, d - i) for i in used))
+        return self._int_form[:3]
 
     def specialize(self, t) -> UniPoly:
         """P(t, X); the X-degree may drop if the leading coefficient dies.
 
-        Computed from the homogenized integer form (``int_form``): the
-        weights a^i b^(d-i) for t = a/b are shared by every row.
+        Computed from the sparse index of the integer form (``int_form``):
+        for t = a/b the weight a^i b^(d-i) of each T-exponent that some
+        term uses, shared by every row, then the sum of the nonzero terms.
         """
-        rows, den, d = self._int_form or self.int_form()
+        if self._int_form is None:
+            self.int_form()
+        rows, den, d, terms, powers = self._int_form
         if not isinstance(t, Fraction):
             t = Fraction(t)
         a, b = t.numerator, t.denominator
-        w = [b**d]  # w[i] = a^i * b^(d-i)
-        for _ in range(d):
-            w.append(w[-1] // b * a)
-        return _pair(_trim([sum(map(operator.mul, row, w)) for row in rows]), den * w[0])
+        w = []
+        for i, e in powers:
+            w.append(a**i * b**e)
+        N = [0] * len(rows)
+        for j, k, c in terms:
+            N[j] += c * w[k]
+        return _pair(_trim(N), den * b**d)
 
     def eval(self, t, x) -> Fraction:
         return self.specialize(t)(Fraction(x))

@@ -86,6 +86,47 @@ def test_rational_roots_against_divisor_oracle(monkeypatch):
     assert ours[-2:] == [{0, 1155, 2310}, {1, 15016, 30031}]
 
 
+@st.composite
+def _low_degree_pairs(draw):
+    """A linear or quadratic UniPoly as a raw integer pair: a primitive
+    shape times a content of either sign, over a denominator of either
+    sign.  Quadratics are random, split as (q1 X - p1)(q2 X - p2) (square
+    discriminant, zero constant term when p1 = 0), or a square (zero
+    discriminant)."""
+    small = st.integers(-60, 60)
+    shape = draw(st.sampled_from(["linear", "random", "split", "double"]))
+    if shape == "linear":
+        prim = [draw(small), draw(small.filter(bool))]
+    elif shape == "random":
+        prim = [draw(small), draw(small), draw(small.filter(bool))]
+    else:
+        p1, q1 = draw(st.integers(-20, 20)), draw(st.integers(1, 9))
+        p2, q2 = (p1, q1) if shape == "double" else (draw(st.integers(-20, 20)), draw(st.integers(1, 9)))
+        prim = [p1 * p2, -(p1 * q2 + p2 * q1), q1 * q2]
+    content = draw(st.integers(-12, 12).filter(bool))
+    den = draw(st.integers(-9, 9).filter(bool))
+    return UniPoly.from_ints([content * c for c in prim], den)
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=_low_degree_pairs())
+@example(f=UniPoly.from_ints([0, -6], 4))  # linear with root 0
+@example(f=UniPoly.from_ints([12, -8, 0], 3))  # linear, given with a trailing zero
+@example(f=UniPoly.from_ints([0, 6, -4], -5))  # zero constant term
+@example(f=UniPoly.from_ints([-18, 24, -8], 7))  # -2(2X - 3)^2: zero discriminant
+@example(f=UniPoly.from_ints([30, -66, 36], 1))  # 6(2X - 3)(3X - 5): square discriminant
+@example(f=UniPoly.from_ints([14, 0, 14], 2))  # 7(X^2 + 1): negative discriminant
+@example(f=UniPoly.from_ints([-6, 0, 3], 9))  # 3(X^2 - 2): non-square discriminant
+def test_low_degree_rational_roots_against_divisor_oracle(f):
+    """Degrees 1 and 2 read the raw integer pair, content, sign and
+    denominator included; the divisor oracle reads the primitive part."""
+    assert 1 <= f.degree <= 2
+    roots = rational_roots(f)
+    assert roots == roots_by_divisor_check(f)
+    assert all(f(r) == 0 for r in roots)
+    assert roots == rational_roots(UniPoly(f.coeffs))  # the same value in lowest terms
+
+
 def test_factor_examples():
     fac = factor_over_Q(parse_unipoly("3*X^4-4*X^3+1"))
     assert fac.unit == 3

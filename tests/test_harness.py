@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hitbox
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
 from hitbox.factorq import may_have_rational_root, rational_roots
 from hitbox.galois import table_entry
@@ -424,11 +429,14 @@ class _InlinePool:
 
 
 def test_pool_is_capped_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
     import hitbox.harness as harness
 
     ref, _ = resolve_reference(SERRE)
     serial = report_to_json(verify_equivalence(SERRE, ref, 7, workers=1, keep_records=True))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    # the pooled branch imports the pool class when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     _InlinePool.sizes = []
     capped = report_to_json(verify_equivalence(SERRE, ref, 7, workers=1000, keep_records=True))
@@ -440,6 +448,19 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
     verify_equivalence(SERRE, ref, 7, workers=1000)
     assert _InlinePool.sizes == [3, 3]
+
+
+def test_serial_imports_leave_the_process_pool_unloaded():
+    """Importing the package for a serial sweep or a CLI run loads no
+    process pool; only a pooled sweep imports one."""
+    src = Path(hitbox.__file__).resolve().parent.parent
+    code = (
+        "import sys, hitbox.harness, hitbox.curves, hitbox.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _sympy_galois_order(f) -> int:

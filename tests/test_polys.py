@@ -1,9 +1,10 @@
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import specialize_by_horner, sylvester_resultant
@@ -143,6 +144,56 @@ def test_specialize_matches_horner(rows, t, kill_lead):
     assert got.degree == want.degree
     assert got.primitive() == want.primitive()
     assert got == want and got.coeffs == want.coeffs
+
+
+@st.composite
+def _sparse_bipolys(draw):
+    """X-degree up to 6, T-degree up to 18, a few nonzero terms per row;
+    rows without any term (X^j missing) are common."""
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        terms = draw(st.lists(st.tuples(st.integers(0, 18), _fractions), max_size=3))
+        row = [Fraction(0)] * (max((i for i, _ in terms), default=-1) + 1)
+        for i, c in terms:
+            row[i] += c
+        rows.append(UniPoly(row))
+    return BiPoly(rows)
+
+
+def _dense_specialization(P: BiPoly, t) -> tuple[list[int], int]:
+    """The pair (N, L * b^d) with N_j = sum_i C[j][i] a^i b^(d-i), every
+    term of every row included, for t = a/b: the module docstring's formula."""
+    t = Fraction(t)
+    a, b = t.numerator, t.denominator
+    L = math.lcm(*[c.denominator for cj in P.xcoeffs for c in cj.coeffs])
+    d = max(P.degree_t, 0)
+    N = [sum(c * L * a**i * b ** (d - i) for i, c in enumerate(cj.coeffs)) for cj in P.xcoeffs]
+    while N and N[-1] == 0:
+        N.pop()
+    return N, L * b**d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    P=_sparse_bipolys(),
+    t=st.one_of(
+        st.integers(-30, 30),
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        st.sampled_from([0, Fraction(0), -1, Fraction(-7, 3)]),
+    ),
+)
+@example(P=parse_poly("X^2 - 3*(T^6-1)"), t=Fraction(-7, 3))
+@example(P=parse_poly("X^6 + T^6 - 1"), t=-2)
+@example(P=parse_poly("1/2*T^18*X^4 + 3/5*X + T^9"), t=Fraction(4, 9))
+@example(P=parse_poly("(T - 2)*X^3 + T^18"), t=2)  # the leading coefficient dies
+@example(P=BiPoly(), t=Fraction(5, 7))
+def test_specialize_returns_the_dense_pair_on_sparse_rows(P, t):
+    """The sparse index reproduces the dense homogeneous pair exactly, as a
+    pair and not only as a value: same numerators, same unreduced
+    denominator L * b^d."""
+    got = P.specialize(t)
+    assert (got._ints, got._den) == _dense_specialization(P, t)
+    assert got == specialize_by_horner(P, t)
 
 
 _int_lists = st.lists(st.integers(-10**6, 10**6), max_size=7)
