@@ -128,10 +128,11 @@ def bounded_point_search(C: PlaneCurve, height_bound: int) -> list[tuple[Fractio
         if ft.degree < 1:  # a vertical line inside C, or no point above t
             continue
         roots = rational_roots(ft)
-        if roots:
-            for x in sorted(roots):
-                if height(x) <= height_bound:
-                    out.append((t, x))
+        if not roots:  # most fibres: skip sorting an empty set
+            continue
+        for x in sorted(roots):
+            if height(x) <= height_bound:
+                out.append((t, x))
     return out
 
 

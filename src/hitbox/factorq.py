@@ -49,10 +49,10 @@ drops the least recently used; an entry takes about 0.5 KB, and under
 0.7 KB for a sextic split into six linear factors, so a full cache holds
 under 3 MB.  Values are tuples, so no caller can change one.
 
-Rational roots of degree 1, and of degree 2 with a nonzero constant term,
-have closed forms read straight from the integer pair: its content and
-denominator move no root.  Other inputs work on the primitive integer
-coefficients, and higher degrees need no integer factoring: the roots
+Rational roots are read straight from the integer pair, whose content
+and denominator move no root: zero roots come off as a factor X^k, and
+degrees 1 and 2 have closed forms.  Higher degrees work on the primitive
+integer coefficients and need no integer factoring: the roots
 of the monic integer model F modulo a small odd prime p are found by
 evaluating F at the p residues.  p is usable when each of them is a simple
 root (F'(r) != 0 mod p); then each lifts uniquely by Newton's method, past
@@ -89,7 +89,7 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import DomainError
-from .polys import BiPoly, UniPoly, _mul, _pseudo_divmod, _trim, squarefree_part, uni_gcd
+from .polys import BiPoly, UniPoly, _mul, _primitive, _pseudo_divmod, _trim, squarefree_part, uni_gcd
 from .rationals import as_prime, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
@@ -756,44 +756,36 @@ def _lifted_roots(ints: list[int]) -> set[Fraction]:
 def rational_roots(f: UniPoly) -> set[Fraction]:
     """Exactly the rational roots of f (no multiplicities).
 
-    Degree 1, and degree 2 with a nonzero constant term, are solved in
-    closed form straight from f's integer numerators, with exact integer
-    square roots (bounded curve searches hit quadratics whose constant
-    terms are far too large to factor).  Scaling the coefficients by a
-    nonzero integer, the content or the denominator, changes neither the
-    roots nor whether the discriminant is a square, and ``Fraction`` puts
-    each root in lowest terms, so these need no primitive part.  Otherwise
-    f's primitive part loses its zero roots, and higher degrees lift roots
-    mod a small prime (``_lifted_roots``), every candidate verified by
-    exact evaluation.
+    Read straight from f's integer numerators: a zero constant term gives
+    the root 0, and its factor X^k comes off.  Degrees 1 and 2 are then
+    solved in closed form with exact integer square roots (bounded curve
+    searches hit quadratics whose constant terms are far too large to
+    factor).  Scaling the coefficients by a nonzero integer, the content
+    or the denominator, changes neither the roots nor whether the
+    discriminant is a square, and ``Fraction`` puts each root in lowest
+    terms, so these need no primitive part.  Higher degrees lift the roots
+    of the primitive part mod a small prime (``_lifted_roots``), every
+    candidate verified by exact evaluation.
     """
     ints = f._ints
-    n = len(ints) - 1
-    if n == 1:
-        return {Fraction(-ints[0], ints[1])}
-    if n == 2 and ints[0]:
-        return _quadratic_roots(ints[0], ints[1], ints[2])
-    if n < 0:
+    if not ints:
         raise DomainError("the zero polynomial has every root")
-    if n == 0:
-        return set()
-    ints = f.primitive()
-    roots: set[Fraction] = set()
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    if k:
-        roots.add(Fraction(0))
+    zero = not ints[0]
+    if zero:
+        k = 1
+        while not ints[k]:
+            k += 1
         ints = ints[k:]
     n = len(ints) - 1
-    if n == 0:
-        return roots
     if n == 1:
-        roots.add(Fraction(-ints[0], ints[1]))
-        return roots
-    if n == 2:
-        return roots | _quadratic_roots(ints[0], ints[1], ints[2])
-    return roots | _lifted_roots(ints)
+        roots = {Fraction(-ints[0], ints[1])}
+    elif n == 2:
+        roots = _quadratic_roots(ints[0], ints[1], ints[2])
+    else:
+        roots = _lifted_roots(_primitive(ints)) if n else set()
+    if zero:
+        roots.add(Fraction(0))
+    return roots
 
 
 # -- local root sieve ----------------------------------------------------------

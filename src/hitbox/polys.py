@@ -24,13 +24,15 @@ has the integer X-coefficients N_j = sum_i C[j][i] a^i b^(d-i), and
 
 Most entries of those rows are zero: the row of X^2 - 3(T^6 - 1) holds 5
 zeros in 7, and a Fermat sextic X^6 + ... has no X^1..X^5 rows at all.  So
-the same cache holds a sparse index of the rows, their nonzero terms
-(j, C[j][i]) and the T-exponents i that any of them uses, and
-``specialize`` computes a^i b^(d-i) only for those exponents and sums
-only those terms.  Dropping zero terms changes no sum, so the pair is
-exactly the dense formula's, unreduced as before, and nothing that reads
-it (the root sieve, ``factor_over_Q``, the canonical digests) can tell
-the difference.
+the same cache holds a sparse index of the rows: for each nonzero row its
+nonzero terms C[j][i], and the T-exponents i that any term uses.  For
+t = a/b, ``specialize`` chains the weights a^i b^(d-i) over those
+exponents only, from b^d up (a step of g divides by b^g and multiplies by
+a^g, exactly), and sums only those terms, one row at a time.  Dense rows
+(every exponent in use) cost what the dense formula costs.  Dropping zero
+terms changes no sum, so the pair is exactly the dense formula's,
+unreduced as before, and nothing that reads it (the root sieve,
+``factor_over_Q``, the canonical digests) can tell the difference.
 
 Resultants run a subresultant pseudo-remainder sequence that works both
 over the integers (scalar case, on primitive parts) and over Q[T]
@@ -549,39 +551,42 @@ class BiPoly:
     def int_form(self) -> tuple[list[list[int]], int, int]:
         """The homogenized integer form (rows C, denominator L, T-degree d)
         of the module docstring, built on first use and cached with its
-        sparse index: the terms (j, k, C[j][i]) with C[j][i] != 0, where i
-        is the k-th T-exponent that some term uses, and those exponents as
-        pairs (i, d - i)."""
+        sparse index: for each nonzero row j the pairs (k, C[j][i]) with
+        C[j][i] != 0, where i is the k-th of the T-exponents in use (0
+        always first), and the steps between consecutive exponents."""
         if self._int_form is None:
             den = math.lcm(*[cj._den for cj in self.xcoeffs])
             rows = [[v * (den // cj._den) for v in cj._ints] for cj in self.xcoeffs]
-            d = max(self.degree_t, 0)
-            used = sorted({i for row in rows for i, c in enumerate(row) if c})
-            index = {i: k for k, i in enumerate(used)}
-            terms = tuple((j, index[i], c) for j, row in enumerate(rows) for i, c in enumerate(row) if c)
-            self._int_form = (rows, den, d, terms, tuple((i, d - i) for i in used))
+            used = sorted({0}.union(*[[i for i, c in enumerate(row) if c] for row in rows]))
+            k_of = {i: k for k, i in enumerate(used)}
+            terms = tuple((j, tuple((k_of[i], c) for i, c in enumerate(row) if c)) for j, row in enumerate(rows) if row)
+            steps = tuple(i1 - i0 for i0, i1 in zip(used, used[1:]))
+            self._int_form = (rows, den, max(self.degree_t, 0), terms, steps)
         return self._int_form[:3]
 
     def specialize(self, t) -> UniPoly:
         """P(t, X); the X-degree may drop if the leading coefficient dies.
 
         Computed from the sparse index of the integer form (``int_form``):
-        for t = a/b the weight a^i b^(d-i) of each T-exponent that some
-        term uses, shared by every row, then the sum of the nonzero terms.
+        for t = a/b the weight a^i b^(d-i) of each T-exponent in use,
+        shared by every row, then each row's sum over its nonzero terms.
         """
         if self._int_form is None:
             self.int_form()
-        rows, den, d, terms, powers = self._int_form
+        rows, den, d, terms, steps = self._int_form
         if not isinstance(t, Fraction):
             t = Fraction(t)
         a, b = t.numerator, t.denominator
-        w = []
-        for i, e in powers:
-            w.append(a**i * b**e)
+        w = [b**d]  # w[k] = a^i b^(d-i) for the k-th exponent i in use
+        for g in steps:
+            w.append(w[-1] // b**g * a**g)
         N = [0] * len(rows)
-        for j, k, c in terms:
-            N[j] += c * w[k]
-        return _pair(_trim(N), den * b**d)
+        for j, row in terms:
+            s = 0
+            for k, c in row:
+                s += c * w[k]
+            N[j] = s
+        return _pair(_trim(N), den * w[0])
 
     def eval(self, t, x) -> Fraction:
         return self.specialize(t)(Fraction(x))

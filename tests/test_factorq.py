@@ -88,11 +88,11 @@ def test_rational_roots_against_divisor_oracle(monkeypatch):
 
 @st.composite
 def _low_degree_pairs(draw):
-    """A linear or quadratic UniPoly as a raw integer pair: a primitive
-    shape times a content of either sign, over a denominator of either
-    sign.  Quadratics are random, split as (q1 X - p1)(q2 X - p2) (square
-    discriminant, zero constant term when p1 = 0), or a square (zero
-    discriminant)."""
+    """A linear or quadratic UniPoly times X^k (k <= 2) as a raw integer
+    pair: a primitive shape times a content of either sign, over a
+    denominator of either sign.  Quadratics are random, split as
+    (q1 X - p1)(q2 X - p2) (square discriminant, zero constant term when
+    p1 = 0), or a square (zero discriminant)."""
     small = st.integers(-60, 60)
     shape = draw(st.sampled_from(["linear", "random", "split", "double"]))
     if shape == "linear":
@@ -105,7 +105,8 @@ def _low_degree_pairs(draw):
         prim = [p1 * p2, -(p1 * q2 + p2 * q1), q1 * q2]
     content = draw(st.integers(-12, 12).filter(bool))
     den = draw(st.integers(-9, 9).filter(bool))
-    return UniPoly.from_ints([content * c for c in prim], den)
+    zeros = [0] * draw(st.sampled_from([0, 0, 1, 2]))
+    return UniPoly.from_ints(zeros + [content * c for c in prim], den)
 
 
 @settings(max_examples=400, deadline=None)
@@ -117,10 +118,13 @@ def _low_degree_pairs(draw):
 @example(f=UniPoly.from_ints([30, -66, 36], 1))  # 6(2X - 3)(3X - 5): square discriminant
 @example(f=UniPoly.from_ints([14, 0, 14], 2))  # 7(X^2 + 1): negative discriminant
 @example(f=UniPoly.from_ints([-6, 0, 3], 9))  # 3(X^2 - 2): non-square discriminant
+@example(f=UniPoly.from_ints([0, 0, 10, -4], -3))  # 2 X^2 (5 - 2X): X^2 comes off
+@example(f=UniPoly.from_ints([0, 0, -2, 0, 4], 5))  # 2 X^2 (2X^2 - 1): no root but 0
 def test_low_degree_rational_roots_against_divisor_oracle(f):
-    """Degrees 1 and 2 read the raw integer pair, content, sign and
-    denominator included; the divisor oracle reads the primitive part."""
-    assert 1 <= f.degree <= 2
+    """Degrees 1 and 2, after the zero roots come off, read the raw integer
+    pair, content, sign and denominator included; the divisor oracle reads
+    the primitive part."""
+    assert 1 <= f.degree <= 4
     roots = rational_roots(f)
     assert roots == roots_by_divisor_check(f)
     assert all(f(r) == 0 for r in roots)

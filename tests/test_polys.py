@@ -187,6 +187,7 @@ def _dense_specialization(P: BiPoly, t) -> tuple[list[int], int]:
 @example(P=parse_poly("1/2*T^18*X^4 + 3/5*X + T^9"), t=Fraction(4, 9))
 @example(P=parse_poly("(T - 2)*X^3 + T^18"), t=2)  # the leading coefficient dies
 @example(P=BiPoly(), t=Fraction(5, 7))
+@example(P=parse_poly("(T+1)^18*X^2 + 1/7*(2*T-3)^18*X - 1/5*(T^2+T+1)^9"), t=Fraction(-5, 4))  # dense rows
 def test_specialize_returns_the_dense_pair_on_sparse_rows(P, t):
     """The sparse index reproduces the dense homogeneous pair exactly, as a
     pair and not only as a value: same numerators, same unreduced
