@@ -11,7 +11,7 @@ sieve (``rationals.odd_primes``).
 The rational factorization makes one residue pass (``_good_prime``) over
 the monic integer model F of the input: the distinct-degree splits of F
 modulo its first few usable odd primes that do not divide its scale.  Each
-split does four jobs.  A usable prime proves F squarefree, so Yun's
+split does three jobs.  A usable prime proves F squarefree, so Yun's
 decomposition runs only when none of those primes is usable.  The degrees
 of F's factors over Q are subset sums of every modular pattern (Musser's
 degree-set argument, J. ACM 22, 1975), and the scan stops at the first
@@ -24,30 +24,31 @@ whole scan does the classical Zassenhaus pipeline run, from the prime with
 the fewest modular factors, the only prime factored completely: quadratic
 multifactor Hensel lifting modulo m^2 past the Landau-Mignotte bound, then
 subset recombination (modular factor counts stay tiny at the degrees this
-package handles).  Finally, the cycle types of the splits ride on the
-``Factorization`` (``residues``), where the Galois sieve reads them instead
-of reducing the polynomial again.
+package handles).  The Galois sieve walks the same model through the same
+primes (``usable_cycle_types``), so the splits this scan computed come back
+to it from the residue cache.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
 degrees with the Frobenius matrix, one matrix-vector product per degree.
 
 Three mod-p kernels sit behind one cache (``_per_residue_class``): the
-distinct-degree split that the residue scan and ``cycle_type_mod_p`` read
-(``_usable_ddf``), the equal-degree split of the Zassenhaus prime
-(``_gp_factor_sqf``) and the roots mod p (``_simple_roots_mod``).  The
-key is p and the input's integer coefficients reduced mod p, and a kernel
-is handed the key itself, so it sees nothing else: the split that
-``_gp_factor_sqf`` also takes is computed from the same key, and its
-random polynomials come from a source seeded with the key.  So each kernel
-is a function of its key, and a lookup returns exactly what a computation
-would.  Across a bounded-height sweep P(t, X) mod p takes few values, so
-a split is computed once per residue class instead of once per parameter
-(fermat-x6 at height 30 makes 7708 calls of ``_usable_ddf`` over 455
-keys).  The cache holds at most ``_RESIDUE_CACHE_SIZE`` = 4096 entries and
-drops the least recently used; an entry takes about 0.5 KB, and under
-0.7 KB for a sextic split into six linear factors, so a full cache holds
-under 3 MB.  Values are tuples, so no caller can change one.
+distinct-degree split that the residue scan, the sieve's prime walk and
+``cycle_type_mod_p`` read (``_usable_ddf``), the equal-degree split of the
+Zassenhaus prime (``_gp_factor_sqf``) and the roots mod p
+(``_simple_roots_mod``).  The key is p and the input's integer
+coefficients reduced mod p, and a kernel is handed the key itself, so it
+sees nothing else: the split that ``_gp_factor_sqf`` also takes is
+computed from the same key, and its random polynomials come from a source
+seeded with the key.  So each kernel is a function of its key, and a
+lookup returns exactly what a computation would.  Across a bounded-height
+sweep P(t, X) mod p takes few values, so a split is computed once per
+residue class instead of once per parameter (fermat-x6 at height 30 makes
+9842 calls of ``_usable_ddf`` over 247 keys).  The cache holds at most
+``_RESIDUE_CACHE_SIZE`` = 4096 entries and drops the least recently used;
+an entry takes about 0.5 KB, and under 0.7 KB for a sextic split into six
+linear factors, so a full cache holds under 3 MB.  Values are tuples, so
+no caller can change one.
 
 Rational roots are read straight from the integer pair, whose content
 and denominator move no root: zero roots come off as a factor X^k, and
@@ -83,7 +84,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
@@ -327,6 +328,30 @@ def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
     return None if split is None else _cycle_type(split)
 
 
+def usable_cycle_types(f: UniPoly, disc: Fraction):
+    """(p, ``cycle_type_mod_p(f.monic(), p)``) at every usable odd prime p
+    of a squarefree f, in increasing order, without end; ``disc`` is the
+    discriminant of ``f.monic()``.
+
+    The splits are read from f's monic integer model F of scale m, the
+    polynomial and the cache keys of ``factor_over_Q``'s residue scan, so
+    the primes that scan read come back as cache hits.  A prime divides m
+    exactly when it divides a denominator of the monic f; away from m,
+    y = m x is a unit change of variable mod p, so usability and cycle
+    types are the monic f's.  Primes dividing m or the numerator of
+    ``disc`` are unusable and skipped unread.
+    """
+    if not disc:
+        raise DomainError("a polynomial with a repeated factor has no usable prime")
+    F, m = _monic_int_model(f.primitive())
+    skip = m * disc.numerator
+    for p in odd_primes():
+        if skip % p:
+            split = _usable_ddf(F, p)
+            if split is not None:
+                yield p, _cycle_type(split)
+
+
 def _cycle_type(split) -> tuple[int, ...]:
     """The factor degrees of a distinct-degree split, largest first."""
     degs: list[int] = []
@@ -428,7 +453,7 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
     set: modulo a prime dividing b, fermat-x6 at t = a/b has the model
     y^6 + a^6, which always has a quadratic factor.  At most
     ``_PRIME_SCAN`` usable primes are read, and each distinct-degree split
-    does four jobs:
+    does three jobs:
 
     (a) A usable prime proves f squarefree over Q.  Unless the caller knows
         f is squarefree, the scan gives up, with no splits, when none of the
@@ -442,8 +467,6 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
     (c) Otherwise the prime with the fewest factors wins (the smaller on a
         tie), and only it is factored completely.  The choice changes the
         cost of Zassenhaus, never its answer.
-    (d) The splits are returned, so that their cycle types, which are g's,
-        can be handed on to the Galois sieve.
     """
     n = len(f) - 1
     middle = ~(3 | 3 << n - 1)  # the degrees 2 <= d <= n-2
@@ -545,10 +568,6 @@ class Factorization:
 
     unit: Fraction
     factors: tuple[tuple[UniPoly, int], ...]
-    # (p, cycle_type_mod_p(monic input, p)) at every usable odd prime up to
-    # the last one listed, in order, as the residue scan found them; empty
-    # unless the scan proved the input squarefree.
-    residues: tuple[tuple[int, tuple[int, ...]], ...] = field(default=(), compare=False)
 
     def expand(self) -> UniPoly:
         out = UniPoly.constant(self.unit)
@@ -572,11 +591,7 @@ class Factorization:
     def radical(self) -> "Factorization":
         """The distinct monic factors, each once: the factorization of the
         squarefree part of the input."""
-        return Factorization(
-            unit=Fraction(1),
-            factors=tuple((f, 1) for f, _ in self.factors),
-            residues=self.residues,
-        )
+        return Factorization(unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
 
 
 def _yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -626,17 +641,16 @@ def _monic_int_model(ints: list[int]) -> tuple[list[int], int]:
     perfect (n-i)-th power (``X^6 - 665/729`` gets m = 3, not 729)."""
     n = len(ints) - 1
     lead = ints[n]
-    m = math.lcm(*[_root_or_self(abs(lead) // math.gcd(c, lead), n - i) for i, c in enumerate(ints)])
-    return [c * m ** (n - i) // lead for i, c in enumerate(ints)], m
+    m = math.lcm(*[_root_or_self(abs(lead) // math.gcd(c, lead), n - i) for i, c in enumerate(ints) if c])
+    return [c * m ** (n - i) // lead if c else 0 for i, c in enumerate(ints)], m
 
 
 def factor_over_Q(f: UniPoly) -> Factorization:
     """Complete factorization into monic irreducibles over Q.
 
     One residue scan (``_good_prime``) of the monic integer model proves it
-    squarefree, settles or prepares its factorization and gives the cycle
-    types the factorization carries; Yun's decomposition runs only when the
-    scan finds no usable prime.
+    squarefree and settles or prepares its factorization; Yun's
+    decomposition runs only when the scan finds no usable prime.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -647,13 +661,11 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     scan = _good_prime(F, m)
     if scan.splits:
         pieces = [(F, m, 1, scan)]
-        residues = tuple((p, _cycle_type(split)) for p, split in scan.splits)
     else:
         pieces = []
         for piece, mult in _yun_squarefree(f.monic()):
             F, m = _monic_int_model(piece.primitive())
             pieces.append((F, m, mult, _good_prime(F, m, squarefree=True)))
-        residues = ()
     out: list[tuple[UniPoly, int]] = []
     for F, m, mult, scan in pieces:
         for h in _zassenhaus_monic(F, scan):
@@ -662,7 +674,7 @@ def factor_over_Q(f: UniPoly) -> Factorization:
             out.append((g.monic(), mult))
     if len(out) > 1:
         out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
-    return Factorization(unit=unit, factors=tuple(out), residues=residues)
+    return Factorization(unit=unit, factors=tuple(out))
 
 
 def factorization_type(f: UniPoly) -> tuple[int, ...]:

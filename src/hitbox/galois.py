@@ -26,12 +26,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DomainError, InconclusiveError, ReferenceMismatchError
-from .factorq import Factorization, cycle_type_mod_p, rational_roots
+from .factorq import Factorization, rational_roots, usable_cycle_types
 from .polys import UniPoly, discriminant_uni
 from .permgroups import PermGroup, closure, conjugate_in_symmetric, conjugates_into, parse_perm
-from .rationals import factor_int, is_square_rational, odd_primes, squarefree_kernel
+from .rationals import factor_int, is_square_rational, squarefree_kernel
 
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------
@@ -371,30 +372,6 @@ def classify_degree_le4(fac: Factorization) -> GaloisId:
 # -- degree 5/6 sieve --------------------------------------------------------------
 
 
-def _usable_primes(f: UniPoly, disc: Fraction, budget: int, known=()):
-    """The first ``budget`` usable odd primes of f, with their cycle types.
-
-    ``known`` holds (p, cycle type) for every usable prime of f up to its
-    last p, as the residue scan of f's factorization found them; they are
-    read first and not computed again.  Primes dividing the numerator of
-    f's discriminant are skipped unread: f is not squarefree mod such a
-    prime, or not integral at it.
-    """
-    known = known[:budget]
-    yield from known
-    found = len(known)
-    last = known[-1][0] if known else 0
-    for p in odd_primes():
-        if found == budget:
-            return
-        if p <= last or disc.numerator % p == 0:
-            continue
-        ct = cycle_type_mod_p(f, p)
-        if ct is not None:
-            found += 1
-            yield p, ct
-
-
 def sieve_degree_5_6(
     fac: Factorization, budget: int, within: PermGroup | None = None
 ) -> GaloisId:
@@ -409,11 +386,12 @@ def sieve_degree_5_6(
     budget, so that a wrong reference can still be refuted.  With
     ``within``, only the groups conjugate into it are candidates, and a
     singleton is reported as 'conditional'; an empty set refutes the
-    reference (``ReferenceMismatchError``).  The cycle types that the
-    factorization's residue scan found (``Factorization.residues``) are read
-    before any prime is reduced again; they change no answer.  A reducible
-    radical gets its splitting field when that is resolved here, else only
-    its factor degrees.
+    reference (``ReferenceMismatchError``).  The primes and their cycle
+    types come from ``factorq.usable_cycle_types``, which walks the monic
+    integer model that the factorization's residue scan walked, so the
+    primes that scan read are residue-cache hits.  A reducible radical gets
+    its splitting field when that is resolved here, else only its factor
+    degrees.
     """
     if budget < 1:
         raise DomainError("prime budget must be at least 1")
@@ -446,7 +424,7 @@ def sieve_degree_5_6(
     stop = 1 if len(candidates) > 1 else 0  # the set size that ends the scan
     observed: set[tuple[int, ...]] = set()
     primes: list[int] = []
-    for p, ct in _usable_primes(f, disc, budget, rad.residues):
+    for p, ct in islice(usable_cycle_types(f, disc), budget):
         primes.append(p)
         observed.add(ct)
         candidates = [e for e in candidates if ct in e.cycle_types]

@@ -190,41 +190,30 @@ def exceptional_test(
 # -- reference group ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenericGroupSummary:
-    order: int
-    attained_at: Fraction
-    identification: GaloisId
-    note: str = "derived reference, not a proof"
-
-
-def generic_group(P: BiPoly, samples, budget: int = 48) -> GenericGroupSummary:
+def generic_group(P: BiPoly, samples, budget: int = 48) -> int:
     """Largest Galois group order attained on the sample parameters.
 
     Outside a thin set the specialization attains the generic group, so the
-    maximum over a handful of samples is the working reference order; the
-    result is flagged as derived evidence, never as a proof.
+    maximum over a handful of samples is the working reference order; it is
+    derived evidence, never a proof (``resolve_reference`` says so in its
+    provenance).
     """
     samples = [Fraction(s) for s in samples]
     if len(samples) < 5:
         raise DomainError("need at least 5 sample parameters")
-    best: tuple[int, Fraction, GaloisId] | None = None
+    orders = []
     for t in samples:
         pt = P.specialize(t)
         if pt.degree < 1:
             continue
         gid = identify_galois(factor_over_Q(pt), budget)
         if gid.mode == "definitive":
-            attained = gid.order
+            orders.append(gid.order)
         elif gid.mode == "sieved":
-            attained = min(gid.candidate_orders())
-        else:
-            continue
-        if best is None or attained > best[0]:
-            best = (attained, t, gid)
-    if best is None:
+            orders.append(min(gid.candidate_orders()))
+    if not orders:
         raise InconclusiveError("every sample parameter was degenerate")
-    return GenericGroupSummary(order=best[0], attained_at=best[1], identification=best[2])
+    return max(orders)
 
 
 def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
@@ -249,7 +238,7 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
             order, prov = data.g_order, f"fixture order {data.g_order}"
         else:
             samples = sample_rationals(5, exclude=data.D | {Fraction(0)})
-            order = generic_group(data.P, samples, budget).order
+            order = generic_group(data.P, samples, budget)
             prov = "order derived from specialization sampling (not a proof)"
         cands = [e for e in transitive_table(deg) if e.order == order]
     sdegs = sorted(f.degree_x for f in data.S)

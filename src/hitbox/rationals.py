@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 Rational = Fraction
 
@@ -155,16 +155,29 @@ def _factor_large(n: int, out: dict[int, int]) -> None:
     _factor_large(n // d, out)
 
 
+# Steps y -> y^2 + c that one ``_pollard_brent`` call may take, over all
+# its choices of c.  Rho finds a prime factor q in about sqrt(q) steps, so
+# this bounds the work at factors of roughly 40 bits.
+_POLLARD_STEPS = 1 << 20
+
+
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Brent's cycle variant).
+
+    Raises ``ResourceLimitError`` before a doubling round that would take
+    the total past ``_POLLARD_STEPS`` steps."""
     if n % 2 == 0:
         return 2
     c = 1
+    steps = 0
     while True:
         x = y = ys = 2
         r = q = 1
         d = 1
         while d == 1:
+            steps += 2 * r  # the round: r steps for x, at most r for y
+            if steps > _POLLARD_STEPS:
+                raise ResourceLimitError(f"Pollard rho took over {_POLLARD_STEPS} steps on {n}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -178,7 +191,8 @@ def _pollard_brent(n: int) -> int:
                 k += 128
             r *= 2
         if d == n:
-            # gcd jumped past the factor: replay one step at a time
+            # gcd jumped past the factor: replay one step at a time, within
+            # the block that the round has already counted
             d = 1
             y = ys
             while d == 1:

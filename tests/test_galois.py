@@ -1,7 +1,8 @@
-import dataclasses
+import functools
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -408,15 +409,15 @@ def test_quartic_classifier_matches_sympy_on_each_quartic_group(text, label):
         assert (gid.mode, gid.label) == ("definitive", label)
 
 
-def _assert_residues_are_cycle_types(f: UniPoly):
-    fac = factor_over_Q(f)
-    if not fac.residues:
-        return
+def _assert_walk_reads_the_cycle_types(f: UniPoly, k: int = 6):
+    disc = discriminant_uni(f.monic())
+    if not disc:
+        return  # a repeated factor: no prime is usable
+    walked = list(islice(factorq.usable_cycle_types(f, disc), k))
     monic = f.monic()
-    last = fac.residues[-1][0]
+    last = walked[-1][0]
     want = [(p, cycle_type_mod_p(monic, p)) for p in range(3, last + 1, 2) if is_prime(p)]
-    assert list(fac.residues) == [(p, ct) for p, ct in want if ct is not None], poly_str(f)
-    assert fac.radical().residues == fac.residues
+    assert walked == [(p, ct) for p, ct in want if ct is not None], poly_str(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,24 +425,30 @@ def _assert_residues_are_cycle_types(f: UniPoly):
     st.lists(st.integers(-40, 40), min_size=1, max_size=6),
     st.sampled_from([1, 2, 3, 5, 9, 15, -7]),
 )
-def test_residues_are_the_cycle_types_of_the_monic_input(coeffs, lead):
+def test_walk_reads_the_cycle_types_of_the_monic_input(coeffs, lead):
     # the leading coefficients put primes into the monic model's scale m,
     # where the monic input has no usable reduction
-    _assert_residues_are_cycle_types(UniPoly(coeffs + [lead]))
+    _assert_walk_reads_the_cycle_types(UniPoly(coeffs + [lead]))
 
 
-def test_residues_skip_primes_dividing_the_scale():
+def test_walk_skips_primes_dividing_the_scale():
     # X^4 + X + 2/81 has the model y^4 + 27y + 2 (m = 3), squarefree mod 3
     # with pattern (2, 1, 1); but 3 divides the monic input's denominator,
-    # so the scan passes over it and (3, 1) at 5 ends it
+    # so the scan and the walk pass over it, and (3, 1) at 5 comes first
     f = parse_unipoly("81*X^4 + 81*X + 2")
     assert cycle_type_mod_p(f.monic(), 3) is None
     F, m = factorq._monic_int_model(f.primitive())
     assert (F, m) == ([2, 27, 0, 0, 1], 3)
     assert factorq._usable_ddf(F, 3) is not None
     assert [p for p, _ in factorq._good_prime(F, m).splits] == [5]
-    assert factor_over_Q(f).residues == ((5, (3, 1)),)
-    _assert_residues_are_cycle_types(f)
+    assert next(factorq.usable_cycle_types(f, discriminant_uni(f.monic()))) == (5, (3, 1))
+    _assert_walk_reads_the_cycle_types(f)
+
+
+def test_walk_refuses_a_repeated_factor():
+    f = parse_unipoly("(X^2 - 2)^2*(X + 1)")
+    with pytest.raises(DomainError):
+        next(factorq.usable_cycle_types(f, discriminant_uni(f.monic())))
 
 
 def _sieve_outcome(fac, budget, within):
@@ -451,27 +458,39 @@ def _sieve_outcome(fac, budget, within):
         return ("mismatch", e.prime, e.cycle_type)
 
 
-def test_sieve_reads_the_same_evidence_with_or_without_residues(monkeypatch):
-    calls = []
-    real = galois.cycle_type_mod_p
-    monkeypatch.setattr(galois, "cycle_type_mod_p", lambda f, p: calls.append(p) or real(f, p))
+def test_sieve_adds_no_residue_cache_miss_at_the_scan_primes(monkeypatch):
+    # a fresh, unbounded residue cache that logs every read and every miss
+    reads, misses = [], []
+
+    @functools.lru_cache(maxsize=None)
+    def cache(kernel, p, fp, *rest):
+        misses.append(p)
+        return kernel(fp, p, *rest)
+
+    def reading(kernel, p, fp, *rest):
+        reads.append(p)
+        return cache(kernel, p, fp, *rest)
+
+    monkeypatch.setattr(factorq, "_residue_cache", reading)
     sextics = [FERMAT.P.specialize(t) for t in rationals_up_to_height(6) if t not in FERMAT.D]
     sextics += [parse_unipoly(s) for s in ("X^6+2", "X^6+X+1", "3*X^6-5*X+7", "X^6-X^3+1")]
     refs = [None, table_entry("6T3").group, table_entry("6T1").group]
-    carried, saved = 0, 0
+    scanned, revisited = 0, 0
     for f in sextics:
+        reads.clear()
         fac = factor_over_Q(f)
         if not fac.is_irreducible():
             continue
-        bare = dataclasses.replace(fac, residues=())
-        carried += bool(fac.residues)
+        scan = set(reads)
+        scanned += bool(scan)
         for budget in (1, 3, 24):
             for within in refs:
-                calls.clear()
+                reads.clear()
+                misses.clear()
                 got = _sieve_outcome(fac, budget, within)
-                with_residues = len(calls)
-                calls.clear()
-                assert got == _sieve_outcome(bare, budget, within), (poly_str(f), budget)
-                assert with_residues <= len(calls)
-                saved += len(calls) - with_residues
-    assert carried >= 20 and saved >= 100
+                assert not scan & set(misses), (poly_str(f), budget)
+                revisited += len(scan & set(reads))
+                # the walk reads no prime past the last one the sieve used
+                last = got[1] if isinstance(got, tuple) else got.evidence.primes[-1]
+                assert max(reads) == last, (poly_str(f), budget)
+    assert scanned >= 20 and revisited >= 100

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hitbox.errors import DomainError
+from hitbox import rationals
+from hitbox.errors import DomainError, ResourceLimitError
 from hitbox.rationals import (
     as_prime,
     divisors,
@@ -97,6 +98,22 @@ def test_factor_int_and_divisors():
     assert ds == [1, 2, 3, 4, 6, 12]
     # large semiprime exercises the rho path
     p, q = 1000003, 1000033
+    assert factor_int(p * q) == {p: 1, q: 1}
+
+
+def test_pollard_rho_stops_at_its_step_cap(monkeypatch):
+    # two 30-bit primes: rho needs about 2^15 steps to split their product
+    p, q = 1073741827, 1073741831
+    monkeypatch.setattr(rationals, "_POLLARD_STEPS", 1000)
+    with pytest.raises(ResourceLimitError):
+        factor_int(p * q)
+    with pytest.raises(ResourceLimitError):
+        squarefree_kernel(Fraction(p * q, 7))
+    # a product that rho splits in a few steps is still factored under the
+    # low cap (trial division takes 1009 and 1013), and the default cap
+    # leaves the 30-bit pair factorable
+    assert factor_int(1009 * 1013 * 4099 * 4111) == {1009: 1, 1013: 1, 4099: 1, 4111: 1}
+    monkeypatch.undo()
     assert factor_int(p * q) == {p: 1, q: 1}
 
 
