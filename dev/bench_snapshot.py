@@ -29,10 +29,8 @@ OUT = ROOT / "perfbench" / "out"
 END_TO_END = ("params_per_s", "setup_s", "peak_rss_mb")
 # traced figures kept beside the shares: what the sieve and the sweep did
 TRACED = (
-    "galois.sieve.primes",
     "galois.sieve.candidates_mean",
     "galois.groups_match.calls",
-    "factorq.cycle_type.calls",
     "indeterminate_frac",
 )
 

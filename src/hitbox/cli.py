@@ -24,7 +24,7 @@ from .curves import (
     verify_case_identities,
     verify_parametrization,
 )
-from .errors import DomainError, FixtureError, InconclusiveError, ParseError
+from .errors import DomainError, FixtureError, InconclusiveError, ParseError, ResourceLimitError
 from .factorq import factor_over_Q, rational_roots
 from .galois import identify_galois, transitive_table
 from .harness import (
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (FixtureError, DomainError, InconclusiveError) as e:
+    except (FixtureError, DomainError, InconclusiveError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

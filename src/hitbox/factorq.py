@@ -10,23 +10,27 @@ sieve (``rationals.odd_primes``).
 
 The rational factorization makes one residue pass (``_good_prime``) over
 the monic integer model F of the input: the distinct-degree splits of F
-modulo its first few usable odd primes that do not divide its scale.  Each
-split does three jobs.  A usable prime proves F squarefree, so Yun's
-decomposition runs only when none of those primes is usable.  The degrees
-of F's factors over Q are subset sums of every modular pattern (Musser's
-degree-set argument, J. ACM 22, 1975), and the scan stops at the first
-prime that brings the intersection of these sums inside {0, 1, n-1, n}.
-When it is {0, n}, F is irreducible with no lifting at all; otherwise F
-factors as its linear factors times one irreducible cofactor, and its
-rational roots are lifted from the roots mod p that the degree-1 part of a
-split already holds.  Only when a degree between 2 and n-2 survives the
-whole scan does the classical Zassenhaus pipeline run, from the prime with
-the fewest modular factors, the only prime factored completely: quadratic
-multifactor Hensel lifting modulo m^2 past the Landau-Mignotte bound, then
-subset recombination (modular factor counts stay tiny at the degrees this
-package handles).  The Galois sieve walks the same model through the same
-primes (``usable_cycle_types``), so the splits this scan computed come back
-to it from the residue cache.
+modulo its usable odd primes that do not divide its scale, in increasing
+order.  Each split does three jobs.  A usable prime proves F squarefree,
+so Yun's decomposition runs only when none of the first ``_PRIME_SCAN``
+odd primes is usable.  The degrees of F's factors over Q are subset sums
+of every modular pattern (Musser's degree-set argument, J. ACM 22, 1975),
+and the scan stops at the first prime that brings the intersection of
+these sums inside {0, 1, n-1, n}.  When it is {0, n}, F is irreducible
+with no lifting at all; otherwise F factors as its linear factors times
+one irreducible cofactor, and its rational roots are lifted from the roots
+mod p that the degree-1 part of a split already holds.  Only when a degree
+between 2 and n-2 survives ``_DEGREE_SCAN`` usable primes does the
+classical Zassenhaus pipeline run.  The cap is 12 because small Galois
+groups settle late: of the fermat-x6 sextics of height at most 30, 185
+keep a middle degree after 5 usable primes, and the degree set proves 184
+of them irreducible within 11 (the last, X^6 - 1, has quadratic factors).
+Zassenhaus starts from the prime with the fewest modular factors, the only
+prime factored completely: quadratic multifactor Hensel lifting modulo m^2
+past the Landau-Mignotte bound, then subset recombination (modular factor
+counts stay tiny at the degrees this package handles).  The Galois sieve
+walks the same model through the same primes (``usable_cycle_types``), so
+the splits this scan computed come back to it from the residue cache.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
@@ -420,9 +424,14 @@ def _mignotte_bound(f: list[int]) -> int:
     return s * (1 << n) * a
 
 
-# Usable primes the residue scan examines at most; also the odd primes it
-# tries before it leaves an input that may have a repeated factor to Yun.
+# Odd primes the residue scan tries before it leaves an input that may have
+# a repeated factor to Yun, and that ``_lifted_roots`` tries before it takes
+# the squarefree part.
 _PRIME_SCAN = 5
+
+# Usable primes the residue scan reads at most while a degree between 2 and
+# n-2 survives; only then does Zassenhaus run (why 12: the module docstring).
+_DEGREE_SCAN = 12
 
 
 def _degree_set(split) -> int:
@@ -452,7 +461,7 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
     A prime dividing m is not usable for g, and it seldom narrows the degree
     set: modulo a prime dividing b, fermat-x6 at t = a/b has the model
     y^6 + a^6, which always has a quadratic factor.  At most
-    ``_PRIME_SCAN`` usable primes are read, and each distinct-degree split
+    ``_DEGREE_SCAN`` usable primes are read, and each distinct-degree split
     does three jobs:
 
     (a) A usable prime proves f squarefree over Q.  Unless the caller knows
@@ -464,9 +473,10 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
         {0, n} proves f irreducible; any other such set leaves f
         irreducible exactly when it has no rational root, which one root
         lift from a split's degree-1 part decides (``_split_off_roots``).
-    (c) Otherwise the prime with the fewest factors wins (the smaller on a
-        tie), and only it is factored completely.  The choice changes the
-        cost of Zassenhaus, never its answer.
+    (c) Otherwise, after ``_DEGREE_SCAN`` usable primes, the prime with
+        the fewest factors wins (the smaller on a tie), and only it is
+        factored completely.  The choice changes the cost of Zassenhaus,
+        never its answer.
     """
     n = len(f) - 1
     middle = ~(3 | 3 << n - 1)  # the degrees 2 <= d <= n-2
@@ -480,7 +490,7 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
             continue
         splits.append((p, split))
         degrees &= _degree_set(split)
-        if not degrees & middle or len(splits) == _PRIME_SCAN:
+        if not degrees & middle or len(splits) == _DEGREE_SCAN:
             break
     if not splits or not degrees & middle:
         return _Scan(splits, degrees, 0, [])

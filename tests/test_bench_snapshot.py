@@ -31,7 +31,8 @@ def test_snapshot_copies_end_to_end_and_layer_figures(tmp_path, monkeypatch):
     untraced = {"params_per_s": 800.0, "setup_s": 0.15, "peak_rss_mb": 25.0}
     traced = {
         "galois.sieve.share": 0.03,
-        "galois.sieve.primes": 6.4,
+        "galois.sieve.candidates_mean": 1.2,
+        "galois.sieve.primes": 0.0,
         "galois.sieve.self_s": 0.01,
         "indeterminate_frac": 0.0,
     }
@@ -43,9 +44,10 @@ def test_snapshot_copies_end_to_end_and_layer_figures(tmp_path, monkeypatch):
     assert got["end_to_end"]["metrics"] == untraced
     assert got["end_to_end"]["git_revision"] == "abc" and got["end_to_end"]["correct"]
     assert got["end_to_end"]["machine"]["nproc"] == 2
-    # shares and the named traced figures, not every self time
+    # shares and the named traced figures, not every self time, and not
+    # the sieve's prime count, which the tracer no longer sees
     assert got["layers"]["metrics"] == {
         "galois.sieve.share": 0.03,
-        "galois.sieve.primes": 6.4,
+        "galois.sieve.candidates_mean": 1.2,
         "indeterminate_frac": 0.0,
     }

@@ -62,6 +62,18 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert "monic" in err
 
 
+def test_resource_limit_exit_code(capsys, monkeypatch):
+    # the squarefree kernel of the first quadratic's discriminant needs
+    # 1152921515344265237 = 1073741827 * 1073741831 factored, which a
+    # lowered Pollard cap cannot do
+    from hitbox import rationals
+
+    monkeypatch.setattr(rationals, "_POLLARD_STEPS", 100)
+    code, out, err = run(capsys, "galois", "(X^2 - 1152921515344265237)*(X^2 - 3)")
+    assert code == 3 and out == ""
+    assert err.startswith("error: Pollard rho took over 100 steps")
+
+
 def test_verify_command_and_determinism(capsys):
     # height 6 (46 values) stays serial; height 7 (70 values) reaches the pool
     for height in ("6", "7"):

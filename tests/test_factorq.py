@@ -543,12 +543,12 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
         if uni_gcd(F, F.derivative()).degree > 0:
             continue  # the scan of a repeated factor is tested below
         n = F.degree
-        expected, common = _expected_scan(f, factorq._PRIME_SCAN)
+        expected, common = _expected_scan(f, factorq._DEGREE_SCAN)
         usable.clear()
         complete.clear()
         scan = factorq._good_prime(f, 1)
-        # at most _PRIME_SCAN usable primes, in increasing order, each read once
-        assert usable == [q for q, _ in expected] and len(usable) <= factorq._PRIME_SCAN, f
+        # at most _DEGREE_SCAN usable primes, in increasing order, each read once
+        assert usable == [q for q, _ in expected] and len(usable) <= factorq._DEGREE_SCAN, f
         assert [(q, factorq._cycle_type(split)) for q, split in scan.splits] == expected, f
         assert {d for d in range(n + 1) if scan.degrees >> d & 1} == common, f
         if common <= {0, 1, n - 1, n}:
@@ -556,7 +556,7 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
             assert scan.prime == 0 and complete == [], f
             continue
         zassenhaus += 1
-        assert len(usable) == factorq._PRIME_SCAN
+        assert len(usable) == factorq._DEGREE_SCAN
         fewest = min(len(degrees) for _, degrees in expected)
         p = next(q for q, degrees in expected if len(degrees) == fewest)
         assert scan.prime == p and [q for _, q in complete] == [p], f
@@ -596,6 +596,63 @@ def test_scan_gives_up_on_repeated_factors_and_yun_takes_over(monkeypatch):
     assert len(yun) == 1
     assert [(h.degree, m) for h, m in fac.factors] == [(1, 3), (2, 2), (3, 1)]
     _assert_matches_sympy(g)
+
+
+@pytest.mark.parametrize("text", ["(X^2 - 2)^2*(X^3 + X + 1)", "(3*X - 1)^2*(X^2 + 1)"])
+def test_scan_gives_up_after_prime_scan_odd_primes_not_degree_scan(monkeypatch, text):
+    # a repeated factor leaves no prime usable; the give-up counts the odd
+    # primes prime to the scale m (3 divides the second model's m), not
+    # the usable primes that _DEGREE_SCAN caps
+    assert factorq._PRIME_SCAN == 5 < factorq._DEGREE_SCAN
+    tried = _counting(monkeypatch, "_usable_ddf")
+    F, m = factorq._monic_int_model(parse_unipoly(text).primitive())
+    scan = factorq._good_prime(F, m)
+    assert scan.splits == [] and scan.prime == 0
+    primes = [p for p in (3, 5, 7, 11, 13, 17, 19) if m % p][: factorq._PRIME_SCAN]
+    assert [p for _, p in tried] == primes
+
+
+# fermat-x6 specializations of height at most 8 whose first _PRIME_SCAN
+# usable primes leave a middle degree in the degree set: irreducible
+# sextics that a 5-prime scan handed to Hensel lifting and recombination
+_LATE_SETTLING_X6 = ["5/2", "2/5", "8/7", "7/8"]
+
+
+def _assert_settled_by_degree_sets(monkeypatch, f: UniPoly):
+    lifts = _counting(monkeypatch, "_hensel_lift")
+    fac = factor_over_Q(f)
+    assert fac.is_irreducible() and lifts == [], poly_str(f)
+    monkeypatch.undo()
+    _assert_matches_sympy(f)
+
+
+@pytest.mark.parametrize("t", [sign * Fraction(s) for s in _LATE_SETTLING_X6 for sign in (1, -1)])
+def test_late_settling_fermat_sextics_need_no_lifting(monkeypatch, t):
+    f = load_fixture("fermat-x6").P.specialize(t)
+    scan = factorq._good_prime(*factorq._monic_int_model(f.primitive()))
+    assert scan.prime == 0 and factorq._PRIME_SCAN < len(scan.splits) <= factorq._DEGREE_SCAN
+    _assert_settled_by_degree_sets(monkeypatch, f)
+
+
+# X^6 + a and X^6 + a X^3 + b: small Galois groups (C6, S3, D6, ...), whose
+# degree sets settle late.  Every irreducible one with |a| <= 60, or with
+# |a|, |b| <= 20, settles within 8 usable primes.
+_SMALL_GROUP_SEXTICS = st.one_of(
+    st.integers(-60, 60).filter(bool).map(lambda a: UniPoly([a, 0, 0, 0, 0, 0, 1])),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20).filter(bool)).map(
+        lambda ab: UniPoly([ab[1], 0, 0, ab[0], 0, 0, 1])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_GROUP_SEXTICS.filter(_irreducible))
+@example(UniPoly([57, 0, 0, 0, 0, 0, 1]))  # 8 usable primes, the latest in range
+@example(UniPoly([15, 0, 0, 3, 0, 0, 1]))
+@example(UniPoly([-12, 0, 0, -10, 0, 0, 1]))
+def test_small_group_sextics_are_settled_by_degree_sets(f):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_settled_by_degree_sets(monkeypatch, f)
 
 
 def _random_monic_squarefree(rng, p, max_deg=8):
@@ -674,6 +731,18 @@ def test_a_sweep_splits_each_residue_class_once(monkeypatch):
     verify_equivalence(data, reference, 30, workers=1)
     classes = {(p, tuple(c % p for c in f)) for f, p in usable}
     assert len(ddf) <= len(classes) < len(usable) / 5
+
+
+@pytest.mark.parametrize("name, most", [("fermat-x6", 10), ("serre-a4", 12)])
+def test_a_height_30_sweep_lifts_only_where_a_middle_degree_is_real(monkeypatch, name, most):
+    # degree sets over up to _DEGREE_SCAN primes settle the irreducible
+    # fermat-x6 sextics; the 7 fermat-x6 lifts are t = 0, where X^6 - 1
+    # has quadratic factors
+    data = load_fixture(name)
+    reference, _ = resolve_reference(data)
+    lifts = _counting(monkeypatch, "_hensel_lift")
+    verify_equivalence(data, reference, 30, workers=1)
+    assert len(lifts) <= most
 
 
 # -- local root sieve ----------------------------------------------------------
