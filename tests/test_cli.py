@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hitbox import rationals
 from hitbox.cli import main
 
 
@@ -66,8 +67,6 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     # the squarefree kernel of the first quadratic's discriminant needs
     # 1152921515344265237 = 1073741827 * 1073741831 factored, which a
     # lowered Pollard cap cannot do
-    from hitbox import rationals
-
     monkeypatch.setattr(rationals, "_POLLARD_STEPS", 100)
     code, out, err = run(capsys, "galois", "(X^2 - 1152921515344265237)*(X^2 - 3)")
     assert code == 3 and out == ""
