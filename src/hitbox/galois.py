@@ -24,6 +24,7 @@ Honesty lives in the ``mode`` field.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -37,51 +38,55 @@ from .rationals import factor_int, is_square_rational, squarefree_kernel
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------
 #
-# label, order, abstract isomorphism kind, generators.  Orders and parity are
-# re-derived and checked at load time by the closure engine.
+# label, order, abstract isomorphism kind, sorted indices of the conjugacy
+# classes of maximal subgroups, generators.  Orders and parity are re-derived
+# and checked at load time by the closure engine.  The maximal indices are
+# constants: the tests re-derive them with a subgroup-lattice oracle, and
+# those of A5, S5, A6 and S6 agree with the ATLAS (Conway et al., 1985).
 
-_TABLE_DATA: dict[int, list[tuple[str, int, str, tuple[str, ...]]]] = {
-    2: [("2T1", 2, "C2", ("(1,2)",))],
+_TABLE_DATA: dict[int, list[tuple[str, int, str, tuple[int, ...], tuple[str, ...]]]] = {
+    2: [("2T1", 2, "C2", (2,), ("(1,2)",))],
     3: [
-        ("3T1", 3, "C3", ("(1,2,3)",)),
-        ("3T2", 6, "S3", ("(1,2)", "(1,2,3)")),
+        ("3T1", 3, "C3", (3,), ("(1,2,3)",)),
+        ("3T2", 6, "S3", (2, 3), ("(1,2)", "(1,2,3)")),
     ],
     4: [
-        ("4T1", 4, "C4", ("(1,2,3,4)",)),
-        ("4T2", 4, "V4", ("(1,2)(3,4)", "(1,3)(2,4)")),
-        ("4T3", 8, "D4", ("(1,2,3,4)", "(1,3)")),
-        ("4T4", 12, "A4", ("(1,2,3)", "(1,2)(3,4)")),
-        ("4T5", 24, "S4", ("(1,2)", "(1,2,3,4)")),
+        ("4T1", 4, "C4", (2,), ("(1,2,3,4)",)),
+        ("4T2", 4, "V4", (2, 2, 2), ("(1,2)(3,4)", "(1,3)(2,4)")),
+        ("4T3", 8, "D4", (2, 2, 2), ("(1,2,3,4)", "(1,3)")),
+        ("4T4", 12, "A4", (3, 4), ("(1,2,3)", "(1,2)(3,4)")),
+        ("4T5", 24, "S4", (2, 3, 4), ("(1,2)", "(1,2,3,4)")),
     ],
     5: [
-        ("5T1", 5, "C5", ("(1,2,3,4,5)",)),
-        ("5T2", 10, "D5", ("(1,2,3,4,5)", "(2,5)(3,4)")),
-        ("5T3", 20, "F20", ("(1,2,3,4,5)", "(2,3,5,4)")),
-        ("5T4", 60, "A5", ("(1,2,3,4,5)", "(1,2,3)")),
-        ("5T5", 120, "S5", ("(1,2)", "(1,2,3,4,5)")),
+        ("5T1", 5, "C5", (5,), ("(1,2,3,4,5)",)),
+        ("5T2", 10, "D5", (2, 5), ("(1,2,3,4,5)", "(2,5)(3,4)")),
+        ("5T3", 20, "F20", (2, 5), ("(1,2,3,4,5)", "(2,3,5,4)")),
+        ("5T4", 60, "A5", (5, 6, 10), ("(1,2,3,4,5)", "(1,2,3)")),
+        ("5T5", 120, "S5", (2, 5, 6, 10), ("(1,2)", "(1,2,3,4,5)")),
     ],
     6: [
-        ("6T1", 6, "C6", ("(1,2,3,4,5,6)",)),
-        ("6T2", 6, "S3", ("(1,2,3)(4,6,5)", "(1,4)(2,5)(3,6)")),
-        ("6T3", 12, "D6", ("(1,2,3,4,5,6)", "(1,6)(2,5)(3,4)")),
-        ("6T4", 12, "A4", ("(1,4,2)(3,5,6)", "(2,5)(3,4)")),
-        ("6T5", 18, "F18", ("(1,2,3)", "(4,5,6)", "(1,4)(2,5)(3,6)")),
-        ("6T6", 24, "C2xA4", ("(1,2)", "(1,3,5)(2,4,6)")),
-        ("6T7", 24, "S4", ("(1,4)(2,6)(3,5)", "(2,5,4,3)")),
-        ("6T8", 24, "S4", ("(2,4)(3,5)", "(1,4,6,3)(2,5)")),
+        ("6T1", 6, "C6", (2, 3), ("(1,2,3,4,5,6)",)),
+        ("6T2", 6, "S3", (2, 3), ("(1,2,3)(4,6,5)", "(1,4)(2,5)(3,6)")),
+        ("6T3", 12, "D6", (2, 2, 2, 3), ("(1,2,3,4,5,6)", "(1,6)(2,5)(3,4)")),
+        ("6T4", 12, "A4", (3, 4), ("(1,4,2)(3,5,6)", "(2,5)(3,4)")),
+        ("6T5", 18, "F18", (2, 3, 3), ("(1,2,3)", "(4,5,6)", "(1,4)(2,5)(3,6)")),
+        ("6T6", 24, "C2xA4", (2, 3, 4), ("(1,2)", "(1,3,5)(2,4,6)")),
+        ("6T7", 24, "S4", (2, 3, 4), ("(1,4)(2,6)(3,5)", "(2,5,4,3)")),
+        ("6T8", 24, "S4", (2, 3, 4), ("(2,4)(3,5)", "(1,4,6,3)(2,5)")),
         (
             "6T9",
             36,
             "S3xS3",
+            (2, 2, 2, 3, 3),
             ("(1,4,5)(2,3,6)", "(1,3)(2,4)(5,6)", "(1,5,4)(2,3,6)", "(1,3)(2,5)(4,6)"),
         ),
-        ("6T10", 36, "F36", ("(1,2,3)", "(4,5,6)", "(1,4,2,5)(3,6)")),
-        ("6T11", 48, "C2xS4", ("(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)")),
-        ("6T12", 60, "A5", ("(1,2,3,4,5)", "(1,6)(2,5)")),
-        ("6T13", 72, "S3wr2", ("(1,2,3)", "(1,2)", "(1,4)(2,5)(3,6)")),
-        ("6T14", 120, "S5", ("(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)")),
-        ("6T15", 360, "A6", ("(1,2,3)", "(2,3,4,5,6)")),
-        ("6T16", 720, "S6", ("(1,2)", "(1,2,3,4,5,6)")),
+        ("6T10", 36, "F36", (2, 9), ("(1,2,3)", "(4,5,6)", "(1,4,2,5)(3,6)")),
+        ("6T11", 48, "C2xS4", (2, 2, 2, 3, 4), ("(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)")),
+        ("6T12", 60, "A5", (5, 6, 10), ("(1,2,3,4,5)", "(1,6)(2,5)")),
+        ("6T13", 72, "S3wr2", (2, 2, 2, 9), ("(1,2,3)", "(1,2)", "(1,4)(2,5)(3,6)")),
+        ("6T14", 120, "S5", (2, 5, 6, 10), ("(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)")),
+        ("6T15", 360, "A6", (6, 6, 10, 15, 15), ("(1,2,3)", "(2,3,4,5,6)")),
+        ("6T16", 720, "S6", (2, 6, 6, 10, 15, 15), ("(1,2)", "(1,2,3,4,5,6)")),
     ],
 }
 
@@ -92,6 +97,7 @@ class TransitiveGroupEntry:
     label: str
     order: int
     kind: str
+    maximal_indices: tuple[int, ...]
     group: PermGroup
     cycle_types: frozenset[tuple[int, ...]]
     in_alternating: bool
@@ -106,7 +112,7 @@ def transitive_table(n: int) -> list[TransitiveGroupEntry]:
         raise DomainError(f"no transitive table for degree {n}")
     if n not in _TABLE_CACHE:
         entries = []
-        for label, order, kind, gen_strs in _TABLE_DATA[n]:
+        for label, order, kind, maximal, gen_strs in _TABLE_DATA[n]:
             G = closure(n, [parse_perm(s, n) for s in gen_strs])
             if G.order != order:
                 raise DomainError(f"table entry {label}: order {G.order} != {order}")
@@ -118,6 +124,7 @@ def transitive_table(n: int) -> list[TransitiveGroupEntry]:
                     label=label,
                     order=order,
                     kind=kind,
+                    maximal_indices=maximal,
                     group=G,
                     cycle_types=G.cycle_type_set(),
                     in_alternating=G.in_alternating(),
@@ -128,8 +135,10 @@ def transitive_table(n: int) -> list[TransitiveGroupEntry]:
 
 
 def table_entry(label: str) -> TransitiveGroupEntry:
-    n = int(label.split("T")[0])
-    for e in transitive_table(n):
+    m = re.fullmatch(r"([0-9]+)T[0-9]+", label) if isinstance(label, str) else None
+    if m is None:
+        raise DomainError(f"not a transitive group label of the form <n>T<k>: {label!r}")
+    for e in transitive_table(int(m[1])):
         if e.label == label:
             return e
     raise DomainError(f"unknown transitive group label {label}")

@@ -38,7 +38,7 @@ from .galois import (
     table_entry,
     transitive_table,
 )
-from .permgroups import PermGroup, maximal_classes
+from .permgroups import PermGroup
 from .polys import (
     BiPoly,
     _frac_str,
@@ -222,10 +222,12 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
     The fixture label, else the fixture order, else an order derived by
     specialization sampling picks the candidate table entries.  When
     auxiliary polynomials are present, only the entries whose
-    maximal-subgroup indices are their X-degrees stay.  Exactly one entry
-    must remain.
+    maximal-subgroup indices (a column of the transitive table) are their
+    X-degrees stay.  Exactly one entry must remain.  A degree without a
+    table is refused before any sampling.
     """
     deg = data.P.degree_x
+    table = transitive_table(deg)
     if data.g_label is not None:
         e = table_entry(data.g_label)
         if e.degree != deg:
@@ -240,10 +242,10 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
             samples = sample_rationals(5, exclude=data.D | {Fraction(0)})
             order = generic_group(data.P, samples, budget)
             prov = "order derived from specialization sampling (not a proof)"
-        cands = [e for e in transitive_table(deg) if e.order == order]
+        cands = [e for e in table if e.order == order]
     sdegs = sorted(f.degree_x for f in data.S)
     if sdegs:
-        cands = [e for e in cands if sorted(c.index for c in maximal_classes(e.group)) == sdegs]
+        cands = [e for e in cands if e.maximal_indices == tuple(sdegs)]
     if len(cands) != 1:
         raise FixtureError(
             f"cannot pin one reference group of degree {deg}: table entries "
@@ -425,6 +427,11 @@ def load_fixture(source) -> HitData:
     for key in ("P", "D", "S"):
         if key not in raw:
             raise FixtureError("missing field", key)
+    g_label, g_order = raw.get("G_label"), raw.get("G_order")
+    if g_label is not None and not isinstance(g_label, str):
+        raise FixtureError("must be a transitive group label such as 6T3", "G_label")
+    if g_order is not None and (type(g_order) is not int or g_order < 1):
+        raise FixtureError("must be a positive integer", "G_order")
     try:
         P = parse_poly(raw["P"])
     except Exception as e:
@@ -462,8 +469,8 @@ def load_fixture(source) -> HitData:
         D=computed_d,
         S=tuple(S),
         provenance={"P": "fixture", "S": "fixture", "D": "computed"},
-        g_label=raw.get("G_label"),
-        g_order=raw.get("G_order"),
+        g_label=g_label,
+        g_order=g_order,
         notes=notes,
     )
 

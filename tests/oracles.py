@@ -1,17 +1,27 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values by a route different from the
-production code: brute-force enumerations, divisor checks, numeric root
-finding, exhaustive modular searches.
+production code: brute-force enumerations, subgroup lattices by cyclic
+extension (the reference for the maximal-index column of the transitive
+table), divisor checks, numeric root finding, exhaustive modular searches.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from hitbox.errors import DomainError
-from hitbox.permgroups import PermGroup, closure, identity, perm_mul
+from hitbox.errors import DomainError, ResourceLimitError
+from hitbox.permgroups import (
+    DEFAULT_ORDER_BOUND,
+    Perm,
+    PermGroup,
+    _conjugates_into,
+    closure,
+    identity,
+    perm_mul,
+)
 from hitbox.polys import BiPoly, UniPoly
 
 
@@ -43,6 +53,87 @@ def conjugacy_partition(G: PermGroup, subgroups: set[frozenset]) -> list[set[fro
         remaining -= cls
         classes.append(cls)
     return classes
+
+
+@dataclass(frozen=True)
+class SubgroupClass:
+    """One conjugacy class of subgroups, by an explicit representative."""
+
+    representative: PermGroup
+    index: int
+    is_maximal: bool
+
+
+def subgroup_classes(G: PermGroup) -> list[SubgroupClass]:
+    """All conjugacy classes of subgroups of G, smallest order first.
+
+    Neubüser's cyclic extension: class representatives are joined with
+    cyclic subgroups, and every subgroup is a join of cyclic subgroups, so
+    the sweep is exhaustive.  A join is closed from the few generators it
+    was built from and becomes a new class unless a kept representative of
+    its order contains a conjugate of it.  A class is maximal unless its
+    representative is conjugate into a proper subgroup of larger order.
+    Both questions go to one test, ``_conjugates_into``, on the join
+    generators that each representative keeps as its ``generators``.
+    """
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise ResourceLimitError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
+    one = identity(G.degree)
+    cyclics: set[frozenset[Perm]] = set()
+    generator: dict[frozenset[Perm], Perm] = {}
+    for g in G.elements:
+        if g == one:
+            continue
+        cyc = {one}
+        x = g
+        while x != one:
+            cyc.add(x)
+            x = perm_mul(x, g)
+        cyclics.add(frozenset(cyc))
+        generator.setdefault(frozenset(cyc), g)
+    reps = [closure(G.degree, ())]
+    seen = {reps[0].elements}  # joins whose class is already known
+    queue = [reps[0]]
+    while queue:
+        H = queue.pop()
+        for C in cyclics:
+            if C <= H.elements:
+                continue
+            J = closure(G.degree, H.generators + (generator[C],))
+            if J.elements in seen:
+                continue
+            seen.add(J.elements)
+            if not any(
+                K.order == J.order and _conjugates_into(G.elements, J.generators, K.elements)
+                for K in reps
+            ):
+                reps.append(J)
+                if J.order < G.order:
+                    queue.append(J)
+    reps.sort(key=lambda H: (H.order, sorted(H.elements)))
+    return [
+        SubgroupClass(
+            representative=H,
+            index=G.order // H.order,
+            is_maximal=H.order < G.order
+            and not any(
+                H.order < K.order < G.order
+                and K.order % H.order == 0
+                and _conjugates_into(G.elements, H.generators, K.elements)
+                for K in reps
+            ),
+        )
+        for H in reps
+    ]
+
+
+def maximal_classes(G: PermGroup) -> list[SubgroupClass]:
+    """Conjugacy classes of maximal subgroups, smallest index first."""
+    if G.order < 2:
+        raise DomainError("maximal subgroups need a nontrivial group")
+    out = [c for c in subgroup_classes(G) if c.is_maximal]
+    out.sort(key=lambda c: (c.index, c.representative.order))
+    return out
 
 
 def specialize_by_horner(P: BiPoly, t) -> UniPoly:

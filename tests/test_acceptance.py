@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from oracles import maximal_classes
+
 from hitbox.curves import (
     CurvePoint,
     EllipticCurve,
@@ -32,7 +34,6 @@ from hitbox.harness import (
     verify_equivalence,
 )
 from hitbox.localsolve import REAL, conic_solvable_local, finite_place, hilbert_symbol
-from hitbox.permgroups import maximal_classes
 from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly, uni_gcd
 from hitbox.rationals import factor_int, rationals_up_to_height, sample_rationals
 

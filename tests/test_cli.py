@@ -5,6 +5,7 @@ import pytest
 
 from hitbox import rationals
 from hitbox.cli import main
+from hitbox.harness import fixture_path
 
 
 def run(capsys, *argv):
@@ -61,6 +62,18 @@ def test_validation_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "hit", "compute-d", "--fixture", str(bad))
     assert code == 3
     assert "monic" in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("G_label", "foo"), ("G_label", "T3"), ("G_label", 6), ("G_order", "12")]
+)
+def test_malformed_reference_field_exit_code(capsys, tmp_path, key, value):
+    raw = json.loads(fixture_path("fermat-x6").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**raw, key: value}))
+    code, out, err = run(capsys, "hit", "verify", "--fixture", str(bad), "--height", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_resource_limit_exit_code(capsys, monkeypatch):

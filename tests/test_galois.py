@@ -7,6 +7,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import maximal_classes, subgroup_classes
 
 from hitbox import factorq, galois
 from hitbox.errors import DomainError, ReferenceMismatchError
@@ -22,7 +23,7 @@ from hitbox.galois import (
     transitive_subgroups,
     transitive_table,
 )
-from hitbox.permgroups import closure, conjugate_in_symmetric, maximal_classes, subgroup_classes
+from hitbox.permgroups import closure, conjugate_in_symmetric
 from hitbox.harness import load_fixture
 from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly, poly_str
 from hitbox.rationals import is_prime, is_square_rational, rationals_up_to_height

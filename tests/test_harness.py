@@ -11,9 +11,10 @@ import pytest
 import hitbox
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
 from hitbox.factorq import may_have_rational_root, rational_roots
-from hitbox.galois import table_entry
+from hitbox.galois import table_entry, transitive_table
 from hitbox.harness import (
     EquivalenceReport,
+    HitData,
     _find_witness,
     _sweep_values,
     compute_exclusion_set,
@@ -28,7 +29,8 @@ from hitbox.harness import (
     resolve_reference,
     verify_equivalence,
 )
-from hitbox.polys import parse_poly
+from hitbox.permgroups import PermGroup
+from hitbox.polys import BiPoly, parse_poly
 from hitbox.rationals import height, rationals_up_to_height
 
 SERRE = load_fixture("serre-a4")
@@ -158,6 +160,40 @@ def test_resolve_reference_paths():
     # degrees [2, 2, 3] fit neither order-12 entry (6T3: [2, 2, 2, 3]; 6T4: [3, 4])
     with pytest.raises(FixtureError):
         resolve_reference(load_fixture({**raw, "S": raw["S"][1:]}))
+
+
+def test_resolve_reference_reads_maximal_indices_without_closing_groups(monkeypatch):
+    # every closure ends in one PermGroup, whichever module bound the name
+    transitive_table(6)
+    calls, init = [], PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+
+    def sextic(*xdegs, **fields):
+        S = tuple(BiPoly.var_x() ** k for k in xdegs)
+        return HitData(name="sextic", P=FERMAT.P, D=FERMAT.D, S=S, **fields)
+
+    with pytest.raises(FixtureError) as err:
+        resolve_reference(sextic(2, 6, g_label="6T16"))
+    assert str(err.value) == (
+        "cannot pin one reference group of degree 6: table entries [] fit "
+        "the auxiliary X-degrees [2, 6]"
+    )
+    ref, prov = resolve_reference(sextic(2, 6, 6, 10, 15, 15, g_order=720))
+    assert ref == table_entry("6T16").group and prov == "fixture order 720, matched 6T16"
+    ref, prov = resolve_reference(sextic(6, 6, 10, 15, 15, g_label="6T15"))
+    assert ref == table_entry("6T15").group and prov == "fixture label 6T15"
+    assert calls == []
+
+
+def test_resolve_reference_refuses_degree_7_before_sampling():
+    data = load_fixture({"name": "x7", "P": "X^7 + T^7 - 1", "D": [], "S": []})
+    with pytest.raises(DomainError, match="no transitive table for degree 7"):
+        resolve_reference(data)
 
 
 def test_generic_group_examples():

@@ -2,22 +2,19 @@ import random
 
 import pytest
 
-from oracles import brute_force_subgroups, conjugacy_partition
+from oracles import brute_force_subgroups, conjugacy_partition, maximal_classes, subgroup_classes
 
 from hitbox.errors import DomainError, ParseError, ResourceLimitError
 from hitbox.galois import table_entry, transitive_table
 from hitbox.permgroups import (
-    SubgroupClass,
     closure,
     cycle_type,
     identity,
     is_even,
-    maximal_classes,
     parse_perm,
     perm_conj,
     perm_mul,
     perm_str,
-    subgroup_classes,
 )
 
 
@@ -109,6 +106,16 @@ def test_subgroup_lattices_of_small_transitive_groups():
         classes = subgroup_classes(table_entry(label).group)
         assert len(classes) == count, label
         assert sorted(c.index for c in classes if c.is_maximal) == indices, label
+        assert list(table_entry(label).maximal_indices) == indices, label
+    # the table's column on the rest of degree 6, but A6 (next test) and S6
+    for e in transitive_table(6):
+        if e.label not in SUBGROUP_LATTICES and e.label not in ("6T15", "6T16"):
+            indices = sorted(c.index for c in maximal_classes(e.group))
+            assert list(e.maximal_indices) == indices, e.label
+    # S6 is pinned to the ATLAS, because the oracle takes about 45 s on it:
+    # A6 (index 2), two classes of S5 (index 6), S3 wr S2 (index 10), and
+    # S2 wr S3 and S4 x S2 (index 15)
+    assert table_entry("6T16").maximal_indices == (2, 6, 6, 10, 15, 15)
 
 
 def test_maximal_indices_of_a6():
@@ -116,6 +123,7 @@ def test_maximal_indices_of_a6():
     # and two of S4 (index 15)
     indices = sorted(c.index for c in maximal_classes(table_entry("6T15").group))
     assert indices == [6, 6, 10, 15, 15]
+    assert list(table_entry("6T15").maximal_indices) == indices
 
 
 def test_maximal_classes_examples():
