@@ -64,22 +64,25 @@ root (F'(r) != 0 mod p); then each lifts uniquely by Newton's method, past
 twice the Cauchy bound, and is kept only if it is an exact integer root of
 F (ibid., §15).  Rejecting a prime costs at most p evaluations.
 
-The witness scan asks whether f(t, X) has a rational root, for a fixed f
-in Q[T][X] and many t; almost never is the answer yes.  A local root sieve
-answers most of these no before f is specialized, as rational-point
-searches do (Stoll's ratpoints; Bruin & Stoll, LMS J. Comput. Math. 13,
-2010).  Write t = a/b in lowest terms and let N(U, V) be the homogenized
-integer form of f(t, X), its X-coefficients evaluated at (a, b) and
-divided by the content of f.  A rational root u/v in lowest terms makes
-(u mod p : v mod p) a projective root of N mod p; so if N mod p is not
-zero, its leading coefficient does not vanish mod p and it has no root in
-F_p, then f(t, X) has no rational root.  This is a proof, not a
+The witness scan asks whether some member f of a fixed family S in Q[T][X]
+has a rational root at t, for many t; almost never is the answer yes.  A
+local root sieve answers most of these no before f is specialized, as
+rational-point searches do (Stoll's ratpoints; Bruin & Stoll, LMS J.
+Comput. Math. 13, 2010).  Write t = a/b in lowest terms and let N(U, V)
+be the homogenized integer form of f(t, X), its X-coefficients evaluated
+at (a, b) and divided by the content of f.  A rational root u/v in lowest
+terms makes (u mod p : v mod p) a projective root of N mod p; so if N mod
+p is not zero, its leading coefficient does not vanish mod p and it has no
+root in F_p, then f(t, X) has no rational root.  This is a proof, not a
 heuristic.  Since N is homogeneous in (a, b), the answer depends only on
-the point (a : b) of P^1(F_p), and each f caches one table per prime, read
-off p + 1 points on first use (``may_have_rational_root``).  The bounded
-point search on a plane curve (``curves.bounded_point_search``) does not
-use the sieve: it specializes and solves every fibre, which keeps it an
-unsieved reference that other searches are checked against, and keeps the
+the point (a : b) of P^1(F_p).  So the family has one table per prime
+(``root_sieve``), read off p + 1 points and ORed across S, whose byte at
+(a, b) has bit i set unless p rules out S[i]: ANDing one byte per prime
+(``root_mask``) answers for all of S at once, and
+``may_have_rational_root`` is the case of one member.  The bounded point
+search on a plane curve (``curves.bounded_point_search``) does not use the
+sieve: it specializes and solves every fibre, which keeps it an unsieved
+reference that other searches are checked against, and keeps the
 benchmark's search workload a measure of specialization and root finding.
 """
 
@@ -812,25 +815,30 @@ def rational_roots(f: UniPoly) -> set[Fraction]:
 
 # -- local root sieve ----------------------------------------------------------
 
-# The odd primes of the local root sieve; a polynomial keeps those that
-# reject some point of P^1(F_p).
+# The odd primes of the local root sieve; a family keeps those that reject
+# some point of P^1(F_p) for one of its members.
 _SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
 
+# a table entry is one byte, one bit per member of the family
+SIEVE_FAMILY_MAX = 8
 
-def _root_table(rows: list[list[int]], d: int, p: int) -> bytes | None:
-    """Entry (b mod p) * p + (a mod p) is 0 when N(U, V) at t = a/b (in
-    lowest terms) has no projective root mod p, else 1; None when p rejects
-    no point.  ``rows`` is the homogenized integer form of a polynomial in
-    X over Q[T], of T-degree d.
+
+def _point_roots(rows: list[list[int]], d: int, p: int) -> list[int]:
+    """1 at each point of P^1(F_p) where N(U, V) has a projective root mod
+    p, else 0: the points (x : 1) for x in F_p, then (1 : 0).  ``rows``
+    is the homogenized integer form of a polynomial in X over Q[T], of
+    T-degree d, divided by its content; N = 0 has a root everywhere.
 
     N is homogeneous in (a, b), so its coefficients mod p at (a, b) are
-    those at the point (a : b) of P^1(F_p) times a common unit: the table
-    is read off p + 1 points, (x : 1) by Horner and (1 : 0) from the
-    T^d column.  N has the root (1 : 0) when its leading coefficient
-    vanishes mod p, which covers N = 0 mod p.  A quadratic with a unit
-    leading coefficient has a root exactly when its discriminant is a
-    square mod p (Euler's criterion); other degrees are evaluated, once
-    per coefficient vector (``_simple_roots_mod``)."""
+    those at the point (a : b) times a common unit: (x : 1) is read by
+    Horner, at every x at once, and (1 : 0) from the T^d column.  N has
+    the root (1 : 0) when its leading coefficient vanishes mod p, which
+    covers N = 0 mod p.  A quadratic with a unit leading coefficient has a
+    root exactly when its discriminant is a square mod p (Euler's
+    criterion); other degrees are evaluated, once per coefficient vector
+    (``_simple_roots_mod``)."""
+    if not rows:
+        return [1] * (p + 1)
 
     def has_root(cs):
         if not cs[-1]:
@@ -839,33 +847,68 @@ def _root_table(rows: list[list[int]], d: int, p: int) -> bytes | None:
             return int(pow(cs[1] * cs[1] - 4 * cs[0] * cs[2], (p - 1) // 2, p) != p - 1)
         return int(_simple_roots_mod(cs, p) != ())
 
-    proj = bytes(has_root(tuple(_gp_eval(row, x, p) for row in rows)) for x in range(p))
-    inf = has_root(tuple(row[d] % p if len(row) > d else 0 for row in rows))
-    if all(proj) and inf:
-        return None
-    # (a : b) = (a / b : 1) for b != 0; the row of b is proj read with step 1/b
-    return bytes([inf]) * p + b"".join((proj * p)[:: pow(b, -1, p)][:p] for b in range(1, p))
+    xs = range(p)
+    cols = []
+    for row in rows:
+        vals = [0] * p
+        for c in reversed(row):
+            vals = [(v * x + c) % p for v, x in zip(vals, xs)]
+        cols.append(vals)
+    points = [has_root(cs) for cs in zip(*cols)]
+    points.append(has_root(tuple(row[d] % p if len(row) > d else 0 for row in rows)))
+    return points
 
 
-def _sieve_tables(f: BiPoly) -> tuple[tuple[int, bytes], ...]:
-    """(p, ``_root_table``) for each sieve prime that rejects some point,
-    from f's integer form divided by its content."""
-    rows, _, d = f.int_form()
-    if not rows:
-        return ()
-    g = math.gcd(*[c for row in rows for c in row])
-    rows = [[c // g for c in row] for row in rows]
-    tables = ((p, _root_table(rows, d, p)) for p in _SIEVE_PRIMES)
-    return tuple((p, tab) for p, tab in tables if tab is not None)
+def root_sieve(family) -> tuple[tuple[int, bytes], ...]:
+    """(p, table) for each sieve prime that rejects some point for some
+    member of ``family`` (at most ``SIEVE_FAMILY_MAX`` polynomials in
+    Q[T][X]), in increasing order.  Entry (b mod p) * p + (a mod p) of a
+    table has bit i set unless p proves that member i has no rational root
+    at t = a/b (in lowest terms).
+
+    The bits are taken at the p + 1 points of P^1(F_p) (``_point_roots``),
+    ORed across the family, and expanded once: the point of (a, b) is
+    (1 : 0) when b = 0 mod p, else (a / b : 1)."""
+    if len(family) > SIEVE_FAMILY_MAX:
+        raise DomainError(f"the root sieve holds at most {SIEVE_FAMILY_MAX} polynomials")
+    forms = []
+    for f in family:
+        rows, _, d = f.int_form()
+        g = math.gcd(*[c for row in rows for c in row])
+        forms.append(([[c // g for c in row] for row in rows], d))
+    full = (1 << len(family)) - 1
+    tables = []
+    for p in _SIEVE_PRIMES:
+        masks = [0] * (p + 1)
+        for i, (rows, d) in enumerate(forms):
+            for j, r in enumerate(_point_roots(rows, d, p)):
+                masks[j] |= r << i
+        if all(m == full for m in masks):
+            continue
+        proj = bytes(masks[:p])
+        # the row of b != 0 is proj read with step 1/b
+        by_b = [(proj * p)[:: pow(b, -1, p)][:p] for b in range(1, p)]
+        tables.append((p, bytes([masks[p]]) * p + b"".join(by_b)))
+    return tuple(tables)
+
+
+def root_mask(sieve, t: Fraction) -> int:
+    """The bits of the family members that no table of ``sieve`` (from
+    ``root_sieve``) rules out at t; 0 as soon as every member is ruled out,
+    255 when no table applies."""
+    a, b = t.numerator, t.denominator
+    mask = 0xFF  # a bit for each of up to SIEVE_FAMILY_MAX members
+    for p, table in sieve:
+        mask &= table[b % p * p + a % p]
+        if not mask:
+            return 0
+    return mask
 
 
 def may_have_rational_root(f: BiPoly, t: Fraction) -> bool:
     """False only when f(t, X) has no rational root, by the local root
-    sieve; the tables are built on f's first call and cached on f."""
+    sieve of the one-member family (f,), built on f's first call and
+    cached on f."""
     if f._sieve is None:
-        f._sieve = _sieve_tables(f)
-    a, b = t.numerator, t.denominator
-    for p, table in f._sieve:
-        if not table[b % p * p + a % p]:
-            return False
-    return True
+        f._sieve = root_sieve((f,))
+    return root_mask(f._sieve, t) != 0

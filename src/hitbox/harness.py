@@ -21,6 +21,7 @@ reference fits raises ``ReferenceMismatchError``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DomainError, FixtureError, InconclusiveError, ReferenceMismatchError
-from .factorq import factor_over_Q, factorization_type, may_have_rational_root, rational_roots
+from .factorq import SIEVE_FAMILY_MAX, factor_over_Q, factorization_type, rational_roots, root_mask, root_sieve
 from .galois import (
     GaloisId,
     groups_match,
@@ -46,7 +47,7 @@ from .polys import (
     leading_coeff_in_x,
     parse_poly,
 )
-from .rationals import height, rationals_up_to_height, sample_rationals
+from .rationals import height, rationals_of_height, sample_rationals
 
 DEFAULT_PRIME_BUDGET = 24
 
@@ -63,6 +64,12 @@ class HitData:
     g_label: str | None = None
     g_order: int | None = None
     notes: str = ""
+
+    @functools.cached_property
+    def root_sieve(self) -> tuple[tuple[int, bytes], ...]:
+        """``factorq.root_sieve`` of S, built on first use (the first
+        sweep) and kept with the data, which carries it to pool workers."""
+        return root_sieve(self.S)
 
 
 @dataclass(frozen=True)
@@ -128,13 +135,18 @@ def compute_exclusion_set(P: BiPoly, S) -> frozenset[Fraction]:
     return frozenset(out)
 
 
-def _find_witness(t: Fraction, S) -> tuple[int, Fraction] | None:
-    for i, f in enumerate(S):
-        if not may_have_rational_root(f, t):
-            continue
-        roots = rational_roots(f.specialize(t))
-        if roots:
-            return (i, min(roots))
+def _find_witness(t: Fraction, data: HitData) -> tuple[int, Fraction] | None:
+    """(i, least rational root of S[i](t, X)) for the first i that has one,
+    else None.  One root-sieve lookup per prime rules out the whole family
+    at once (``HitData.root_sieve``); only the members it leaves are
+    specialized, in index order."""
+    mask = root_mask(data.root_sieve, t)
+    if mask:
+        for i, f in enumerate(data.S):
+            if mask >> i & 1:
+                roots = rational_roots(f.specialize(t))
+                if roots:
+                    return (i, min(roots))
     return None
 
 
@@ -154,7 +166,7 @@ def exceptional_test(
     t = Fraction(t)
     in_d = t in data.D
     within = None if in_d else reference
-    witness = _find_witness(t, data.S)
+    witness = _find_witness(t, data)
     pt = data.P.specialize(t)
     ftype: tuple[int, ...] = ()
     gid: GaloisId | None = None
@@ -260,7 +272,16 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
 
 
 def _sweep_values(data: HitData, height_bound: int) -> list[Fraction]:
-    return [t for t in rationals_up_to_height(height_bound) if t not in data.D]
+    """The rationals up to the height bound outside D, in canonical order.
+
+    Membership in D is asked only in the rows of a height that some
+    element of D has; every other row is taken whole."""
+    d_heights = {height(t) for t in data.D}
+    values: list[Fraction] = []
+    for h in range(1, height_bound + 1):
+        row = rationals_of_height(h)
+        values += [t for t in row if t not in data.D] if h in d_heights else row
+    return values
 
 
 def _map_chunk(job) -> tuple[list, Exception | None]:
@@ -392,7 +413,7 @@ def enumerate_exceptional(
     """
     workers = default_workers() if workers is None else workers
     values = _sweep_values(data, height_bound)
-    witnesses = _parallel_map(_find_witness, values, workers, data.S)
+    witnesses = _parallel_map(_find_witness, values, workers, data)
     return [
         exceptional_test(t, data, None, budget)
         for t, w in zip(values, witnesses)
@@ -438,6 +459,14 @@ def load_fixture(source) -> HitData:
         raise FixtureError(str(e), "P")
     if P.degree_x < 1:
         raise FixtureError("P must involve X", "P")
+    if P.degree_x > 6:
+        raise FixtureError(f"X-degree {P.degree_x} is above 6, the largest with a transitive table", "P")
+    if len(raw["S"]) > SIEVE_FAMILY_MAX:
+        raise FixtureError(
+            f"{len(raw['S'])} auxiliary polynomials; at most {SIEVE_FAMILY_MAX}, one per class "
+            "of maximal subgroups, and no group of degree <= 6 has more than 6 classes",
+            "S",
+        )
     S = []
     for i, text in enumerate(raw["S"]):
         try:

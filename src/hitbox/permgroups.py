@@ -167,7 +167,8 @@ class PermGroup:
         return frozenset(cycle_type(g) for g in self.elements)
 
     def in_alternating(self) -> bool:
-        return all(is_even(g) for g in self.elements)
+        """G lies in A_n iff every generator is even (A_n is a subgroup)."""
+        return all(is_even(g) for g in self.generators)
 
 
 def closure(degree: int, gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND) -> PermGroup:

@@ -65,6 +65,18 @@ def test_validation_error_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "P, S", [("X^7 + T^7 - 1", []), ("X^2 - T", [f"X^2 - {k}*T" for k in range(1, 10)])]
+)
+def test_oversized_fixture_exit_code(capsys, tmp_path, P, S):
+    # an X-degree above 6 or more than 8 auxiliaries: refused at load
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"name": "big", "P": P, "D": [], "S": S}))
+    code, out, err = run(capsys, "hit", "verify", "--fixture", str(bad), "--height", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "key, value", [("G_label", "foo"), ("G_label", "T3"), ("G_label", 6), ("G_order", "12")]
 )
 def test_malformed_reference_field_exit_code(capsys, tmp_path, key, value):

@@ -801,3 +801,24 @@ def test_root_sieve_tables_match_the_definition(f, content):
     f = f * content
     for t in rationals_up_to_height(5):
         assert may_have_rational_root(f, t) == (not _rejected_directly(f, t)), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_bipoly(3, 4).filter(lambda f: not f.is_zero()), min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.sampled_from([1, 3, 35]),  # content divisible by sieve primes
+)
+def test_family_root_sieve_has_each_members_bit(S, planted, content):
+    # the member at `planted` (if any) gets a linear factor X - T, so it has
+    # the rational root t at every t and its bit is set everywhere
+    S = [f * content for f in S]
+    if planted < len(S):
+        S[planted] = S[planted] * BiPoly([UniPoly([0, -1]), UniPoly([1])])
+    sieve = factorq.root_sieve(S)
+    for t in rationals_up_to_height(5):
+        mask = factorq.root_mask(sieve, t)
+        for i, f in enumerate(S):
+            assert (mask >> i & 1) == (not _rejected_directly(f, t)), (t, i)
+        if planted < len(S):
+            assert mask >> planted & 1, t

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hitbox
+from hitbox import harness
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
 from hitbox.factorq import may_have_rational_root, rational_roots
 from hitbox.galois import table_entry, transitive_table
@@ -190,8 +191,22 @@ def test_resolve_reference_reads_maximal_indices_without_closing_groups(monkeypa
     assert calls == []
 
 
+def _exclusion_set_never_runs(P, S):
+    raise AssertionError("compute_exclusion_set ran")
+
+
+def test_fixture_load_refuses_degree_above_6_and_too_many_auxiliaries(monkeypatch):
+    monkeypatch.setattr(harness, "compute_exclusion_set", _exclusion_set_never_runs)
+    with pytest.raises(FixtureError, match="^P: X-degree 7 is above 6"):
+        load_fixture({"name": "x7", "P": "X^7 + T^7 - 1", "D": [], "S": []})
+    nine = [f"X^2 - {k}*T" for k in range(1, 10)]
+    with pytest.raises(FixtureError, match="^S: 9 auxiliary polynomials; at most 8"):
+        load_fixture({"name": "s9", "P": "X^2 - T", "D": [], "S": nine})
+
+
 def test_resolve_reference_refuses_degree_7_before_sampling():
-    data = load_fixture({"name": "x7", "P": "X^7 + T^7 - 1", "D": [], "S": []})
+    # load_fixture refuses degree 7 itself, so the data is built directly
+    data = HitData(name="x7", P=parse_poly("X^7 + T^7 - 1"), D=frozenset(), S=())
     with pytest.raises(DomainError, match="no transitive table for degree 7"):
         resolve_reference(data)
 
@@ -256,7 +271,6 @@ def test_pooled_sweep_raises_the_first_failure_in_sweep_order():
 
 def test_groups_match_runs_once_per_record(monkeypatch):
     import hitbox.galois
-    import hitbox.harness as harness
 
     calls = []
 
@@ -394,7 +408,18 @@ def test_root_sieve_never_rejects_a_fibre_with_a_rational_root(data):
             assert may_have_rational_root(f, t) or not roots, (t, i)
             if roots and unsieved is None:
                 unsieved = (i, min(roots))
-        assert _find_witness(t, data.S) == unsieved, t
+        assert _find_witness(t, data) == unsieved, t
+
+
+@pytest.mark.parametrize(
+    "D",
+    [set(), {0}, {-1, 1}, {-1, Fraction(2, 3), 5, Fraction(7, 11)}],
+    ids=["none", "zero", "units", "mixed"],
+)
+def test_sweep_values_are_the_rationals_outside_d(D):
+    data = HitData(name="d", P=FERMAT.P, D=frozenset(map(Fraction, D)), S=())
+    for H in range(1, 41):
+        assert _sweep_values(data, H) == [t for t in rationals_up_to_height(H) if t not in data.D]
 
 
 def test_root_sieve_leaves_only_the_exceptional_fermat_fibres():
@@ -405,9 +430,11 @@ def test_root_sieve_leaves_only_the_exceptional_fermat_fibres():
 
 def test_root_sieve_is_built_lazily_and_pooled_sweeps_agree():
     fresh = load_fixture("fermat-x6")
-    assert all(f._sieve is None for f in fresh.S)  # set-up builds no table
+    # set-up builds no table, neither the family's nor a member's
+    assert "root_sieve" not in fresh.__dict__
+    assert all(f._sieve is None for f in fresh.S)
     serial = enumerate_exceptional(fresh, 40, workers=1)
-    assert all(f._sieve is not None for f in fresh.S)
+    assert "root_sieve" in fresh.__dict__
     pooled = enumerate_exceptional(load_fixture("fermat-x6"), 40, workers=2)
     assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
     assert [r.t for r in serial] == [Fraction(0)]

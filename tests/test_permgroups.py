@@ -176,3 +176,9 @@ def test_parity():
     assert not is_even(parse_perm("(1,2)", 2))
     assert A4.in_alternating()
     assert not D6.in_alternating()
+
+
+def test_in_alternating_reads_the_generators_as_the_element_scan_would():
+    for n in range(2, 7):
+        for e in transitive_table(n):
+            assert e.group.in_alternating() == all(is_even(g) for g in e.group.elements), e.label
