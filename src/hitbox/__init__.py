@@ -17,14 +17,13 @@ from .errors import (
     ResourceLimitError,
 )
 from .polys import BiPoly, UniPoly, parse_poly, parse_unipoly
-from .rationals import Rational, height, normalize, padic_valuation
+from .rationals import height, normalize, padic_valuation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly",
     "UniPoly",
-    "Rational",
     "DomainError",
     "FixtureError",
     "InconclusiveError",

@@ -11,12 +11,13 @@ sieve (``rationals.odd_primes``).
 The rational factorization makes one residue pass (``_good_prime``) over
 the monic integer model F of the input: the distinct-degree splits of F
 modulo its usable odd primes that do not divide its scale, in increasing
-order.  Each split does three jobs.  A usable prime proves F squarefree,
-so Yun's decomposition runs only when none of the first ``_PRIME_SCAN``
-odd primes is usable.  The degrees of F's factors over Q are subset sums
-of every modular pattern (Musser's degree-set argument, J. ACM 22, 1975),
-and the scan stops at the first prime that brings the intersection of
-these sums inside {0, 1, n-1, n}.  When it is {0, n}, F is irreducible
+order.  Each split does three jobs.  A usable prime proves F squarefree;
+when none of the first ``_PRIME_SCAN`` odd primes is usable, the
+squarefree part is factored instead, as ``_lifted_roots`` does, and each
+factor's multiplicity is read by exact division.  The degrees of F's
+factors over Q are subset sums of every modular pattern (Musser's
+degree-set argument, J. ACM 22, 1975), and the scan stops at the first
+prime that brings the intersection of these sums inside {0, 1, n-1, n}.  When it is {0, n}, F is irreducible
 with no lifting at all; otherwise F factors as its linear factors times
 one irreducible cofactor, and its rational roots are lifted from the roots
 mod p that the degree-1 part of a split already holds.  Only when a degree
@@ -78,8 +79,7 @@ heuristic.  Since N is homogeneous in (a, b), the answer depends only on
 the point (a : b) of P^1(F_p).  So the family has one table per prime
 (``root_sieve``), read off p + 1 points and ORed across S, whose byte at
 (a, b) has bit i set unless p rules out S[i]: ANDing one byte per prime
-(``root_mask``) answers for all of S at once, and
-``may_have_rational_root`` is the case of one member.  The bounded point
+(``root_mask``) answers for all of S at once.  The bounded point
 search on a plane curve (``curves.bounded_point_search``) does not use the
 sieve: it specializes and solves every fibre, which keeps it an unsieved
 reference that other searches are checked against, and keeps the
@@ -97,7 +97,7 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import DomainError
-from .polys import BiPoly, UniPoly, _mul, _primitive, _pseudo_divmod, _trim, squarefree_part, uni_gcd
+from .polys import UniPoly, _mul, _primitive, _pseudo_divmod, _trim, squarefree_part
 from .rationals import as_prime, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
@@ -427,9 +427,8 @@ def _mignotte_bound(f: list[int]) -> int:
     return s * (1 << n) * a
 
 
-# Odd primes the residue scan tries before it leaves an input that may have
-# a repeated factor to Yun, and that ``_lifted_roots`` tries before it takes
-# the squarefree part.
+# Odd primes the residue scan, and ``_lifted_roots``, try before they take
+# the squarefree part of an input that may have a repeated factor.
 _PRIME_SCAN = 5
 
 # Usable primes the residue scan reads at most while a degree between 2 and
@@ -607,28 +606,6 @@ class Factorization:
         return Factorization(unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
 
 
-def _yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun decomposition of monic f over Q: [(squarefree monic, mult)]."""
-    d = f.derivative()
-    a = uni_gcd(f, d)
-    if a.degree == 0:
-        return [(f, 1)]
-    b = f.exact_div(a).monic()
-    c = d.exact_div(a)
-    out = []
-    i = 1
-    dd = c - b.derivative()
-    while b.degree > 0:
-        a = uni_gcd(b, dd)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b.exact_div(a)
-        c = dd.exact_div(a)
-        dd = c - b.derivative()
-        i += 1
-    return out
-
-
 def _root_or_self(d: int, k: int) -> int:
     """r if d = r^k for an integer r, else d (d >= 1): integer Newton steps
     down from a power of two above the k-th root."""
@@ -658,12 +635,21 @@ def _monic_int_model(ints: list[int]) -> tuple[list[int], int]:
     return [c * m ** (n - i) // lead if c else 0 for i, c in enumerate(ints)], m
 
 
+def _multiplicity(f: UniPoly, g: UniPoly) -> int:
+    """How many times the irreducible g divides f, by exact division."""
+    mult, (q, r) = 0, f.divmod(g)
+    while not r:
+        mult, (q, r) = mult + 1, q.divmod(g)
+    return mult
+
+
 def factor_over_Q(f: UniPoly) -> Factorization:
     """Complete factorization into monic irreducibles over Q.
 
     One residue scan (``_good_prime``) of the monic integer model proves it
-    squarefree and settles or prepares its factorization; Yun's
-    decomposition runs only when the scan finds no usable prime.
+    squarefree and settles or prepares its factorization.  When the scan
+    finds no usable prime, the squarefree part is factored instead, and the
+    multiplicity of each of its factors is the number of times it divides f.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -672,19 +658,15 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         return Factorization(unit=unit, factors=())
     F, m = _monic_int_model(f.primitive())
     scan = _good_prime(F, m)
-    if scan.splits:
-        pieces = [(F, m, 1, scan)]
-    else:
-        pieces = []
-        for piece, mult in _yun_squarefree(f.monic()):
-            F, m = _monic_int_model(piece.primitive())
-            pieces.append((F, m, mult, _good_prime(F, m, squarefree=True)))
+    repeated = not scan.splits
+    if repeated:
+        F, m = _monic_int_model(squarefree_part(f).primitive())
+        scan = _good_prime(F, m, squarefree=True)
     out: list[tuple[UniPoly, int]] = []
-    for F, m, mult, scan in pieces:
-        for h in _zassenhaus_monic(F, scan):
-            # undo y = m*x: h(m x) / m^deg h is monic
-            g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1))
-            out.append((g.monic(), mult))
+    for h in _zassenhaus_monic(F, scan):
+        # undo y = m*x: h(m x) / m^deg h is monic
+        g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1)).monic()
+        out.append((g, _multiplicity(f, g) if repeated else 1))
     if len(out) > 1:
         out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
     return Factorization(unit=unit, factors=tuple(out))
@@ -904,11 +886,3 @@ def root_mask(sieve, t: Fraction) -> int:
             return 0
     return mask
 
-
-def may_have_rational_root(f: BiPoly, t: Fraction) -> bool:
-    """False only when f(t, X) has no rational root, by the local root
-    sieve of the one-member family (f,), built on f's first call and
-    cached on f."""
-    if f._sieve is None:
-        f._sieve = root_sieve((f,))
-    return root_mask(f._sieve, t) != 0

@@ -11,13 +11,14 @@ tables: the candidate set always contains the true group, so the only
 definitive verdicts it supports are singletons and order statements shared
 by every surviving candidate.
 
-Given a reference group G, the sieve starts from the table entries that are
-conjugate in S_n to a subgroup of G (the Galois group of a specialization
-outside the exclusion set is a decomposition group, hence one of them) and
-stops at the first prime that leaves a single candidate.  Such a singleton
-is exact only if G is the right generic group, so it is reported with mode
-``conditional``, never ``definitive``; a reference that is itself derived by
-sampling (as for fermat-x6) makes every conditional verdict derived too.
+Given a reference group G, as its ``TransitiveGroupEntry``, the sieve
+starts from the table entries that are conjugate in S_n to a subgroup of G
+(the Galois group of a specialization outside the exclusion set is a
+decomposition group, hence one of them) and stops at the first prime that
+leaves a single candidate.  Such a singleton is exact only if G is the
+right generic group, so it is reported with mode ``conditional``, never
+``definitive``; a reference that is itself derived by sampling (as for
+fermat-x6) makes every conditional verdict derived too.
 Honesty lives in the ``mode`` field.
 """
 
@@ -32,7 +33,7 @@ from itertools import islice
 from .errors import DomainError, InconclusiveError, ReferenceMismatchError
 from .factorq import Factorization, rational_roots, usable_cycle_types
 from .polys import UniPoly, discriminant_uni
-from .permgroups import PermGroup, closure, conjugate_in_symmetric, conjugates_into, parse_perm
+from .permgroups import PermGroup, closure, conjugates_into, parse_perm
 from .rationals import factor_int, is_square_rational, squarefree_kernel
 
 
@@ -145,26 +146,11 @@ def table_entry(label: str) -> TransitiveGroupEntry:
 
 
 @functools.cache
-def label_for_group(G: PermGroup) -> str | None:
-    """nTk label of a transitive G of degree 2..6, by conjugacy matching.
-
-    Cached: a sweep asks for its reference group's label once per record,
-    and every brute-force match runs over all of S_n.
-    """
-    if G.degree not in _TABLE_DATA or not G.is_transitive():
-        return None
-    for e in transitive_table(G.degree):
-        if e.order == G.order and conjugate_in_symmetric(G, e.group):
-            return e.label
-    return None
-
-
-@functools.cache
 def transitive_subgroups(G: PermGroup) -> tuple[TransitiveGroupEntry, ...]:
     """Table entries of G's degree that are conjugate in S_n into G.
 
-    These are the sieve's candidates inside the reference G.  Cached, like
-    ``label_for_group``: a sweep sieves every record inside one reference.
+    These are the sieve's candidates inside the reference G.  Cached: a
+    sweep sieves every record inside one reference.
     """
     return tuple(e for e in transitive_table(G.degree) if conjugates_into(e.group, G))
 
@@ -382,7 +368,7 @@ def classify_degree_le4(fac: Factorization) -> GaloisId:
 
 
 def sieve_degree_5_6(
-    fac: Factorization, budget: int, within: PermGroup | None = None
+    fac: Factorization, budget: int, within: TransitiveGroupEntry | None = None
 ) -> GaloisId:
     """Cycle-type sieve for a polynomial whose radical has degree 5 or 6.
 
@@ -393,9 +379,9 @@ def sieve_degree_5_6(
     at least one and at most ``budget`` usable ones, until at most one
     candidate is left; a set that starts as a singleton is read to the
     budget, so that a wrong reference can still be refuted.  With
-    ``within``, only the groups conjugate into it are candidates, and a
-    singleton is reported as 'conditional'; an empty set refutes the
-    reference (``ReferenceMismatchError``).  The primes and their cycle
+    ``within`` (a table entry), only the groups conjugate into it are
+    candidates, and a singleton is reported as 'conditional'; an empty set
+    refutes the reference (``ReferenceMismatchError``).  The primes and their cycle
     types come from ``factorq.usable_cycle_types``, which walks the monic
     integer model that the factorization's residue scan walked, so the
     primes that scan read are residue-cache hits.  A reducible radical gets
@@ -424,7 +410,7 @@ def sieve_degree_5_6(
     if within is None:
         table = transitive_table(f.degree)
     elif within.degree == f.degree:
-        table = transitive_subgroups(within)
+        table = transitive_subgroups(within.group)
     else:
         raise DomainError(f"reference degree {within.degree} != {f.degree}")
     disc = discriminant_uni(f)
@@ -441,7 +427,7 @@ def sieve_degree_5_6(
             break
     if not candidates:
         if within is not None:
-            raise ReferenceMismatchError(p, ct, label_for_group(within))
+            raise ReferenceMismatchError(p, ct, within.label)
         raise InconclusiveError("no transitive group fits the evidence")
     evidence = SieveEvidence(
         primes=tuple(primes), observed_types=frozenset(observed), disc_square=disc_sq
@@ -468,13 +454,14 @@ def sieve_degree_5_6(
 
 
 def identify_galois(
-    fac: Factorization, budget: int = 32, within: PermGroup | None = None
+    fac: Factorization, budget: int = 32, within: TransitiveGroupEntry | None = None
 ) -> GaloisId:
     """Identify the Galois group of a nonconstant polynomial of degree <= 6.
 
     Identification consumes the polynomial's one factorization over Q and
-    never factors the polynomial again.  ``within`` (a group the true one is
-    known to be conjugate into) only narrows the degree-5/6 sieve.
+    never factors the polynomial again.  ``within`` (the table entry of a
+    group the true one is known to be conjugate into) only narrows the
+    degree-5/6 sieve.
     """
     if fac.degree < 1:
         raise DomainError("identification needs degree >= 1")
@@ -483,21 +470,16 @@ def identify_galois(
     return sieve_degree_5_6(fac, budget, within)
 
 
-def groups_match(gid: GaloisId, reference: PermGroup) -> bool | None:
+def groups_match(gid: GaloisId, reference: TransitiveGroupEntry) -> bool | None:
     """Does the identified group equal (abstractly) the reference group?
 
-    True/False when the identification supports a verdict; None when the
-    sieve candidates disagree about matching the reference order.
+    True/False when the identification supports a verdict: a definitive or
+    conditional one names its order and kind, and the reference's table
+    entry has both.  None when the sieve candidates disagree about matching
+    the reference order.
     """
     if gid.mode in ("definitive", "conditional"):
-        if gid.order != reference.order:
-            return False
-        ref_label = label_for_group(reference)
-        if gid.kind is not None and ref_label is not None:
-            return gid.kind == table_entry(ref_label).kind
-        if gid.label is not None and ref_label is not None:
-            return gid.label == ref_label
-        return True
+        return gid.order == reference.order and gid.kind == reference.kind
     if gid.mode == "sieved":
         orders = gid.candidate_orders()
         if reference.order not in orders:

@@ -16,7 +16,10 @@ A group pinned that way is 'conditional' on the reference: exact if the
 reference is the generic group, and no better than the reference when that
 is derived by specialization sampling (fermat-x6), which the report's
 reference provenance says.  Sieve evidence that no subgroup of the
-reference fits raises ``ReferenceMismatchError``.
+reference fits raises ``ReferenceMismatchError``.  The reference is the
+table entry that ``resolve_reference`` picks (a
+``galois.TransitiveGroupEntry``), so its label, order and kind are read,
+never searched for.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ from .errors import DomainError, FixtureError, InconclusiveError, ReferenceMisma
 from .factorq import SIEVE_FAMILY_MAX, factor_over_Q, factorization_type, rational_roots, root_mask, root_sieve
 from .galois import (
     GaloisId,
+    TransitiveGroupEntry,
     groups_match,
     identify_galois,
-    label_for_group,
     table_entry,
     transitive_table,
 )
-from .permgroups import PermGroup
 from .polys import (
     BiPoly,
     _frac_str,
@@ -67,8 +69,10 @@ class HitData:
 
     @functools.cached_property
     def root_sieve(self) -> tuple[tuple[int, bytes], ...]:
-        """``factorq.root_sieve`` of S, built on first use (the first
-        sweep) and kept with the data, which carries it to pool workers."""
+        """``factorq.root_sieve`` of S, built on first use and kept with the
+        data.  Each sweep asks for it before ``_parallel_map``, so it is
+        built once, in the parent, and pickled to pool workers with the
+        data."""
         return root_sieve(self.S)
 
 
@@ -153,15 +157,15 @@ def _find_witness(t: Fraction, data: HitData) -> tuple[int, Fraction] | None:
 def exceptional_test(
     t,
     data: HitData,
-    reference: PermGroup | None = None,
+    reference: TransitiveGroupEntry | None = None,
     budget: int = DEFAULT_PRIME_BUDGET,
 ) -> SpecializationRecord:
     """Classify one parameter value, with audit fields always populated.
 
     P(t, X) is factored over Q once; its factorization type and its Galois
     identification both come from that one factorization.  For t outside D
-    a given reference group bounds the sieve (the Galois group is conjugate
-    into it) and is matched once, on ``match``.
+    a given reference (a table entry) bounds the sieve (the Galois group is
+    conjugate into it) and is matched once, on ``match``.
     """
     t = Fraction(t)
     in_d = t in data.D
@@ -228,8 +232,9 @@ def generic_group(P: BiPoly, samples, budget: int = 48) -> int:
     return max(orders)
 
 
-def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
-    """Reference group for equivalence checks, with its provenance.
+def resolve_reference(data: HitData, budget: int = 48) -> tuple[TransitiveGroupEntry, str]:
+    """Reference group for equivalence checks, as its transitive-table
+    entry, with its provenance.
 
     The fixture label, else the fixture order, else an order derived by
     specialization sampling picks the candidate table entries.  When
@@ -265,7 +270,7 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[PermGroup, str]:
         )
     if data.g_label is None:
         prov += f", matched {cands[0].label}"
-    return cands[0].group, prov
+    return cands[0], prov
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -335,7 +340,7 @@ def default_workers() -> int:
 
 def verify_equivalence(
     data: HitData,
-    reference: PermGroup,
+    reference: TransitiveGroupEntry,
     height_bound: int,
     budget: int = DEFAULT_PRIME_BUDGET,
     workers: int | None = None,
@@ -354,6 +359,7 @@ def verify_equivalence(
     """
     workers = default_workers() if workers is None else workers
     values = _sweep_values(data, height_bound)
+    data.root_sieve  # built here, so that pool workers receive it with the data
     records = _parallel_map(exceptional_test, values, workers, data, reference, budget)
     violations = []
     indeterminates = []
@@ -374,7 +380,7 @@ def verify_equivalence(
         fixture=data.name,
         height_bound=height_bound,
         prime_budget=budget,
-        reference_label=label_for_group(reference),
+        reference_label=reference.label,
         reference_order=reference.order,
         reference_provenance=data.provenance.get("reference", ""),
         checked=len(records),
@@ -413,6 +419,7 @@ def enumerate_exceptional(
     """
     workers = default_workers() if workers is None else workers
     values = _sweep_values(data, height_bound)
+    data.root_sieve  # built here, so that pool workers receive it with the data
     witnesses = _parallel_map(_find_witness, values, workers, data)
     return [
         exceptional_test(t, data, None, budget)

@@ -217,8 +217,3 @@ def conjugates_into(A: PermGroup, B: PermGroup) -> bool:
     if not A.cycle_type_set() <= B.cycle_type_set():
         return False
     return _conjugates_into(_sym(range(A.degree)), A.generators, B.elements)
-
-
-def conjugate_in_symmetric(A: PermGroup, B: PermGroup) -> bool:
-    """True iff A and B are conjugate inside the full symmetric group."""
-    return A.order == B.order and conjugates_into(A, B)

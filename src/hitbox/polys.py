@@ -440,16 +440,13 @@ def discriminant_uni(f: UniPoly) -> Fraction:
 class BiPoly:
     """Element of Q[T][X]; xcoeffs[j] is the T-polynomial on X^j."""
 
-    # _int_form: the homogenized integer form and its sparse index
-    # (``int_form``); _sieve: the local root sieve tables that
-    # ``factorq.may_have_rational_root`` builds
-    __slots__ = ("xcoeffs", "_int_form", "_sieve")
+    # _int_form: the homogenized integer form and its sparse index (``int_form``)
+    __slots__ = ("xcoeffs", "_int_form")
 
     def __init__(self, xcoeffs: Iterable[UniPoly] = ()):
         coeffs = [c if isinstance(c, UniPoly) else UniPoly.constant(c) for c in xcoeffs]
         self.xcoeffs = tuple(_trim(coeffs))
         self._int_form = None
-        self._sieve = None
 
     @staticmethod
     def constant(c) -> "BiPoly":
@@ -683,6 +680,27 @@ def compose_rational(
 #   term   := factor ('*' factor)*
 #   factor := ['-'] atom ['^' INT]
 #   atom   := INT ['/' INT] | 'T' | 'X' | '(' expr ')'
+#
+# Caps on parsed text, so that a huge input fails with a ``ParseError``
+# instead of hanging: the digits of an integer, and the X- and T-degree and
+# the coefficient bits (``_bits``) of a product, a power or a sum.  A
+# product or power is checked before it is computed.  The polynomials this
+# package ships and tests use exponents up to 24 and integers up to 19
+# digits; a coefficient within _MAX_BITS has about 1230 digits at most,
+# which Python's int-to-string limit (4300 digits) still prints.
+_MAX_DIGITS = 1000
+_MAX_DEGREE = 100
+_MAX_BITS = 4096
+
+
+def _bits(P: BiPoly) -> int:
+    """A bound on the size of P's coefficients: with P = C / L for integer
+    C and L, the bits of L plus those of the sum of |C|.  Every numerator
+    and denominator of P fits in it, and it is subadditive: the bound of a
+    product is at most the sum of its factors' bounds."""
+    L = math.lcm(*[c._den for c in P.xcoeffs])
+    norm = sum(L // c._den * sum(map(abs, c._ints)) for c in P.xcoeffs)
+    return L.bit_length() + norm.bit_length()
 
 
 class _Parser:
@@ -713,7 +731,17 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
+        if self.pos - start > _MAX_DIGITS:
+            raise ParseError(f"an integer of {self.pos - start} digits; at most {_MAX_DIGITS}", start)
         return int(self.text[start : self.pos])
+
+    def check(self, deg_x: int, deg_t: int, bits: int):
+        """Refuse a value of these degrees and coefficient bits (``_bits``)
+        when it would pass a cap."""
+        if max(deg_x, deg_t) > _MAX_DEGREE:
+            self.error(f"degree {max(deg_x, deg_t)} is above {_MAX_DEGREE}")
+        if bits > _MAX_BITS:
+            self.error(f"coefficients of up to {bits} bits; at most {_MAX_BITS}")
 
     def atom(self) -> BiPoly:
         ch = self.peek()
@@ -748,14 +776,18 @@ class _Parser:
         value = self.atom()
         if self.peek() == "^":
             self.take()
-            value = value ** self.integer()
+            n = self.integer()
+            self.check(value.degree_x * n, value.degree_t * n, _bits(value) * n)
+            value = value**n
         return value
 
     def term(self) -> BiPoly:
         value = self.factor()
         while self.peek() == "*":
             self.take()
-            value = value * self.factor()
+            rhs = self.factor()
+            self.check(value.degree_x + rhs.degree_x, value.degree_t + rhs.degree_t, _bits(value) + _bits(rhs))
+            value = value * rhs
         return value
 
     def expr(self) -> BiPoly:
@@ -771,6 +803,7 @@ class _Parser:
             op = self.take()
             rhs = self.term()
             value = value - rhs if op == "-" else value + rhs
+        self.check(value.degree_x, value.degree_t, _bits(value))
         return value
 
     def parse(self) -> BiPoly:

@@ -13,8 +13,6 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
 
-Rational = Fraction
-
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

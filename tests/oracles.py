@@ -3,16 +3,18 @@
 Everything here recomputes expected values by a route different from the
 production code: brute-force enumerations, subgroup lattices by cyclic
 extension (the reference for the maximal-index column of the transitive
-table), divisor checks, numeric root finding, exhaustive modular searches.
+table), transitive-table labels by conjugacy over all of S_n, divisor
+checks, numeric root finding, exhaustive modular searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hitbox.errors import DomainError, ResourceLimitError
+from hitbox.galois import transitive_table
 from hitbox.permgroups import (
     DEFAULT_ORDER_BOUND,
     Perm,
@@ -20,9 +22,29 @@ from hitbox.permgroups import (
     _conjugates_into,
     closure,
     identity,
+    perm_conj,
     perm_mul,
 )
 from hitbox.polys import BiPoly, UniPoly
+
+
+def conjugate_in_symmetric(A: PermGroup, B: PermGroup) -> bool:
+    """A and B are conjugate in S_n: some s maps every element of A into B
+    by s a s^-1 (equal orders make the image all of B)."""
+    if A.degree != B.degree or A.order != B.order:
+        return False
+    return any(
+        all(perm_conj(s, a) in B.elements for a in A.elements)
+        for s in permutations(range(A.degree))
+    )
+
+
+def label_for_group(G: PermGroup) -> str | None:
+    """nTk label of a transitive G of degree 2..6: the table entry that G is
+    conjugate to in S_n, found by searching all of S_n."""
+    if not 2 <= G.degree <= 6 or not G.is_transitive():
+        return None
+    return next((e.label for e in transitive_table(G.degree) if conjugate_in_symmetric(G, e.group)), None)
 
 
 def brute_force_subgroups(G: PermGroup) -> set[frozenset]:
@@ -41,8 +63,6 @@ def brute_force_subgroups(G: PermGroup) -> set[frozenset]:
 
 
 def conjugacy_partition(G: PermGroup, subgroups: set[frozenset]) -> list[set[frozenset]]:
-    from hitbox.permgroups import perm_conj
-
     remaining = set(subgroups)
     classes = []
     while remaining:

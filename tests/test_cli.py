@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hitbox import rationals
+from hitbox import polys, rationals
 from hitbox.cli import main
 from hitbox.harness import fixture_path
 
@@ -28,6 +28,33 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "factor", "3*X^^4")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize(
+    "text, message, powers",
+    [
+        ("X^2-" + "7" * 5000, "an integer of 5000 digits; at most 1000", [2]),
+        ("X^2-2^99999", "coefficients of up to 299997 bits; at most 4096", [2]),
+        ("X^100000000", "degree 100000000 is above 100", []),
+        ("X-10^700*10^700", "coefficients of up to 4654 bits; at most 4096", [700, 700]),
+        ("X-((1/2)^1300+(1/3)^800+(1/5)^500)", "bits; at most 4096", [1300, 800, 500]),
+    ],
+    ids=["literal", "power-bits", "power-degree", "product", "sum"],
+)
+def test_oversized_input_is_a_parse_error(capsys, monkeypatch, text, message, powers):
+    # the literal is refused before int() reads it, and a power or a
+    # product before it is computed: only the powers within the caps run
+    taken, real = [], polys._power
+
+    def recording(base, n, one):
+        taken.append(n)
+        return real(base, n, one)
+
+    monkeypatch.setattr(polys, "_power", recording)
+    code, out, err = run(capsys, "factor", text)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and message in err
+    assert taken == powers
 
 
 def test_galois_command(capsys):

@@ -15,8 +15,9 @@ from hitbox.factorq import (
     factor_over_Q,
     factorization_type,
     is_irreducible,
-    may_have_rational_root,
     rational_roots,
+    root_mask,
+    root_sieve,
 )
 from hitbox.harness import load_fixture, resolve_reference, verify_equivalence
 from hitbox.polys import BiPoly, UniPoly, parse_unipoly, poly_str, uni_gcd
@@ -296,7 +297,7 @@ def test_factor_over_Q_matches_sympy_on_products_with_repeated_factors():
 # degrees put 1 and n-1 in the degree set (linear x cubic, linear x
 # quintic), keep a middle degree in it (quad x quad, cubic x cubic, quad x
 # quartic), irreducibles it must prove, and repeated factors it must leave
-# to Yun.
+# to the squarefree part.
 
 
 def _int_poly(degree):
@@ -429,10 +430,12 @@ def test_split_off_roots_come_from_the_scan(monkeypatch, text):
     ],
 )
 def test_repeated_factors_take_the_yun_path(monkeypatch, text):
-    yun = _counting(monkeypatch, "_yun_squarefree")
+    # no prime is usable for a repeated factor, so the squarefree part is
+    # factored once, and the multiplicities are read by division
+    sqf = _counting(monkeypatch, "squarefree_part")
     f = parse_unipoly(text)
     fac = factor_over_Q(f)
-    assert len(yun) == 1
+    assert len(sqf) == 1
     assert max(m for _, m in fac.factors) > 1
     monkeypatch.undo()
     _assert_matches_sympy(f)
@@ -496,9 +499,9 @@ def _expected_scan(f: list[int], scan: int):
 
 
 # What a scan whose degree set lies inside {0, 1, n-1, n} leaves undone:
-# complete factoring mod p, lifting, Yun, and the root search of
-# _lifted_roots with its squarefree fallback.
-_AFTER_THE_SCAN = ("_gp_factor_sqf", "_hensel_lift", "_yun_squarefree", "_simple_roots_mod", "squarefree_part")
+# complete factoring mod p, lifting, the squarefree part of a repeated
+# factor, and the root search of _lifted_roots.
+_AFTER_THE_SCAN = ("_gp_factor_sqf", "_hensel_lift", "_simple_roots_mod", "squarefree_part")
 
 
 def _counting(monkeypatch, name):
@@ -581,19 +584,20 @@ def test_a4_quartic_is_proven_irreducible_without_lifting(monkeypatch):
 
 
 def test_scan_gives_up_on_repeated_factors_and_yun_takes_over(monkeypatch):
-    yun = _counting(monkeypatch, "_yun_squarefree")
+    # the squarefree part takes over, scanned without a give-up
+    sqf = _counting(monkeypatch, "squarefree_part")
     # (X - 1)(X - 15016)(X - 30031) is squarefree, but not modulo any odd
     # prime up to 13: the bounded scan cannot prove it so
     f = UniPoly([-1, 1]) * UniPoly([-15016, 1]) * UniPoly([-30031, 1])
     assert factorq._good_prime(f.primitive(), 1).splits == []
     assert factorq._good_prime(f.primitive(), 1, squarefree=True).splits[0][0] == 17
     _assert_matches_sympy(f)
-    assert len(yun) == 1
-    yun.clear()
+    assert len(sqf) == 1
+    sqf.clear()
     g = parse_unipoly("(X^2 - 2)^2*(X^3 + X + 1)*(2*X - 3)^3")
     assert factorq._good_prime(*factorq._monic_int_model(g.primitive())).splits == []
     fac = factor_over_Q(g)
-    assert len(yun) == 1
+    assert len(sqf) == 1
     assert [(h.degree, m) for h, m in fac.factors] == [(1, 3), (2, 2), (3, 1)]
     _assert_matches_sympy(g)
 
@@ -783,11 +787,12 @@ def test_root_sieve_passes_every_fibre_with_a_planted_root(c, r, Q, content, k):
     # is a rational root of P(t, X) wherever c(t) != 0
     c = c * k
     P = BiPoly([-r, c]) * Q * content
+    sieve = root_sieve((P,))
     for t in rationals_up_to_height(6):
         if c(t) != 0:
-            assert may_have_rational_root(P, t), t
+            assert root_mask(sieve, t) != 0, t
     # the linear factor gives N a projective root at every point mod p
-    assert P._sieve == ()
+    assert sieve == ()
 
 
 @settings(max_examples=40, deadline=None)
@@ -799,8 +804,9 @@ def test_root_sieve_passes_every_fibre_with_a_planted_root(c, r, Q, content, k):
 @example(BiPoly([UniPoly([0, 1]), UniPoly([1]), UniPoly([0, 15])]), 1)
 def test_root_sieve_tables_match_the_definition(f, content):
     f = f * content
+    sieve = root_sieve((f,))
     for t in rationals_up_to_height(5):
-        assert may_have_rational_root(f, t) == (not _rejected_directly(f, t)), t
+        assert (root_mask(sieve, t) != 0) == (not _rejected_directly(f, t)), t
 
 
 @settings(max_examples=40, deadline=None)

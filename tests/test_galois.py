@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import maximal_classes, subgroup_classes
+from oracles import conjugate_in_symmetric, label_for_group, maximal_classes, subgroup_classes
 
 from hitbox import factorq, galois
 from hitbox.errors import DomainError, ReferenceMismatchError
@@ -16,14 +16,13 @@ from hitbox.galois import (
     classify_degree_le4,
     groups_match,
     identify_galois,
-    label_for_group,
     resolvent_cubic,
     sieve_degree_5_6,
     table_entry,
     transitive_subgroups,
     transitive_table,
 )
-from hitbox.permgroups import closure, conjugate_in_symmetric
+from hitbox.permgroups import closure
 from hitbox.harness import load_fixture
 from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly, poly_str
 from hitbox.rationals import is_prime, is_square_rational, rationals_up_to_height
@@ -237,23 +236,22 @@ def test_sieve_rejects_reducible_with_types():
 
 
 def test_groups_match():
-    a4 = table_entry("4T4").group
+    a4 = table_entry("4T4")
     gid = classify_degree_le4(factor_over_Q(serre_quartic(1)))
     assert groups_match(gid, a4) is True
     gid0 = classify_degree_le4(factor_over_Q(serre_quartic(0)))
     assert groups_match(gid0, a4) is False
-    d6 = table_entry("6T3").group
+    d6 = table_entry("6T3")
     sieved = sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6+63")), 40)
     assert groups_match(sieved, d6) is None  # candidates disagree on order 12
-    c2 = table_entry("2T1").group
+    c2 = table_entry("2T1")
     assert groups_match(identify_galois(factor_over_Q(parse_unipoly("X^6-1"))), c2) is True
     # all-candidates-mismatch is a definitive no
-    assert groups_match(sieved, table_entry("6T1").group) is False
-
-
-def test_label_for_group():
-    for lbl in ("2T1", "3T2", "4T4", "5T3", "6T3", "6T8"):
-        assert label_for_group(table_entry(lbl).group) == lbl
+    assert groups_match(sieved, table_entry("6T1")) is False
+    # equal orders are not enough: the kinds must agree too
+    s3 = classify_degree_le4(factor_over_Q(parse_unipoly("X^3-2")))
+    assert groups_match(s3, table_entry("6T2")) is True
+    assert groups_match(s3, table_entry("6T1")) is False
 
 
 def test_identify_galois_radicalizes():
@@ -293,7 +291,7 @@ def test_transitive_subgroups_of_references():
 
 
 def test_sieve_within_stops_at_first_singleton():
-    d6 = table_entry("6T3").group
+    d6 = table_entry("6T3")
     fac = factor_over_Q(parse_unipoly("X^6+2"))
     gid = sieve_degree_5_6(fac, 200, within=d6)
     assert (gid.mode, gid.label, gid.kind, gid.order) == ("conditional", "6T3", "D6", 12)
@@ -310,7 +308,7 @@ def test_sieve_within_stops_at_first_singleton():
 
 
 def test_sieve_within_wrong_reference_raises():
-    d6 = table_entry("6T3").group
+    d6 = table_entry("6T3")
     # X^6+X+1 (group S6) has cycle type (3,2,1) mod 3, which D6 lacks
     f = parse_unipoly("X^6+X+1")
     assert cycle_type_mod_p(f, 3) == (3, 2, 1)
@@ -328,7 +326,7 @@ def test_sieve_refutes_a_wrong_single_candidate_reference():
     # inside C6 the only candidate is C6 itself; prime 5 gives (2,2,2), which
     # C6 has, and the D6 sextic X^6+2 first shows (2,2,1,1) mod 11
     with pytest.raises(ReferenceMismatchError) as info:
-        sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6+2")), 40, within=table_entry("6T1").group)
+        sieve_degree_5_6(factor_over_Q(parse_unipoly("X^6+2")), 40, within=table_entry("6T1"))
     err = info.value
     assert (err.prime, err.cycle_type, err.reference) == (11, (2, 2, 1, 1), "6T1")
 
@@ -337,8 +335,6 @@ def _sympy_label(f: UniPoly) -> str:
     """nTk label of sympy's Galois group of f, matched by conjugacy in S_n."""
     galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
     import sympy
-
-    from hitbox.permgroups import closure
 
     x = sympy.Symbol("x")
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
@@ -360,13 +356,13 @@ def _sympy_label(f: UniPoly) -> str:
 def test_sieve_within_d6_matches_sympy_oracle(text, sympy_label, verdict):
     f = parse_unipoly(text)
     assert _sympy_label(f) == sympy_label
-    gid = sieve_degree_5_6(factor_over_Q(f), 40, within=table_entry("6T3").group)
+    gid = sieve_degree_5_6(factor_over_Q(f), 40, within=table_entry("6T3"))
     if verdict is not None:
         assert gid.mode == "conditional" and gid.label == verdict
         assert table_entry(gid.label).kind == "D6"
     else:
         assert gid.mode == "sieved" and sympy_label in gid.candidates
-        assert groups_match(gid, table_entry("6T3").group) is None
+        assert groups_match(gid, table_entry("6T3")) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -378,7 +374,7 @@ def test_sieve_within_d6_agrees_with_sympy_on_radical_sextics(a, s):
     fac = factor_over_Q(f)
     if not fac.is_irreducible():
         return
-    gid = sieve_degree_5_6(fac, 40, within=table_entry("6T3").group)
+    gid = sieve_degree_5_6(fac, 40, within=table_entry("6T3"))
     label = _sympy_label(f)
     if gid.mode == "conditional":
         assert gid.label == label
@@ -475,7 +471,7 @@ def test_sieve_adds_no_residue_cache_miss_at_the_scan_primes(monkeypatch):
     monkeypatch.setattr(factorq, "_residue_cache", reading)
     sextics = [FERMAT.P.specialize(t) for t in rationals_up_to_height(6) if t not in FERMAT.D]
     sextics += [parse_unipoly(s) for s in ("X^6+2", "X^6+X+1", "3*X^6-5*X+7", "X^6-X^3+1")]
-    refs = [None, table_entry("6T3").group, table_entry("6T1").group]
+    refs = [None, table_entry("6T3"), table_entry("6T1")]
     scanned, revisited = 0, 0
     for f in sextics:
         reads.clear()

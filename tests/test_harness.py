@@ -11,7 +11,7 @@ import pytest
 import hitbox
 from hitbox import harness
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
-from hitbox.factorq import may_have_rational_root, rational_roots
+from hitbox.factorq import rational_roots, root_mask, root_sieve
 from hitbox.galois import table_entry, transitive_table
 from hitbox.harness import (
     EquivalenceReport,
@@ -100,7 +100,7 @@ def test_exclusion_set_order_independent():
 
 
 def test_exceptional_test_examples():
-    ref = table_entry("4T4").group
+    ref = table_entry("4T4")
     rec = exceptional_test(Fraction(10, 27), SERRE, ref)
     assert rec.verdict == "exceptional"
     assert rec.witness is not None and rec.witness[0] == 1  # the cubic, not the quartic
@@ -157,7 +157,7 @@ def test_resolve_reference_paths():
     # the order path: the auxiliary degrees pick 6T3 from the order-12 entries
     raw = {**json.loads(fixture_path("fermat-x6").read_text()), "G_order": 12}
     ref3, prov3 = resolve_reference(load_fixture(raw))
-    assert ref3 == table_entry("6T3").group and prov3 == "fixture order 12, matched 6T3"
+    assert ref3 == table_entry("6T3") and prov3 == "fixture order 12, matched 6T3"
     # degrees [2, 2, 3] fit neither order-12 entry (6T3: [2, 2, 2, 3]; 6T4: [3, 4])
     with pytest.raises(FixtureError):
         resolve_reference(load_fixture({**raw, "S": raw["S"][1:]}))
@@ -185,9 +185,9 @@ def test_resolve_reference_reads_maximal_indices_without_closing_groups(monkeypa
         "the auxiliary X-degrees [2, 6]"
     )
     ref, prov = resolve_reference(sextic(2, 6, 6, 10, 15, 15, g_order=720))
-    assert ref == table_entry("6T16").group and prov == "fixture order 720, matched 6T16"
+    assert ref == table_entry("6T16") and prov == "fixture order 720, matched 6T16"
     ref, prov = resolve_reference(sextic(6, 6, 10, 15, 15, g_label="6T15"))
-    assert ref == table_entry("6T15").group and prov == "fixture label 6T15"
+    assert ref == table_entry("6T15") and prov == "fixture label 6T15"
     assert calls == []
 
 
@@ -253,7 +253,7 @@ def test_verify_equivalence_fermat_small():
 def test_verify_equivalence_wrong_reference_fails_fast():
     # C6 has no (2,2,1,1) element; the sieve meets one at a height-3 parameter
     with pytest.raises(ReferenceMismatchError) as info:
-        verify_equivalence(FERMAT, table_entry("6T1").group, 4)
+        verify_equivalence(FERMAT, table_entry("6T1"), 4)
     err = info.value
     assert err.reference == "6T1" and err.cycle_type == (2, 2, 1, 1)
     assert err.t is not None and height(err.t) <= 4
@@ -264,7 +264,7 @@ def test_pooled_sweep_raises_the_first_failure_in_sweep_order():
     named = []
     for workers in (1, 2):
         with pytest.raises(ReferenceMismatchError) as info:
-            verify_equivalence(FERMAT, table_entry("6T1").group, 9, workers=workers)
+            verify_equivalence(FERMAT, table_entry("6T1"), 9, workers=workers)
         named.append(info.value.t)
     assert named[0] == named[1]
 
@@ -301,7 +301,7 @@ def test_verify_equivalence_toy_square_family():
 
 def test_degenerate_empty_s_flags_invalid():
     data = load_fixture({"name": "empty", "P": "3*X^4-4*X^3+1+3*T^2", "D": ["0"], "S": []})
-    ref = table_entry("4T4").group
+    ref = table_entry("4T4")
     rep = verify_equivalence(data, ref, 4)
     assert rep.invalid_configuration
     assert not rep.passed
@@ -325,11 +325,11 @@ def test_factorization_implication_detects_a_missing_witness():
     # changed factorization type with no witness after it
     raw = json.loads(fixture_path("fermat-x6").read_text())
     two = load_fixture({**raw, "name": "fermat-two-quadratics", "S": raw["S"][:2]})
-    rep = verify_equivalence(two, table_entry("6T3").group, 4, factor_types=True)
+    rep = verify_equivalence(two, table_entry("6T3"), 4, factor_types=True)
     assert [r.t for r in rep.violations] == [0, 0]
     assert rep.counts["factorization_violations"] == 1
     assert not rep.passed and rep.kind == EquivalenceReport.kind == "equivalence"
-    without = verify_equivalence(two, table_entry("6T3").group, 4)
+    without = verify_equivalence(two, table_entry("6T3"), 4)
     assert [r.t for r in without.violations] == [0]
     assert "factorization_violations" not in without.counts
 
@@ -401,11 +401,12 @@ def test_enumerate_parallel_matches_serial():
 @pytest.mark.parametrize("data", [SERRE, FERMAT], ids=lambda d: d.name)
 def test_root_sieve_never_rejects_a_fibre_with_a_rational_root(data):
     # oracle: the unsieved scan, rational_roots on every specialization
+    sieves = [root_sieve((f,)) for f in data.S]
     for t in _sweep_values(data, 60):
         unsieved = None
         for i, f in enumerate(data.S):
             roots = rational_roots(f.specialize(t))
-            assert may_have_rational_root(f, t) or not roots, (t, i)
+            assert root_mask(sieves[i], t) != 0 or not roots, (t, i)
             if roots and unsieved is None:
                 unsieved = (i, min(roots))
         assert _find_witness(t, data) == unsieved, t
@@ -424,20 +425,47 @@ def test_sweep_values_are_the_rationals_outside_d(D):
 
 def test_root_sieve_leaves_only_the_exceptional_fermat_fibres():
     values = _sweep_values(FERMAT, 25)
-    survivors = [sum(may_have_rational_root(f, t) for t in values) for f in FERMAT.S]
+    sieves = [root_sieve((f,)) for f in FERMAT.S]
+    survivors = [sum(root_mask(sieve, t) != 0 for t in values) for sieve in sieves]
     assert len(values) == 797 and survivors == [0, 0, 1, 1]
 
 
 def test_root_sieve_is_built_lazily_and_pooled_sweeps_agree():
     fresh = load_fixture("fermat-x6")
-    # set-up builds no table, neither the family's nor a member's
+    # set-up builds no table
     assert "root_sieve" not in fresh.__dict__
-    assert all(f._sieve is None for f in fresh.S)
     serial = enumerate_exceptional(fresh, 40, workers=1)
     assert "root_sieve" in fresh.__dict__
     pooled = enumerate_exceptional(load_fixture("fermat-x6"), 40, workers=2)
     assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
     assert [r.t for r in serial] == [Fraction(0)]
+
+
+def test_pooled_sweeps_build_the_root_sieve_in_the_parent_only(monkeypatch):
+    # forked workers inherit this wrapper, and a worker that built the
+    # tables itself would fail its chunk, which the sweep re-raises
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the wrapper only when forked")
+    parent, real = os.getpid(), harness.root_sieve
+
+    def parent_only(S):
+        assert os.getpid() == parent, "a pool worker built the root sieve"
+        return real(S)
+
+    monkeypatch.setattr(harness, "root_sieve", parent_only)
+    ref, _ = resolve_reference(FERMAT)
+    fresh = load_fixture("fermat-x6")
+    assert "root_sieve" not in fresh.__dict__
+    pooled = verify_equivalence(fresh, ref, 9, workers=2, keep_records=True)
+    serial = verify_equivalence(load_fixture("fermat-x6"), ref, 9, workers=1, keep_records=True)
+    assert report_to_json(pooled) == report_to_json(serial)
+    fresh = load_fixture("fermat-x6")
+    assert "root_sieve" not in fresh.__dict__
+    pooled = enumerate_exceptional(fresh, 12, workers=2)
+    serial = enumerate_exceptional(load_fixture("fermat-x6"), 12, workers=1)
+    assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
 
 
 # sha256 of the canonical JSON of sweeps whose outputs must never change;
@@ -551,7 +579,8 @@ def test_galois_identification_matches_sympy_oracle():
 
 
 def test_conditional_verdicts_match_sympy_oracle():
-    from hitbox.galois import label_for_group
+    from oracles import label_for_group
+
     from hitbox.permgroups import closure
 
     galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
