@@ -79,7 +79,10 @@ heuristic.  Since N is homogeneous in (a, b), the answer depends only on
 the point (a : b) of P^1(F_p).  So the family has one table per prime
 (``root_sieve``), read off p + 1 points and ORed across S, whose byte at
 (a, b) has bit i set unless p rules out S[i]: ANDing one byte per prime
-(``root_mask``) answers for all of S at once.  The bounded point
+(``root_mask``) answers for all of S at once.  ``root_mask`` reads the
+integers a and b themselves, as ratpoints sieves integer pairs, so a sweep
+carries coprime pairs and builds a ``Fraction`` only where a mask leaves
+a member to specialize.  The bounded point
 search on a plane curve (``curves.bounded_point_search``) does not use the
 sieve: it specializes and solves every fibre, which keeps it an unsieved
 reference that other searches are checked against, and keeps the
@@ -874,11 +877,10 @@ def root_sieve(family) -> tuple[tuple[int, bytes], ...]:
     return tuple(tables)
 
 
-def root_mask(sieve, t: Fraction) -> int:
+def root_mask(sieve, a: int, b: int) -> int:
     """The bits of the family members that no table of ``sieve`` (from
-    ``root_sieve``) rules out at t; 0 as soon as every member is ruled out,
-    255 when no table applies."""
-    a, b = t.numerator, t.denominator
+    ``root_sieve``) rules out at t = a/b, for coprime integers a and b > 0;
+    0 as soon as every member is ruled out, 255 when no table applies."""
     mask = 0xFF  # a bit for each of up to SIEVE_FAMILY_MAX members
     for p, table in sieve:
         mask &= table[b % p * p + a % p]

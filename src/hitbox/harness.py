@@ -49,7 +49,7 @@ from .polys import (
     leading_coeff_in_x,
     parse_poly,
 )
-from .rationals import height, rationals_of_height, sample_rationals
+from .rationals import check_height_bound, coprime_pairs_of_height, height, sample_rationals
 
 DEFAULT_PRIME_BUDGET = 24
 
@@ -139,13 +139,16 @@ def compute_exclusion_set(P: BiPoly, S) -> frozenset[Fraction]:
     return frozenset(out)
 
 
-def _find_witness(t: Fraction, data: HitData) -> tuple[int, Fraction] | None:
+def _find_witness(ab: tuple[int, int], data: HitData) -> tuple[int, Fraction] | None:
     """(i, least rational root of S[i](t, X)) for the first i that has one,
-    else None.  One root-sieve lookup per prime rules out the whole family
-    at once (``HitData.root_sieve``); only the members it leaves are
-    specialized, in index order."""
-    mask = root_mask(data.root_sieve, t)
+    else None, at t = a/b given as the coprime pair ``ab`` (b > 0).  One
+    root-sieve lookup per prime, on a and b themselves, rules out the whole
+    family at once (``HitData.root_sieve``); only when it leaves a member
+    is ``Fraction(a, b)`` built and the members it leaves specialized, in
+    index order."""
+    mask = root_mask(data.root_sieve, *ab)
     if mask:
+        t = Fraction(*ab)
         for i, f in enumerate(data.S):
             if mask >> i & 1:
                 roots = rational_roots(f.specialize(t))
@@ -170,7 +173,7 @@ def exceptional_test(
     t = Fraction(t)
     in_d = t in data.D
     within = None if in_d else reference
-    witness = _find_witness(t, data)
+    witness = _find_witness((t.numerator, t.denominator), data)
     pt = data.P.specialize(t)
     ftype: tuple[int, ...] = ()
     gid: GaloisId | None = None
@@ -276,17 +279,21 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[TransitiveGroupE
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _sweep_values(data: HitData, height_bound: int) -> list[Fraction]:
-    """The rationals up to the height bound outside D, in canonical order.
+def _sweep_pairs(data: HitData, height_bound: int) -> list[tuple[int, int]]:
+    """The coprime pairs (a, b) of the rationals a/b up to the height bound
+    outside D, in canonical order (``rationals.coprime_pairs_of_height``).
 
-    Membership in D is asked only in the rows of a height that some
-    element of D has; every other row is taken whole."""
-    d_heights = {height(t) for t in data.D}
-    values: list[Fraction] = []
+    The bound is checked (``check_height_bound``) before the first row.
+    D's elements are compared as pairs, and only in the rows of a height
+    that some element of D has; every other row is taken whole."""
+    check_height_bound(height_bound)
+    d_pairs = {(t.numerator, t.denominator) for t in data.D}
+    d_heights = {max(abs(a), b) for a, b in d_pairs}
+    pairs: list[tuple[int, int]] = []
     for h in range(1, height_bound + 1):
-        row = rationals_of_height(h)
-        values += [t for t in row if t not in data.D] if h in d_heights else row
-    return values
+        row = coprime_pairs_of_height(h)
+        pairs += [ab for ab in row if ab not in d_pairs] if h in d_heights else row
+    return pairs
 
 
 def _map_chunk(job) -> tuple[list, Exception | None]:
@@ -358,7 +365,7 @@ def verify_equivalence(
     sweep, so a sweep error is raised before its ``InconclusiveError``.
     """
     workers = default_workers() if workers is None else workers
-    values = _sweep_values(data, height_bound)
+    values = [Fraction(a, b) for a, b in _sweep_pairs(data, height_bound)]
     data.root_sieve  # built here, so that pool workers receive it with the data
     records = _parallel_map(exceptional_test, values, workers, data, reference, budget)
     violations = []
@@ -414,16 +421,17 @@ def enumerate_exceptional(
     """All exceptional parameters up to the height bound, with witnesses.
 
     Each witness (i, x) is an exact rational point (t, x) on the plane
-    curve cut out by the i-th auxiliary polynomial.  The sweep scans for
-    witnesses first and only builds full audit records for the hits.
+    curve cut out by the i-th auxiliary polynomial.  The sweep scans the
+    coprime pairs for witnesses first (a pool is sent int pairs), and
+    builds a ``Fraction`` and a full audit record only for the hits.
     """
     workers = default_workers() if workers is None else workers
-    values = _sweep_values(data, height_bound)
+    pairs = _sweep_pairs(data, height_bound)
     data.root_sieve  # built here, so that pool workers receive it with the data
-    witnesses = _parallel_map(_find_witness, values, workers, data)
+    witnesses = _parallel_map(_find_witness, pairs, workers, data)
     return [
-        exceptional_test(t, data, None, budget)
-        for t, w in zip(values, witnesses)
+        exceptional_test(Fraction(a, b), data, None, budget)
+        for (a, b), w in zip(pairs, witnesses)
         if w is not None
     ]
 

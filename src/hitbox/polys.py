@@ -115,8 +115,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:  # no square past the last bit, so no factor above base^n
+            base = base * base
     return result
 
 
@@ -683,14 +684,19 @@ def compose_rational(
 #
 # Caps on parsed text, so that a huge input fails with a ``ParseError``
 # instead of hanging: the digits of an integer, and the X- and T-degree and
-# the coefficient bits (``_bits``) of a product, a power or a sum.  A
-# product or power is checked before it is computed.  The polynomials this
-# package ships and tests use exponents up to 24 and integers up to 19
-# digits; a coefficient within _MAX_BITS has about 1230 digits at most,
-# which Python's int-to-string limit (4300 digits) still prints.
+# the coefficient bits (``_bits``) of a product, a power or a sum, and the
+# dense size (X-degree + 1) * (T-degree + 1) of a product or a power, whose
+# cost grows with the square of it: ((X+1)*(T+1))^30, of 961 terms, parses
+# in 0.03 s and ^40, of 1681, in 0.3 s.  A product or power is checked
+# before it is computed.  The polynomials this package ships and tests use
+# exponents up to 24, integers up to 19 digits and a dense size up to 133
+# (X-degree 6, T-degree 18); a coefficient within _MAX_BITS has about 1230
+# digits at most, which Python's int-to-string limit (4300 digits) still
+# prints.
 _MAX_DIGITS = 1000
 _MAX_DEGREE = 100
 _MAX_BITS = 4096
+_MAX_TERMS = 1024
 
 
 def _bits(P: BiPoly) -> int:
@@ -743,6 +749,14 @@ class _Parser:
         if bits > _MAX_BITS:
             self.error(f"coefficients of up to {bits} bits; at most {_MAX_BITS}")
 
+    def check_product(self, deg_x: int, deg_t: int, bits: int):
+        """``check`` a product or a power, and refuse one whose dense size
+        would pass ``_MAX_TERMS``."""
+        self.check(deg_x, deg_t, bits)
+        terms = (deg_x + 1) * (deg_t + 1)
+        if terms > _MAX_TERMS:
+            self.error(f"a product of dense size {terms} (X-degree {deg_x}, T-degree {deg_t}); at most {_MAX_TERMS}")
+
     def atom(self) -> BiPoly:
         ch = self.peek()
         if ch.isdigit():
@@ -777,7 +791,7 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             n = self.integer()
-            self.check(value.degree_x * n, value.degree_t * n, _bits(value) * n)
+            self.check_product(value.degree_x * n, value.degree_t * n, _bits(value) * n)
             value = value**n
         return value
 
@@ -786,7 +800,7 @@ class _Parser:
         while self.peek() == "*":
             self.take()
             rhs = self.factor()
-            self.check(value.degree_x + rhs.degree_x, value.degree_t + rhs.degree_t, _bits(value) + _bits(rhs))
+            self.check_product(value.degree_x + rhs.degree_x, value.degree_t + rhs.degree_t, _bits(value) + _bits(rhs))
             value = value * rhs
         return value
 

@@ -225,6 +225,25 @@ def squarefree_kernel(q: Fraction) -> int:
     return k
 
 
+# The largest height bound a sweep takes: criterion 10 searches at 1000,
+# and the rationals of height at most 2000 number about 4.9 million.
+MAX_HEIGHT = 2000
+
+
+def check_height_bound(bound: int) -> None:
+    """Refuse a sweep's height bound below 1 (``DomainError``) or above
+    ``MAX_HEIGHT`` (``ResourceLimitError``)."""
+    if bound < 1:
+        raise DomainError(f"height bound {bound} is below 1")
+    if bound > MAX_HEIGHT:
+        raise ResourceLimitError(f"height bound {bound} is above {MAX_HEIGHT}")
+
+
+def _coprime_below(h: int) -> list[int]:
+    """The k with 1 <= k < h and gcd(k, h) = 1, ascending."""
+    return [k for k in range(1, h) if math.gcd(k, h) == 1]
+
+
 def rationals_of_height(h: int) -> list[Fraction]:
     """All rationals of exact height h, sorted by (numerator, denominator).
 
@@ -235,7 +254,7 @@ def rationals_of_height(h: int) -> list[Fraction]:
         raise DomainError("height is at least 1")
     if h == 1:
         return [Fraction(-1), Fraction(0), Fraction(1)]
-    ks = [k for k in range(1, h) if math.gcd(k, h) == 1]
+    ks = _coprime_below(h)
     return (
         [Fraction(-h, k) for k in ks]
         + [Fraction(-k, h) for k in reversed(ks)]
@@ -244,8 +263,27 @@ def rationals_of_height(h: int) -> list[Fraction]:
     )
 
 
+def coprime_pairs_of_height(h: int) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each rational of ``rationals_of_height(h)``,
+    in the same order: coprime by construction, so no gcd is taken and no
+    ``Fraction`` is built."""
+    if h < 1:
+        raise DomainError("height is at least 1")
+    if h == 1:
+        return [(-1, 1), (0, 1), (1, 1)]
+    ks = _coprime_below(h)
+    return (
+        [(-h, k) for k in ks]
+        + [(-k, h) for k in reversed(ks)]
+        + [(k, h) for k in ks]
+        + [(h, k) for k in ks]
+    )
+
+
 def rationals_up_to_height(bound: int) -> Iterator[Fraction]:
-    """Canonical sweep order: height 1..bound, then ascending numerator."""
+    """Canonical sweep order: height 1..bound, then ascending numerator.
+    The bound is checked (``check_height_bound``) before the first row."""
+    check_height_bound(bound)
     for h in range(1, bound + 1):
         yield from rationals_of_height(h)
 

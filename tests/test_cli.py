@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hitbox import polys, rationals
+from hitbox import harness, polys, rationals
 from hitbox.cli import main
 from hitbox.harness import fixture_path
 
@@ -38,8 +38,22 @@ def test_parse_error_exit_code(capsys):
         ("X^100000000", "degree 100000000 is above 100", []),
         ("X-10^700*10^700", "coefficients of up to 4654 bits; at most 4096", [700, 700]),
         ("X-((1/2)^1300+(1/3)^800+(1/5)^500)", "bits; at most 4096", [1300, 800, 500]),
+        ("((X+1)*(T+1))^100", "a product of dense size 10201", []),
+        ("(X+T+1)^100", "a product of dense size 10201", []),
+        ("(X*T+1)^100", "a product of dense size 10201", []),
+        ("X-(X+1)^40*(T+1)^40", "a product of dense size 1681", [40, 40]),
     ],
-    ids=["literal", "power-bits", "power-degree", "product", "sum"],
+    ids=[
+        "literal",
+        "power-bits",
+        "power-degree",
+        "product",
+        "sum",
+        "dense-power",
+        "dense-trinomial",
+        "dense-binomial",
+        "dense-product",
+    ],
 )
 def test_oversized_input_is_a_parse_error(capsys, monkeypatch, text, message, powers):
     # the literal is refused before int() reads it, and a power or a
@@ -123,6 +137,33 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "galois", "(X^2 - 1152921515344265237)*(X^2 - 3)")
     assert code == 3 and out == ""
     assert err.startswith("error: Pollard rho took over 100 steps")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hit", "enumerate", "--fixture", "fermat-x6"),
+        ("hit", "verify", "--fixture", "serre-a4"),
+        ("curve", "search", "--curve", "X^2-3*(T^6-1)"),
+    ],
+    ids=["enumerate", "verify", "search"],
+)
+@pytest.mark.parametrize(
+    "height, code, message",
+    [
+        ("1000000000", 3, f"error: height bound 1000000000 is above {rationals.MAX_HEIGHT}"),
+        ("0", 3, "error: height bound 0 is below 1"),
+    ],
+    ids=["huge", "zero"],
+)
+def test_sweep_height_is_checked_before_the_first_row(capsys, monkeypatch, argv, height, code, message):
+    # a wrapper on both row builders shows that no row is built
+    rows = []
+    monkeypatch.setattr(rationals, "rationals_of_height", rows.append)
+    monkeypatch.setattr(harness, "coprime_pairs_of_height", rows.append)
+    got, out, err = run(capsys, *argv, "--height", height)
+    assert (got, out) == (code, "") and err.startswith(message)
+    assert rows == []
 
 
 def test_verify_command_and_determinism(capsys):

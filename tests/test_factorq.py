@@ -790,7 +790,7 @@ def test_root_sieve_passes_every_fibre_with_a_planted_root(c, r, Q, content, k):
     sieve = root_sieve((P,))
     for t in rationals_up_to_height(6):
         if c(t) != 0:
-            assert root_mask(sieve, t) != 0, t
+            assert root_mask(sieve, t.numerator, t.denominator) != 0, t
     # the linear factor gives N a projective root at every point mod p
     assert sieve == ()
 
@@ -806,7 +806,7 @@ def test_root_sieve_tables_match_the_definition(f, content):
     f = f * content
     sieve = root_sieve((f,))
     for t in rationals_up_to_height(5):
-        assert (root_mask(sieve, t) != 0) == (not _rejected_directly(f, t)), t
+        assert (root_mask(sieve, t.numerator, t.denominator) != 0) == (not _rejected_directly(f, t)), t
 
 
 @settings(max_examples=40, deadline=None)
@@ -823,7 +823,7 @@ def test_family_root_sieve_has_each_members_bit(S, planted, content):
         S[planted] = S[planted] * BiPoly([UniPoly([0, -1]), UniPoly([1])])
     sieve = factorq.root_sieve(S)
     for t in rationals_up_to_height(5):
-        mask = factorq.root_mask(sieve, t)
+        mask = factorq.root_mask(sieve, t.numerator, t.denominator)
         for i, f in enumerate(S):
             assert (mask >> i & 1) == (not _rejected_directly(f, t)), (t, i)
         if planted < len(S):

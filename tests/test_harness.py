@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hitbox
-from hitbox import harness
+from hitbox import harness, rationals
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
 from hitbox.factorq import rational_roots, root_mask, root_sieve
 from hitbox.galois import table_entry, transitive_table
@@ -17,7 +17,7 @@ from hitbox.harness import (
     EquivalenceReport,
     HitData,
     _find_witness,
-    _sweep_values,
+    _sweep_pairs,
     compute_exclusion_set,
     enumerate_exceptional,
     exceptional_test,
@@ -402,14 +402,15 @@ def test_enumerate_parallel_matches_serial():
 def test_root_sieve_never_rejects_a_fibre_with_a_rational_root(data):
     # oracle: the unsieved scan, rational_roots on every specialization
     sieves = [root_sieve((f,)) for f in data.S]
-    for t in _sweep_values(data, 60):
+    for a, b in _sweep_pairs(data, 60):
+        t = Fraction(a, b)
         unsieved = None
         for i, f in enumerate(data.S):
             roots = rational_roots(f.specialize(t))
-            assert root_mask(sieves[i], t) != 0 or not roots, (t, i)
+            assert root_mask(sieves[i], a, b) != 0 or not roots, (t, i)
             if roots and unsieved is None:
                 unsieved = (i, min(roots))
-        assert _find_witness(t, data) == unsieved, t
+        assert _find_witness((a, b), data) == unsieved, t
 
 
 @pytest.mark.parametrize(
@@ -420,14 +421,33 @@ def test_root_sieve_never_rejects_a_fibre_with_a_rational_root(data):
 def test_sweep_values_are_the_rationals_outside_d(D):
     data = HitData(name="d", P=FERMAT.P, D=frozenset(map(Fraction, D)), S=())
     for H in range(1, 41):
-        assert _sweep_values(data, H) == [t for t in rationals_up_to_height(H) if t not in data.D]
+        expected = [(t.numerator, t.denominator) for t in rationals_up_to_height(H) if t not in data.D]
+        assert _sweep_pairs(data, H) == expected
 
 
 def test_root_sieve_leaves_only_the_exceptional_fermat_fibres():
-    values = _sweep_values(FERMAT, 25)
+    pairs = _sweep_pairs(FERMAT, 25)
     sieves = [root_sieve((f,)) for f in FERMAT.S]
-    survivors = [sum(root_mask(sieve, t) != 0 for t in values) for sieve in sieves]
-    assert len(values) == 797 and survivors == [0, 0, 1, 1]
+    survivors = [sum(root_mask(sieve, a, b) != 0 for a, b in pairs) for sieve in sieves]
+    assert len(pairs) == 797 and survivors == [0, 0, 1, 1]
+
+
+def test_enumerate_builds_no_fraction_row_and_scans_each_parameter_once(monkeypatch):
+    # the sweep reads coprime pairs, never a Fraction row, and reaches each
+    # parameter through the module global _find_witness exactly once; the
+    # one hit (t = 0) adds one call from its record
+    calls, rows, real = [], [], harness._find_witness
+
+    def counting(ab, data):
+        calls.append(ab)
+        return real(ab, data)
+
+    monkeypatch.setattr(harness, "_find_witness", counting)
+    monkeypatch.setattr(rationals, "rationals_of_height", rows.append)
+    recs = enumerate_exceptional(FERMAT, 25, workers=1)
+    assert [r.t for r in recs] == [Fraction(0)]
+    assert rows == [] and len(calls) == 797 + 1
+    assert calls[:-1] == _sweep_pairs(FERMAT, 25) and calls[-1] == (0, 1)
 
 
 def test_root_sieve_is_built_lazily_and_pooled_sweeps_agree():

@@ -7,7 +7,9 @@ import pytest
 from hitbox import rationals
 from hitbox.errors import DomainError, ResourceLimitError
 from hitbox.rationals import (
+    MAX_HEIGHT,
     as_prime,
+    coprime_pairs_of_height,
     divisors,
     factor_int,
     height,
@@ -154,3 +156,24 @@ def test_sweep_order_is_canonical():
             key=lambda q: (q.numerator, q.denominator),
         )
         assert rationals_of_height(h) == expected, h
+
+
+def test_coprime_pairs_are_the_rationals_of_each_height():
+    for h in range(1, 81):
+        assert coprime_pairs_of_height(h) == [(q.numerator, q.denominator) for q in rationals_of_height(h)], h
+    with pytest.raises(DomainError):
+        coprime_pairs_of_height(0)
+
+
+def test_sweep_height_bound_is_checked_before_the_first_row(monkeypatch):
+    rows = []
+    monkeypatch.setattr(rationals, "rationals_of_height", rows.append)
+    sweep = rationals_up_to_height(MAX_HEIGHT + 1)
+    with pytest.raises(ResourceLimitError, match=f"above {MAX_HEIGHT}"):
+        next(sweep)
+    for bound in (0, -5):
+        with pytest.raises(DomainError, match="below 1"):
+            next(rationals_up_to_height(bound))
+    assert rows == []
+    # criterion 10 searches at height 1000
+    assert MAX_HEIGHT >= 1000
