@@ -7,7 +7,6 @@ import pytest
 from hitbox import rationals
 from hitbox.errors import DomainError, ResourceLimitError
 from hitbox.rationals import (
-    MAX_HEIGHT,
     as_prime,
     coprime_pairs_of_height,
     divisors,
@@ -163,17 +162,3 @@ def test_coprime_pairs_are_the_rationals_of_each_height():
         assert coprime_pairs_of_height(h) == [(q.numerator, q.denominator) for q in rationals_of_height(h)], h
     with pytest.raises(DomainError):
         coprime_pairs_of_height(0)
-
-
-def test_sweep_height_bound_is_checked_before_the_first_row(monkeypatch):
-    rows = []
-    monkeypatch.setattr(rationals, "rationals_of_height", rows.append)
-    sweep = rationals_up_to_height(MAX_HEIGHT + 1)
-    with pytest.raises(ResourceLimitError, match=f"above {MAX_HEIGHT}"):
-        next(sweep)
-    for bound in (0, -5):
-        with pytest.raises(DomainError, match="below 1"):
-            next(rationals_up_to_height(bound))
-    assert rows == []
-    # criterion 10 searches at height 1000
-    assert MAX_HEIGHT >= 1000
