@@ -401,7 +401,7 @@ def _hensel_lift(p, f, factors, l):
     if r == 1:
         return [_trim([c % p**l for c in f])]
     k = r // 2
-    d = max(1, math.ceil(math.log2(l)))
+    d = max(1, (l - 1).bit_length())  # ceil(log2(l)) quadratic steps, in integers
     g = [1]
     for fi in factors[:k]:
         g = _gp_mul(g, fi, p)
@@ -583,12 +583,6 @@ class Factorization:
 
     unit: Fraction
     factors: tuple[tuple[UniPoly, int], ...]
-
-    def expand(self) -> UniPoly:
-        out = UniPoly.constant(self.unit)
-        for f, m in self.factors:
-            out = out * f**m
-        return out
 
     def type(self) -> tuple[int, ...]:
         degs: list[int] = []

@@ -33,61 +33,78 @@ from itertools import islice
 from .errors import DomainError, InconclusiveError, ReferenceMismatchError
 from .factorq import Factorization, rational_roots, usable_cycle_types
 from .polys import UniPoly, discriminant_uni
-from .permgroups import PermGroup, closure, conjugates_into, parse_perm
 from .rationals import factor_int, is_square_rational, squarefree_kernel
 
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------
 #
 # label, order, abstract isomorphism kind, sorted indices of the conjugacy
-# classes of maximal subgroups, generators.  Orders and parity are re-derived
-# and checked at load time by the closure engine.  The maximal indices are
-# constants: the tests re-derive them with a subgroup-lattice oracle, and
-# those of A5, S5, A6 and S6 agree with the ATLAS (Conway et al., 1985).
+# classes of maximal subgroups, cycle types (one word per type, parts in
+# descending order: every part is one digit, as n <= 6), and the k of each
+# entry nTk that is conjugate in S_n into this one.  The tables are those of
+# Butler & McKay (Comm. Algebra 11, 1983).  Every column is a constant: an
+# oracle test in ``tests/test_galois.py`` re-derives each one from the
+# entry's generators, which live in ``tests/oracles.py``, and the maximal
+# indices of A5, S5, A6 and S6 also agree with the ATLAS (Conway et al., 1985).
 
-_TABLE_DATA: dict[int, list[tuple[str, int, str, tuple[int, ...], tuple[str, ...]]]] = {
-    2: [("2T1", 2, "C2", (2,), ("(1,2)",))],
+_TABLE_DATA: dict[int, list[tuple[str, int, str, tuple[int, ...], str, tuple[int, ...]]]] = {
+    2: [("2T1", 2, "C2", (2,), "2 11", (1,))],
     3: [
-        ("3T1", 3, "C3", (3,), ("(1,2,3)",)),
-        ("3T2", 6, "S3", (2, 3), ("(1,2)", "(1,2,3)")),
+        ("3T1", 3, "C3", (3,), "3 111", (1,)),
+        ("3T2", 6, "S3", (2, 3), "3 21 111", (1, 2)),
     ],
     4: [
-        ("4T1", 4, "C4", (2,), ("(1,2,3,4)",)),
-        ("4T2", 4, "V4", (2, 2, 2), ("(1,2)(3,4)", "(1,3)(2,4)")),
-        ("4T3", 8, "D4", (2, 2, 2), ("(1,2,3,4)", "(1,3)")),
-        ("4T4", 12, "A4", (3, 4), ("(1,2,3)", "(1,2)(3,4)")),
-        ("4T5", 24, "S4", (2, 3, 4), ("(1,2)", "(1,2,3,4)")),
+        ("4T1", 4, "C4", (2,), "4 22 1111", (1,)),
+        ("4T2", 4, "V4", (2, 2, 2), "22 1111", (2,)),
+        ("4T3", 8, "D4", (2, 2, 2), "4 22 211 1111", (1, 2, 3)),
+        ("4T4", 12, "A4", (3, 4), "31 22 1111", (2, 4)),
+        ("4T5", 24, "S4", (2, 3, 4), "4 31 22 211 1111", (1, 2, 3, 4, 5)),
     ],
     5: [
-        ("5T1", 5, "C5", (5,), ("(1,2,3,4,5)",)),
-        ("5T2", 10, "D5", (2, 5), ("(1,2,3,4,5)", "(2,5)(3,4)")),
-        ("5T3", 20, "F20", (2, 5), ("(1,2,3,4,5)", "(2,3,5,4)")),
-        ("5T4", 60, "A5", (5, 6, 10), ("(1,2,3,4,5)", "(1,2,3)")),
-        ("5T5", 120, "S5", (2, 5, 6, 10), ("(1,2)", "(1,2,3,4,5)")),
+        ("5T1", 5, "C5", (5,), "5 11111", (1,)),
+        ("5T2", 10, "D5", (2, 5), "5 221 11111", (1, 2)),
+        ("5T3", 20, "F20", (2, 5), "5 41 221 11111", (1, 2, 3)),
+        ("5T4", 60, "A5", (5, 6, 10), "5 311 221 11111", (1, 2, 4)),
+        ("5T5", 120, "S5", (2, 5, 6, 10), "5 41 32 311 221 2111 11111", (1, 2, 3, 4, 5)),
     ],
     6: [
-        ("6T1", 6, "C6", (2, 3), ("(1,2,3,4,5,6)",)),
-        ("6T2", 6, "S3", (2, 3), ("(1,2,3)(4,6,5)", "(1,4)(2,5)(3,6)")),
-        ("6T3", 12, "D6", (2, 2, 2, 3), ("(1,2,3,4,5,6)", "(1,6)(2,5)(3,4)")),
-        ("6T4", 12, "A4", (3, 4), ("(1,4,2)(3,5,6)", "(2,5)(3,4)")),
-        ("6T5", 18, "F18", (2, 3, 3), ("(1,2,3)", "(4,5,6)", "(1,4)(2,5)(3,6)")),
-        ("6T6", 24, "C2xA4", (2, 3, 4), ("(1,2)", "(1,3,5)(2,4,6)")),
-        ("6T7", 24, "S4", (2, 3, 4), ("(1,4)(2,6)(3,5)", "(2,5,4,3)")),
-        ("6T8", 24, "S4", (2, 3, 4), ("(2,4)(3,5)", "(1,4,6,3)(2,5)")),
+        ("6T1", 6, "C6", (2, 3), "6 33 222 111111", (1,)),
+        ("6T2", 6, "S3", (2, 3), "33 222 111111", (2,)),
+        ("6T3", 12, "D6", (2, 2, 2, 3), "6 33 222 2211 111111", (1, 2, 3)),
+        ("6T4", 12, "A4", (3, 4), "33 2211 111111", (4,)),
+        ("6T5", 18, "F18", (2, 3, 3), "6 33 3111 222 111111", (1, 2, 5)),
+        ("6T6", 24, "C2xA4", (2, 3, 4), "6 33 222 2211 21111 111111", (1, 4, 6)),
+        ("6T7", 24, "S4", (2, 3, 4), "411 33 222 2211 111111", (2, 4, 7)),
+        ("6T8", 24, "S4", (2, 3, 4), "42 33 2211 111111", (4, 8)),
+        ("6T9", 36, "S3xS3", (2, 2, 2, 3, 3), "6 33 3111 222 2211 111111", (1, 2, 3, 5, 9)),
+        ("6T10", 36, "F36", (2, 9), "42 33 3111 2211 111111", (10,)),
         (
-            "6T9",
-            36,
-            "S3xS3",
-            (2, 2, 2, 3, 3),
-            ("(1,4,5)(2,3,6)", "(1,3)(2,4)(5,6)", "(1,5,4)(2,3,6)", "(1,3)(2,5)(4,6)"),
+            "6T11",
+            48,
+            "C2xS4",
+            (2, 2, 2, 3, 4),
+            "6 42 411 33 222 2211 21111 111111",
+            (1, 2, 3, 4, 6, 7, 8, 11),
         ),
-        ("6T10", 36, "F36", (2, 9), ("(1,2,3)", "(4,5,6)", "(1,4,2,5)(3,6)")),
-        ("6T11", 48, "C2xS4", (2, 2, 2, 3, 4), ("(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)")),
-        ("6T12", 60, "A5", (5, 6, 10), ("(1,2,3,4,5)", "(1,6)(2,5)")),
-        ("6T13", 72, "S3wr2", (2, 2, 2, 9), ("(1,2,3)", "(1,2)", "(1,4)(2,5)(3,6)")),
-        ("6T14", 120, "S5", (2, 5, 6, 10), ("(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)")),
-        ("6T15", 360, "A6", (6, 6, 10, 15, 15), ("(1,2,3)", "(2,3,4,5,6)")),
-        ("6T16", 720, "S6", (2, 6, 6, 10, 15, 15), ("(1,2)", "(1,2,3,4,5,6)")),
+        ("6T12", 60, "A5", (5, 6, 10), "51 33 2211 111111", (4, 12)),
+        (
+            "6T13",
+            72,
+            "S3wr2",
+            (2, 2, 2, 9),
+            "6 42 33 321 3111 222 2211 21111 111111",
+            (1, 2, 3, 5, 9, 10, 13),
+        ),
+        ("6T14", 120, "S5", (2, 5, 6, 10), "6 51 411 33 222 2211 111111", (1, 2, 3, 4, 7, 12, 14)),
+        ("6T15", 360, "A6", (6, 6, 10, 15, 15), "51 42 33 3111 2211 111111", (4, 8, 10, 12, 15)),
+        (
+            "6T16",
+            720,
+            "S6",
+            (2, 6, 6, 10, 15, 15),
+            "6 51 42 411 33 321 3111 222 2211 21111 111111",
+            tuple(range(1, 17)),
+        ),
     ],
 }
 
@@ -99,26 +116,22 @@ class TransitiveGroupEntry:
     order: int
     kind: str
     maximal_indices: tuple[int, ...]
-    group: PermGroup
     cycle_types: frozenset[tuple[int, ...]]
-    in_alternating: bool
+    subgroup_ks: tuple[int, ...]  # k of each nTk conjugate in S_n into this entry
+    in_alternating: bool  # every cycle type even
 
 
 _TABLE_CACHE: dict[int, list[TransitiveGroupEntry]] = {}
 
 
 def transitive_table(n: int) -> list[TransitiveGroupEntry]:
-    """All transitive groups of degree n (2 <= n <= 6), validated at load."""
+    """All transitive groups of degree n (2 <= n <= 6), read from the table."""
     if n not in _TABLE_DATA:
         raise DomainError(f"no transitive table for degree {n}")
     if n not in _TABLE_CACHE:
         entries = []
-        for label, order, kind, maximal, gen_strs in _TABLE_DATA[n]:
-            G = closure(n, [parse_perm(s, n) for s in gen_strs])
-            if G.order != order:
-                raise DomainError(f"table entry {label}: order {G.order} != {order}")
-            if not G.is_transitive():
-                raise DomainError(f"table entry {label} is not transitive")
+        for label, order, kind, maximal, types, ks in _TABLE_DATA[n]:
+            cycle_types = frozenset(tuple(map(int, word)) for word in types.split())
             entries.append(
                 TransitiveGroupEntry(
                     degree=n,
@@ -126,9 +139,9 @@ def transitive_table(n: int) -> list[TransitiveGroupEntry]:
                     order=order,
                     kind=kind,
                     maximal_indices=maximal,
-                    group=G,
-                    cycle_types=G.cycle_type_set(),
-                    in_alternating=G.in_alternating(),
+                    cycle_types=cycle_types,
+                    subgroup_ks=ks,
+                    in_alternating=all((n - len(ct)) % 2 == 0 for ct in cycle_types),
                 )
             )
         _TABLE_CACHE[n] = entries
@@ -146,13 +159,10 @@ def table_entry(label: str) -> TransitiveGroupEntry:
 
 
 @functools.cache
-def transitive_subgroups(G: PermGroup) -> tuple[TransitiveGroupEntry, ...]:
-    """Table entries of G's degree that are conjugate in S_n into G.
-
-    These are the sieve's candidates inside the reference G.  Cached: a
-    sweep sieves every record inside one reference.
-    """
-    return tuple(e for e in transitive_table(G.degree) if conjugates_into(e.group, G))
+def transitive_subgroups(G: TransitiveGroupEntry) -> tuple[TransitiveGroupEntry, ...]:
+    """Table entries of G's degree that are conjugate in S_n into G, in
+    table order: the sieve's candidates inside the reference G."""
+    return tuple(transitive_table(G.degree)[k - 1] for k in G.subgroup_ks)
 
 
 # -- identification results ------------------------------------------------------
@@ -227,18 +237,6 @@ def _resolvent_ints(N: list[int], D: int) -> list[int]:
     integer cubic whose roots are D times those of R."""
     n0, n1, n2, n3, _ = N
     return [-(n3 * n3 * n0 - 4 * n2 * n0 * D + n1 * n1 * D), n3 * n1 - 4 * n0 * D, -n2, 1]
-
-
-def resolvent_cubic(f: UniPoly) -> UniPoly:
-    """Cubic with roots x1x2+x3x4, x1x3+x2x4, x1x4+x2x3 of a monic quartic.
-
-    Its discriminant equals the discriminant of f.
-    """
-    if f.degree != 4:
-        raise DomainError("resolvent cubic needs a quartic")
-    N, D = f.monic().ints_den()
-    r0, r1, r2, r3 = _resolvent_ints(N, D)
-    return UniPoly.from_ints([r0, r1 * D, r2 * D * D, r3 * D**3], D**3).monic()
 
 
 def _splits_over(disc_q: Fraction, D: Fraction) -> bool:
@@ -410,7 +408,7 @@ def sieve_degree_5_6(
     if within is None:
         table = transitive_table(f.degree)
     elif within.degree == f.degree:
-        table = transitive_subgroups(within.group)
+        table = transitive_subgroups(within)
     else:
         raise DomainError(f"reference degree {within.degree} != {f.degree}")
     disc = discriminant_uni(f)

@@ -87,9 +87,6 @@ class SpecializationRecord:
     # groups_match(galois, reference) for t outside D, when a reference was given
     match: bool | None = None
 
-    def sort_key(self):
-        return (height(self.t), self.t.numerator, self.t.denominator)
-
 
 @dataclass
 class EquivalenceReport:

@@ -1,31 +1,271 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values by a route different from the
-production code: brute-force enumerations, subgroup lattices by cyclic
-extension (the reference for the maximal-index column of the transitive
-table), transitive-table labels by conjugacy over all of S_n, divisor
-checks, numeric root finding, exhaustive modular searches.
+production code: brute-force enumerations, finite permutation groups by
+explicit closure (from which the tests re-derive every column of the
+embedded transitive table), subgroup lattices by cyclic extension,
+transitive-table labels by conjugacy over all of S_n, divisor checks,
+numeric root finding, exhaustive modular searches.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
+from typing import Iterable, Sequence
 
-from hitbox.errors import DomainError, ResourceLimitError
+from hitbox.errors import DomainError, ParseError, ResourceLimitError
 from hitbox.galois import transitive_table
-from hitbox.permgroups import (
-    DEFAULT_ORDER_BOUND,
-    Perm,
-    PermGroup,
-    _conjugates_into,
-    closure,
-    identity,
-    perm_conj,
-    perm_mul,
-)
 from hitbox.polys import BiPoly, UniPoly
+
+# -- finite permutation groups by explicit element sets -------------------------
+#
+# Permutations are tuples mapping point i (0-based) to its image; groups are
+# built by breadth-first closure from generators.  Every group here stays
+# well below the order bound, so explicit element sets beat clever
+# algorithms for testability.
+
+Perm = tuple[int, ...]
+
+DEFAULT_ORDER_BOUND = 10080  # covers every transitive group of degree <= 7
+
+
+def identity(n: int) -> Perm:
+    return tuple(range(n))
+
+
+def perm_mul(p: Perm, q: Perm) -> Perm:
+    """Composition p∘q: apply q first, then p."""
+    return tuple(map(p.__getitem__, q))
+
+
+def perm_inv(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def perm_conj(g: Perm, h: Perm) -> Perm:
+    """g h g^-1."""
+    return perm_mul(perm_mul(g, h), perm_inv(g))
+
+
+def is_perm(p: Sequence[int]) -> bool:
+    return sorted(p) == list(range(len(p)))
+
+
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """Cycle lengths of p including fixed points, sorted descending."""
+    seen = [False] * len(p)
+    lengths = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def is_even(p: Perm) -> bool:
+    return (len(p) - len(cycle_type(p))) % 2 == 0
+
+
+def parse_perm(text: str, degree: int) -> Perm:
+    """Disjoint-cycle notation with 1-based points, e.g. ``(1,2,3)(4,5)``."""
+    images = list(range(degree))
+    pos = 0
+    text = text.strip()
+    if text in ("()", "e", ""):
+        return tuple(images)
+    touched: set[int] = set()
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch != "(":
+            raise ParseError("expected '('", pos)
+        pos += 1
+        cycle: list[int] = []
+        num = ""
+        while pos < len(text) and text[pos] != ")":
+            c = text[pos]
+            if c.isdigit():
+                num += c
+            elif c in ", \t":
+                if num:
+                    cycle.append(int(num))
+                    num = ""
+            else:
+                raise ParseError(f"unexpected character {c!r}", pos)
+            pos += 1
+        if pos >= len(text):
+            raise ParseError("unterminated cycle", pos)
+        pos += 1
+        if num:
+            cycle.append(int(num))
+        if not cycle:
+            continue
+        for v in cycle:
+            if not 1 <= v <= degree:
+                raise ParseError(f"point {v} outside 1..{degree}")
+            if v - 1 in touched:
+                raise ParseError(f"point {v} repeated across cycles")
+            touched.add(v - 1)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b - 1
+    if not is_perm(images):
+        raise ParseError("cycles do not define a permutation")
+    return tuple(images)
+
+
+def perm_str(p: Perm) -> str:
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        if seen[i] or p[i] == i:
+            seen[i] = True
+            continue
+        cycle = [i]
+        seen[i] = True
+        j = p[i]
+        while j != i:
+            cycle.append(j)
+            seen[j] = True
+            j = p[j]
+        out.append("(" + ",".join(str(v + 1) for v in cycle) + ")")
+    return "".join(out) if out else "()"
+
+
+@dataclass(frozen=True)
+class PermGroup:
+    degree: int
+    generators: tuple[Perm, ...]
+    elements: frozenset[Perm]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def is_transitive(self) -> bool:
+        orbit = {0}
+        frontier = [0]
+        while frontier:
+            i = frontier.pop()
+            for g in self.generators:
+                j = g[i]
+                if j not in orbit:
+                    orbit.add(j)
+                    frontier.append(j)
+        return len(orbit) == self.degree
+
+    def cycle_type_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(cycle_type(g) for g in self.elements)
+
+    def in_alternating(self) -> bool:
+        """G lies in A_n iff every generator is even (A_n is a subgroup)."""
+        return all(is_even(g) for g in self.generators)
+
+
+def closure(degree: int, gens: Iterable[Perm], bound: int = DEFAULT_ORDER_BOUND) -> PermGroup:
+    """Group generated by gens, by breadth-first product closure."""
+    gens = tuple(tuple(g) for g in gens)
+    for g in gens:
+        if len(g) != degree or not is_perm(g):
+            raise DomainError(f"not a permutation of degree {degree}: {g}")
+    elements = {identity(degree)}
+    frontier = [identity(degree)]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = perm_mul(g, x)
+                if y not in elements:
+                    elements.add(y)
+                    nxt.append(y)
+                    if len(elements) > bound:
+                        raise ResourceLimitError(
+                            f"group order exceeds the bound {bound}"
+                        )
+        frontier = nxt
+    return PermGroup(degree=degree, generators=gens, elements=frozenset(elements))
+
+
+def _conjugates_into(
+    conjugators: Iterable[Perm], gens: tuple[Perm, ...], K: frozenset[Perm]
+) -> bool:
+    """True iff some s in conjugators puts s g s^-1 in K for every g in gens.
+
+    The generators decide: K is a group, so it holds the conjugate of the
+    group they generate exactly when it holds the conjugates of them.
+    """
+    for s in conjugators:
+        s_inv = perm_inv(s)
+        if all(perm_mul(s, perm_mul(g, s_inv)) in K for g in gens):
+            return True
+    return False
+
+
+def conjugates_into(A: PermGroup, B: PermGroup) -> bool:
+    """True iff some permutation conjugates A into a subgroup of B."""
+    if A.degree != B.degree or B.order % A.order:
+        return False
+    if not A.cycle_type_set() <= B.cycle_type_set():
+        return False
+    return _conjugates_into(permutations(range(A.degree)), A.generators, B.elements)
+
+
+# -- generators of the embedded transitive table ---------------------------------
+#
+# One generating set per entry of ``galois._TABLE_DATA``; the tests close
+# each one and re-derive every column of the table from the group.
+
+TABLE_GENERATORS: dict[str, tuple[str, ...]] = {
+    "2T1": ("(1,2)",),
+    "3T1": ("(1,2,3)",),
+    "3T2": ("(1,2)", "(1,2,3)"),
+    "4T1": ("(1,2,3,4)",),
+    "4T2": ("(1,2)(3,4)", "(1,3)(2,4)"),
+    "4T3": ("(1,2,3,4)", "(1,3)"),
+    "4T4": ("(1,2,3)", "(1,2)(3,4)"),
+    "4T5": ("(1,2)", "(1,2,3,4)"),
+    "5T1": ("(1,2,3,4,5)",),
+    "5T2": ("(1,2,3,4,5)", "(2,5)(3,4)"),
+    "5T3": ("(1,2,3,4,5)", "(2,3,5,4)"),
+    "5T4": ("(1,2,3,4,5)", "(1,2,3)"),
+    "5T5": ("(1,2)", "(1,2,3,4,5)"),
+    "6T1": ("(1,2,3,4,5,6)",),
+    "6T2": ("(1,2,3)(4,6,5)", "(1,4)(2,5)(3,6)"),
+    "6T3": ("(1,2,3,4,5,6)", "(1,6)(2,5)(3,4)"),
+    "6T4": ("(1,4,2)(3,5,6)", "(2,5)(3,4)"),
+    "6T5": ("(1,2,3)", "(4,5,6)", "(1,4)(2,5)(3,6)"),
+    "6T6": ("(1,2)", "(1,3,5)(2,4,6)"),
+    "6T7": ("(1,4)(2,6)(3,5)", "(2,5,4,3)"),
+    "6T8": ("(2,4)(3,5)", "(1,4,6,3)(2,5)"),
+    "6T9": ("(1,4,5)(2,3,6)", "(1,3)(2,4)(5,6)", "(1,5,4)(2,3,6)", "(1,3)(2,5)(4,6)"),
+    "6T10": ("(1,2,3)", "(4,5,6)", "(1,4,2,5)(3,6)"),
+    "6T11": ("(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)"),
+    "6T12": ("(1,2,3,4,5)", "(1,6)(2,5)"),
+    "6T13": ("(1,2,3)", "(1,2)", "(1,4)(2,5)(3,6)"),
+    "6T14": ("(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)"),
+    "6T15": ("(1,2,3)", "(2,3,4,5,6)"),
+    "6T16": ("(1,2)", "(1,2,3,4,5,6)"),
+}
+
+
+@functools.cache
+def table_group(label: str) -> PermGroup:
+    """The closure of a table entry's generators (``label`` is nTk)."""
+    n = int(label.split("T")[0])
+    return closure(n, [parse_perm(s, n) for s in TABLE_GENERATORS[label]])
 
 
 def conjugate_in_symmetric(A: PermGroup, B: PermGroup) -> bool:
@@ -44,7 +284,10 @@ def label_for_group(G: PermGroup) -> str | None:
     conjugate to in S_n, found by searching all of S_n."""
     if not 2 <= G.degree <= 6 or not G.is_transitive():
         return None
-    return next((e.label for e in transitive_table(G.degree) if conjugate_in_symmetric(G, e.group)), None)
+    return next(
+        (e.label for e in transitive_table(G.degree) if conjugate_in_symmetric(G, table_group(e.label))),
+        None,
+    )
 
 
 def brute_force_subgroups(G: PermGroup) -> set[frozenset]:
@@ -84,6 +327,7 @@ class SubgroupClass:
     is_maximal: bool
 
 
+@functools.cache
 def subgroup_classes(G: PermGroup) -> list[SubgroupClass]:
     """All conjugacy classes of subgroups of G, smallest order first.
 
@@ -95,6 +339,7 @@ def subgroup_classes(G: PermGroup) -> list[SubgroupClass]:
     representative is conjugate into a proper subgroup of larger order.
     Both questions go to one test, ``_conjugates_into``, on the join
     generators that each representative keeps as its ``generators``.
+    Cached: several tests read the lattice of the same table group.
     """
     if G.order > DEFAULT_ORDER_BOUND:
         raise ResourceLimitError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
@@ -153,6 +398,15 @@ def maximal_classes(G: PermGroup) -> list[SubgroupClass]:
         raise DomainError("maximal subgroups need a nontrivial group")
     out = [c for c in subgroup_classes(G) if c.is_maximal]
     out.sort(key=lambda c: (c.index, c.representative.order))
+    return out
+
+
+def expand_factorization(fac) -> UniPoly:
+    """The polynomial a ``factorq.Factorization`` stands for: the unit
+    times each factor to its multiplicity."""
+    out = UniPoly.constant(fac.unit)
+    for f, m in fac.factors:
+        out = out * f**m
     return out
 
 

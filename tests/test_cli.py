@@ -318,6 +318,27 @@ def test_table_command(capsys):
     assert orders == [6, 6, 12, 12, 18, 24, 24, 24, 36, 36, 48, 60, 72, 120, 360, 720]
 
 
+# sha256 prefixes of `table transitive --degree n` stdout, as (json, text),
+# recorded while the table's columns were still derived from the generators
+GOLDEN_TABLE_TRANSITIVE = {
+    2: ("16964315139611fa", "a5fd9da750513056"),
+    3: ("091103e0a2eb7363", "334155338046d195"),
+    4: ("5f56d94cec285298", "6348fb703d2ce685"),
+    5: ("ef84b6b6fe5d9aa5", "7506a3c5ba3c23be"),
+    6: ("c80dad8e4db03064", "558768f05bfefee2"),
+}
+
+
+@pytest.mark.parametrize("degree", sorted(GOLDEN_TABLE_TRANSITIVE))
+def test_table_command_matches_golden_digest(capsys, degree):
+    digests = []
+    for flags in (("--json",), ()):
+        code, out, _ = run(capsys, "table", "transitive", "--degree", str(degree), *flags)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == GOLDEN_TABLE_TRANSITIVE[degree]
+
+
 def test_output_file(capsys, tmp_path):
     out_file = tmp_path / "d.json"
     code, out, _ = run(

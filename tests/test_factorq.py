@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import roots_by_divisor_check, trial_division_irreducible
+from oracles import expand_factorization, roots_by_divisor_check, trial_division_irreducible
 
 from hitbox import factorq, rationals
 from hitbox.errors import DomainError
@@ -149,7 +149,7 @@ def test_factor_reconstruction_random():
     for i in range(200):
         f = rand_poly(rng)
         fac = factor_over_Q(f)
-        assert fac.expand() == f
+        assert expand_factorization(fac) == f
         for g, _ in fac.factors:
             assert g.lc() == 1
             # full quadratic/cubic trial-division oracle on a subsample
@@ -828,3 +828,13 @@ def test_family_root_sieve_has_each_members_bit(S, planted, content):
             assert (mask >> i & 1) == (not _rejected_directly(f, t)), (t, i)
         if planted < len(S):
             assert mask >> planted & 1, t
+
+
+def test_hensel_lift_reaches_the_requested_precision():
+    # X^2 - 2 = (X - 3)(X - 4) mod 7; each quadratic step doubles the
+    # precision, so l = 2^k + 1 needs k + 1 steps
+    f = [-2, 0, 1]
+    for l in (1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 64, 65):
+        F, G = factorq._hensel_lift(7, f, [[4, 1], [3, 1]], l)
+        m = 7**l
+        assert factorq._gp_mul(F, G, m) == [c % m for c in f], l

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import hitbox
 from hitbox import harness, rationals
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
 from hitbox.factorq import rational_roots, root_mask, root_sieve
-from hitbox.galois import table_entry, transitive_table
+from hitbox.galois import table_entry
 from hitbox.harness import (
     EquivalenceReport,
     HitData,
@@ -30,7 +31,6 @@ from hitbox.harness import (
     resolve_reference,
     verify_equivalence,
 )
-from hitbox.permgroups import PermGroup
 from hitbox.polys import BiPoly, parse_poly
 from hitbox.rationals import height, rationals_up_to_height
 
@@ -163,17 +163,7 @@ def test_resolve_reference_paths():
         resolve_reference(load_fixture({**raw, "S": raw["S"][1:]}))
 
 
-def test_resolve_reference_reads_maximal_indices_without_closing_groups(monkeypatch):
-    # every closure ends in one PermGroup, whichever module bound the name
-    transitive_table(6)
-    calls, init = [], PermGroup.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PermGroup, "__init__", counting_init)
-
+def test_resolve_reference_reads_maximal_indices_without_closing_groups():
     def sextic(*xdegs, **fields):
         S = tuple(BiPoly.var_x() ** k for k in xdegs)
         return HitData(name="sextic", P=FERMAT.P, D=FERMAT.D, S=S, **fields)
@@ -188,7 +178,11 @@ def test_resolve_reference_reads_maximal_indices_without_closing_groups(monkeypa
     assert ref == table_entry("6T16") and prov == "fixture order 720, matched 6T16"
     ref, prov = resolve_reference(sextic(6, 6, 10, 15, 15, g_label="6T15"))
     assert ref == table_entry("6T15") and prov == "fixture label 6T15"
-    assert calls == []
+    # the run path reads the table's columns: no permutation code is loaded
+    ref, _ = resolve_reference(FERMAT)
+    assert verify_equivalence(FERMAT, ref, 7, workers=1).passed
+    assert "hitbox.permgroups" not in sys.modules
+    assert importlib.util.find_spec("hitbox.permgroups") is None
 
 
 def _exclusion_set_never_runs(P, S):
@@ -341,7 +335,7 @@ def test_enumerate_exceptional_monotone_prefix():
     assert small_keys == [r.t for r in large if height(r.t) <= 10]
     assert Fraction(10, 27) in {r.t for r in large}
     # canonical report order
-    keys = [r.sort_key() for r in large]
+    keys = [(height(r.t), r.t.numerator, r.t.denominator) for r in large]
     assert keys == sorted(keys)
 
 
@@ -599,9 +593,7 @@ def test_galois_identification_matches_sympy_oracle():
 
 
 def test_conditional_verdicts_match_sympy_oracle():
-    from oracles import label_for_group
-
-    from hitbox.permgroups import closure
+    from oracles import closure, label_for_group
 
     galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
     import sympy
