@@ -17,21 +17,23 @@ squarefree part is factored instead, as ``_lifted_roots`` does, and each
 factor's multiplicity is read by exact division.  The degrees of F's
 factors over Q are subset sums of every modular pattern (Musser's
 degree-set argument, J. ACM 22, 1975), and the scan stops at the first
-prime that brings the intersection of these sums inside {0, 1, n-1, n}.  When it is {0, n}, F is irreducible
-with no lifting at all; otherwise F factors as its linear factors times
-one irreducible cofactor, and its rational roots are lifted from the roots
-mod p that the degree-1 part of a split already holds.  Only when a degree
-between 2 and n-2 survives ``_DEGREE_SCAN`` usable primes does the
-classical Zassenhaus pipeline run.  The cap is 12 because small Galois
-groups settle late: of the fermat-x6 sextics of height at most 30, 185
-keep a middle degree after 5 usable primes, and the degree set proves 184
-of them irreducible within 11 (the last, X^6 - 1, has quadratic factors).
-Zassenhaus starts from the prime with the fewest modular factors, the only
-prime factored completely: quadratic multifactor Hensel lifting modulo m^2
-past the Landau-Mignotte bound, then subset recombination (modular factor
-counts stay tiny at the degrees this package handles).  The Galois sieve
-walks the same model through the same primes (``usable_cycle_types``), so
-the splits this scan computed come back to it from the residue cache.
+prime that brings the intersection of these sums inside {0, 1, n-1, n}.
+When it is {0, n}, F is irreducible with no lifting at all.  Otherwise the
+integer roots come off first, on one path: they are lifted from the roots
+mod p that the degree-1 part of a split already holds, and each takes its
+one linear factor mod p with it.  A settled degree set leaves one
+irreducible cofactor.  Only when a degree between 2 and n-2 survives
+``_DEGREE_SCAN`` usable primes does the classical Zassenhaus pipeline run
+on the cofactor.  The cap is 12 because small Galois groups settle late:
+of the fermat-x6 sextics of height at most 30, 185 keep a middle degree
+after 5 usable primes, and the degree set proves 184 of them irreducible
+within 11 (the last, X^6 - 1, has quadratic factors).  Zassenhaus starts
+from the prime with the fewest modular factors, the only prime factored
+completely: quadratic multifactor Hensel lifting modulo m^2 past the
+Landau-Mignotte bound of the cofactor, then subset recombination (modular
+factor counts stay tiny at the degrees this package handles).  The Galois
+sieve walks the same model through the same primes (``usable_cycle_types``),
+so the splits this scan computed come back to it from the residue cache.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
@@ -454,8 +456,8 @@ class _Scan(NamedTuple):
 
     splits: list  # (p, distinct-degree split) of each usable prime, in order
     degrees: int  # bit d set: every split allows a factor of degree d over Q
-    prime: int  # the Zassenhaus prime, 0 when the degree set settles f
-    modular: list  # the irreducible factors mod prime
+    chosen: tuple | None  # (p, split): the Zassenhaus prime's, else the last
+    modular: list  # the irreducible factors mod the Zassenhaus prime, if any
 
 
 def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
@@ -475,13 +477,14 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
     (b) The degree of every factor of f over Q is a subset sum of every
         modular pattern (Musser, J. ACM 22, 1975).  The scan stops as soon
         as the intersection of these sums lies inside {0, 1, n-1, n}.
-        {0, n} proves f irreducible; any other such set leaves f
-        irreducible exactly when it has no rational root, which one root
-        lift from a split's degree-1 part decides (``_split_off_roots``).
+        {0, n} proves f irreducible; any other such set leaves the
+        cofactor of f's rational roots irreducible, the roots are lifted
+        from the last split's degree-1 part, and no prime is factored
+        completely.
     (c) Otherwise, after ``_DEGREE_SCAN`` usable primes, the prime with
         the fewest factors wins (the smaller on a tie), and only it is
-        factored completely.  The choice changes the cost of Zassenhaus,
-        never its answer.
+        factored completely; its split gives the roots.  The choice changes
+        the cost of Zassenhaus, never its answer.
     """
     n = len(f) - 1
     middle = ~(3 | 3 << n - 1)  # the degrees 2 <= d <= n-2
@@ -498,79 +501,75 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
         if not degrees & middle or len(splits) == _DEGREE_SCAN:
             break
     if not splits or not degrees & middle:
-        return _Scan(splits, degrees, 0, [])
+        return _Scan(splits, degrees, splits[-1] if splits else None, [])
     p, split = min(splits, key=lambda s: len(_cycle_type(s[1])))
-    return _Scan(splits, degrees, p, [list(h) for h in _gp_factor_sqf(f, p, split)])
+    return _Scan(splits, degrees, (p, split), [list(h) for h in _gp_factor_sqf(f, p, split)])
 
 
-def _split_off_roots(f: list[int], splits) -> list[list[int]]:
-    """Irreducible factors of a monic squarefree integer f whose degree set,
-    read from the usable ``splits``, lies inside {0, 1, n-1, n}: its linear
-    factors, from its integer roots, and the cofactor.
+def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
+    """Irreducible factors of a monic squarefree integer polynomial f from
+    its residue scan: its linear factors, from its integer roots, then the
+    factors of the cofactor, lifted from the modular factors it has left.
 
-    The set is not {0, n} and is closed under d -> n-d, so it holds 1:
-    every split has a degree-1 part.  An integer root of f is a root of it,
-    and a simple one, since the prime is usable; so the roots mod p of the
-    last split are lifted (``_lift_roots``).  The cofactor has no rational root, and a factor of
-    it of degree d would put d, with 2 <= d <= n-2, in the degree set; so it
-    is irreducible."""
-    p, split = splits[-1]
-    linear = next(g for g, d in split if d == 1)
+    An integer root of f is a root of the degree-1 part of the chosen
+    split, and a simple one, since the prime is usable; so the roots mod p
+    of that part are lifted (``_lift_roots``, von zur Gathen & Gerhard,
+    §15).  As f is squarefree mod p, each root y accounts for exactly one
+    modular factor, x - (y mod p), and the cofactor is congruent mod p to
+    the product of the others.  With fewer than two of them left the
+    cofactor is irreducible.  That covers a scan whose degree set settles
+    f, which factors no prime completely: the set lies inside
+    {0, 1, n-1, n}, so a factor of the cofactor, which has no rational
+    root, would put a middle degree in it.  Otherwise the cofactor is
+    Hensel-lifted past its Landau-Mignotte bound and its lifted factors
+    are recombined by subsets."""
+    if scan.degrees == 1 | 1 << len(f) - 1:
+        return [f]
+    p, split = scan.chosen
+    linear = next((g for g, d in split if d == 1), [1])  # [1]: no roots mod p
     if len(linear) == 2:
         residues = [-linear[0] % p]
     else:
         residues = [r for r in range(p) if _gp_eval(linear, r, p) == 0]
-    out = []
-    for y in sorted(_lift_roots(f, p, residues)):
-        out.append([-y, 1])
-        f = _pseudo_divmod(f, out[-1])[0]
-    if len(f) > 1:
-        out.append(f)
-    return sorted(out, key=lambda h: (len(h), h))
-
-
-def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
-    """Irreducible factors of a monic squarefree integer polynomial, read
-    from its residue scan when the degree set settles them, else lifted
-    from the scan's prime."""
-    if not scan.prime:
-        return [f] if scan.degrees == 1 | 1 << len(f) - 1 else _split_off_roots(f, scan.splits)
-    p, modular = scan.prime, scan.modular
-    B = _mignotte_bound(f)
-    l = 1
-    while p**l <= 2 * B:
-        l += 1
-    lifted = _hensel_lift(p, f, modular, l)
-    pl = p**l
-    indices = list(range(len(lifted)))
     found = []
-    rest = f
-    s = 1
-    while 2 * s <= len(indices):
-        hit = False
-        for combo in combinations(indices, s):
-            # quick test on the constant coefficient
-            c = 1
-            for i in combo:
-                c = c * lifted[i][0] % pl
-            c = (c + pl // 2) % pl - pl // 2
-            if c and rest[0] % c:
-                continue
-            G = [1]
-            for i in combo:
-                G = _gp_mul(G, lifted[i], pl)
-            G = _z_trunc(G, pl)
-            q, r = _pseudo_divmod(rest, G)
-            if r:
-                continue
-            found.append(G)
-            rest = q
-            indices = [i for i in indices if i not in combo]
-            hit = True
-            break
-        if not hit:
-            s += 1
-    found.append(rest)
+    modular = scan.modular
+    for y in _lift_roots(f, p, residues):
+        found.append([-y, 1])
+        f = _pseudo_divmod(f, found[-1])[0]
+        modular = [h for h in modular if h != [-y % p, 1]]
+    if len(modular) >= 2:
+        B = _mignotte_bound(f)
+        l = 1
+        while p**l <= 2 * B:
+            l += 1
+        lifted = _hensel_lift(p, f, modular, l)
+        pl = p**l
+        indices = list(range(len(lifted)))
+        s = 1
+        while 2 * s <= len(indices):
+            for combo in combinations(indices, s):
+                # quick test on the constant coefficient
+                c = 1
+                for i in combo:
+                    c = c * lifted[i][0] % pl
+                c = (c + pl // 2) % pl - pl // 2
+                if c and f[0] % c:
+                    continue
+                G = [1]
+                for i in combo:
+                    G = _gp_mul(G, lifted[i], pl)
+                G = _z_trunc(G, pl)
+                q, r = _pseudo_divmod(f, G)
+                if r:
+                    continue
+                found.append(G)
+                f = q
+                indices = [i for i in indices if i not in combo]
+                break
+            else:
+                s += 1
+    if len(f) > 1:
+        found.append(f)
     return sorted(found, key=lambda h: (len(h), h))
 
 

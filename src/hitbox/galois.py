@@ -33,7 +33,7 @@ from itertools import islice
 from .errors import DomainError, InconclusiveError, ReferenceMismatchError
 from .factorq import Factorization, rational_roots, usable_cycle_types
 from .polys import UniPoly, discriminant_uni
-from .rationals import factor_int, is_square_rational, squarefree_kernel
+from .rationals import is_square_rational
 
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------
@@ -216,17 +216,16 @@ class GaloisId:
 # -- square-class linear algebra -------------------------------------------------
 
 
-def _f2_rank(kernels: list[int]) -> int:
-    """Rank over F_2 of squarefree kernels, each a set of primes (-1 for the sign)."""
-    basis: list[set[int]] = []
-    for k in kernels:
-        v = set(factor_int(k)) | ({-1} if k < 0 else set())
-        for b in basis:
-            if max(b) in v:
-                v ^= b
-        if v:
-            basis.append(v)
-    return len(basis)
+def _f2_rank(classes: list[Fraction]) -> int:
+    """Rank over F_2 of nonzero rationals in Q*/Q*^2.  Of the 2^r products
+    of subsets of r classes, exactly 2^(r - rank) are squares (the kernel
+    of F_2^r -> Q*/Q*^2), so square tests alone give the rank: no integer
+    is factored."""
+    products = [Fraction(1)]
+    for q in classes:
+        products += [q * c for c in products]
+    squares = sum(map(is_square_rational, products))
+    return len(classes) - squares.bit_length() + 1
 
 
 # -- definitive classification, degree <= 4 --------------------------------------
@@ -290,33 +289,29 @@ def _compose_kind(cyclic: str, rank: int) -> tuple[str, int]:
     return name, base[1] * 2**rank
 
 
-def _splitting_of_factors(factors: list[UniPoly]) -> tuple[str, int] | None:
-    """Exact splitting-field data for a list of irreducible factors.
-
-    Handles any mix of linear and quadratic factors plus at most one cubic;
-    anything else (two cubics, a quartic inside a sextic, ...) returns None.
-    """
-    quad_classes: list[int] = []
-    cubic: UniPoly | None = None
-    for g in factors:
-        if g.degree == 1:
-            continue
-        if g.degree == 2:
-            quad_classes.append(squarefree_kernel(discriminant_uni(g)))
-        elif g.degree == 3 and cubic is None:
-            cubic = g
-        else:
-            return None
-    if cubic is None:
-        r = _f2_rank(quad_classes)
-        return _compose_kind("1", r)
-    d3 = discriminant_uni(cubic)
-    if is_square_rational(d3):
-        r = _f2_rank(quad_classes)
-        return _compose_kind("C3", r)
-    k3 = squarefree_kernel(d3)
-    r = _f2_rank(quad_classes + [k3]) - 1  # quadratics beyond Q(sqrt(disc))
-    return _compose_kind("S3", r)
+def _reducible_radical(fac: Factorization, rad: Factorization) -> GaloisId:
+    """The group of a polynomial whose radical ``rad`` is reducible: the
+    exact splitting-field composition when the factors are linear and
+    quadratic with at most one cubic (always so up to degree 4), else only
+    the factor degrees (mode 'factored').  The quadratics' discriminants
+    span the C2 part; an S3 cubic's own field already holds the square root
+    of its discriminant, so that class is counted in the rank and taken
+    off again."""
+    degrees = rad.type()
+    cubics = [g for g, _ in rad.factors if g.degree == 3]
+    if degrees[-1] > 3 or len(cubics) > 1:
+        return GaloisId(degree=fac.degree, mode="factored", factor_degrees=degrees)
+    classes = [discriminant_uni(g) for g, _ in rad.factors if g.degree == 2]
+    cyclic = "1"
+    if cubics:
+        d3 = discriminant_uni(cubics[0])
+        cyclic = "C3" if is_square_rational(d3) else "S3"
+        classes.append(d3)  # a square adds nothing to the rank
+    rank = _f2_rank(classes) - (cyclic == "S3")
+    kind, order = _compose_kind(cyclic, rank)
+    return GaloisId(
+        degree=fac.degree, mode="definitive", kind=kind, order=order, factor_degrees=degrees
+    )
 
 
 def classify_degree_le4(fac: Factorization) -> GaloisId:
@@ -348,18 +343,7 @@ def classify_degree_le4(fac: Factorization) -> GaloisId:
         return GaloisId(
             degree=fac.degree, mode="definitive", label=label, kind=kind, order=order
         )
-    data = _splitting_of_factors([h for h, _ in rad.factors])
-    if data is None:
-        raise DomainError("unreachable: factors of a quartic are at most cubic")
-    kind, order = data
-    return GaloisId(
-        degree=fac.degree,
-        mode="definitive",
-        label=None,
-        kind=kind,
-        order=order,
-        factor_degrees=rad.type(),
-    )
+    return _reducible_radical(fac, rad)
 
 
 # -- degree 5/6 sieve --------------------------------------------------------------
@@ -393,17 +377,7 @@ def sieve_degree_5_6(
         raise DomainError("sieve handles degrees 5 and 6")
     n = fac.degree
     if not rad.is_irreducible():
-        data = _splitting_of_factors([h for h, _ in rad.factors])
-        if data is not None:
-            kind, order = data
-            return GaloisId(
-                degree=n,
-                mode="definitive",
-                kind=kind,
-                order=order,
-                factor_degrees=rad.type(),
-            )
-        return GaloisId(degree=n, mode="factored", factor_degrees=rad.type())
+        return _reducible_radical(fac, rad)
     f = rad.factors[0][0]
     if within is None:
         table = transitive_table(f.degree)

@@ -209,22 +209,6 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def squarefree_kernel(q: Fraction) -> int:
-    """The squarefree integer representing the class of q in Q*/Q*^2.
-
-    q and squarefree_kernel(q) differ by a rational square; the kernel of a
-    square is 1.  q must be nonzero.
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise DomainError("0 has no square class")
-    k = 1 if q > 0 else -1
-    for p, e in factor_int(q.numerator * q.denominator).items():
-        if e % 2:
-            k *= p
-    return k
-
-
 # The largest height bound a sweep takes: criterion 10 searches at 1000,
 # and the rationals of height at most 2000 number about 4.9 million.
 MAX_HEIGHT = 2000

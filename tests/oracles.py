@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from hitbox.errors import DomainError, ParseError, ResourceLimitError
 from hitbox.galois import transitive_table
 from hitbox.polys import BiPoly, UniPoly
+from hitbox.rationals import factor_int
 
 # -- finite permutation groups by explicit element sets -------------------------
 #
@@ -408,6 +409,23 @@ def expand_factorization(fac) -> UniPoly:
     for f, m in fac.factors:
         out = out * f**m
     return out
+
+
+def f2_rank_by_elimination(classes: Iterable[Fraction]) -> int:
+    """Rank over F_2 of nonzero rationals in Q*/Q*^2: each class is the
+    set of primes of odd exponent in its numerator times its denominator
+    (-1 for the sign), and the sets are reduced by Gaussian elimination
+    over F_2."""
+    basis: list[set[int]] = []
+    for q in classes:
+        v = {p for p, e in factor_int(q.numerator * q.denominator).items() if e % 2}
+        v |= {-1} if q < 0 else set()
+        for b in basis:
+            if max(b) in v:
+                v ^= b
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def specialize_by_horner(P: BiPoly, t) -> UniPoly:

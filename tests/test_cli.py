@@ -130,13 +130,21 @@ def test_malformed_reference_field_exit_code(capsys, tmp_path, key, value):
 
 
 def test_resource_limit_exit_code(capsys, monkeypatch):
-    # the squarefree kernel of the first quadratic's discriminant needs
-    # 1152921515344265237 = 1073741827 * 1073741831 factored, which a
-    # lowered Pollard cap cannot do
+    # the local conic solver needs the primes of its coefficients, here
+    # 1152921515344265237 = 1073741827 * 1073741831, which a lowered Pollard
+    # cap cannot split
     monkeypatch.setattr(rationals, "_POLLARD_STEPS", 100)
-    code, out, err = run(capsys, "galois", "(X^2 - 1152921515344265237)*(X^2 - 3)")
+    code, out, err = run(capsys, "local", "conic", "--a", "1152921515344265237", "--b", "0", "--c", "1")
     assert code == 3 and out == ""
     assert err.startswith("error: Pollard rho took over 100 steps")
+
+
+def test_galois_of_a_semiprime_square_class_needs_no_factoring(capsys):
+    # 9903520316096796580384682779 is the product of two primes of 47 and
+    # 48 bits, beyond Pollard rho's cap; square tests alone give V4
+    code, out, err = run(capsys, "galois", "(X^2 - 9903520316096796580384682779)*(X^2 - 3)")
+    assert (code, err) == (0, "")
+    assert "V4 (order 4)" in out
 
 
 @pytest.mark.parametrize(

@@ -334,6 +334,12 @@ def test_factor_over_Q_matches_sympy_on_products_of_two_shapes(pair, unit):
         "(X^3 - 3*X - 1)*(X^3 + X + 1)",
         "(X^2 + 3)*(X^4 - 10*X^2 + 1)",
         "(5*X^2 - 1)*(X^4 + 8*X + 12)",
+        # rational roots and a factor of middle degree: the roots come off
+        # first, and Zassenhaus lifts only the cofactor's modular factors
+        "X^6 - 1",
+        "X^8 - 1",
+        "(X - 2)*(X + 3)*(X^2 + 1)*(X^2 + 2)",
+        "(2*X - 1)*(X^4 + 1)",
         # irreducible cubics, quartics (C4, V4, D4, A4, S4) and sextics
         "X^3 - 2",
         "X^3 - 3*X - 1",
@@ -418,6 +424,28 @@ def test_split_off_roots_come_from_the_scan(monkeypatch, text):
     assert fac.type()[0] == 1
     monkeypatch.undo()
     _assert_matches_sympy(f)
+
+
+def test_x6_minus_1_lifts_only_the_quadratic_factors_of_its_cofactor(monkeypatch):
+    # the roots +-1 come off first; the two quadratic factors mod p of
+    # X^4 + X^2 + 1 take one split and two leaves, where lifting all four
+    # modular factors of X^6 - 1 took 7 calls
+    lifts = _counting(monkeypatch, "_hensel_lift")
+    fac = factor_over_Q(parse_unipoly("X^6 - 1"))
+    assert fac.type() == (1, 1, 2, 2)
+    assert len(lifts) <= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _linear_factors(3),
+    st.lists(st.integers(2, 3).flatmap(_int_poly).filter(_irreducible), min_size=1, max_size=2),
+)
+def test_factor_over_Q_matches_sympy_on_linear_factors_times_small_irreducibles(linear, small):
+    # 1-3 rational roots and 1-2 irreducible quadratics or cubics: the
+    # roots come off on the one path, whether or not a middle degree
+    # survives the scan
+    _assert_matches_sympy(linear * math.prod(small, start=UniPoly([1])))
 
 
 @pytest.mark.parametrize(
@@ -556,13 +584,13 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
         assert {d for d in range(n + 1) if scan.degrees >> d & 1} == common, f
         if common <= {0, 1, n - 1, n}:
             # proven irreducible, or decided by rational roots: nothing to lift
-            assert scan.prime == 0 and complete == [], f
+            assert scan.chosen == scan.splits[-1] and scan.modular == [] and complete == [], f
             continue
         zassenhaus += 1
         assert len(usable) == factorq._DEGREE_SCAN
         fewest = min(len(degrees) for _, degrees in expected)
         p = next(q for q, degrees in expected if len(degrees) == fewest)
-        assert scan.prime == p and [q for _, q in complete] == [p], f
+        assert scan.chosen[0] == p and [q for _, q in complete] == [p], f
         assert sorted(scan.modular) == _sympy_factors_mod_p(f, p)
     assert zassenhaus >= 5  # the Zassenhaus branch is exercised too
 
@@ -611,7 +639,7 @@ def test_scan_gives_up_after_prime_scan_odd_primes_not_degree_scan(monkeypatch, 
     tried = _counting(monkeypatch, "_usable_ddf")
     F, m = factorq._monic_int_model(parse_unipoly(text).primitive())
     scan = factorq._good_prime(F, m)
-    assert scan.splits == [] and scan.prime == 0
+    assert scan.splits == [] and scan.chosen is None
     primes = [p for p in (3, 5, 7, 11, 13, 17, 19) if m % p][: factorq._PRIME_SCAN]
     assert [p for _, p in tried] == primes
 
@@ -634,7 +662,7 @@ def _assert_settled_by_degree_sets(monkeypatch, f: UniPoly):
 def test_late_settling_fermat_sextics_need_no_lifting(monkeypatch, t):
     f = load_fixture("fermat-x6").P.specialize(t)
     scan = factorq._good_prime(*factorq._monic_int_model(f.primitive()))
-    assert scan.prime == 0 and factorq._PRIME_SCAN < len(scan.splits) <= factorq._DEGREE_SCAN
+    assert scan.modular == [] and factorq._PRIME_SCAN < len(scan.splits) <= factorq._DEGREE_SCAN
     _assert_settled_by_degree_sets(monkeypatch, f)
 
 
@@ -737,11 +765,11 @@ def test_a_sweep_splits_each_residue_class_once(monkeypatch):
     assert len(ddf) <= len(classes) < len(usable) / 5
 
 
-@pytest.mark.parametrize("name, most", [("fermat-x6", 10), ("serre-a4", 12)])
+@pytest.mark.parametrize("name, most", [("fermat-x6", 3), ("serre-a4", 12)])
 def test_a_height_30_sweep_lifts_only_where_a_middle_degree_is_real(monkeypatch, name, most):
     # degree sets over up to _DEGREE_SCAN primes settle the irreducible
-    # fermat-x6 sextics; the 7 fermat-x6 lifts are t = 0, where X^6 - 1
-    # has quadratic factors
+    # fermat-x6 sextics; the 3 fermat-x6 lifts are t = 0, where the
+    # cofactor X^4 + X^2 + 1 of the roots +-1 has quadratic factors
     data = load_fixture(name)
     reference, _ = resolve_reference(data)
     lifts = _counting(monkeypatch, "_hensel_lift")

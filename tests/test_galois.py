@@ -11,6 +11,7 @@ from oracles import (
     closure,
     conjugate_in_symmetric,
     conjugates_into,
+    f2_rank_by_elimination,
     is_even,
     label_for_group,
     maximal_classes,
@@ -193,6 +194,36 @@ def test_classify_cubics_and_quadratics():
     assert classify_degree_le4(factor_over_Q(parse_unipoly("(X^2-2)*(X^2-8)"))).order == 2
     assert classify_degree_le4(factor_over_Q(parse_unipoly("(X^2-2)*(X^2-3)"))).order == 4
     assert classify_degree_le4(factor_over_Q(parse_unipoly("(X-1)*(X-2)*(X+3)"))).order == 1
+
+
+@pytest.mark.parametrize(
+    "text, kind, order",
+    [
+        # the cubic's own field holds sqrt(-3): no C2 beyond its S3
+        ("(X^3 - 2)*(X^2 + 3)", "S3", 6),
+        ("(X^3 - 2)*(X^2 - 2)", "D6", 12),
+        ("(X^3 - 3*X + 1)*(X^2 - 2)*(X - 5)", "C6", 6),
+        ("(X^2 - 2)*(X^2 - 3)*(X^2 - 6)", "V4", 4),
+        ("(X^2 - 2)*(X^2 - 3)*(X^2 + 1)", "C2^3", 8),
+    ],
+)
+def test_reducible_sextics_get_their_splitting_field(text, kind, order):
+    gid = sieve_degree_5_6(factor_over_Q(parse_unipoly(text)), 10)
+    assert (gid.mode, gid.kind, gid.order) == ("definitive", kind, order)
+
+
+_NONZERO_RATIONAL = st.builds(
+    lambda n, d, s: Fraction(n, d) * s * s,
+    st.integers(-40, 40).filter(bool),
+    st.integers(1, 40),
+    st.sampled_from([1, 2, Fraction(5, 3), 7]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NONZERO_RATIONAL, max_size=4))
+def test_f2_rank_from_square_tests_matches_elimination(classes):
+    assert galois._f2_rank(classes) == f2_rank_by_elimination(classes)
 
 
 def test_translation_invariance():

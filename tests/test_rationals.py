@@ -19,7 +19,6 @@ from hitbox.rationals import (
     padic_valuation,
     rationals_of_height,
     rationals_up_to_height,
-    squarefree_kernel,
 )
 
 
@@ -109,8 +108,6 @@ def test_pollard_rho_stops_at_its_step_cap(monkeypatch):
     monkeypatch.setattr(rationals, "_POLLARD_STEPS", 1000)
     with pytest.raises(ResourceLimitError):
         factor_int(p * q)
-    with pytest.raises(ResourceLimitError):
-        squarefree_kernel(Fraction(p * q, 7))
     # a product that rho splits in a few steps is still factored under the
     # low cap (trial division takes 1009 and 1013), and the default cap
     # leaves the 30-bit pair factorable
@@ -123,13 +120,10 @@ def test_squares_and_kernels():
     assert is_square_rational(Fraction(4, 9))
     assert not is_square_rational(Fraction(-1))
     assert not is_square_rational(Fraction(8, 9))
-    assert squarefree_kernel(Fraction(4, 9)) == 1
-    assert squarefree_kernel(Fraction(-8, 3)) == -6
     rng = random.Random(2)
     for _ in range(100):
         q = Fraction(rng.randint(1, 500), rng.randint(1, 500))
         assert is_square_rational(q * q)
-        assert is_square_rational(q / squarefree_kernel(q))
 
 
 def test_sweep_order_is_canonical():
