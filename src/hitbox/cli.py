@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 violations found, 2 parse error, 3 validation
 error.  Reports are machine-readable JSON first; the table rendering is
-derived from the same records.  HITBOX_THREADS sets the default sweep
-parallelism.
+derived from the same records.
 """
 
 from __future__ import annotations
@@ -47,6 +46,16 @@ from .polys import (
     parse_poly,
     poly_str,
 )
+
+
+def _number(text: str, kind=Fraction):
+    """A number given on the command line, as ``kind`` (``Fraction`` or
+    ``int``); ``ParseError`` if the text is not one."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        what = "an integer" if kind is int else "a rational number"
+        raise ParseError(f"not {what}: {text!r}") from None
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -140,18 +149,14 @@ def _psi_cross_check(data, recs, bound) -> bool:
     """Found exceptional t's coincide with the image of the cubic curve's
     parametrization: solve the preimage cubic exactly for each t, and sweep
     small parameter values the other way."""
-    from .polys import UniPoly
     from .rationals import height, rationals_up_to_height
 
     _, psi, _ = PARAMETRIZATIONS[data.name]()
     found = {r.t for r in recs}
     for t in found:
-        # v^3 - 9v = 9 t (1 - v^2)  <=>  v^3 + 9t v^2 - 9 v - 9t = 0
-        pre = UniPoly([-9 * t, Fraction(-9), 9 * t, Fraction(1)])
-        if not rational_roots(pre):
+        if not rational_roots(psi.t_num - t * psi.t_den):
             return False
-    vbound = max(12, round((9 * bound) ** Fraction(1, 3)) + 6)
-    for v in rationals_up_to_height(vbound):
+    for v in rationals_up_to_height(_psi_search_bound(bound)):
         img = eval_map(psi, v)
         if img is None:
             continue
@@ -159,6 +164,15 @@ def _psi_cross_check(data, recs, bound) -> bool:
         if height(t) <= bound and t not in data.D and t not in found:
             return False
     return True
+
+
+def _psi_search_bound(bound: int) -> int:
+    """max(12, r + 6) for r the integer nearest to the cube root of
+    9 * bound: the least r with (r + 1/2)^3 > 9 * bound (never equal)."""
+    r = 0
+    while (2 * r + 1) ** 3 < 72 * bound:
+        r += 1
+    return max(12, r + 6)
 
 
 def cmd_curve_param_check(args) -> int:
@@ -186,7 +200,7 @@ def cmd_curve_param_check(args) -> int:
 
 
 def cmd_curve_torsion(args) -> int:
-    E = EllipticCurve.short(Fraction(args.A), Fraction(args.B))
+    E = EllipticCurve.short(_number(args.A), _number(args.B))
     pts = ec_torsion_lutz_nagell(E)
     payload = {
         "curve": f"y^2 = x^3 + {args.A}*x + {args.B}",
@@ -217,14 +231,14 @@ def cmd_curve_cases(args) -> int:
 
 
 def cmd_local_conic(args) -> int:
-    a, b, c = Fraction(args.a), Fraction(args.b), Fraction(args.c)
+    a, b, c = _number(args.a), _number(args.b), _number(args.c)
     rows = []
     if args.place == "all":
         places = bad_places(a, b, c)
     elif args.place == "real":
         places = [REAL]
     else:
-        places = [finite_place(int(args.place))]
+        places = [finite_place(_number(args.place, int))]
     for v in places:
         rows.append((str(v), conic_solvable_local(a, b, c, v)))
     glob = conic_solvable_global(a, b, c)
@@ -303,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("verify", help="root-witness equivalence sweep")
     common(p, fixture=True, height=30)
     p.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--full", action="store_true", help="include every record")
     p.add_argument(
         "--factor-types",
@@ -315,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("enumerate", help="exceptional parameters with witnesses")
     common(p, fixture=True, height=30)
     p.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(fn=cmd_hit_enumerate)
 

@@ -248,11 +248,8 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class EllipticCurve:
-    """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    """Short Weierstrass model y^2 = x^3 + a4 x + a6."""
 
-    a1: Fraction = Fraction(0)
-    a2: Fraction = Fraction(0)
-    a3: Fraction = Fraction(0)
     a4: Fraction = Fraction(0)
     a6: Fraction = Fraction(0)
 
@@ -265,26 +262,18 @@ class EllipticCurve:
         return EllipticCurve(a4=Fraction(A), a6=Fraction(B))
 
     def discriminant(self) -> Fraction:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return -16 * (4 * self.a4**3 + 27 * self.a6**2)
 
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
             return True
-        x, y = P.x, P.y
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x**3 + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
+        return P.y * P.y == P.x**3 + self.a4 * P.x + self.a6
 
 
 def ec_neg(E: EllipticCurve, P: CurvePoint) -> CurvePoint:
     if P.is_infinity:
         return P
-    return CurvePoint(P.x, -P.y - E.a1 * P.x - E.a3)
+    return CurvePoint(P.x, -P.y)
 
 
 def ec_add(E: EllipticCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
@@ -297,18 +286,14 @@ def ec_add(E: EllipticCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     if Q.is_infinity:
         return P
     x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-    if x1 == x2 and y1 + y2 + E.a1 * x2 + E.a3 == 0:
+    if x1 == x2 and y1 + y2 == 0:
         return CurvePoint.infinity()
     if x1 == x2:
-        lam = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / (
-            2 * y1 + E.a1 * x1 + E.a3
-        )
+        lam = (3 * x1 * x1 + E.a4) / (2 * y1)
     else:
         lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
-    y3 = -(lam + E.a1) * x3 - nu - E.a3
-    return CurvePoint(x3, y3)
+    x3 = lam * lam - x1 - x2
+    return CurvePoint(x3, lam * (x1 - x3) - y1)
 
 
 def ec_mul(E: EllipticCurve, P: CurvePoint, n: int) -> CurvePoint:
@@ -336,8 +321,6 @@ def ec_torsion_lutz_nagell(E: EllipticCurve) -> list[CurvePoint]:
     Candidates are integral points with y = 0 or y^2 dividing 4A^3 + 27B^2;
     each is confirmed by exhibiting finite order within Mazur's bound.
     """
-    if E.a1 or E.a2 or E.a3:
-        raise DomainError("expect a short Weierstrass model (a1 = a2 = a3 = 0)")
     if E.a4.denominator != 1 or E.a6.denominator != 1:
         raise DomainError("expect integral coefficients; transform first")
     A, B = int(E.a4), int(E.a6)

@@ -268,7 +268,9 @@ def _classify_irreducible_quartic(f: UniPoly) -> tuple[str, str, int]:
 
 
 def _compose_kind(cyclic: str, rank: int) -> tuple[str, int]:
-    """Abstract kind and order of (cubic part) x C2^rank."""
+    """Abstract kind and order of (cubic part) x C2^rank.  Beside a cubic a
+    radical of degree at most 6 has room for one quadratic, so there the
+    rank is at most 1."""
     if cyclic == "1":
         if rank == 0:
             return "C1", 1
@@ -278,15 +280,8 @@ def _compose_kind(cyclic: str, rank: int) -> tuple[str, int]:
             return "V4", 4
         return f"C2^{rank}", 2**rank
     if cyclic == "C3":
-        base = ("C3", 3)
-    else:
-        base = ("S3", 6)
-    if rank == 0:
-        return base
-    if rank == 1:
-        return ("C6", 6) if cyclic == "C3" else ("D6", 12)
-    name = ("C6" if cyclic == "C3" else "D6") + f"xC2^{rank-1}"
-    return name, base[1] * 2**rank
+        return ("C6", 6) if rank else ("C3", 3)
+    return ("D6", 12) if rank else ("S3", 6)
 
 
 def _reducible_radical(fac: Factorization, rad: Factorization) -> GaloisId:

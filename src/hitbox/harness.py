@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 from .errors import DomainError, FixtureError, InconclusiveError, ReferenceMismatchError
@@ -49,7 +50,7 @@ from .polys import (
     leading_coeff_in_x,
     parse_poly,
 )
-from .rationals import check_height_bound, coprime_pairs_of_height, height, sample_rationals
+from .rationals import coprime_pairs_up_to_height, height, sample_rationals
 
 DEFAULT_PRIME_BUDGET = 24
 
@@ -71,8 +72,8 @@ class HitData:
     def root_sieve(self) -> tuple[tuple[int, bytes], ...]:
         """``factorq.root_sieve`` of S, built on first use and kept with the
         data.  Each sweep asks for it before ``_parallel_map``, so it is
-        built once, in the parent, and pickled to pool workers with the
-        data."""
+        built once, in the parent, and pickled with the data into every
+        chunk that a pool worker receives."""
         return root_sieve(self.S)
 
 
@@ -276,70 +277,24 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[TransitiveGroupE
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _sweep_pairs(data: HitData, height_bound: int) -> list[tuple[int, int]]:
-    """The coprime pairs (a, b) of the rationals a/b up to the height bound
-    outside D, in canonical order (``rationals.coprime_pairs_of_height``).
-
-    The bound is checked (``check_height_bound``) before the first row.
-    D's elements are compared as pairs, and only in the rows of a height
-    that some element of D has; every other row is taken whole."""
-    check_height_bound(height_bound)
-    d_pairs = {(t.numerator, t.denominator) for t in data.D}
-    d_heights = {max(abs(a), b) for a, b in d_pairs}
-    pairs: list[tuple[int, int]] = []
-    for h in range(1, height_bound + 1):
-        row = coprime_pairs_of_height(h)
-        pairs += [ab for ab in row if ab not in d_pairs] if h in d_heights else row
-    return pairs
-
-
-def _map_chunk(job) -> tuple[list, Exception | None]:
-    """The results of one chunk up to its first failure, and that failure."""
-    fn, args, ts = job
-    out = []
-    for t in ts:
-        try:
-            out.append(fn(t, *args))
-        except Exception as e:
-            return out, e
-    return out, None
-
-
 def _parallel_map(fn, values: list, workers: int, *args) -> list:
     """``[fn(t, *args) for t in values]``, in order.
 
-    Sweeps of 64 values or more are split into strided chunks over a
-    process pool of at most ``os.cpu_count()`` workers, and the results are
-    interleaved back into the order of ``values``.  A failure raises the
-    exception of the first failing value in that order, as the serial map
-    does.  ``fn`` must be a module-level function, so that workers receive
-    it by name.
+    Sweeps of 64 values or more run on a process pool of at most
+    ``os.cpu_count()`` workers, in a few contiguous chunks per worker.
+    ``Executor.map`` keeps the order of ``values`` and raises the exception
+    of the first failing value in that order, as the serial map does.
+    ``fn`` must be a module-level function, so that workers receive it by
+    name.
     """
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(values) < 64:
         return [fn(t, *args) for t in values]
     from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for the import
 
+    chunksize = -(-len(values) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_map_chunk, [(fn, args, values[i::workers]) for i in range(workers)])
-        out: list = [None] * len(values)
-        failures = []
-        for i, (part, exc) in enumerate(parts):
-            if exc is None:
-                out[i::workers] = part
-            else:  # the value at chunk position len(part) failed
-                failures.append((i + len(part) * workers, exc))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return out
-
-
-def default_workers() -> int:
-    env = os.environ.get("HITBOX_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+        return list(pool.map(fn, values, *map(repeat, args), chunksize=chunksize))
 
 
 def verify_equivalence(
@@ -347,7 +302,7 @@ def verify_equivalence(
     reference: TransitiveGroupEntry,
     height_bound: int,
     budget: int = DEFAULT_PRIME_BUDGET,
-    workers: int | None = None,
+    workers: int = 1,
     keep_records: bool = False,
     factor_types: bool = False,
 ) -> EquivalenceReport:
@@ -361,8 +316,7 @@ def verify_equivalence(
     says how many there are.  P's generic type is certified after the
     sweep, so a sweep error is raised before its ``InconclusiveError``.
     """
-    workers = default_workers() if workers is None else workers
-    values = [Fraction(a, b) for a, b in _sweep_pairs(data, height_bound)]
+    values = [Fraction(a, b) for a, b in coprime_pairs_up_to_height(height_bound, data.D)]
     data.root_sieve  # built here, so that pool workers receive it with the data
     records = _parallel_map(exceptional_test, values, workers, data, reference, budget)
     violations = []
@@ -413,7 +367,7 @@ def enumerate_exceptional(
     data: HitData,
     height_bound: int,
     budget: int = DEFAULT_PRIME_BUDGET,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[SpecializationRecord]:
     """All exceptional parameters up to the height bound, with witnesses.
 
@@ -422,8 +376,7 @@ def enumerate_exceptional(
     coprime pairs for witnesses first (a pool is sent int pairs), and
     builds a ``Fraction`` and a full audit record only for the hits.
     """
-    workers = default_workers() if workers is None else workers
-    pairs = _sweep_pairs(data, height_bound)
+    pairs = list(coprime_pairs_up_to_height(height_bound, data.D))
     data.root_sieve  # built here, so that pool workers receive it with the data
     witnesses = _parallel_map(_find_witness, pairs, workers, data)
     return [

@@ -7,6 +7,7 @@ with positive denominator), so every operation in the package is exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -64,8 +65,8 @@ def is_prime(n: int) -> bool:
 
 
 def as_prime(p) -> int:
-    """p itself, after checking that it is prime."""
-    if not is_prime(p):
+    """p itself, after checking that it is an ``int`` and prime."""
+    if type(p) is not int or not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return p
 
@@ -223,13 +224,10 @@ def check_height_bound(bound: int) -> None:
         raise ResourceLimitError(f"height bound {bound} is above {MAX_HEIGHT}")
 
 
-def _coprime_below(h: int) -> list[int]:
-    """The k with 1 <= k < h and gcd(k, h) = 1, ascending."""
-    return [k for k in range(1, h) if math.gcd(k, h) == 1]
-
-
-def rationals_of_height(h: int) -> list[Fraction]:
-    """All rationals of exact height h, sorted by (numerator, denominator).
+def coprime_pairs_of_height(h: int) -> list[tuple[int, int]]:
+    """The pairs (a, b) of the rationals a/b of exact height h, sorted by
+    (numerator, denominator): coprime with b > 0 by construction, so no gcd
+    is taken and no ``Fraction`` is built.
 
     For h > 1 and k running over 1 <= k < h coprime to h, that order is
     -h/k (k ascending), -k/h (k descending), k/h and h/k (k ascending).
@@ -237,25 +235,8 @@ def rationals_of_height(h: int) -> list[Fraction]:
     if h < 1:
         raise DomainError("height is at least 1")
     if h == 1:
-        return [Fraction(-1), Fraction(0), Fraction(1)]
-    ks = _coprime_below(h)
-    return (
-        [Fraction(-h, k) for k in ks]
-        + [Fraction(-k, h) for k in reversed(ks)]
-        + [Fraction(k, h) for k in ks]
-        + [Fraction(h, k) for k in ks]
-    )
-
-
-def coprime_pairs_of_height(h: int) -> list[tuple[int, int]]:
-    """(numerator, denominator) of each rational of ``rationals_of_height(h)``,
-    in the same order: coprime by construction, so no gcd is taken and no
-    ``Fraction`` is built."""
-    if h < 1:
-        raise DomainError("height is at least 1")
-    if h == 1:
         return [(-1, 1), (0, 1), (1, 1)]
-    ks = _coprime_below(h)
+    ks = [k for k in range(1, h) if math.gcd(k, h) == 1]
     return (
         [(-h, k) for k in ks]
         + [(-k, h) for k in reversed(ks)]
@@ -264,24 +245,34 @@ def coprime_pairs_of_height(h: int) -> list[tuple[int, int]]:
     )
 
 
+def coprime_pairs_up_to_height(
+    bound: int, exclude: Iterable[Fraction] = ()
+) -> Iterator[tuple[int, int]]:
+    """Canonical sweep order as coprime pairs: the rows of
+    ``coprime_pairs_of_height`` for heights 1..bound, without the values of
+    ``exclude``.
+
+    The bound is checked (``check_height_bound``) before the first row.
+    Excluded values are compared as pairs, and only in the rows of their
+    heights; every other row is taken whole."""
+    check_height_bound(bound)
+    skip = {(q.numerator, q.denominator) for q in map(Fraction, exclude)}
+    skip_heights = {max(abs(a), b) for a, b in skip}
+    for h in range(1, bound + 1):
+        row = coprime_pairs_of_height(h)
+        yield from [ab for ab in row if ab not in skip] if h in skip_heights else row
+
+
 def rationals_up_to_height(bound: int) -> Iterator[Fraction]:
     """Canonical sweep order: height 1..bound, then ascending numerator.
     The bound is checked (``check_height_bound``) before the first row."""
     check_height_bound(bound)
     for h in range(1, bound + 1):
-        yield from rationals_of_height(h)
+        yield from list(itertools.starmap(Fraction, coprime_pairs_of_height(h)))
 
 
 def sample_rationals(count: int, exclude: Iterable[Fraction] = ()) -> list[Fraction]:
-    """First `count` rationals in canonical order, skipping `exclude`."""
-    skip = set(exclude)
-    out: list[Fraction] = []
-    h = 1
-    while len(out) < count:
-        for q in rationals_of_height(h):
-            if q not in skip:
-                out.append(q)
-                if len(out) == count:
-                    break
-        h += 1
-    return out
+    """First `count` rationals in canonical order up to ``MAX_HEIGHT``,
+    skipping `exclude`."""
+    pairs = itertools.islice(coprime_pairs_up_to_height(MAX_HEIGHT, exclude), count)
+    return list(itertools.starmap(Fraction, pairs))

@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from hitbox import harness, polys, rationals
-from hitbox.cli import main
-from hitbox.harness import fixture_path
+from hitbox import polys, rationals
+from hitbox.cli import _psi_cross_check, _psi_search_bound, main
+from hitbox.harness import enumerate_exceptional, fixture_path, load_fixture
 
 
 def run(capsys, *argv):
@@ -165,10 +167,9 @@ def test_galois_of_a_semiprime_square_class_needs_no_factoring(capsys):
     ids=["huge", "zero"],
 )
 def test_sweep_height_is_checked_before_the_first_row(capsys, monkeypatch, argv, height, message):
-    # a wrapper on both row builders shows that no row is built
+    # a wrapper on the one row builder shows that no row is built
     rows = []
-    monkeypatch.setattr(rationals, "rationals_of_height", rows.append)
-    monkeypatch.setattr(harness, "coprime_pairs_of_height", rows.append)
+    monkeypatch.setattr(rationals, "coprime_pairs_of_height", rows.append)
     code, out, err = run(capsys, *argv, "--height", height)
     assert (code, out) == (3, "") and err.startswith(message)
     assert rows == []
@@ -288,6 +289,23 @@ def test_enumerate_command(capsys):
     assert payload["psi_cross_check"] is True
 
 
+def test_psi_search_bound_matches_the_rounded_real_cube_root():
+    # the float formula serves as the oracle; the command itself uses none
+    for bound in range(1, rationals.MAX_HEIGHT + 1):
+        assert _psi_search_bound(bound) == max(12, round((9 * bound) ** Fraction(1, 3)) + 6), bound
+
+
+def test_psi_cross_check_fails_on_a_dropped_or_an_unreached_t():
+    data = load_fixture("serre-a4")
+    recs = enumerate_exceptional(data, 27)
+    assert [str(r.t) for r in recs] == ["-9/10", "9/10", "-10/27", "10/27"]
+    assert _psi_cross_check(data, recs, 27) is True
+    # the image sweep meets -9/10, which the records no longer have
+    assert _psi_cross_check(data, recs[1:], 27) is False
+    # v^3 + 18 v^2 - 9 v - 18, the preimage cubic of t = 2, has no rational root
+    assert _psi_cross_check(data, recs + [dataclasses.replace(recs[0], t=Fraction(2))], 27) is False
+
+
 def test_curve_commands(capsys):
     code, out, _ = run(capsys, "curve", "torsion", "--A", "0", "--B", "1", "--json")
     assert code == 0
@@ -315,6 +333,22 @@ def test_local_conic_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["local"]["2"] is False and payload["global"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("local", "conic", "--a", "x", "--b", "0", "--c", "1"),
+        ("local", "conic", "--a", "1/0", "--b", "0", "--c", "1"),
+        ("local", "conic", "--a", "-1", "--b", "2", "--c", "-3", "--place", "abc"),
+        ("local", "conic", "--a", "-1", "--b", "2", "--c", "-3", "--place", "2.0"),
+        ("curve", "torsion", "--A", "x", "--B", "1"),
+    ],
+    ids=["conic-letter", "conic-zero-denominator", "place-word", "place-decimal", "torsion-letter"],
+)
+def test_malformed_number_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("parse error: not a")
 
 
 def test_table_command(capsys):

@@ -18,7 +18,6 @@ from hitbox.harness import (
     EquivalenceReport,
     HitData,
     _find_witness,
-    _sweep_pairs,
     compute_exclusion_set,
     enumerate_exceptional,
     exceptional_test,
@@ -32,7 +31,7 @@ from hitbox.harness import (
     verify_equivalence,
 )
 from hitbox.polys import BiPoly, parse_poly
-from hitbox.rationals import height, rationals_up_to_height
+from hitbox.rationals import coprime_pairs_up_to_height, height, rationals_up_to_height
 
 SERRE = load_fixture("serre-a4")
 FERMAT = load_fixture("fermat-x6")
@@ -293,6 +292,21 @@ def test_verify_equivalence_toy_square_family():
         assert (rec.verdict == "exceptional") == expect, rec
 
 
+def test_indeterminate_verdict_is_counted_and_listed():
+    # X^6 + 3 (t = -3) has group S3 = 6T2, which the cycle-type sieve cannot
+    # tell from 6T1 or 6T3; at t = -1 P(t, X) factors as (2, 4), which
+    # gives only its factor degrees
+    P = parse_poly("X^6 - T")
+    data = HitData(name="x6", P=P, D=compute_exclusion_set(P, ()), S=())
+    report = verify_equivalence(data, table_entry("6T3"), 3)
+    payload = json.loads(report_to_json(report))
+    assert payload["counts"] == {"generic": 11, "indeterminate": 3}
+    assert payload["indeterminate_ts"] == ["-1", "-3", "-1/3"]
+    assert [r.galois.mode for r in report.indeterminates] == ["factored", "sieved", "sieved"]
+    assert report.indeterminates[1].galois.candidates == ("6T1", "6T2", "6T3")
+    assert all(r.verdict == "indeterminate" and r.match is None for r in report.indeterminates)
+
+
 def test_degenerate_empty_s_flags_invalid():
     data = load_fixture({"name": "empty", "P": "3*X^4-4*X^3+1+3*T^2", "D": ["0"], "S": []})
     ref = table_entry("4T4")
@@ -396,7 +410,7 @@ def test_enumerate_parallel_matches_serial():
 def test_root_sieve_never_rejects_a_fibre_with_a_rational_root(data):
     # oracle: the unsieved scan, rational_roots on every specialization
     sieves = [root_sieve((f,)) for f in data.S]
-    for a, b in _sweep_pairs(data, 60):
+    for a, b in coprime_pairs_up_to_height(60, data.D):
         t = Fraction(a, b)
         unsieved = None
         for i, f in enumerate(data.S):
@@ -416,32 +430,42 @@ def test_sweep_values_are_the_rationals_outside_d(D):
     data = HitData(name="d", P=FERMAT.P, D=frozenset(map(Fraction, D)), S=())
     for H in range(1, 41):
         expected = [(t.numerator, t.denominator) for t in rationals_up_to_height(H) if t not in data.D]
-        assert _sweep_pairs(data, H) == expected
+        assert list(coprime_pairs_up_to_height(H, data.D)) == expected
 
 
 def test_root_sieve_leaves_only_the_exceptional_fermat_fibres():
-    pairs = _sweep_pairs(FERMAT, 25)
+    pairs = list(coprime_pairs_up_to_height(25, FERMAT.D))
     sieves = [root_sieve((f,)) for f in FERMAT.S]
     survivors = [sum(root_mask(sieve, a, b) != 0 for a, b in pairs) for sieve in sieves]
     assert len(pairs) == 797 and survivors == [0, 0, 1, 1]
 
 
 def test_enumerate_builds_no_fraction_row_and_scans_each_parameter_once(monkeypatch):
-    # the sweep reads coprime pairs, never a Fraction row, and reaches each
-    # parameter through the module global _find_witness exactly once; the
-    # one hit (t = 0) adds one call from its record
-    calls, rows, real = [], [], harness._find_witness
+    # the sweep reads coprime pairs, never the Fraction stream, builds a
+    # Fraction only at its one hit (t = 0), and reaches each parameter
+    # through the module global _find_witness exactly once; the hit adds
+    # one call from its record
+    calls, built, real = [], [], harness._find_witness
 
     def counting(ab, data):
         calls.append(ab)
         return real(ab, data)
 
+    def fraction(*args):
+        built.append(Fraction(*args))
+        return built[-1]
+
+    def no_stream(bound):
+        raise AssertionError("the Fraction stream was read")
+
     monkeypatch.setattr(harness, "_find_witness", counting)
-    monkeypatch.setattr(rationals, "rationals_of_height", rows.append)
+    monkeypatch.setattr(harness, "Fraction", fraction)
+    monkeypatch.setattr(rationals, "rationals_up_to_height", no_stream)
+    monkeypatch.setattr(harness, "rationals_up_to_height", no_stream, raising=False)
     recs = enumerate_exceptional(FERMAT, 25, workers=1)
     assert [r.t for r in recs] == [Fraction(0)]
-    assert rows == [] and len(calls) == 797 + 1
-    assert calls[:-1] == _sweep_pairs(FERMAT, 25) and calls[-1] == (0, 1)
+    assert set(built) == {Fraction(0)} and len(calls) == 797 + 1
+    assert calls[:-1] == list(coprime_pairs_up_to_height(25, FERMAT.D)) and calls[-1] == (0, 1)
 
 
 def test_root_sieve_is_built_lazily_and_pooled_sweeps_agree():
@@ -525,8 +549,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, list(jobs))
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 def test_pool_is_capped_at_cpu_count(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hitbox.rationals import (
     MAX_HEIGHT,
     as_prime,
     coprime_pairs_of_height,
+    coprime_pairs_up_to_height,
     divisors,
     factor_int,
     height,
@@ -17,8 +19,8 @@ from hitbox.rationals import (
     is_square_rational,
     normalize,
     padic_valuation,
-    rationals_of_height,
     rationals_up_to_height,
+    sample_rationals,
 )
 
 
@@ -91,6 +93,12 @@ def test_primality():
     assert as_prime(101) == 101
 
 
+@pytest.mark.parametrize("p", [Fraction(3), 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
+def test_as_prime_refuses_anything_but_an_int(p):
+    with pytest.raises(DomainError, match="is not prime"):
+        as_prime(p)
+
+
 def test_factor_int_and_divisors():
     assert factor_int(9728) == {2: 9, 19: 1}
     n = 2**4 * 3**2 * 97
@@ -137,37 +145,42 @@ def test_sweep_order_is_canonical():
         Fraction(1, 2),
         Fraction(2),
     ]
-    for h in range(1, 12):
-        for q in rationals_of_height(h):
-            assert height(q) == h
     all_vals = list(rationals_up_to_height(12))
     assert len(all_vals) == len(set(all_vals))
+    assert [height(q) for q in all_vals] == sorted(height(q) for q in all_vals)
     # the direct construction equals the sorted one
     for h in range(1, 61):
         nums = range(-h, h + 1)
         expected = sorted(
-            {Fraction(a, b) for a in nums for b in range(1, h + 1) if max(abs(a), b) == h and math.gcd(a, b) == 1},
-            key=lambda q: (q.numerator, q.denominator),
+            (a, b) for a in nums for b in range(1, h + 1) if max(abs(a), b) == h and math.gcd(a, b) == 1
         )
-        assert rationals_of_height(h) == expected, h
+        assert coprime_pairs_of_height(h) == expected, h
 
 
 def test_coprime_pairs_are_the_rationals_of_each_height():
-    for h in range(1, 81):
-        assert coprime_pairs_of_height(h) == [(q.numerator, q.denominator) for q in rationals_of_height(h)], h
+    sweep = list(rationals_up_to_height(80))
+    assert list(coprime_pairs_up_to_height(80)) == [(q.numerator, q.denominator) for q in sweep]
+    assert sweep == [Fraction(a, b) for h in range(1, 81) for a, b in coprime_pairs_of_height(h)]
+    # samples are the head of the same stream, without the excluded values
+    skip = (0, Fraction(-1, 2), Fraction(5, 9))
+    assert sample_rationals(100, skip) == [q for q in sweep if q not in skip][:100]
     with pytest.raises(DomainError):
         coprime_pairs_of_height(0)
 
 
 def test_sweep_height_bound_is_checked_before_the_first_row(monkeypatch):
+    # both streams build their rows with coprime_pairs_of_height
     rows = []
-    monkeypatch.setattr(rationals, "rationals_of_height", rows.append)
-    sweep = rationals_up_to_height(MAX_HEIGHT + 1)
-    with pytest.raises(ResourceLimitError, match=f"above {MAX_HEIGHT}"):
-        next(sweep)
-    for bound in (0, -5):
-        with pytest.raises(DomainError, match="below 1"):
-            next(rationals_up_to_height(bound))
+    monkeypatch.setattr(rationals, "coprime_pairs_of_height", rows.append)
+    for stream in (rationals_up_to_height, coprime_pairs_up_to_height):
+        sweep = stream(MAX_HEIGHT + 1)
+        with pytest.raises(ResourceLimitError, match=f"above {MAX_HEIGHT}"):
+            next(sweep)
+        for bound in (0, -5):
+            with pytest.raises(DomainError, match="below 1"):
+                next(stream(bound))
     assert rows == []
+    # perfbench's search workload times each item of this stream as a generator's
+    assert inspect.isgeneratorfunction(rationals_up_to_height)
     # criterion 10 searches at height 1000
     assert MAX_HEIGHT >= 1000
