@@ -40,6 +40,7 @@ from .harness import (
 )
 from .localsolve import REAL, bad_places, conic_solvable_global, conic_solvable_local, finite_place
 from .polys import (
+    _MAX_DIGITS,
     _frac_str,
     discriminant_in_x,
     discriminant_uni,
@@ -50,11 +51,17 @@ from .polys import (
 
 def _number(text: str, kind=Fraction):
     """A number given on the command line, as ``kind`` (``Fraction`` or
-    ``int``); ``ParseError`` if the text is not one."""
+    ``int``); ``ParseError`` if the text is not one.  As in the polynomial
+    grammar, exponent notation and literals of more than ``_MAX_DIGITS``
+    digits are refused before any number is built: ``Fraction("1e30000")``
+    alone takes seconds."""
+    what = "an integer" if kind is int else "a rational number"
+    digits = max(sum(c.isdigit() for c in part) for part in text.split("/"))
+    if "e" in text.lower() or digits > _MAX_DIGITS:
+        raise ParseError(f"not {what} of at most {_MAX_DIGITS} digits without an exponent")
     try:
         return kind(text)
     except (ValueError, ZeroDivisionError):
-        what = "an integer" if kind is int else "a rational number"
         raise ParseError(f"not {what}: {text!r}") from None
 
 

@@ -31,17 +31,22 @@ within 11 (the last, X^6 - 1, has quadratic factors).  Zassenhaus starts
 from the prime with the fewest modular factors, the only prime factored
 completely: quadratic multifactor Hensel lifting modulo m^2 past the
 Landau-Mignotte bound of the cofactor, then subset recombination (modular
-factor counts stay tiny at the degrees this package handles).  The Galois
-sieve walks the same model through the same primes (``usable_cycle_types``),
-so the splits this scan computed come back to it from the residue cache.
+factor counts stay tiny at the degrees this package handles).  The scan
+is the record's only walk over the primes: a squarefree input's
+``Factorization`` keeps the model (F, m) and the (p, cycle type) of every
+usable prime the scan read, and the Galois sieve reads that list first and
+resumes the walk on F after its last prime (``usable_cycle_types``) only
+when it needs more primes.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
 degrees with the Frobenius matrix, one matrix-vector product per degree.
 
 Three mod-p kernels sit behind one cache (``_per_residue_class``): the
-distinct-degree split that the residue scan, the sieve's prime walk and
-``cycle_type_mod_p`` read (``_usable_ddf``), the equal-degree split of the
+distinct-degree split that the residue scan, the sieve's resumed walk and
+``cycle_type_mod_p`` read (``_usable_ddf``, whose value carries the
+split's cycle type and degree set, so both are worked out once per
+residue class), the equal-degree split of the
 Zassenhaus prime (``_gp_factor_sqf``) and the roots mod p
 (``_simple_roots_mod``).  The key is p and the input's integer
 coefficients reduced mod p, and a kernel is handed the key itself, so it
@@ -50,8 +55,9 @@ computed from the same key, and its random polynomials come from a source
 seeded with the key.  So each kernel is a function of its key, and a
 lookup returns exactly what a computation would.  Across a bounded-height
 sweep P(t, X) mod p takes few values, so a split is computed once per
-residue class instead of once per parameter (fermat-x6 at height 30 makes
-9842 calls of ``_usable_ddf`` over 247 keys).  The cache holds at most
+residue class instead of once per parameter (``hit verify`` on fermat-x6
+at height 30, reference included, makes 8460 calls of ``_usable_ddf`` over
+408 keys).  The cache holds at most
 ``_RESIDUE_CACHE_SIZE`` = 4096 entries and drops the least recently used;
 an entry takes about 0.5 KB, and under 0.7 KB for a sextic split into six
 linear factors, so a full cache holds under 3 MB.  Values are tuples, so
@@ -96,7 +102,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
@@ -315,17 +321,33 @@ def _gp_factor_sqf(f, p, split):
     return tuple(sorted(out, key=lambda h: (len(h), h)))
 
 
+class _Split(NamedTuple):
+    """The distinct-degree split of a polynomial mod a usable prime, with
+    what the residue scan and the Galois sieve read off it."""
+
+    parts: tuple  # (product of the factors of degree d, d), d increasing
+    cycle_type: tuple[int, ...]  # the factor degrees, largest first
+    degrees: int  # bit d set: some product of the modular factors has degree d
+
+
 @_per_residue_class
 def _usable_ddf(ints, p):
-    """Distinct-degree split of sum ints[i] x^i mod p, or None if p is
-    unusable for it (as ``cycle_type_mod_p`` defines it)."""
+    """The ``_Split`` of sum ints[i] x^i mod p, or None if p is unusable
+    for it (as ``cycle_type_mod_p`` defines it)."""
     fp = _trim([c % p for c in ints])
     if len(fp) != len(ints) or len(fp) < 2:
         return None  # the leading coefficient died, or f is constant
     d = _gp_deriv(fp, p)
     if not d or len(_gp_gcd(fp, d, p)) > 1:
         return None  # not squarefree mod p
-    return tuple((tuple(g), d) for g, d in _gp_ddf(_gp_monic(fp, p), p))
+    parts = tuple((tuple(g), d) for g, d in _gp_ddf(_gp_monic(fp, p), p))
+    degs: list[int] = []
+    sums = 1
+    for g, d in parts:
+        for _ in range((len(g) - 1) // d):  # squarefree: distinct factors
+            degs.append(d)
+            sums |= sums << d
+    return _Split(parts, tuple(sorted(degs, reverse=True)), sums)
 
 
 def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
@@ -337,39 +359,30 @@ def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
     p = as_prime(p)
     ints, den = f.ints_den()
     split = None if den % p == 0 else _usable_ddf(ints, p)
-    return None if split is None else _cycle_type(split)
+    return None if split is None else split.cycle_type
 
 
-def usable_cycle_types(f: UniPoly, disc: Fraction):
-    """(p, ``cycle_type_mod_p(f.monic(), p)``) at every usable odd prime p
-    of a squarefree f, in increasing order, without end; ``disc`` is the
-    discriminant of ``f.monic()``.
+def usable_cycle_types(F: list[int], m: int, disc: int, after: int = 2):
+    """(p, ``cycle_type_mod_p(g, p)``) at every usable odd prime p > after
+    of a squarefree monic rational g, in increasing order, without end;
+    F is g's monic integer model of scale m (``_monic_int_model``) and
+    ``disc`` the discriminant of F.
 
-    The splits are read from f's monic integer model F of scale m, the
-    polynomial and the cache keys of ``factor_over_Q``'s residue scan, so
-    the primes that scan read come back as cache hits.  A prime divides m
-    exactly when it divides a denominator of the monic f; away from m,
-    y = m x is a unit change of variable mod p, so usability and cycle
-    types are the monic f's.  Primes dividing m or the numerator of
-    ``disc`` are unusable and skipped unread.
+    These are the polynomial and the primes of ``factor_over_Q``'s residue
+    scan, so a walk resumed after the scan's last prime continues it.  A
+    prime divides m exactly when it divides a denominator of g; away from
+    m, y = m x is a unit change of variable mod p, so usability and cycle
+    types are g's.  Primes dividing m or ``disc`` are unusable and skipped
+    unread.
     """
     if not disc:
         raise DomainError("a polynomial with a repeated factor has no usable prime")
-    F, m = _monic_int_model(f.primitive())
-    skip = m * disc.numerator
+    skip = m * disc
     for p in odd_primes():
-        if skip % p:
+        if p > after and skip % p:
             split = _usable_ddf(F, p)
             if split is not None:
-                yield p, _cycle_type(split)
-
-
-def _cycle_type(split) -> tuple[int, ...]:
-    """The factor degrees of a distinct-degree split, largest first."""
-    degs: list[int] = []
-    for g, d in split:
-        degs.extend([d] * ((len(g) - 1) // d))  # squarefree: distinct factors
-    return tuple(sorted(degs, reverse=True))
+                yield p, split.cycle_type
 
 
 # -- Hensel lifting (monic integer polynomials, ascending int lists) -----------
@@ -441,20 +454,10 @@ _PRIME_SCAN = 5
 _DEGREE_SCAN = 12
 
 
-def _degree_set(split) -> int:
-    """Bit d is set when some product of the modular factors of a
-    distinct-degree split has degree d."""
-    sums = 1
-    for g, d in split:
-        for _ in range((len(g) - 1) // d):
-            sums |= sums << d
-    return sums
-
-
 class _Scan(NamedTuple):
     """What the residue scan learned about a monic integer polynomial."""
 
-    splits: list  # (p, distinct-degree split) of each usable prime, in order
+    splits: list  # (p, _Split) of each usable prime, in order
     degrees: int  # bit d set: every split allows a factor of degree d over Q
     chosen: tuple | None  # (p, split): the Zassenhaus prime's, else the last
     modular: list  # the irreducible factors mod the Zassenhaus prime, if any
@@ -497,13 +500,13 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
         if split is None:
             continue
         splits.append((p, split))
-        degrees &= _degree_set(split)
+        degrees &= split.degrees
         if not degrees & middle or len(splits) == _DEGREE_SCAN:
             break
     if not splits or not degrees & middle:
         return _Scan(splits, degrees, splits[-1] if splits else None, [])
-    p, split = min(splits, key=lambda s: len(_cycle_type(s[1])))
-    return _Scan(splits, degrees, (p, split), [list(h) for h in _gp_factor_sqf(f, p, split)])
+    p, split = min(splits, key=lambda s: len(s[1].cycle_type))
+    return _Scan(splits, degrees, (p, split), [list(h) for h in _gp_factor_sqf(f, p, split.parts)])
 
 
 def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
@@ -526,7 +529,7 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
     if scan.degrees == 1 | 1 << len(f) - 1:
         return [f]
     p, split = scan.chosen
-    linear = next((g for g, d in split if d == 1), [1])  # [1]: no roots mod p
+    linear = next((g for g, d in split.parts if d == 1), [1])  # [1]: no roots mod p
     if len(linear) == 2:
         residues = [-linear[0] % p]
     else:
@@ -578,10 +581,18 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Factorization:
-    """unit * prod(factor^mult) reconstructs the input exactly."""
+    """unit * prod(factor^mult) reconstructs the input exactly.
+
+    ``factor_over_Q`` also hands over what its residue scan read, when the
+    scan ran on the input itself (a squarefree input): the monic integer
+    model (F, m) and the (p, cycle type) of every usable prime it read,
+    in increasing order.  These ride along outside equality and hashing.
+    """
 
     unit: Fraction
     factors: tuple[tuple[UniPoly, int], ...]
+    model: tuple[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
+    scanned: tuple[tuple[int, tuple[int, ...]], ...] = field(default=(), compare=False, repr=False)
 
     def type(self) -> tuple[int, ...]:
         degs: list[int] = []
@@ -598,7 +609,10 @@ class Factorization:
 
     def radical(self) -> "Factorization":
         """The distinct monic factors, each once: the factorization of the
-        squarefree part of the input."""
+        squarefree part of the input; the factorization itself when it is
+        already its own radical."""
+        if self.unit == 1 and all(m == 1 for _, m in self.factors):
+            return self
         return Factorization(unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
 
 
@@ -643,8 +657,9 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     """Complete factorization into monic irreducibles over Q.
 
     One residue scan (``_good_prime``) of the monic integer model proves it
-    squarefree and settles or prepares its factorization.  When the scan
-    finds no usable prime, the squarefree part is factored instead, and the
+    squarefree and settles or prepares its factorization; the model and the
+    cycle types the scan read are kept on the result.  When the scan finds
+    no usable prime, the squarefree part is factored instead, and the
     multiplicity of each of its factors is the number of times it divides f.
     """
     if f.is_zero():
@@ -654,7 +669,9 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         return Factorization(unit=unit, factors=())
     F, m = _monic_int_model(f.primitive())
     scan = _good_prime(F, m)
-    repeated = not scan.splits
+    scanned = tuple([(p, split.cycle_type) for p, split in scan.splits])
+    repeated = not scanned
+    model = None if repeated else (tuple(F), m)
     if repeated:
         F, m = _monic_int_model(squarefree_part(f).primitive())
         scan = _good_prime(F, m, squarefree=True)
@@ -665,7 +682,7 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         out.append((g, _multiplicity(f, g) if repeated else 1))
     if len(out) > 1:
         out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
-    return Factorization(unit=unit, factors=tuple(out))
+    return Factorization(unit, tuple(out), model, scanned)
 
 
 def factorization_type(f: UniPoly) -> tuple[int, ...]:

@@ -9,7 +9,12 @@ for reducible inputs).
 Degrees 5 and 6 get a cycle-type sieve against embedded transitive-group
 tables: the candidate set always contains the true group, so the only
 definitive verdicts it supports are singletons and order statements shared
-by every surviving candidate.
+by every surviving candidate.  The sieve reads the Frobenius cycle types
+that the factorizer's residue scan already found, on the scan's monic
+integer model, and reduces the polynomial modulo further primes only when
+it needs more; the discriminant it tests is that model's integer one.  The
+resolvent cubic of a quartic is a monic integer list too, so both take the
+integer discriminant core of ``polys``.
 
 Given a reference group G, as its ``TransitiveGroupEntry``, the sieve
 starts from the table entries that are conjugate in S_n to a subgroup of G
@@ -28,12 +33,12 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import DomainError, InconclusiveError, ReferenceMismatchError
-from .factorq import Factorization, rational_roots, usable_cycle_types
-from .polys import UniPoly, discriminant_uni
-from .rationals import is_square_rational
+from .factorq import Factorization, _monic_int_model, rational_roots, usable_cycle_types
+from .polys import UniPoly, _discriminant_ints, discriminant_uni
+from .rationals import is_square_int, is_square_rational
 
 
 # -- embedded transitive group tables, degrees 2..6 -----------------------------
@@ -238,9 +243,9 @@ def _resolvent_ints(N: list[int], D: int) -> list[int]:
     return [-(n3 * n3 * n0 - 4 * n2 * n0 * D + n1 * n1 * D), n3 * n1 - 4 * n0 * D, -n2, 1]
 
 
-def _splits_over(disc_q: Fraction, D: Fraction) -> bool:
+def _splits_over(disc_q: int, D: int) -> bool:
     """Does a quadratic of discriminant disc_q split over Q(sqrt(D))?"""
-    return is_square_rational(disc_q) or is_square_rational(disc_q * D)
+    return is_square_int(disc_q) or is_square_int(disc_q * D)
 
 
 def _classify_irreducible_quartic(f: UniPoly) -> tuple[str, str, int]:
@@ -250,11 +255,11 @@ def _classify_irreducible_quartic(f: UniPoly) -> tuple[str, str, int]:
     Kappe-Warren test.  Everything is scaled to integers by the quartic's
     common denominator D, which changes no square class."""
     N, D = f.monic().ints_den()
-    R = UniPoly.from_ints(_resolvent_ints(N, D), 1)
-    disc = discriminant_uni(R)  # D^6 disc(f)
-    roots = rational_roots(R)
+    R = _resolvent_ints(N, D)
+    disc = _discriminant_ints(R)  # D^6 disc(f)
+    roots = rational_roots(UniPoly.from_ints(R, 1))
     if not roots:
-        return ("4T4", "A4", 12) if is_square_rational(disc) else ("4T5", "S4", 24)
+        return ("4T4", "A4", 12) if is_square_int(disc) else ("4T5", "S4", 24)
     if len(roots) == 3:
         return ("4T2", "V4", 4)
     # beta = z/D: D^2 (beta^2 - 4 n0/D) and D^2 (a^2 - 4 (b - beta)) for
@@ -358,12 +363,19 @@ def sieve_degree_5_6(
     budget, so that a wrong reference can still be refuted.  With
     ``within`` (a table entry), only the groups conjugate into it are
     candidates, and a singleton is reported as 'conditional'; an empty set
-    refutes the reference (``ReferenceMismatchError``).  The primes and their cycle
-    types come from ``factorq.usable_cycle_types``, which walks the monic
-    integer model that the factorization's residue scan walked, so the
-    primes that scan read are residue-cache hits.  A reducible radical gets
-    its splitting field when that is resolved here, else only its factor
-    degrees.
+    refutes the reference (``ReferenceMismatchError``).
+
+    The primes and their cycle types are those of the monic integer model
+    F of scale m that ``factor_over_Q``'s residue scan walked: the usable
+    odd primes prime to m at which F is squarefree, in increasing order
+    (``factorq.usable_cycle_types``).  A factorization whose scan ran on
+    the input carries F, m and the scan's (p, cycle type) list; the sieve
+    reads that list first and resumes the walk after its last prime only
+    when it needs more.  The square test and the primes skipped unread
+    come from the integer disc(F) = m^(n(n-1)) disc(f), which has f's
+    square class and f's prime divisors outside m.  A reducible radical
+    gets its splitting field when that is resolved here, else only its
+    factor degrees.
     """
     if budget < 1:
         raise DomainError("prime budget must be at least 1")
@@ -380,13 +392,17 @@ def sieve_degree_5_6(
         table = transitive_subgroups(within)
     else:
         raise DomainError(f"reference degree {within.degree} != {f.degree}")
-    disc = discriminant_uni(f)
-    disc_sq = is_square_rational(disc)
+    # a model on fac is f's: only a squarefree input keeps one
+    F, m = fac.model or _monic_int_model(f.primitive())
+    disc = _discriminant_ints(F)
+    disc_sq = is_square_int(disc)
     candidates = [e for e in table if e.in_alternating == disc_sq]
     stop = 1 if len(candidates) > 1 else 0  # the set size that ends the scan
     observed: set[tuple[int, ...]] = set()
     primes: list[int] = []
-    for p, ct in islice(usable_cycle_types(f, disc), budget):
+    scanned = fac.scanned
+    walk = chain(scanned, usable_cycle_types(F, m, disc, scanned[-1][0] if scanned else 2))
+    for p, ct in islice(walk, budget):
         primes.append(p)
         observed.add(ct)
         candidates = [e for e in candidates if ct in e.cycle_types]

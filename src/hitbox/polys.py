@@ -418,21 +418,26 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
     return Fraction(cf**n * cg**m * r, f._den**n * g._den**m)
 
 
+def _discriminant_ints(F: list[int]) -> int:
+    """(-1)^(n(n-1)/2) Res(F, F') / lc(F) for a trimmed integer list F of
+    degree n >= 1: the exact integer quotient of the integer resultant."""
+    n = len(F) - 1
+    d = _prs_resultant(F, [i * c for i, c in enumerate(F)][1:]) // F[-1]
+    return -d if (n * (n - 1) // 2) % 2 else d
+
+
 def discriminant_uni(f: UniPoly) -> Fraction:
     """(-1)^(n(n-1)/2) Res(f, f') / lc(f).
 
     With f = c F for F primitive, disc(f) = c^(2n-2) disc(F), and disc(F)
-    is the exact integer quotient of the integer resultant by lc(F).
+    is the integer discriminant of F (``_discriminant_ints``).
     """
     n = f.degree
     if n < 1:
         raise DomainError("discriminant needs degree >= 1")
     F = f.primitive()
-    d = _prs_resultant(F, [i * c for i, c in enumerate(F)][1:]) // F[-1]
-    if (n * (n - 1) // 2) % 2:
-        d = -d
     c = f._ints[-1] // F[-1]
-    return Fraction(c ** (2 * n - 2) * d, f._den ** (2 * n - 2))
+    return Fraction(c ** (2 * n - 2) * _discriminant_ints(F), f._den ** (2 * n - 2))
 
 
 # -- bivariate polynomials ----------------------------------------------------

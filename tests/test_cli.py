@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from hitbox import polys, rationals
+from hitbox import cli, polys, rationals
 from hitbox.cli import _psi_cross_check, _psi_search_bound, main
+from hitbox.errors import ParseError
 from hitbox.harness import enumerate_exceptional, fixture_path, load_fixture
 
 
@@ -343,12 +344,35 @@ def test_local_conic_command(capsys):
         ("local", "conic", "--a", "-1", "--b", "2", "--c", "-3", "--place", "abc"),
         ("local", "conic", "--a", "-1", "--b", "2", "--c", "-3", "--place", "2.0"),
         ("curve", "torsion", "--A", "x", "--B", "1"),
+        ("local", "conic", "--a", "1e3", "--b", "0", "--c", "1"),
+        ("local", "conic", "--a", "-1", "--b", "2", "--c", "-3", "--place", "1" * 1001),
     ],
-    ids=["conic-letter", "conic-zero-denominator", "place-word", "place-decimal", "torsion-letter"],
+    ids=[
+        "conic-letter",
+        "conic-zero-denominator",
+        "place-word",
+        "place-decimal",
+        "torsion-letter",
+        "conic-exponent",
+        "place-1001-digits",
+    ],
 )
 def test_malformed_number_is_a_parse_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("parse error: not a")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e999999999", "2E5", "1.5e-3", "7" * 1001, "1/" + "3" * 1001, "-" + "9" * 1001 + ".5"]
+)
+def test_number_is_refused_before_it_is_built(text):
+    # Fraction("1e999999999") would build 10^999999999
+    def build(_):
+        raise AssertionError("a number was built")
+
+    with pytest.raises(ParseError):
+        cli._number(text, build)
+    assert cli._number("9" * 1000) == 10**1000 - 1
 
 
 def test_table_command(capsys):

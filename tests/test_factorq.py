@@ -168,6 +168,16 @@ def test_factorization_type_examples():
     assert factorization_type(parse_unipoly("X^6-1")) == (1, 1, 2, 2)
 
 
+def test_radical_is_the_factorization_itself_only_when_it_is_its_own_radical():
+    fac = factor_over_Q(parse_unipoly("X^5 - X - 1"))
+    assert fac.radical() is fac
+    scaled = factor_over_Q(parse_unipoly("3*X^5 - 3*X - 3"))
+    assert scaled.radical() == fac and scaled.radical().unit == 1
+    repeated = factor_over_Q(parse_unipoly("(X^2 + 1)^3*(X - 2)"))
+    assert repeated.unit == 1
+    assert repeated.radical().factors == tuple((g, 1) for g, _ in repeated.factors)
+
+
 def test_factorization_type_additive_on_products():
     rng = random.Random(12)
     done = 0
@@ -580,7 +590,7 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
         scan = factorq._good_prime(f, 1)
         # at most _DEGREE_SCAN usable primes, in increasing order, each read once
         assert usable == [q for q, _ in expected] and len(usable) <= factorq._DEGREE_SCAN, f
-        assert [(q, factorq._cycle_type(split)) for q, split in scan.splits] == expected, f
+        assert [(q, split.cycle_type) for q, split in scan.splits] == expected, f
         assert {d for d in range(n + 1) if scan.degrees >> d & 1} == common, f
         if common <= {0, 1, n - 1, n}:
             # proven irreducible, or decided by rational roots: nothing to lift
@@ -712,7 +722,7 @@ def test_ddf_matches_sympy_and_complete_factorization(p):
             for g, d in gf_ddf_zassenhaus(list(reversed(f)), p, ZZ)
         )
         assert ours == theirs, (f, p)
-        assert sorted(factorq._usable_ddf(f, p)) == theirs, (f, p)  # the cached split
+        assert sorted(factorq._usable_ddf(f, p).parts) == theirs, (f, p)  # the cached split
         degrees = sorted((len(g) - 1 for g in _sympy_factors_mod_p(f, p)), reverse=True)
         assert cycle_type_mod_p(UniPoly(f), p) == tuple(degrees), (f, p)
 
@@ -729,11 +739,11 @@ def test_cached_mod_p_kernels_match_a_fresh_computation(head, p):
     split = factorq._usable_ddf.__wrapped__(f, p)
     fresh = [split, factorq._simple_roots_mod.__wrapped__(f, p)]
     if split is not None:
-        fresh.append(factorq._gp_factor_sqf.__wrapped__(fp, p, split))
+        fresh.append(factorq._gp_factor_sqf.__wrapped__(fp, p, split.parts))
     for _ in range(2):  # the first call computes, the repeat looks up
         cached = [factorq._usable_ddf(f, p), factorq._simple_roots_mod(f, p)]
         if split is not None:
-            cached.append(factorq._gp_factor_sqf(f, p, split))
+            cached.append(factorq._gp_factor_sqf(f, p, split.parts))
         assert cached == fresh, (f, p)
         hash(tuple(cached))  # built of tuples: no caller can change a cached value
     info = factorq._residue_cache.cache_info()

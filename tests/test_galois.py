@@ -1,10 +1,11 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     TABLE_GENERATORS,
@@ -32,7 +33,14 @@ from hitbox.galois import (
     transitive_table,
 )
 from hitbox.harness import load_fixture
-from hitbox.polys import UniPoly, discriminant_uni, parse_poly, parse_unipoly, poly_str
+from hitbox.polys import (
+    UniPoly,
+    _discriminant_ints,
+    discriminant_uni,
+    parse_poly,
+    parse_unipoly,
+    poly_str,
+)
 from hitbox.rationals import is_prime, is_square_rational, rationals_up_to_height
 
 X = UniPoly.gen()
@@ -466,15 +474,22 @@ def test_quartic_classifier_matches_sympy_on_each_quartic_group(text, label):
         assert (gid.mode, gid.label) == ("definitive", label)
 
 
+def _walk(f: UniPoly, after: int = 2):
+    """``factorq.usable_cycle_types`` on f's monic integer model."""
+    F, m = factorq._monic_int_model(f.primitive())
+    return factorq.usable_cycle_types(F, m, _discriminant_ints(F), after)
+
+
 def _assert_walk_reads_the_cycle_types(f: UniPoly, k: int = 6):
-    disc = discriminant_uni(f.monic())
-    if not disc:
+    if not discriminant_uni(f.monic()):
         return  # a repeated factor: no prime is usable
-    walked = list(islice(factorq.usable_cycle_types(f, disc), k))
+    walked = list(islice(_walk(f), k))
     monic = f.monic()
     last = walked[-1][0]
     want = [(p, cycle_type_mod_p(monic, p)) for p in range(3, last + 1, 2) if is_prime(p)]
     assert walked == [(p, ct) for p, ct in want if ct is not None], poly_str(f)
+    # a walk resumed after a prime continues the same sequence
+    assert list(islice(_walk(f, walked[1][0]), k - 2)) == walked[2:], poly_str(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -498,14 +513,17 @@ def test_walk_skips_primes_dividing_the_scale():
     assert (F, m) == ([2, 27, 0, 0, 1], 3)
     assert factorq._usable_ddf(F, 3) is not None
     assert [p for p, _ in factorq._good_prime(F, m).splits] == [5]
-    assert next(factorq.usable_cycle_types(f, discriminant_uni(f.monic()))) == (5, (3, 1))
+    assert next(_walk(f)) == (5, (3, 1))
+    fac = factor_over_Q(f)
+    assert fac.model == (tuple(F), m) and fac.scanned == ((5, (3, 1)),)
     _assert_walk_reads_the_cycle_types(f)
 
 
 def test_walk_refuses_a_repeated_factor():
     f = parse_unipoly("(X^2 - 2)^2*(X + 1)")
     with pytest.raises(DomainError):
-        next(factorq.usable_cycle_types(f, discriminant_uni(f.monic())))
+        next(_walk(f))
+    assert factor_over_Q(f).model is None and factor_over_Q(f).scanned == ()
 
 
 def _sieve_outcome(fac, budget, within):
@@ -515,13 +533,38 @@ def _sieve_outcome(fac, budget, within):
         return ("mismatch", e.prime, e.cycle_type)
 
 
+# quintics and sextics whose leading coefficient puts 2 and 3 into the scale
+# m of the monic model, where the monic input has no usable reduction
+_QUINTICS_AND_SEXTICS = st.tuples(
+    st.lists(st.integers(-12, 12), min_size=5, max_size=6),
+    st.sampled_from([1, 2, 3, 6, 9, -4, 12]),
+).map(lambda c: UniPoly(c[0] + [c[1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_QUINTICS_AND_SEXTICS)
+@example(parse_unipoly("X^6+2"))  # D6: the sieve resumes the walk after the scan's 2 primes
+@example(parse_unipoly("X^5-5*X+12"))  # D5, inside A5
+@example(parse_unipoly("9*X^6+9*X+2"))  # m = 9
+def test_sieve_on_the_handed_over_scan_matches_a_fresh_walk(f):
+    fac = factor_over_Q(f)
+    assume(fac.is_irreducible())
+    fresh = dataclasses.replace(fac, model=None, scanned=())
+    assert fresh == fac
+    table = transitive_table(f.degree)
+    # the symmetric group fits every polynomial; the cyclic one refutes most
+    for within in (None, table[-1], table[0]):
+        for budget in (1, 3, 24):
+            got = _sieve_outcome(fac, budget, within)
+            assert got == _sieve_outcome(fresh, budget, within), (poly_str(f), budget, within)
+
+
 def test_sieve_adds_no_residue_cache_miss_at_the_scan_primes(monkeypatch):
-    # a fresh, unbounded residue cache that logs every read and every miss
-    reads, misses = [], []
+    # a fresh, unbounded residue cache that logs every read
+    reads = []
 
     @functools.lru_cache(maxsize=None)
     def cache(kernel, p, fp, *rest):
-        misses.append(p)
         return kernel(fp, p, *rest)
 
     def reading(kernel, p, fp, *rest):
@@ -532,22 +575,25 @@ def test_sieve_adds_no_residue_cache_miss_at_the_scan_primes(monkeypatch):
     sextics = [FERMAT.P.specialize(t) for t in rationals_up_to_height(6) if t not in FERMAT.D]
     sextics += [parse_unipoly(s) for s in ("X^6+2", "X^6+X+1", "3*X^6-5*X+7", "X^6-X^3+1")]
     refs = [None, table_entry("6T3"), table_entry("6T1")]
-    scanned, revisited = 0, 0
+    scanned, resumed = 0, 0
     for f in sextics:
         reads.clear()
         fac = factor_over_Q(f)
         if not fac.is_irreducible():
             continue
-        scan = set(reads)
-        scanned += bool(scan)
+        # the factorization hands over every usable prime its scan read
+        handed = [p for p, _ in fac.scanned]
+        assert handed and max(reads) == handed[-1], poly_str(f)
+        scanned += 1
         for budget in (1, 3, 24):
             for within in refs:
                 reads.clear()
-                misses.clear()
                 got = _sieve_outcome(fac, budget, within)
-                assert not scan & set(misses), (poly_str(f), budget)
-                revisited += len(scan & set(reads))
-                # the walk reads no prime past the last one the sieve used
+                # no read at a handed-over prime: the scan's splits are not
+                # read again, from the cache or otherwise
+                assert not set(handed) & set(reads), (poly_str(f), budget)
+                # a resumed walk reads no prime past the last one the sieve used
                 last = got[1] if isinstance(got, tuple) else got.evidence.primes[-1]
-                assert max(reads) == last, (poly_str(f), budget)
-    assert scanned >= 20 and revisited >= 100
+                assert all(p <= last for p in reads), (poly_str(f), budget)
+                resumed += bool(reads)
+    assert scanned >= 20 and resumed >= 100

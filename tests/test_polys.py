@@ -14,6 +14,8 @@ from hitbox.factorq import rational_roots
 from hitbox.polys import (
     BiPoly,
     UniPoly,
+    _discriminant_ints,
+    _mul,
     bipoly_str,
     discriminant_in_x,
     discriminant_uni,
@@ -93,6 +95,27 @@ def test_discriminant_matches_sylvester_definition():
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         assert discriminant_uni(f) == sign * sylvester_resultant(f, f.derivative()) / f.lc()
         done += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+    st.integers(-12, 12).filter(bool),
+    st.integers(-5, 5),
+    st.integers(0, 3),
+)
+@example([0], 1, 0, 0)  # X
+@example([-2, 0], 3, 1, 3)  # (3X^2 - 2)(X + 1)^3: a triple root
+def test_integer_discriminant_core_matches_sympy(head, lead, r, k):
+    """``_discriminant_ints`` against sympy on integer lists of degree 1-6;
+    the factor (X + r)^k puts in a repeated root when k >= 2."""
+    sympy = pytest.importorskip("sympy")
+    F = head + [lead]
+    for _ in range(k):
+        if len(F) < 7:
+            F = _mul(F, [r, 1])
+    theirs = sympy.discriminant(sympy.Poly(list(reversed(F)), sympy.Symbol("x")))
+    assert _discriminant_ints(F) == int(theirs), F
 
 
 def test_discriminant_multiplicative():
