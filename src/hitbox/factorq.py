@@ -102,14 +102,14 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import DomainError
 from .polys import UniPoly, _mul, _primitive, _pseudo_divmod, _trim, squarefree_part
-from .rationals import as_prime, is_square_int, odd_primes
+from .rationals import _odd_primes_below, as_prime, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
 #
@@ -610,10 +610,12 @@ class Factorization:
     def radical(self) -> "Factorization":
         """The distinct monic factors, each once: the factorization of the
         squarefree part of the input; the factorization itself when it is
-        already its own radical."""
+        already its own radical.  The scan's model and cycle types go with
+        it: they are there only when the input is squarefree, and then they
+        describe its radical too."""
         if self.unit == 1 and all(m == 1 for _, m in self.factors):
             return self
-        return Factorization(unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
+        return replace(self, unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
 
 
 def _root_or_self(d: int, k: int) -> int:
@@ -629,19 +631,48 @@ def _root_or_self(d: int, k: int) -> int:
         r = s
 
 
+# The primes that ``_least_root`` divides out one at a time.
+_TRIAL_PRIMES = (2,) + _odd_primes_below(256)
+
+
+def _least_root(d: int, k: int) -> int:
+    """An s with the prime factors of d (d >= 1) and d | s^k: the exact
+    k-th root of a perfect k-th power; otherwise each prime below 256 gets
+    the least exponent, ceil(e/k) for its exponent e in d, and the
+    cofactor of the larger primes its exact k-th root if it has one, else
+    itself.  So s is the least such scale whenever that cofactor is
+    squarefree or a perfect k-th power, and always when d < 2^16."""
+    r = _root_or_self(d, k)
+    if r < d or k < 2:
+        return r
+    s = 1
+    for q in _TRIAL_PRIMES:
+        if q * q > d:
+            break
+        if not d % q:
+            e = 0
+            while not d % q:
+                d //= q
+                e += 1
+            s *= q ** -(-e // k)
+    return s * _root_or_self(d, k)
+
+
 def _monic_int_model(ints: list[int]) -> tuple[list[int], int]:
     """Monic integer F with F(y) = m^n * g(y/m) for g the monic multiple
     of sum ints[i] x^i and n its degree; roots scale by m.
 
     For each coefficient g_i = ints[i]/ints[n] with denominator d_i, m is a
-    multiple of the exact (n-i)-th root of d_i when there is one, else of
-    d_i, so that m^(n-i) g_i is an integer; m is the lcm of these.  It
-    divides the least common denominator of g and has the same prime
-    factors, and it is the least possible scale whenever every d_i is a
-    perfect (n-i)-th power (``X^6 - 665/729`` gets m = 3, not 729)."""
+    multiple of ``_least_root(d_i, n - i)``, so that m^(n-i) g_i is an
+    integer; m is the lcm of these.  It divides the least common
+    denominator of g and has the same prime factors, so the residue scan,
+    which passes over the primes dividing m, reads the same primes at any
+    such scale.  It is the least possible scale whenever each
+    ``_least_root`` is: ``X^6 - 665/729`` gets m = 3, not 729, and
+    ``X^4 - 4/3 X^3 + 37/75`` (serre-a4 at t = 2/5) m = 15, not 75."""
     n = len(ints) - 1
     lead = ints[n]
-    m = math.lcm(*[_root_or_self(abs(lead) // math.gcd(c, lead), n - i) for i, c in enumerate(ints) if c])
+    m = math.lcm(*[_least_root(abs(lead) // math.gcd(c, lead), n - i) for i, c in enumerate(ints) if c])
     return [c * m ** (n - i) // lead if c else 0 for i, c in enumerate(ints)], m
 
 

@@ -12,9 +12,14 @@ definitive verdicts it supports are singletons and order statements shared
 by every surviving candidate.  The sieve reads the Frobenius cycle types
 that the factorizer's residue scan already found, on the scan's monic
 integer model, and reduces the polynomial modulo further primes only when
-it needs more; the discriminant it tests is that model's integer one.  The
-resolvent cubic of a quartic is a monic integer list too, so both take the
-integer discriminant core of ``polys``.
+it needs more; the discriminant it tests is that model's integer one.
+An irreducible quartic takes the same first pass over the degree-4 table,
+which lists all five transitive groups: once the scan has seen a 3-cycle,
+the square class of the resolvent cubic's discriminant leaves one row, A4
+or S4, and the resolvent cubic's rational roots are found only while two
+or more rows remain.  The resolvent cubic is a monic integer list, so the
+sieve and the quartic classifier both take the integer discriminant core
+of ``polys``.
 
 Given a reference group G, as its ``TransitiveGroupEntry``, the sieve
 starts from the table entries that are conjugate in S_n to a subgroup of G
@@ -248,18 +253,35 @@ def _splits_over(disc_q: int, D: int) -> bool:
     return is_square_int(disc_q) or is_square_int(disc_q * D)
 
 
-def _classify_irreducible_quartic(f: UniPoly) -> tuple[str, str, int]:
-    """Label, kind and order of an irreducible quartic's Galois group, from
-    the rational roots of its resolvent cubic R: none gives A4 or S4 by the
-    discriminant, three give V4, and one root beta gives C4 or D4 by the
-    Kappe-Warren test.  Everything is scaled to integers by the quartic's
-    common denominator D, which changes no square class."""
+def _classify_irreducible_quartic(f: UniPoly, scanned) -> tuple[str, str, int]:
+    """Label, kind and order of an irreducible quartic's Galois group G.
+
+    ``scanned`` holds (p, cycle type) pairs of f at unramified primes, as
+    the factorizer's residue scan hands them over: each type is that of a
+    Frobenius element, so it lies in G (Dedekind).  The rows of the
+    degree-4 table whose parity agrees with the discriminant's square class
+    and whose cycle types hold every scanned one are the candidates, and
+    the table lists all five transitive groups, so a single survivor is G:
+    a 3-cycle leaves A4 or S4, and the square test picks one.  Only while
+    two or more rows remain are the rational roots of the resolvent cubic R
+    found: none gives A4 or S4 by the discriminant, three give V4, and one
+    root beta gives C4 or D4 by the Kappe-Warren test.  Everything is
+    scaled to integers by the quartic's common denominator D, which changes
+    no square class."""
     N, D = f.monic().ints_den()
     R = _resolvent_ints(N, D)
     disc = _discriminant_ints(R)  # D^6 disc(f)
+    disc_sq = is_square_int(disc)
+    candidates = [
+        e
+        for e in transitive_table(4)
+        if e.in_alternating == disc_sq and all(ct in e.cycle_types for _, ct in scanned)
+    ]
+    if len(candidates) == 1:
+        return candidates[0].label, candidates[0].kind, candidates[0].order
     roots = rational_roots(UniPoly.from_ints(R, 1))
     if not roots:
-        return ("4T4", "A4", 12) if is_square_int(disc) else ("4T5", "S4", 24)
+        return ("4T4", "A4", 12) if disc_sq else ("4T5", "S4", 24)
     if len(roots) == 3:
         return ("4T2", "V4", 4)
     # beta = z/D: D^2 (beta^2 - 4 n0/D) and D^2 (a^2 - 4 (b - beta)) for
@@ -339,7 +361,7 @@ def classify_degree_le4(fac: Factorization) -> GaloisId:
             else:
                 label, kind, order = "3T2", "S3", 6
         else:
-            label, kind, order = _classify_irreducible_quartic(g)
+            label, kind, order = _classify_irreducible_quartic(g, rad.scanned)
         return GaloisId(
             degree=fac.degree, mode="definitive", label=label, kind=kind, order=order
         )
@@ -448,7 +470,7 @@ def identify_galois(
     """
     if fac.degree < 1:
         raise DomainError("identification needs degree >= 1")
-    if fac.radical().degree <= 4:
+    if sum(g.degree for g, _ in fac.factors) <= 4:  # the radical's degree
         return classify_degree_le4(fac)
     return sieve_degree_5_6(fac, budget, within)
 

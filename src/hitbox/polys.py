@@ -420,8 +420,15 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
 
 def _discriminant_ints(F: list[int]) -> int:
     """(-1)^(n(n-1)/2) Res(F, F') / lc(F) for a trimmed integer list F of
-    degree n >= 1: the exact integer quotient of the integer resultant."""
+    degree n >= 1: the exact integer quotient of the integer resultant,
+    in closed form for quadratics and cubics."""
     n = len(F) - 1
+    if n == 2:
+        c, b, a = F
+        return b * b - 4 * a * c
+    if n == 3:
+        d, c, b, a = F
+        return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
     d = _prs_resultant(F, [i * c for i, c in enumerate(F)][1:]) // F[-1]
     return -d if (n * (n - 1) // 2) % 2 else d
 

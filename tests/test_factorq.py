@@ -173,6 +173,9 @@ def test_radical_is_the_factorization_itself_only_when_it_is_its_own_radical():
     assert fac.radical() is fac
     scaled = factor_over_Q(parse_unipoly("3*X^5 - 3*X - 3"))
     assert scaled.radical() == fac and scaled.radical().unit == 1
+    # a squarefree input's radical keeps what the scan handed over
+    assert scaled.radical().model == scaled.model == fac.model and scaled.model is not None
+    assert scaled.radical().scanned == scaled.scanned == fac.scanned != ()
     repeated = factor_over_Q(parse_unipoly("(X^2 + 1)^3*(X - 2)"))
     assert repeated.unit == 1
     assert repeated.radical().factors == tuple((g, 1) for g, _ in repeated.factors)
@@ -201,8 +204,9 @@ def test_monic_int_model_matches_the_fraction_construction():
     """F is monic and integral, F(y) = m^n g(y/m) for g the monic multiple,
     m divides the lcm of g's denominators (and shares its primes), and m is
     the least such scale when each denominator of g_i is a perfect
-    (n-i)-th power.  Built here from Fractions; sympy's integer_nthroot
-    decides the perfect powers."""
+    (n-i)-th power, and whenever the lcm is below 2^16.  Built here from
+    Fractions; sympy's integer_nthroot decides the perfect powers, and
+    sympy's primefactors the primes whose removal must break the scale."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(18)
     cases = [
@@ -216,6 +220,9 @@ def test_monic_int_model_matches_the_fraction_construction():
         den = math.lcm(*[c.denominator for c in g])
         cases.append([int(c * den) * rng.choice([1, -1]) for c in g])
     cases.append([-665, 0, 0, 0, 0, 0, 729])  # X^6 - 665/729
+    # serre-a4 at t = 2/5, 1/7 and 3/4: constant terms over 75, 147 and 48
+    serre = [[37, 0, 0, -100, 75], [52, 0, 0, -196, 147], [43, 0, 0, -64, 48]]
+    cases += serre
     least = 0
     for ints in cases:
         g = UniPoly(ints).monic()
@@ -225,14 +232,19 @@ def test_monic_int_model_matches_the_fraction_construction():
         assert all(F[i] == c * m ** (n - i) for i, c in enumerate(g.coeffs)), ints
         lcd = math.lcm(*[c.denominator for c in g.coeffs])
         assert lcd % m == 0 and m ** n % lcd == 0, ints
-        if all(sympy.integer_nthroot(c.denominator, n - i)[1] for i, c in enumerate(g.coeffs[:n])):
-            def integral(s):
-                return all((c * s ** (n - i)).denominator == 1 for i, c in enumerate(g.coeffs))
 
+        def integral(s):
+            return all((c * s ** (n - i)).denominator == 1 for i, c in enumerate(g.coeffs))
+
+        if all(sympy.integer_nthroot(c.denominator, n - i)[1] for i, c in enumerate(g.coeffs[:n])):
             assert next(s for s in range(1, m + 1) if integral(s)) == m, ints
             least += m > 1 and m < lcd
+        if lcd < 1 << 16:
+            # the scales are the multiples of the least one
+            assert not any(integral(m // q) for q in sympy.primefactors(m)), ints
     assert least >= 20
     assert factorq._monic_int_model([-665, 0, 0, 0, 0, 0, 729]) == ([-665, 0, 0, 0, 0, 0, 1], 3)
+    assert [factorq._monic_int_model(ints)[1] for ints in serre] == [15, 21, 6]
 
 
 def test_cycle_type_mod_p():

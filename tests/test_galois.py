@@ -32,7 +32,7 @@ from hitbox.galois import (
     transitive_subgroups,
     transitive_table,
 )
-from hitbox.harness import load_fixture
+from hitbox.harness import load_fixture, report_to_json, resolve_reference, verify_equivalence
 from hitbox.polys import (
     UniPoly,
     _discriminant_ints,
@@ -472,6 +472,66 @@ def test_quartic_classifier_matches_sympy_on_each_quartic_group(text, label):
         assert _sympy_label(h) == label
         gid = classify_degree_le4(factor_over_Q(h))
         assert (gid.mode, gid.label) == ("definitive", label)
+
+
+# rescaled, shifted, non-monic copies of the quartics of every group, and
+# random quartics, many with a common denominator
+_QUARTICS = st.one_of(
+    st.tuples(
+        st.sampled_from([parse_unipoly(text) for text, _, _ in KNOWN_QUARTICS]),
+        st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(-2, 5), Fraction(7)]),
+        st.integers(-3, 3),
+        st.sampled_from([1, 3, -4, Fraction(5, 9)]),
+    ).map(lambda c: c[0].compose(UniPoly([c[2], c[1]])) * c[3]),
+    st.tuples(
+        st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+        st.sampled_from([1, 2, 3, 6, 9, -4, 12]),
+        st.sampled_from([1, 2, 5, 9]),
+    ).map(lambda c: UniPoly([Fraction(a, c[2]) for a in c[0]] + [c[1]])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_QUARTICS)
+@example(parse_unipoly("X^4+X^3+X^2+X+1"))  # C4: every scanned type fits C4, D4 and S4
+@example(parse_unipoly("X^4+1"))  # V4: no usable odd prime needs more than (2,2)
+@example(parse_unipoly("X^4+8*X+12"))  # A4: a 3-cycle and a square discriminant
+@example(parse_unipoly("3*X^4-4*X^3+1+3/16"))  # serre-a4 at t = 1/4
+def test_quartic_group_from_the_scan_matches_the_resolvent_path(f):
+    fac = factor_over_Q(f)
+    assume(fac.is_irreducible())
+    resolvent_only = dataclasses.replace(fac, model=None, scanned=())
+    gid = classify_degree_le4(fac)
+    assert gid == classify_degree_le4(resolvent_only), poly_str(f)
+    assert gid.mode == "definitive" and gid.evidence == galois.SieveEvidence()
+    assert _sympy_label(f) == gid.label, poly_str(f)
+
+
+def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
+    serre = load_fixture("serre-a4")
+    ref, _ = resolve_reference(serre)
+    report = verify_equivalence(serre, ref, 30, keep_records=True)
+    plain = report_to_json(report)
+    calls, radicals = [], []
+    roots, radical = galois.rational_roots, factorq.Factorization.radical
+    monkeypatch.setattr(galois, "rational_roots", lambda f: calls.append(f) or roots(f))
+    monkeypatch.setattr(factorq.Factorization, "radical", lambda fac: radicals.append(fac) or radical(fac))
+    counted = report_to_json(verify_equivalence(serre, ref, 30, keep_records=True))
+    # the scan's 3-cycle and the square test settle all but two A4 records
+    assert len(calls) <= 2 and counted == plain
+    # each record builds its radical once: every unit is 3, so none is the
+    # factorization itself
+    assert len(radicals) == len(report.records) == 1110
+    # the resolvent-only path, which reads no scan, gives the same report
+    classify = galois.classify_degree_le4
+    monkeypatch.setattr(
+        galois,
+        "classify_degree_le4",
+        lambda fac: classify(dataclasses.replace(fac, model=None, scanned=())),
+    )
+    calls.clear()
+    assert report_to_json(verify_equivalence(serre, ref, 30, keep_records=True)) == plain
+    assert len(calls) == 1108
 
 
 def _walk(f: UniPoly, after: int = 2):
