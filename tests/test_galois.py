@@ -510,15 +510,14 @@ def test_quartic_group_from_the_scan_matches_the_resolvent_path(f):
 def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
     serre = load_fixture("serre-a4")
     ref, _ = resolve_reference(serre)
-    report = verify_equivalence(serre, ref, 30, keep_records=True)
-    plain = report_to_json(report)
     calls, radicals = [], []
     roots, radical = galois.rational_roots, factorq.Factorization.radical
     monkeypatch.setattr(galois, "rational_roots", lambda f: calls.append(f) or roots(f))
     monkeypatch.setattr(factorq.Factorization, "radical", lambda fac: radicals.append(fac) or radical(fac))
-    counted = report_to_json(verify_equivalence(serre, ref, 30, keep_records=True))
-    # the scan's 3-cycle and the square test settle all but two A4 records
-    assert len(calls) <= 2 and counted == plain
+    report = verify_equivalence(serre, ref, 30, keep_records=True)
+    # the scan's 3-cycle and the square test settle every A4 record; only
+    # the V4 fibres at t = +-10/27, which have no 3-cycle, solve the cubic
+    assert len(calls) <= 2
     # each record builds its radical once: every unit is 3, so none is the
     # factorization itself
     assert len(radicals) == len(report.records) == 1110
@@ -530,7 +529,7 @@ def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
         lambda fac: classify(dataclasses.replace(fac, model=None, scanned=())),
     )
     calls.clear()
-    assert report_to_json(verify_equivalence(serre, ref, 30, keep_records=True)) == plain
+    assert report_to_json(verify_equivalence(serre, ref, 30, keep_records=True)) == report_to_json(report)
     assert len(calls) == 1108
 
 
