@@ -56,8 +56,9 @@ seeded with the key.  So each kernel is a function of its key, and a
 lookup returns exactly what a computation would.  Across a bounded-height
 sweep P(t, X) mod p takes few values, so a split is computed once per
 residue class instead of once per parameter (``hit verify`` on fermat-x6
-at height 30, reference included, makes 8460 calls of ``_usable_ddf`` over
-408 keys).  The cache holds at most
+at height 30, reference included, makes 4262 calls of ``_usable_ddf`` over
+408 keys, where the sweep's fibre memo in ``harness`` factors each of its
+555 distinct sextics once).  The cache holds at most
 ``_RESIDUE_CACHE_SIZE`` = 4096 entries and drops the least recently used;
 an entry takes about 0.5 KB, and under 0.7 KB for a sextic split into six
 linear factors, so a full cache holds under 3 MB.  Values are tuples, so

@@ -20,6 +20,15 @@ reference fits raises ``ReferenceMismatchError``.  The reference is the
 table entry that ``resolve_reference`` picks (a
 ``galois.TransitiveGroupEntry``), so its label, order and kind are read,
 never searched for.
+
+Each sweep identifies each distinct specialization once.  It creates one
+fibre memo, a dict keyed by (P(t, X), the reference bound), and passes it
+to every ``exceptional_test`` call; the factorization type and the
+``GaloisId`` are functions of that key at the sweep's fixed budget.  Both
+fixtures are polynomials in T^2, so t and -t share a fibre and the memo
+halves their factoring.  The memo is dropped with its sweep, and each
+chunk of a pooled sweep fills its own copy, so a pair split across two
+chunks is identified twice and the output stays the same.
 """
 
 from __future__ import annotations
@@ -155,11 +164,33 @@ def _find_witness(ab: tuple[int, int], data: HitData) -> tuple[int, Fraction] | 
     return None
 
 
+def _fibre(pt, budget: int, within, memo: dict) -> tuple[tuple[int, ...], GaloisId]:
+    """(factorization type, ``GaloisId``) of the specialization pt, a
+    nonconstant ``UniPoly``, identified inside ``within``.  Both are
+    functions of (pt, within) for a fixed budget, so they are looked up in
+    ``memo`` under that key and computed, from one factorization, only on a
+    miss.
+
+    The key is one flat tuple: pt's integer pair as ``BiPoly.specialize``
+    built it (the same pair at t and -t on a family in T^2), then the label
+    of ``within``.  Hashing pt itself would reduce the pair by a gcd, the
+    entry hashes every field, and a nested tuple stays longer in the
+    garbage collector's view: costs that a family whose fibres never repeat
+    would pay on every record for nothing."""
+    key = (*pt._ints, pt._den, within and within.label)
+    out = memo.get(key)
+    if out is None:
+        fac = factor_over_Q(pt)
+        out = memo[key] = (fac.type(), identify_galois(fac, budget, within))
+    return out
+
+
 def exceptional_test(
     t,
     data: HitData,
     reference: TransitiveGroupEntry | None = None,
     budget: int = DEFAULT_PRIME_BUDGET,
+    memo: dict | None = None,
 ) -> SpecializationRecord:
     """Classify one parameter value, with audit fields always populated.
 
@@ -167,6 +198,12 @@ def exceptional_test(
     identification both come from that one factorization.  For t outside D
     a given reference (a table entry) bounds the sieve (the Galois group is
     conjugate into it) and is matched once, on ``match``.
+
+    ``memo`` is the sweep's fibre memo, a dict that one sweep (one budget)
+    passes to every call and then drops: a specialization already seen in
+    the sweep with the same reference bound, such as P(-t, X) = P(t, X) on
+    a family in T^2, reuses its type and identification.  The witness,
+    ``in_d``, the match and the verdict are worked out for every t.
     """
     t = Fraction(t)
     in_d = t in data.D
@@ -177,10 +214,8 @@ def exceptional_test(
     gid: GaloisId | None = None
     match: bool | None = None
     if pt.degree >= 1:
-        fac = factor_over_Q(pt)
-        ftype = fac.type()
         try:
-            gid = identify_galois(fac, budget, within)
+            ftype, gid = _fibre(pt, budget, within, {} if memo is None else memo)
         except ReferenceMismatchError as e:
             raise ReferenceMismatchError(e.prime, e.cycle_type, e.reference, t) from None
         if within is not None:
@@ -213,17 +248,19 @@ def generic_group(P: BiPoly, samples, budget: int = 48) -> int:
     Outside a thin set the specialization attains the generic group, so the
     maximum over a handful of samples is the working reference order; it is
     derived evidence, never a proof (``resolve_reference`` says so in its
-    provenance).
+    provenance).  Each distinct specialization is identified once, through
+    a memo local to this call: fermat-x6's five samples are three sextics.
     """
     samples = [Fraction(s) for s in samples]
     if len(samples) < 5:
         raise DomainError("need at least 5 sample parameters")
     orders = []
+    memo: dict = {}
     for t in samples:
         pt = P.specialize(t)
         if pt.degree < 1:
             continue
-        gid = identify_galois(factor_over_Q(pt), budget)
+        _, gid = _fibre(pt, budget, None, memo)
         if gid.mode == "definitive":
             orders.append(gid.order)
         elif gid.mode == "sieved":
@@ -318,7 +355,8 @@ def verify_equivalence(
     """
     values = [Fraction(a, b) for a, b in coprime_pairs_up_to_height(height_bound, data.D)]
     data.root_sieve  # built here, so that pool workers receive it with the data
-    records = _parallel_map(exceptional_test, values, workers, data, reference, budget)
+    memo: dict = {}  # the sweep's fibre memo; a pooled chunk gets its own copy
+    records = _parallel_map(exceptional_test, values, workers, data, reference, budget, memo)
     violations = []
     indeterminates = []
     counts: dict[str, int] = {}
@@ -379,8 +417,9 @@ def enumerate_exceptional(
     pairs = list(coprime_pairs_up_to_height(height_bound, data.D))
     data.root_sieve  # built here, so that pool workers receive it with the data
     witnesses = _parallel_map(_find_witness, pairs, workers, data)
+    memo: dict = {}
     return [
-        exceptional_test(Fraction(a, b), data, None, budget)
+        exceptional_test(Fraction(a, b), data, None, budget, memo)
         for (a, b), w in zip(pairs, witnesses)
         if w is not None
     ]

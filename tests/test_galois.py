@@ -518,9 +518,11 @@ def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
     # the scan's 3-cycle and the square test settle every A4 record; only
     # the V4 fibres at t = +-10/27, which have no 3-cycle, solve the cubic
     assert len(calls) <= 2
-    # each record builds its radical once: every unit is 3, so none is the
-    # factorization itself
-    assert len(radicals) == len(report.records) == 1110
+    # each distinct fibre builds its radical once: every unit is 3, so none
+    # is the factorization itself, and P(-t, X) = P(t, X) halves the 1110
+    # records to 555 fibres through the sweep's fibre memo
+    assert len(report.records) == 1110
+    assert len(radicals) == 555
     # the resolvent-only path, which reads no scan, gives the same report
     classify = galois.classify_degree_le4
     monkeypatch.setattr(
@@ -530,7 +532,7 @@ def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
     )
     calls.clear()
     assert report_to_json(verify_equivalence(serre, ref, 30, keep_records=True)) == report_to_json(report)
-    assert len(calls) == 1108
+    assert len(calls) == 554  # one per irreducible fibre; t = +-9/10 splits (2, 2)
 
 
 def _walk(f: UniPoly, after: int = 2):

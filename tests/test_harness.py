@@ -280,6 +280,32 @@ def test_groups_match_runs_once_per_record(monkeypatch):
         assert all(rec.match is not None for rec in rep.records)
 
 
+def test_sweep_identifies_each_distinct_fibre_once(monkeypatch):
+    calls = []
+    real = harness.factor_over_Q
+    monkeypatch.setattr(harness, "factor_over_Q", lambda f: calls.append(f) or real(f))
+    # both fixtures are polynomials in T^2, so the records at t and -t share
+    # a fibre; X^2 - T repeats none
+    for data, records, fibres in ((SERRE, 1110, 555), (FERMAT, 1109, 555), (TOY, 1110, 1110)):
+        ref, _ = resolve_reference(data)
+        for _ in range(2):  # the memo lives for one sweep only
+            calls.clear()
+            rep = verify_equivalence(data, ref, 30, keep_records=True)
+            assert rep.checked == records
+            assert len(calls) == len(set(calls)) == fibres
+        pooled = verify_equivalence(data, ref, 30, workers=2, keep_records=True)
+        assert report_to_json(pooled) == report_to_json(rep)
+
+
+def test_generic_group_identifies_each_distinct_sample_once(monkeypatch):
+    calls = []
+    real = harness.factor_over_Q
+    monkeypatch.setattr(harness, "factor_over_Q", lambda f: calls.append(f) or real(f))
+    samples = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(2), Fraction(-3)]
+    assert harness.generic_group(FERMAT.P, samples) == 12
+    assert calls == [FERMAT.P.specialize(t) for t in samples[:2] + samples[4:]]
+
+
 def test_verify_equivalence_toy_square_family():
     from hitbox.rationals import is_square_rational
 
