@@ -2,24 +2,24 @@
 
 Identification consumes one ``Factorization`` over Q of the polynomial and
 never factors it again: the splitting field only sees distinct roots, so
-every classifier reads the radical (the distinct monic factors).  Radicals
-of degree up to 4 are classified definitively (discriminant square test,
-rational roots of the resolvent cubic, exact splitting-field composition
-for reducible inputs).
-Degrees 5 and 6 get a cycle-type sieve against embedded transitive-group
-tables: the candidate set always contains the true group, so the only
-definitive verdicts it supports are singletons and order statements shared
-by every surviving candidate.  The sieve reads the Frobenius cycle types
-that the factorizer's residue scan already found, on the scan's monic
-integer model, and reduces the polynomial modulo further primes only when
-it needs more; the discriminant it tests is that model's integer one.
-An irreducible quartic takes the same first pass over the degree-4 table,
-which lists all five transitive groups: once the scan has seen a 3-cycle,
-the square class of the resolvent cubic's discriminant leaves one row, A4
-or S4, and the resolvent cubic's rational roots are found only while two
-or more rows remain.  The resolvent cubic is a monic integer list, so the
-sieve and the quartic classifier both take the integer discriminant core
-of ``polys``.
+every classifier reads the radical (the distinct monic factors).  A
+reducible radical gets the exact splitting-field composition of its
+factors when they are linear and quadratic with at most one cubic (always
+so up to degree 4), else only its factor degrees.
+An irreducible radical f of degree 2-6 takes one table filter over the
+embedded transitive-group tables: the rows whose parity fits the square
+class of the integer discriminant of f's monic integer model, and whose
+cycle types hold every Frobenius cycle type that the factorizer's residue
+scan already read on that model.  Degrees 5 and 6 resume the scan's walk
+at further primes, up to a budget; degrees 2-4 read only the scan.  The
+true group always survives, and the tables list every transitive group,
+so a single row left is the group: parity alone leaves one in degrees 2
+and 3, and a 3-cycle in degree 4.  A quartic left with two or more rows
+goes to the filter's resolvent slot, the rational roots of its resolvent
+cubic and the Kappe-Warren test, so degrees up to 4 are definitive.
+Degrees 5 and 6 have no resolvent stage yet, so the only definitive
+verdicts their sieve supports are singletons and order statements shared
+by every surviving candidate.
 
 Given a reference group G, as its ``TransitiveGroupEntry``, the sieve
 starts from the table entries that are conjugate in S_n to a subgroup of G
@@ -223,7 +223,88 @@ class GaloisId:
         return f"reducible, factor degrees {list(self.factor_degrees)}"
 
 
-# -- square-class linear algebra -------------------------------------------------
+# -- the table filter, degrees 2..6 ------------------------------------------------
+
+
+def _resolvent_ints(F) -> list[int]:
+    """The resolvent cubic of the monic integer quartic F: the monic integer
+    cubic whose roots are x1x2+x3x4, x1x3+x2x4 and x1x4+x2x3 for the roots
+    x_i of F, with disc(F) as its discriminant."""
+    d, c, b, a, _ = F
+    return [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
+
+
+def _splits_over(disc_q: int, D: int) -> bool:
+    """Does a quadratic of discriminant disc_q split over Q(sqrt(D))?"""
+    return is_square_int(disc_q) or is_square_int(disc_q * D)
+
+
+def _quartic_resolvent(F, disc: int) -> TransitiveGroupEntry:
+    """The degree-4 resolvent stage: the group of the irreducible monic
+    integer quartic F = X^4 + a X^3 + b X^2 + c X + d of discriminant disc,
+    from the rational roots of its resolvent cubic.  None gives A4 or S4 by
+    the square class of disc, three give V4, and one root z gives C4 or D4
+    by the Kappe-Warren test: C4 exactly when z^2 - 4d and a^2 - 4(b - z)
+    both split over Q(sqrt(disc))."""
+    C4, V4, D4, A4, S4 = transitive_table(4)
+    roots = rational_roots(UniPoly.from_ints(_resolvent_ints(F), 1))
+    if not roots:
+        return A4 if is_square_int(disc) else S4
+    if len(roots) == 3:
+        return V4
+    z = roots.pop().numerator  # an integer: the cubic is monic
+    d, _, b, a, _ = F
+    cyclic = _splits_over(z * z - 4 * d, disc) and _splits_over(a * a - 4 * (b - z), disc)
+    return C4 if cyclic else D4
+
+
+def _identify_irreducible(
+    fac: Factorization, f: UniPoly, budget: int | None, within: TransitiveGroupEntry | None
+) -> tuple[list[TransitiveGroupEntry], SieveEvidence]:
+    """The table rows that fit f, the irreducible radical of ``fac`` of
+    degree n in 2..6, and the evidence that left them.
+
+    F is f's monic integer model of scale m: ``fac.model`` when the scan
+    ran on the input (then the input is squarefree and F is f's), else
+    built here.  The rows, of the degree-n table or conjugate into
+    ``within``, are cut to the parity of disc(F) = m^(n(n-1)) disc(f) (a
+    quartic's from its resolvent cubic, whose discriminant equals disc(F)
+    in closed form), then by each Frobenius cycle type (Dedekind) that the
+    scan handed over and, in degrees 5 and 6, that the walk resumed after
+    it reads (``factorq.usable_cycle_types``): at most ``budget`` primes
+    (None: no bound), until at most one row is left.  A set that starts as
+    a singleton is read to the end, so that a wrong reference can still be
+    refuted; an empty one raises.  The resolvent slot: a quartic that keeps
+    two or more rows gets its group from ``_quartic_resolvent``.
+    """
+    n = f.degree
+    F, m = fac.model or _monic_int_model(f.primitive())
+    disc = _discriminant_ints(_resolvent_ints(F) if n == 4 else F)
+    disc_sq = is_square_int(disc)
+    table = transitive_table(n) if within is None else transitive_subgroups(within)
+    rows = [e for e in table if e.in_alternating == disc_sq]
+    stop = 1 if len(rows) > 1 else 0  # the set size that ends the walk
+    walk = fac.scanned
+    if n > 4:
+        walk = chain(walk, usable_cycle_types(F, m, disc, walk[-1][0] if walk else 2))
+    observed: set[tuple[int, ...]] = set()
+    primes: list[int] = []
+    for p, ct in islice(walk, budget):
+        primes.append(p)
+        observed.add(ct)
+        rows = [e for e in rows if ct in e.cycle_types]
+        if len(rows) <= stop:
+            break
+    if not rows:
+        if within is not None:
+            raise ReferenceMismatchError(p, ct, within.label)
+        raise InconclusiveError("no transitive group fits the evidence")
+    if n == 4 and len(rows) > 1:
+        rows = [_quartic_resolvent(F, disc)]
+    return rows, SieveEvidence(tuple(primes), frozenset(observed), disc_sq)
+
+
+# -- reducible radicals ----------------------------------------------------------
 
 
 def _f2_rank(classes: list[Fraction]) -> int:
@@ -236,62 +317,6 @@ def _f2_rank(classes: list[Fraction]) -> int:
         products += [q * c for c in products]
     squares = sum(map(is_square_rational, products))
     return len(classes) - squares.bit_length() + 1
-
-
-# -- definitive classification, degree <= 4 --------------------------------------
-
-
-def _resolvent_ints(N: list[int], D: int) -> list[int]:
-    """D^3 R(z/D) for R the resolvent cubic of the monic quartic N/D, a monic
-    integer cubic whose roots are D times those of R."""
-    n0, n1, n2, n3, _ = N
-    return [-(n3 * n3 * n0 - 4 * n2 * n0 * D + n1 * n1 * D), n3 * n1 - 4 * n0 * D, -n2, 1]
-
-
-def _splits_over(disc_q: int, D: int) -> bool:
-    """Does a quadratic of discriminant disc_q split over Q(sqrt(D))?"""
-    return is_square_int(disc_q) or is_square_int(disc_q * D)
-
-
-def _classify_irreducible_quartic(f: UniPoly, scanned) -> tuple[str, str, int]:
-    """Label, kind and order of an irreducible quartic's Galois group G.
-
-    ``scanned`` holds (p, cycle type) pairs of f at unramified primes, as
-    the factorizer's residue scan hands them over: each type is that of a
-    Frobenius element, so it lies in G (Dedekind).  The rows of the
-    degree-4 table whose parity agrees with the discriminant's square class
-    and whose cycle types hold every scanned one are the candidates, and
-    the table lists all five transitive groups, so a single survivor is G:
-    a 3-cycle leaves A4 or S4, and the square test picks one.  Only while
-    two or more rows remain are the rational roots of the resolvent cubic R
-    found: none gives A4 or S4 by the discriminant, three give V4, and one
-    root beta gives C4 or D4 by the Kappe-Warren test.  Everything is
-    scaled to integers by the quartic's common denominator D, which changes
-    no square class."""
-    N, D = f.monic().ints_den()
-    R = _resolvent_ints(N, D)
-    disc = _discriminant_ints(R)  # D^6 disc(f)
-    disc_sq = is_square_int(disc)
-    candidates = [
-        e
-        for e in transitive_table(4)
-        if e.in_alternating == disc_sq and all(ct in e.cycle_types for _, ct in scanned)
-    ]
-    if len(candidates) == 1:
-        return candidates[0].label, candidates[0].kind, candidates[0].order
-    roots = rational_roots(UniPoly.from_ints(R, 1))
-    if not roots:
-        return ("4T4", "A4", 12) if disc_sq else ("4T5", "S4", 24)
-    if len(roots) == 3:
-        return ("4T2", "V4", 4)
-    # beta = z/D: D^2 (beta^2 - 4 n0/D) and D^2 (a^2 - 4 (b - beta)) for
-    # f = X^4 + a X^3 + b X^2 + ... must both split over Q(sqrt(disc))
-    z = roots.pop().numerator  # an integer: R is monic
-    t1 = z * z - 4 * N[0] * D
-    t2 = N[3] * N[3] - 4 * D * (N[2] - z)
-    if _splits_over(t1, disc) and _splits_over(t2, disc):
-        return ("4T1", "C4", 4)
-    return ("4T3", "D4", 8)
 
 
 def _compose_kind(cyclic: str, rank: int) -> tuple[str, int]:
@@ -336,39 +361,31 @@ def _reducible_radical(fac: Factorization, rad: Factorization) -> GaloisId:
     )
 
 
+# -- entry points ---------------------------------------------------------------
+
+
 def classify_degree_le4(fac: Factorization) -> GaloisId:
     """Definitive Galois group of a polynomial whose radical has degree 1..4.
 
     Only the radical of the factorization is read: the splitting field only
     sees distinct roots (the degenerate specializations audited inside
-    exclusion sets need this).
+    exclusion sets need this).  An irreducible radical of degree 2..4 takes
+    the table filter on the scan that the factorization hands over, with
+    no walk resumed, and a quartic that keeps two or more rows the
+    resolvent stage; its ``GaloisId`` carries no sieve evidence.
     """
     if fac.degree < 1:
         raise DomainError("classification needs degree >= 1")
     rad = fac.radical()
     if rad.degree > 4:
         raise DomainError("degree > 4")
-    if rad.is_irreducible():
-        g = rad.factors[0][0]
-        n = g.degree
-        if n == 1:
-            label, kind, order = None, "C1", 1
-        elif n == 2:
-            label, kind, order = "2T1", "C2", 2
-        elif n == 3:
-            if is_square_rational(discriminant_uni(g)):
-                label, kind, order = "3T1", "C3", 3
-            else:
-                label, kind, order = "3T2", "S3", 6
-        else:
-            label, kind, order = _classify_irreducible_quartic(g, rad.scanned)
-        return GaloisId(
-            degree=fac.degree, mode="definitive", label=label, kind=kind, order=order
-        )
-    return _reducible_radical(fac, rad)
-
-
-# -- degree 5/6 sieve --------------------------------------------------------------
+    if not rad.is_irreducible():
+        return _reducible_radical(fac, rad)
+    f = rad.factors[0][0]
+    if f.degree == 1:
+        return GaloisId(degree=fac.degree, mode="definitive", kind="C1", order=1)
+    (e,), _ = _identify_irreducible(rad, f, None, None)
+    return GaloisId(degree=fac.degree, mode="definitive", label=e.label, kind=e.kind, order=e.order)
 
 
 def sieve_degree_5_6(
@@ -376,28 +393,17 @@ def sieve_degree_5_6(
 ) -> GaloisId:
     """Cycle-type sieve for a polynomial whose radical has degree 5 or 6.
 
-    Candidates are the transitive groups whose cycle types contain every
-    observed residue type of the (irreducible) radical, cut down by the
-    discriminant square test; the true group always survives, so increasing
-    the budget never enlarges the set.  Primes are examined one at a time,
-    at least one and at most ``budget`` usable ones, until at most one
-    candidate is left; a set that starts as a singleton is read to the
-    budget, so that a wrong reference can still be refuted.  With
-    ``within`` (a table entry), only the groups conjugate into it are
-    candidates, and a singleton is reported as 'conditional'; an empty set
-    refutes the reference (``ReferenceMismatchError``).
-
-    The primes and their cycle types are those of the monic integer model
-    F of scale m that ``factor_over_Q``'s residue scan walked: the usable
-    odd primes prime to m at which F is squarefree, in increasing order
-    (``factorq.usable_cycle_types``).  A factorization whose scan ran on
-    the input carries F, m and the scan's (p, cycle type) list; the sieve
-    reads that list first and resumes the walk after its last prime only
-    when it needs more.  The square test and the primes skipped unread
-    come from the integer disc(F) = m^(n(n-1)) disc(f), which has f's
-    square class and f's prime divisors outside m.  A reducible radical
-    gets its splitting field when that is resolved here, else only its
-    factor degrees.
+    An irreducible radical takes the table filter (``_identify_irreducible``)
+    on the scan that ``factor_over_Q`` handed over, resuming the walk only
+    when it needs more: at least one and at most ``budget`` usable primes,
+    until at most one candidate is left.  The true group always survives,
+    so increasing the budget never enlarges the set.  With ``within`` (a
+    table entry), only the groups conjugate into it are candidates, a
+    singleton is reported as 'conditional', and an empty set refutes the
+    reference (``ReferenceMismatchError``).  With no resolvent stage for
+    these degrees yet, two or more candidates are 'sieved'.  A reducible
+    radical gets its splitting field when that is resolved here, else only
+    its factor degrees.
     """
     if budget < 1:
         raise DomainError("prime budget must be at least 1")
@@ -408,35 +414,9 @@ def sieve_degree_5_6(
     if not rad.is_irreducible():
         return _reducible_radical(fac, rad)
     f = rad.factors[0][0]
-    if within is None:
-        table = transitive_table(f.degree)
-    elif within.degree == f.degree:
-        table = transitive_subgroups(within)
-    else:
+    if within is not None and within.degree != f.degree:
         raise DomainError(f"reference degree {within.degree} != {f.degree}")
-    # a model on fac is f's: only a squarefree input keeps one
-    F, m = fac.model or _monic_int_model(f.primitive())
-    disc = _discriminant_ints(F)
-    disc_sq = is_square_int(disc)
-    candidates = [e for e in table if e.in_alternating == disc_sq]
-    stop = 1 if len(candidates) > 1 else 0  # the set size that ends the scan
-    observed: set[tuple[int, ...]] = set()
-    primes: list[int] = []
-    scanned = fac.scanned
-    walk = chain(scanned, usable_cycle_types(F, m, disc, scanned[-1][0] if scanned else 2))
-    for p, ct in islice(walk, budget):
-        primes.append(p)
-        observed.add(ct)
-        candidates = [e for e in candidates if ct in e.cycle_types]
-        if len(candidates) <= stop:
-            break
-    if not candidates:
-        if within is not None:
-            raise ReferenceMismatchError(p, ct, within.label)
-        raise InconclusiveError("no transitive group fits the evidence")
-    evidence = SieveEvidence(
-        primes=tuple(primes), observed_types=frozenset(observed), disc_square=disc_sq
-    )
+    candidates, evidence = _identify_irreducible(rad, f, budget, within)
     if len(candidates) == 1:
         e = candidates[0]
         return GaloisId(
@@ -480,9 +460,14 @@ def groups_match(gid: GaloisId, reference: TransitiveGroupEntry) -> bool | None:
 
     True/False when the identification supports a verdict: a definitive or
     conditional one names its order and kind, and the reference's table
-    entry has both.  None when the sieve candidates disagree about matching
-    the reference order.
+    entry has both.  A reducible polynomial of the reference's degree never
+    matches: outside the exclusion set it is separable, so its group is
+    intransitive, while the reference is transitive.  None when the sieve
+    candidates disagree about matching the reference order, or when only
+    the factor degrees of a polynomial of another degree are known.
     """
+    if gid.factor_degrees and gid.degree == reference.degree:
+        return False
     if gid.mode in ("definitive", "conditional"):
         return gid.order == reference.order and gid.kind == reference.kind
     if gid.mode == "sieved":

@@ -53,11 +53,13 @@ def serre_quartic(t) -> UniPoly:
 
 def resolvent_cubic(f: UniPoly) -> UniPoly:
     """Monic cubic with roots x1x2+x3x4, x1x3+x2x4, x1x4+x2x3 of a quartic f,
-    rescaled from the integer cubic ``galois._resolvent_ints`` that the
-    quartic classifier reads."""
-    N, D = f.monic().ints_den()
-    r0, r1, r2, r3 = galois._resolvent_ints(N, D)
-    return UniPoly.from_ints([r0, r1 * D, r2 * D * D, r3 * D**3], D**3).monic()
+    rescaled from the integer cubic ``galois._resolvent_ints`` of f's monic
+    integer model F of scale m, which the quartic classifier reads: F's
+    roots are m times f's, so the cubic's roots are m^2 times."""
+    F, m = factorq._monic_int_model(f.primitive())
+    r0, r1, r2, r3 = galois._resolvent_ints(F)
+    s = m * m
+    return UniPoly.from_ints([r0, r1 * s, r2 * s * s, r3 * s**3], s**3).monic()
 
 
 def test_transitive_table_counts():
@@ -330,6 +332,21 @@ def test_groups_match():
     assert groups_match(s3, table_entry("6T1")) is False
 
 
+@pytest.mark.parametrize(
+    "text, label, match",
+    [
+        ("(X^3-2)*(X^2+1)*(X-1)", "6T3", False),  # D6 of order 12, but intransitive
+        ("X^5-X-30", "5T5", False),  # (X - 2) times a quartic: mode 'factored'
+        ("(X^2-2)*(X^2-3)", "4T2", False),  # V4 of order 4, but intransitive
+        ("X^6-1", "2T1", True),  # another degree: only the abstract group counts
+    ],
+)
+def test_reducible_polynomial_never_matches_a_reference_of_its_degree(text, label, match):
+    gid = identify_galois(factor_over_Q(parse_unipoly(text)))
+    assert gid.factor_degrees
+    assert groups_match(gid, table_entry(label)) is match
+
+
 def test_identify_galois_radicalizes():
     gid = identify_galois(factor_over_Q(X**6))  # radical is X
     assert gid.order == 1
@@ -399,15 +416,21 @@ def test_sieve_refutes_a_wrong_single_candidate_reference():
     assert (err.prime, err.cycle_type, err.reference) == (11, (2, 2, 1, 1), "6T1")
 
 
-def _sympy_label(f: UniPoly) -> str:
-    """nTk label of sympy's Galois group of f, matched by conjugacy in S_n."""
+def _sympy_group(f: UniPoly):
+    """sympy's Galois group of f, as the member of its transitive-subgroup
+    enumeration for f's degree."""
     galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
     import sympy
 
     x = sympy.Symbol("x")
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
     name, _ = galoisgroups.galois_group(sympy.Poly(coeffs, x, domain="QQ"), by_name=True)
-    G = name.get_perm_group()
+    return name
+
+
+def _sympy_label(f: UniPoly) -> str:
+    """nTk label of sympy's Galois group of f, matched by conjugacy in S_n."""
+    G = _sympy_group(f).get_perm_group()
     return label_for_group(closure(f.degree, [tuple(g.array_form) for g in G.generators]))
 
 
@@ -505,6 +528,73 @@ def test_quartic_group_from_the_scan_matches_the_resolvent_path(f):
     assert gid == classify_degree_le4(resolvent_only), poly_str(f)
     assert gid.mode == "definitive" and gid.evidence == galois.SieveEvidence()
     assert _sympy_label(f) == gid.label, poly_str(f)
+
+
+# sympy names the groups of degree 2 and 3 by their action, the table by kind
+_SYMPY_KIND = {"S2": "C2", "A3": "C3", "S3": "S3"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(
+        st.lists(st.integers(-30, 30), min_size=2, max_size=3),
+        st.sampled_from([1, 2, 3, 6, 9, -4, 12]),
+        st.sampled_from([1, 2, 5, 9]),
+    ).map(lambda c: UniPoly([Fraction(a, c[2]) for a in c[0]] + [c[1]]))
+)
+@example(parse_unipoly("X^3-3*X+1"))  # C3: a square discriminant
+@example(parse_unipoly("X^3-2"))  # S3
+def test_quadratic_and_cubic_groups_match_sympy(f):
+    # non-monic leads and denominators put a scale into the monic model,
+    # whose integer discriminant the table filter reads
+    fac = factor_over_Q(f)
+    assume(fac.is_irreducible())
+    gid = identify_galois(fac)
+    theirs = _sympy_group(f)
+    assert gid.mode == "definitive", poly_str(f)
+    assert (gid.label, gid.kind) == (_sympy_label(f), _SYMPY_KIND[theirs.name]), poly_str(f)
+    assert gid.order == theirs.get_perm_group().order(), poly_str(f)
+    # with no model handed over, the filter builds its own
+    assert identify_galois(dataclasses.replace(fac, model=None, scanned=())) == gid
+
+
+def test_quartic_classifier_reads_only_the_handed_over_scan(monkeypatch):
+    # a fresh, unbounded residue cache that logs every read, by kernel
+    reads = []
+
+    @functools.lru_cache(maxsize=None)
+    def cache(kernel, p, fp, *rest):
+        return kernel(fp, p, *rest)
+
+    def reading(kernel, p, fp, *rest):
+        reads.append((kernel.__name__, p))
+        return cache(kernel, p, fp, *rest)
+
+    monkeypatch.setattr(factorq, "_residue_cache", reading)
+    solved = []
+    roots = galois.rational_roots
+    monkeypatch.setattr(galois, "rational_roots", lambda f: solved.append(f) or roots(f))
+    # a quartic of every group, two of them rescaled and shifted; the scan
+    # of X^4-X-1 (S4) stops at the 4-cycle it sees at 3, and that of the C4
+    # quartic at its 4-cycle, so both leave two or more rows
+    quartics = [parse_unipoly(text) for text, _, _ in KNOWN_QUARTICS]
+    quartics += [parse_unipoly("X^4-10*X^2+1"), parse_unipoly("X^4-2*X-2")]
+    quartics += [f.compose(UniPoly([Fraction(2, 5), Fraction(1, 3)])) * 7 for f in quartics[:2]]
+    labels = set()
+    for f in quartics:
+        fac = factor_over_Q(f)
+        assert fac.is_irreducible() and fac.scanned, poly_str(f)
+        reads.clear()
+        solved.clear()
+        gid = classify_degree_le4(fac)
+        labels.add(gid.label)
+        # no residue of the quartic is read: the filter takes the handed
+        # over (p, cycle type) list and never resumes the walk; only the
+        # resolvent cubic's roots are found mod a prime
+        assert all(kernel != "_usable_ddf" for kernel, _ in reads), poly_str(f)
+        if f in (parse_unipoly("X^4-X-1"), parse_unipoly("X^4+X^3+X^2+X+1")):
+            assert fac.scanned[0][1] == (4,) and len(solved) == 1, poly_str(f)
+    assert labels == {"4T1", "4T2", "4T3", "4T4", "4T5"}
 
 
 def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):

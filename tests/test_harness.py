@@ -321,16 +321,23 @@ def test_verify_equivalence_toy_square_family():
 def test_indeterminate_verdict_is_counted_and_listed():
     # X^6 + 3 (t = -3) has group S3 = 6T2, which the cycle-type sieve cannot
     # tell from 6T1 or 6T3; at t = -1 P(t, X) factors as (2, 4), which
-    # gives only its factor degrees
+    # gives only its factor degrees, but its group is intransitive, so it
+    # is not the transitive reference and the record is not indeterminate
     P = parse_poly("X^6 - T")
     data = HitData(name="x6", P=P, D=compute_exclusion_set(P, ()), S=())
     report = verify_equivalence(data, table_entry("6T3"), 3)
     payload = json.loads(report_to_json(report))
-    assert payload["counts"] == {"generic": 11, "indeterminate": 3}
-    assert payload["indeterminate_ts"] == ["-1", "-3", "-1/3"]
-    assert [r.galois.mode for r in report.indeterminates] == ["factored", "sieved", "sieved"]
-    assert report.indeterminates[1].galois.candidates == ("6T1", "6T2", "6T3")
+    assert payload["counts"] == {"generic": 12, "indeterminate": 2}
+    assert payload["indeterminate_ts"] == ["-3", "-1/3"]
+    assert [r.galois.mode for r in report.indeterminates] == ["sieved", "sieved"]
+    assert report.indeterminates[0].galois.candidates == ("6T1", "6T2", "6T3")
     assert all(r.verdict == "indeterminate" and r.match is None for r in report.indeterminates)
+    # S is empty, so no record has a witness, and G_t differs from G at
+    # t = -1 and at t = 1 (X^6 - 1, group C2): both are violations
+    assert [(r.t, r.galois.mode, r.match) for r in report.violations] == [
+        (-1, "factored", False),
+        (1, "definitive", False),
+    ]
 
 
 def test_degenerate_empty_s_flags_invalid():
