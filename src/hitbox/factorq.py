@@ -1,12 +1,17 @@
 """Exact factorization over Q, rational roots, residue cycle types.
 
-Everything runs on ascending integer lists.  The ``_gp_*`` helpers work
-modulo a prime for factoring and root finding, and modulo prime powers for
-Hensel lifting, over the integer core of ``polys`` (``_trim``, ``_mul``);
-recombination divides by monic candidates with its one pseudo-division
-(``_pseudo_divmod``).  A ``UniPoly`` is read through its integer pair, and
-factors are rebuilt from integers.  The odd primes come from one cached
-sieve (``rationals.odd_primes``).
+Everything runs on ascending integer lists, with the one integer core of
+``polys`` (``_add``, ``_sub``, ``_mul``, ``_deriv``, ``_pseudo_divmod``).
+Arithmetic modulo m, a prime for factoring and root finding or a prime
+power for Hensel lifting, is that core followed by one reduction
+(``_red``): an expression is computed in the integers and reduced once,
+and the ``_gp_*`` helpers divide by the monic multiple of the divisor,
+which is plain division in the integers.  Every value of a polynomial at
+all the residues mod p comes from one Horner pass (``_values_mod``).
+Recombination divides by monic candidates with the same pseudo-division.
+A ``UniPoly`` is read through its integer pair, and factors are rebuilt
+from integers.  The odd primes come from one cached sieve
+(``rationals.odd_primes``).
 
 The rational factorization makes one residue pass (``_good_prime``) over
 the monic integer model F of the input: the distinct-degree splits of F
@@ -42,27 +47,28 @@ Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
 degrees with the Frobenius matrix, one matrix-vector product per degree.
 
-Three mod-p kernels sit behind one cache (``_per_residue_class``): the
+Two mod-p kernels sit behind one cache (``_per_residue_class``): the
 distinct-degree split that the residue scan, the sieve's resumed walk and
 ``cycle_type_mod_p`` read (``_usable_ddf``, whose value carries the
 split's cycle type and degree set, so both are worked out once per
-residue class), the equal-degree split of the
-Zassenhaus prime (``_gp_factor_sqf``) and the roots mod p
-(``_simple_roots_mod``).  The key is p and the input's integer
-coefficients reduced mod p, and a kernel is handed the key itself, so it
-sees nothing else: the split that ``_gp_factor_sqf`` also takes is
-computed from the same key, and its random polynomials come from a source
-seeded with the key.  So each kernel is a function of its key, and a
-lookup returns exactly what a computation would.  Across a bounded-height
-sweep P(t, X) mod p takes few values, so a split is computed once per
-residue class instead of once per parameter (``hit verify`` on fermat-x6
-at height 30, reference included, makes 4262 calls of ``_usable_ddf`` over
-408 keys, where the sweep's fibre memo in ``harness`` factors each of its
-555 distinct sextics once).  The cache holds at most
-``_RESIDUE_CACHE_SIZE`` = 4096 entries and drops the least recently used;
-an entry takes about 0.5 KB, and under 0.7 KB for a sextic split into six
-linear factors, so a full cache holds under 3 MB.  Values are tuples, so
-no caller can change one.
+residue class), and the roots mod p (``_simple_roots_mod``).  The key is
+p and the input's integer coefficients reduced mod p, and a kernel is
+handed the key itself, so it sees nothing else: each kernel is a function
+of its key, and a lookup returns exactly what a computation would.
+Across a bounded-height sweep P(t, X) mod p takes few values, so a split
+is computed once per residue class instead of once per parameter (``hit
+verify`` on fermat-x6 at height 30, reference included, makes 4262 calls
+of ``_usable_ddf`` over 408 keys, where the sweep's fibre memo in
+``harness`` factors each of its 555 distinct sextics once).  The cache
+holds at most ``_RESIDUE_CACHE_SIZE`` = 4096 entries and drops the least
+recently used; an entry takes about 0.5 KB, and under 0.7 KB for a sextic
+split into six linear factors, so a full cache holds under 3 MB.  Values
+are tuples, so no caller can change one.  The equal-degree split of the
+Zassenhaus prime (``_gp_factor_sqf``) is not cached: a sweep seldom
+repeats one (serre-a4 makes 2 at height 30 under ``hit verify``, and 5 on
+4 residue classes at height 100 under ``hit enumerate``), so it is
+computed each time, its random polynomials from a source seeded with p
+and the input reduced mod p.
 
 Rational roots are read straight from the integer pair, whose content
 and denominator move no root: zero roots come off as a factor X^k, and
@@ -109,64 +115,45 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import DomainError
-from .polys import UniPoly, _mul, _primitive, _pseudo_divmod, _trim, squarefree_part
+from .polys import UniPoly, _add, _deriv, _mul, _primitive, _pseudo_divmod, _sub, _trim, squarefree_part
 from .rationals import _odd_primes_below, as_prime, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
 #
-# Inputs are reduced mod p.  Inverses are taken with pow(c, -1, p), so Hensel
+# The integer core of ``polys`` followed by one reduction, ``_red``.  Inputs
+# are reduced mod p.  Inverses are taken with pow(c, -1, p), so Hensel
 # lifting runs the same helpers modulo a prime power, where it divides only
 # by monic polynomials.
 
 
-def _gp_add(f, g, p):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
-
-
-def _gp_sub(f, g, p):
-    return _gp_add(f, [(-c) % p for c in g], p)
+def _red(f, m):
+    """The trimmed list f mod m, entries in [0, m)."""
+    return _trim([c % m for c in f])
 
 
 def _gp_mul(f, g, p):
-    return _trim([c % p for c in _mul(f, g)])
-
-
-def _gp_mul_ground(f, c, p):
-    c %= p
-    return _trim([a * c % p for a in f])
+    return _red(_mul(f, g), p)
 
 
 def _gp_monic(f, p):
-    if not f:
-        return []
-    return _gp_mul_ground(f, pow(f[-1], -1, p), p)
+    """The monic multiple of f mod p; f itself when it is monic or zero."""
+    if not f or f[-1] == 1:
+        return f
+    inv = pow(f[-1], -1, p)
+    return _red([inv * c for c in f], p)
 
 
 def _gp_divmod(f, g, p):
-    if not g:
-        raise DomainError("division by zero mod p")
+    """Division by g mod p: f = q*g + r with deg r < deg g, from the
+    pseudo-division of f by the monic multiple of g, which is plain
+    division in the integers, and one reduction."""
     inv = pow(g[-1], -1, p)
-    rem = list(f)
-    dq = len(rem) - len(g)
-    if dq < 0:
-        return [], _trim(rem)
-    quo = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(g) - 1] * inv % p
-        quo[k] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[k + j] = (rem[k + j] - c * b) % p
-    return _trim(quo), _trim(rem[: len(g) - 1])
+    q, r = _pseudo_divmod(f, _gp_monic(g, p))
+    return _red([inv * c for c in q], p), _red(r, p)
 
 
 def _gp_rem(f, g, p):
-    return _gp_divmod(f, g, p)[1]
+    return _red(_pseudo_divmod(f, _gp_monic(g, p))[1], p)
 
 
 def _gp_gcd(f, g, p):
@@ -183,20 +170,12 @@ def _gp_gcdex(f, g, p):
     while r1:
         q, r = _gp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gp_sub(s0, _gp_mul(q, s1, p), p)
-        t0, t1 = t1, _gp_sub(t0, _gp_mul(q, t1, p), p)
+        s0, s1 = s1, _red(_sub(s0, _mul(q, s1)), p)
+        t0, t1 = t1, _red(_sub(t0, _mul(q, t1)), p)
     if not r0:
         return [], [], []
     inv = pow(r0[-1], -1, p)
-    return (
-        _gp_mul_ground(s0, inv, p),
-        _gp_mul_ground(t0, inv, p),
-        _gp_monic(r0, p),
-    )
-
-
-def _gp_deriv(f, p):
-    return _trim([i * c % p for i, c in enumerate(f)][1:])
+    return _red([inv * c for c in s0], p), _red([inv * c for c in t0], p), _gp_monic(r0, p)
 
 
 def _gp_pow_mod(f, n, mod, p):
@@ -204,9 +183,10 @@ def _gp_pow_mod(f, n, mod, p):
     base = _gp_rem(f, mod, p)
     while n:
         if n & 1:
-            result = _gp_rem(_gp_mul(result, base, p), mod, p)
-        base = _gp_rem(_gp_mul(base, base, p), mod, p)
+            result = _gp_rem(_mul(result, base), mod, p)
         n >>= 1
+        if n:  # no square past the last bit
+            base = _gp_rem(_mul(base, base), mod, p)
     return result
 
 
@@ -217,12 +197,21 @@ def _gp_eval(f, x, p):
     return acc
 
 
+def _values_mod(f, p):
+    """[f(x) mod p for x in range(p)], by Horner at every residue at once."""
+    xs = range(p)
+    vals = [0] * p
+    for c in reversed(f):
+        vals = [(v * x + c) % p for v, x in zip(vals, xs)]
+    return vals
+
+
 def _gp_frobenius_rows(f, p):
     """Rows x^(i*p) mod f for i < deg f: the matrix of h -> h^p mod f."""
     xp = _gp_pow_mod([0, 1], p, f, p)
     rows = [[1]]
     for _ in range(len(f) - 2):
-        rows.append(_gp_rem(_gp_mul(rows[-1], xp, p), f, p))
+        rows.append(_gp_rem(_mul(rows[-1], xp), f, p))
     return rows
 
 
@@ -233,7 +222,7 @@ def _gp_frobenius(h, rows, p):
         if c:
             for j, r in enumerate(row):
                 out[j] += c * r
-    return _trim([v % p for v in out])
+    return _red(out, p)
 
 
 # -- one cache in front of the mod-p kernels -----------------------------------
@@ -243,20 +232,19 @@ _RESIDUE_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
-def _residue_cache(kernel, p, fp, *rest):
-    return kernel(fp, p, *rest)
+def _residue_cache(kernel, p, fp):
+    return kernel(fp, p)
 
 
 def _per_residue_class(kernel):
-    """``kernel(f, p, *rest)`` computed once per residue class: the kernel
-    is called with the key itself, f's coefficients reduced mod p (f's
-    length kept, so a leading coefficient that dies mod p shows), and
-    ``rest`` must be a function of that key.  Every caller gets the same
-    value, so the kernel returns tuples."""
+    """``kernel(f, p)`` computed once per residue class: the kernel is
+    called with the key itself, f's coefficients reduced mod p (f's length
+    kept, so a leading coefficient that dies mod p shows).  Every caller
+    gets the same value, so the kernel returns tuples."""
 
     @functools.wraps(kernel)
-    def cached(f, p, *rest):
-        return _residue_cache(kernel, p, tuple([c % p for c in f]), *rest)
+    def cached(f, p):
+        return _residue_cache(kernel, p, tuple([c % p for c in f]))
 
     return cached
 
@@ -278,7 +266,7 @@ def _gp_ddf(f, p):
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
         h = _gp_frobenius(h, rows, p)
-        g = _gp_gcd(_gp_sub(h, x, p), f, p)
+        g = _gp_gcd(_red(_sub(h, x), p), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = _gp_divmod(f, g, p)[0]
@@ -308,18 +296,18 @@ def _gp_edf(f, d, p, rng):
         if len(a) < 2:
             continue
         b = _gp_pow_mod(a, (p**d - 1) // 2, f, p)
-        g = _gp_gcd(_gp_sub(b, [1], p), f, p)
+        g = _gp_gcd(_red(_sub(b, [1]), p), f, p)
         if 1 < len(g) < len(f):
             return _gp_edf(g, d, p, rng) + _gp_edf(_gp_divmod(f, g, p)[0], d, p, rng)
 
 
-@_per_residue_class
 def _gp_factor_sqf(f, p, split):
-    """Irreducible factors of a monic squarefree f mod p, sorted, from its
-    distinct-degree split."""
+    """Irreducible factors of a monic squarefree f reduced mod p, sorted,
+    from its distinct-degree split; the random polynomials come from a
+    source seeded with p and f."""
     rng = random.Random(_edf_seed(f, p))
-    out = [tuple(h) for g, d in split for h in _gp_edf(g, d, p, rng)]
-    return tuple(sorted(out, key=lambda h: (len(h), h)))
+    out = [list(h) for g, d in split for h in _gp_edf(g, d, p, rng)]
+    return sorted(out, key=lambda h: (len(h), h))
 
 
 class _Split(NamedTuple):
@@ -335,10 +323,10 @@ class _Split(NamedTuple):
 def _usable_ddf(ints, p):
     """The ``_Split`` of sum ints[i] x^i mod p, or None if p is unusable
     for it (as ``cycle_type_mod_p`` defines it)."""
-    fp = _trim([c % p for c in ints])
+    fp = _red(ints, p)
     if len(fp) != len(ints) or len(fp) < 2:
         return None  # the leading coefficient died, or f is constant
-    d = _gp_deriv(fp, p)
+    d = _red(_deriv(fp), p)
     if not d or len(_gp_gcd(fp, d, p)) > 1:
         return None  # not squarefree mod p
     parts = tuple((tuple(g), d) for g, d in _gp_ddf(_gp_monic(fp, p), p))
@@ -389,23 +377,18 @@ def usable_cycle_types(F: list[int], m: int, disc: int, after: int = 2):
 # -- Hensel lifting (monic integer polynomials, ascending int lists) -----------
 
 
-def _z_trunc(f, m):
-    """Symmetric representatives mod m."""
-    half = m // 2
-    return _trim([(c + half) % m - half for c in f])
-
-
 def _hensel_step(m, f, g, h, s, t):
-    """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to modulus m^2; h monic."""
+    """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to modulus m^2; h monic.
+    Each expression is computed in the integers and reduced once."""
     M = m * m
-    e = _gp_sub([c % M for c in f], _gp_mul(g, h, M), M)
-    q, r = _gp_divmod(_gp_mul(s, e, M), h, M)
-    G = _gp_add(g, _gp_add(_gp_mul(t, e, M), _gp_mul(q, g, M), M), M)
-    H = _gp_add(h, r, M)
-    b = _gp_sub(_gp_add(_gp_mul(s, G, M), _gp_mul(t, H, M), M), [1], M)
-    c, d = _gp_divmod(_gp_mul(s, b, M), H, M)
-    S = _gp_sub(s, d, M)
-    T = _gp_sub(t, _gp_add(_gp_mul(t, b, M), _gp_mul(c, G, M), M), M)
+    e = _red(_sub(f, _mul(g, h)), M)
+    q, r = _gp_divmod(_mul(s, e), h, M)
+    G = _red(_add(g, _add(_mul(t, e), _mul(q, g))), M)
+    H = _red(_add(h, r), M)
+    b = _red(_sub(_add(_mul(s, G), _mul(t, H)), [1]), M)
+    c, d = _gp_divmod(_mul(s, b), H, M)
+    S = _red(_sub(s, d), M)
+    T = _red(_sub(t, _add(_mul(t, b), _mul(c, G))), M)
     return G, H, S, T
 
 
@@ -415,7 +398,7 @@ def _hensel_lift(p, f, factors, l):
     mod p^l."""
     r = len(factors)
     if r == 1:
-        return [_trim([c % p**l for c in f])]
+        return [_red(f, p**l)]
     k = r // 2
     d = max(1, (l - 1).bit_length())  # ceil(log2(l)) quadratic steps, in integers
     g = [1]
@@ -507,7 +490,7 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
     if not splits or not degrees & middle:
         return _Scan(splits, degrees, splits[-1] if splits else None, [])
     p, split = min(splits, key=lambda s: len(s[1].cycle_type))
-    return _Scan(splits, degrees, (p, split), [list(h) for h in _gp_factor_sqf(f, p, split.parts)])
+    return _Scan(splits, degrees, (p, split), _gp_factor_sqf(_red(f, p), p, split.parts))
 
 
 def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
@@ -534,7 +517,7 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
     if len(linear) == 2:
         residues = [-linear[0] % p]
     else:
-        residues = [r for r in range(p) if _gp_eval(linear, r, p) == 0]
+        residues = [r for r, v in enumerate(_values_mod(linear, p)) if not v]
     found = []
     modular = scan.modular
     for y in _lift_roots(f, p, residues):
@@ -562,7 +545,7 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
                 G = [1]
                 for i in combo:
                     G = _gp_mul(G, lifted[i], pl)
-                G = _z_trunc(G, pl)
+                G = [(c + pl // 2) % pl - pl // 2 for c in G]  # monic: stays trimmed
                 q, r = _pseudo_divmod(f, G)
                 if r:
                     continue
@@ -746,14 +729,11 @@ def _simple_roots_mod(F, p: int) -> tuple[int, ...] | None:
     """The roots of F in F_p, found by evaluation at every residue at once
     (Horner), or None if one of them is a multiple root (F'(r) = 0 mod p):
     then p is unusable."""
-    us = range(p)
-    vals = [F[-1]] * p
-    for c in F[-2::-1]:
-        vals = [(v * u + c) % p for v, u in zip(vals, us)]
+    vals = _values_mod(F, p)
     if 0 not in vals:
         return ()
-    roots = tuple([u for u, v in zip(us, vals) if not v])
-    dF = _gp_deriv(F, p)
+    roots = tuple([u for u, v in enumerate(vals) if not v])
+    dF = _deriv(F)
     return None if any(_gp_eval(dF, r, p) == 0 for r in roots) else roots
 
 
@@ -765,7 +745,7 @@ def _lift_roots(F: list[int], p: int, residues) -> list[int]:
     1 + max|F_i| its symmetric representative is the only integer root of F
     it can be; every candidate is checked exactly (von zur Gathen &
     Gerhard, §15)."""
-    dF = [i * c for i, c in enumerate(F)][1:]
+    dF = _deriv(F)
     bound = 2 * (1 + max(abs(c) for c in F))
     roots = []
     for r in residues:
@@ -874,14 +854,7 @@ def _point_roots(rows: list[list[int]], d: int, p: int) -> list[int]:
             return int(pow(cs[1] * cs[1] - 4 * cs[0] * cs[2], (p - 1) // 2, p) != p - 1)
         return int(_simple_roots_mod(cs, p) != ())
 
-    xs = range(p)
-    cols = []
-    for row in rows:
-        vals = [0] * p
-        for c in reversed(row):
-            vals = [(v * x + c) % p for v, x in zip(vals, xs)]
-        cols.append(vals)
-    points = [has_root(cs) for cs in zip(*cols)]
+    points = [has_root(cs) for cs in zip(*[_values_mod(row, p) for row in rows])]
     points.append(has_root(tuple(row[d] % p if len(row) > d else 0 for row in rows)))
     return points
 

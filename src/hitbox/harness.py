@@ -7,8 +7,10 @@ outside D for the root-witness equivalence, and enumerates exceptional
 parameters together with the curve points that certify them.
 
 Indeterminate Galois identifications (the degree-5/6 sieve cannot always
-separate groups) are a third verdict: they are reported and counted, never
-silently passed or failed.
+separate groups) are a verdict of their own: they are reported and
+counted, never silently passed or failed.  So is a violation, a t outside
+D whose witness contradicts its group match; the report lists exactly the
+records of that verdict as its equivalence violations.
 
 Equivalence sweeps sieve each sextic inside the subgroups of the reference
 group, as the decomposition-group argument behind D allows for t outside D.
@@ -93,7 +95,9 @@ class SpecializationRecord:
     witness: tuple[int, Fraction] | None
     factorization: tuple[int, ...]
     galois: GaloisId | None
-    verdict: str  # excluded | exceptional | generic | indeterminate
+    # excluded | violation | exceptional | generic | indeterminate; a
+    # violation is a t outside D whose match contradicts its witness
+    verdict: str
     # groups_match(galois, reference) for t outside D, when a reference was given
     match: bool | None = None
 
@@ -222,6 +226,8 @@ def exceptional_test(
             match = groups_match(gid, within)
     if in_d:
         verdict = "excluded"
+    elif match is not None and (witness is not None) == match:
+        verdict = "violation"
     elif witness is not None:
         verdict = "exceptional"
     elif reference is not None and gid is not None:
@@ -364,7 +370,7 @@ def verify_equivalence(
         counts[rec.verdict] = counts.get(rec.verdict, 0) + 1
         if rec.match is None:
             indeterminates.append(rec)
-        elif (rec.witness is not None) == rec.match:
+        elif rec.verdict == "violation":
             violations.append(rec)
     if factor_types:
         generic_type = generic_factorization_type(data)

@@ -8,11 +8,16 @@ and equality and hashing compare values, not pairs.  Fractions are built
 only at the edges: parsing, ``coeffs``, ``lc`` and indexing for outside
 readers, evaluation, printing and roots.
 
-Three helpers on dense ascending lists form the integer core that
-``factorq`` shares: ``_trim`` drops trailing zeros, ``_mul`` multiplies,
-and ``_pseudo_divmod`` pseudo-divides.  The one pseudo-division serves
-``UniPoly.divmod``, the primitive PRS behind ``uni_gcd``, the subresultant
-PRS behind the resultants, and Zassenhaus recombination.
+The helpers on dense ascending lists form the one integer core of the
+package: ``_trim`` drops trailing zeros, ``_add``, ``_sub`` and ``_mul``
+add, subtract and multiply, ``_deriv`` differentiates, ``_pseudo_divmod``
+pseudo-divides and ``_primitive`` takes the primitive part.  Their entries
+are ints or ``UniPoly`` elements of Q[T], so ``UniPoly`` runs them on its
+integer numerators and ``BiPoly`` on its T-coefficients.  ``factorq``
+works modulo m with the same helpers followed by one reduction mod m.  The
+one pseudo-division serves ``UniPoly.divmod``, the primitive PRS behind
+``uni_gcd``, the subresultant PRS behind the resultants, division mod m by
+a monic multiple of the divisor, and Zassenhaus recombination.
 
 ``BiPoly`` stores an element of Q[T][X] as a tuple of T-polynomials indexed
 by the power of X.  Specialization stays in integers.  On first use a
@@ -54,7 +59,7 @@ _ZERO = Fraction(0)
 # -- the dense integer core ---------------------------------------------------
 #
 # Lists are ascending: entry i belongs to X^i.  Entries are ints, or
-# ``UniPoly`` elements of Q[T] in the bivariate resultant.
+# ``UniPoly`` elements of Q[T] in ``BiPoly`` and the bivariate resultant.
 
 
 def _trim(L: list) -> list:
@@ -64,8 +69,32 @@ def _trim(L: list) -> list:
     return L
 
 
-def _mul(f: list, g: list) -> list:
-    """The product of two trimmed integer lists."""
+def _add(f: Sequence, g: Sequence) -> list:
+    """f + g, trimmed."""
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return _trim(out)
+
+
+def _sub(f: Sequence, g: Sequence) -> list:
+    """f - g, trimmed."""
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] -= c
+    return _trim(out)
+
+
+def _deriv(f: Sequence) -> list:
+    """The derivative; trimmed when f is, since n * c != 0 for c != 0 in Z
+    and Q[T]."""
+    return [i * f[i] for i in range(1, len(f))]
+
+
+def _mul(f: Sequence, g: Sequence) -> list:
+    """The product of two trimmed lists."""
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
@@ -234,12 +263,7 @@ class UniPoly:
         if den != db:
             a, b = [v * db for v in a], [v * den for v in b]
             den *= db
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _reduced(out, den)
+        return _reduced(_add(a, b), den)
 
     __radd__ = __add__
 
@@ -300,7 +324,7 @@ class UniPoly:
         return Fraction(acc * b, self._den * w)
 
     def derivative(self) -> "UniPoly":
-        return _reduced([i * c for i, c in enumerate(self._ints)][1:], self._den)
+        return _reduced(_deriv(self._ints), self._den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -429,7 +453,7 @@ def _discriminant_ints(F: list[int]) -> int:
     if n == 3:
         d, c, b, a = F
         return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
-    d = _prs_resultant(F, [i * c for i, c in enumerate(F)][1:]) // F[-1]
+    d = _prs_resultant(F, _deriv(F)) // F[-1]
     return -d if (n * (n - 1) // 2) % 2 else d
 
 
@@ -518,13 +542,7 @@ class BiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.xcoeffs, other.xcoeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return BiPoly(out)
+        return BiPoly(_add(self.xcoeffs, other.xcoeffs))
 
     __radd__ = __add__
 
@@ -543,15 +561,7 @@ class BiPoly:
             return BiPoly([c * o for c in self.xcoeffs])
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return BiPoly()
-        out = [UniPoly() for _ in range(len(self.xcoeffs) + len(other.xcoeffs) - 1)]
-        for i, a in enumerate(self.xcoeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.xcoeffs):
-                out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
+        return BiPoly(_mul(self.xcoeffs, other.xcoeffs))
 
     __rmul__ = __mul__
 
@@ -602,7 +612,7 @@ class BiPoly:
         return self.specialize(t)(Fraction(x))
 
     def derivative_x(self) -> "BiPoly":
-        return BiPoly([c * j for j, c in enumerate(self.xcoeffs)][1:])
+        return BiPoly(_deriv(self.xcoeffs))
 
     def as_unipoly_x(self) -> UniPoly:
         """View as a polynomial in X alone; requires T-degree 0."""

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import expand_factorization, roots_by_divisor_check, trial_division_irreducible
@@ -20,7 +20,7 @@ from hitbox.factorq import (
     root_sieve,
 )
 from hitbox.harness import load_fixture, resolve_reference, verify_equivalence
-from hitbox.polys import BiPoly, UniPoly, parse_unipoly, poly_str, uni_gcd
+from hitbox.polys import BiPoly, UniPoly, _add, _mul, _sub, parse_unipoly, poly_str, uni_gcd
 from hitbox.rationals import rationals_up_to_height
 
 
@@ -739,23 +739,83 @@ def test_ddf_matches_sympy_and_complete_factorization(p):
         assert cycle_type_mod_p(UniPoly(f), p) == tuple(degrees), (f, p)
 
 
+# -- arithmetic modulo m: the integer core plus one reduction -----------------
+
+
+def _down(f):
+    """An ascending list as sympy's galoistools write it, descending."""
+    return list(reversed(f))
+
+
+def _up(f):
+    return [int(c) for c in reversed(f)]
+
+
+_coefficients = st.lists(st.integers(-10**6, 10**6), max_size=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_coefficients, g=_coefficients, n=st.integers(0, 60), p=st.sampled_from([3, 5, 7, 101]))
+@example(f=[], g=[3, 1], n=0, p=7)
+def test_mod_p_helpers_match_sympy_galoistools(f, g, n, p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_div, gf_gcdex, gf_monic, gf_pow_mod
+
+    f, g = factorq._red(f, p), factorq._red(g, p)
+    assert _up(gf_monic(_down(f), p, ZZ)[1]) == factorq._gp_monic(f, p)
+    assume(g)
+    Q, R = gf_div(_down(f), _down(g), p, ZZ)
+    assert factorq._gp_divmod(f, g, p) == (_up(Q), _up(R))
+    assert factorq._gp_rem(f, g, p) == _up(R)
+    assert list(factorq._gp_gcdex(f, g, p)) == [_up(h) for h in gf_gcdex(_down(f), _down(g), p, ZZ)]
+    if len(g) > 1:
+        assert factorq._gp_pow_mod(f, n, g, p) == _up(gf_pow_mod(_down(f), n, _down(g), p, ZZ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_coefficients, g=_coefficients, p=st.sampled_from([3, 5, 7, 101]), k=st.integers(2, 5))
+def test_division_by_a_monic_list_modulo_a_prime_power(f, g, p, k):
+    m = p**k
+    f, g = factorq._red(f, m), factorq._red(g, m) + [1]
+    q, r = factorq._gp_divmod(f, g, m)
+    assert len(r) < len(g) and all(0 <= c < m for c in q + r)
+    assert factorq._red(_sub(f, _add(_mul(q, g), r)), m) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.lists(st.integers(0, 100), max_size=4),
+    h=st.lists(st.integers(0, 100), max_size=4),
+    noise=_coefficients,
+    p=st.sampled_from([3, 5, 7, 101]),
+)
+def test_hensel_step_lifts_the_factorization_and_the_bezout_identity(g, h, noise, p):
+    g, h = factorq._red(g, p) + [1], factorq._red(h, p) + [1]
+    s, t, one = factorq._gp_gcdex(g, h, p)
+    assume(one == [1])
+    # a monic f = g*h mod p, the rest of its coefficients arbitrary
+    f = _add(_mul(g, h), [p * c for c in noise[: len(g) + len(h) - 2]])
+    m = p
+    for _ in range(2):
+        g, h, s, t = factorq._hensel_step(m, f, g, h, s, t)
+        m *= m
+        assert factorq._red(_sub(f, _mul(g, h)), m) == []
+        assert factorq._red(_sub(_add(_mul(s, g), _mul(t, h)), [1]), m) == []
+        assert h[-1] == 1 and len(g) + len(h) == len(f) + 1
+
+
 # -- the residue cache ---------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=7), st.sampled_from([3, 5, 7, 101]))
 def test_cached_mod_p_kernels_match_a_fresh_computation(head, p):
-    f = head + [1]  # monic, so a squarefree f mod p has an equal-degree split
-    fp = [c % p for c in f]
+    f = head + [1]
     factorq._residue_cache.cache_clear()
-    split = factorq._usable_ddf.__wrapped__(f, p)
-    fresh = [split, factorq._simple_roots_mod.__wrapped__(f, p)]
-    if split is not None:
-        fresh.append(factorq._gp_factor_sqf.__wrapped__(fp, p, split.parts))
+    fresh = [factorq._usable_ddf.__wrapped__(f, p), factorq._simple_roots_mod.__wrapped__(f, p)]
     for _ in range(2):  # the first call computes, the repeat looks up
         cached = [factorq._usable_ddf(f, p), factorq._simple_roots_mod(f, p)]
-        if split is not None:
-            cached.append(factorq._gp_factor_sqf(f, p, split.parts))
         assert cached == fresh, (f, p)
         hash(tuple(cached))  # built of tuples: no caller can change a cached value
     info = factorq._residue_cache.cache_info()

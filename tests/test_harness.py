@@ -327,17 +327,31 @@ def test_indeterminate_verdict_is_counted_and_listed():
     data = HitData(name="x6", P=P, D=compute_exclusion_set(P, ()), S=())
     report = verify_equivalence(data, table_entry("6T3"), 3)
     payload = json.loads(report_to_json(report))
-    assert payload["counts"] == {"generic": 12, "indeterminate": 2}
+    assert payload["counts"] == {"generic": 10, "indeterminate": 2, "violation": 2}
     assert payload["indeterminate_ts"] == ["-3", "-1/3"]
     assert [r.galois.mode for r in report.indeterminates] == ["sieved", "sieved"]
     assert report.indeterminates[0].galois.candidates == ("6T1", "6T2", "6T3")
     assert all(r.verdict == "indeterminate" and r.match is None for r in report.indeterminates)
     # S is empty, so no record has a witness, and G_t differs from G at
-    # t = -1 and at t = 1 (X^6 - 1, group C2): both are violations
-    assert [(r.t, r.galois.mode, r.match) for r in report.violations] == [
-        (-1, "factored", False),
-        (1, "definitive", False),
+    # t = -1 and at t = 1 (X^6 - 1, group C2): both are violations, and
+    # their verdict says so
+    assert [(r.t, r.galois.mode, r.match, r.verdict) for r in report.violations] == [
+        (-1, "factored", False, "violation"),
+        (1, "definitive", False, "violation"),
     ]
+
+
+def test_a_witness_with_the_reference_group_is_a_violation():
+    # X - 1 has the root 1 at every t, while X^2 - T keeps the group 2T1
+    # wherever t is not a square: each such witness contradicts its match
+    P, S = parse_poly("X^2 - T"), (parse_poly("X - 1"),)
+    data = HitData(name="toy", P=P, D=compute_exclusion_set(P, S), S=S)
+    rec = exceptional_test(Fraction(2), data, table_entry("2T1"))
+    assert rec.witness == (0, 1) and rec.match is True and rec.verdict == "violation"
+    report = verify_equivalence(data, table_entry("2T1"), 2, keep_records=True)
+    # t = 1 splits X^2 - 1: a witness where G_t differs, as it should
+    assert report.counts == {"exceptional": 1, "violation": 5}
+    assert report.violations == [r for r in report.records if r.verdict == "violation"]
 
 
 def test_degenerate_empty_s_flags_invalid():

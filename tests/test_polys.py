@@ -352,6 +352,37 @@ def test_poly_str_roundtrip():
         assert parse_poly(bipoly_str(P)) == P
 
 
+def _bipoly_to_sympy(P: BiPoly):
+    sympy = pytest.importorskip("sympy")
+    T, X = sympy.symbols("T X")
+    terms = [(c, i, j) for j, cj in enumerate(P.xcoeffs) for i, c in enumerate(cj.coeffs) if c]
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * T**i * X**j for c, i, j in terms])
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=_sparse_bipolys(), Q=_sparse_bipolys(), c=_fractions)
+@example(P=parse_poly("X^2 - T"), Q=parse_poly("T - X^2"), c=Fraction(0))  # the sum dies
+def test_bipoly_ring_operations_match_sympy(P, Q, c):
+    """``BiPoly`` +, -, * (by a BiPoly, a UniPoly and a scalar) and
+    derivative_x, all on the integer core, against sympy.expand and
+    sympy.diff."""
+    sympy = pytest.importorskip("sympy")
+    p, q = _bipoly_to_sympy(P), _bipoly_to_sympy(Q)
+    X = sympy.Symbol("X")
+    cases = [
+        (P + Q, p + q),
+        (P - Q, p - q),
+        (P * Q, p * q),
+        (P * Q.coeff(0), p * q.subs(X, 0)),
+        (P * c, p * sympy.Rational(c.numerator, c.denominator)),
+        (P.derivative_x(), sympy.diff(p, X)),
+    ]
+    for ours, theirs in cases:
+        assert sympy.expand(_bipoly_to_sympy(ours) - theirs) == 0, (P, Q)
+        # T-coefficients are UniPoly elements, and the leading one is nonzero
+        assert all(isinstance(cj, UniPoly) for cj in ours.xcoeffs) and all(ours.xcoeffs[-1:]), ours
+
+
 # -- the integer pair against sympy over QQ -----------------------------------
 
 _pairs = st.builds(
