@@ -48,13 +48,13 @@ Algebra, §14) raises x to p once per prime and then steps through the
 degrees with the Frobenius matrix, one matrix-vector product per degree.
 
 Two mod-p kernels sit behind one cache (``_per_residue_class``): the
-distinct-degree split that the residue scan, the sieve's resumed walk and
-``cycle_type_mod_p`` read (``_usable_ddf``, whose value carries the
-split's cycle type and degree set, so both are worked out once per
-residue class), and the roots mod p (``_simple_roots_mod``).  The key is
-p and the input's integer coefficients reduced mod p, and a kernel is
-handed the key itself, so it sees nothing else: each kernel is a function
-of its key, and a lookup returns exactly what a computation would.
+distinct-degree split that the residue scan and the sieve's resumed walk
+read (``_usable_ddf``, whose value carries the split's cycle type and
+degree set, so both are worked out once per residue class), and the roots
+mod p (``_simple_roots_mod``).  The key is p and the input's integer
+coefficients reduced mod p, and a kernel is handed the key itself, so it
+sees nothing else: each kernel is a function of its key, and a lookup
+returns exactly what a computation would.
 Across a bounded-height sweep P(t, X) mod p takes few values, so a split
 is computed once per residue class instead of once per parameter (``hit
 verify`` on fermat-x6 at height 30, reference included, makes 4262 calls
@@ -109,14 +109,14 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import DomainError
 from .polys import UniPoly, _add, _deriv, _mul, _primitive, _pseudo_divmod, _sub, _trim, squarefree_part
-from .rationals import _odd_primes_below, as_prime, is_square_int, odd_primes
+from .rationals import _odd_primes_below, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
 #
@@ -321,8 +321,9 @@ class _Split(NamedTuple):
 
 @_per_residue_class
 def _usable_ddf(ints, p):
-    """The ``_Split`` of sum ints[i] x^i mod p, or None if p is unusable
-    for it (as ``cycle_type_mod_p`` defines it)."""
+    """The ``_Split`` of f = sum ints[i] x^i mod p, or None if p is
+    unusable for f: its leading coefficient vanishes mod p, or f is not
+    squarefree mod p."""
     fp = _red(ints, p)
     if len(fp) != len(ints) or len(fp) < 2:
         return None  # the leading coefficient died, or f is constant
@@ -339,23 +340,13 @@ def _usable_ddf(ints, p):
     return _Split(parts, tuple(sorted(degs, reverse=True)), sums)
 
 
-def cycle_type_mod_p(f: UniPoly, p) -> tuple[int, ...] | None:
-    """Degrees of f mod p's irreducible factors, or None if p is unusable.
-
-    Usable means: p divides neither the leading coefficient nor any
-    denominator, and f stays squarefree mod p.
-    """
-    p = as_prime(p)
-    ints, den = f.ints_den()
-    split = None if den % p == 0 else _usable_ddf(ints, p)
-    return None if split is None else split.cycle_type
-
-
 def usable_cycle_types(F: list[int], m: int, disc: int, after: int = 2):
-    """(p, ``cycle_type_mod_p(g, p)``) at every usable odd prime p > after
-    of a squarefree monic rational g, in increasing order, without end;
-    F is g's monic integer model of scale m (``_monic_int_model``) and
-    ``disc`` the discriminant of F.
+    """(p, cycle type of g mod p) at every usable odd prime p > after of a
+    squarefree monic rational g, in increasing order, without end: p is
+    usable when it divides no denominator of g and g stays squarefree mod
+    p, and the cycle type lists the degrees of g's irreducible factors mod
+    p, largest first.  F is g's monic integer model of scale m
+    (``_monic_int_model``) and ``disc`` the discriminant of F.
 
     These are the polynomial and the primes of ``factor_over_Q``'s residue
     scan, so a walk resumed after the scan's last prime continues it.  A
@@ -571,6 +562,8 @@ class Factorization:
     scan ran on the input itself (a squarefree input): the monic integer
     model (F, m) and the (p, cycle type) of every usable prime it read,
     in increasing order.  These ride along outside equality and hashing.
+    The unit changes neither, so they also describe the radical, the
+    distinct factors, which is all that the Galois identification reads.
     """
 
     unit: Fraction
@@ -590,16 +583,6 @@ class Factorization:
     @property
     def degree(self) -> int:
         return sum(f.degree * m for f, m in self.factors)
-
-    def radical(self) -> "Factorization":
-        """The distinct monic factors, each once: the factorization of the
-        squarefree part of the input; the factorization itself when it is
-        already its own radical.  The scan's model and cycle types go with
-        it: they are there only when the input is squarefree, and then they
-        describe its radical too."""
-        if self.unit == 1 and all(m == 1 for _, m in self.factors):
-            return self
-        return replace(self, unit=Fraction(1), factors=tuple((f, 1) for f, _ in self.factors))
 
 
 def _root_or_self(d: int, k: int) -> int:

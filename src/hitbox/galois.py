@@ -2,7 +2,8 @@
 
 Identification consumes one ``Factorization`` over Q of the polynomial and
 never factors it again: the splitting field only sees distinct roots, so
-every classifier reads the radical (the distinct monic factors).  A
+every classifier reads the radical, the distinct monic factors that the
+factorization lists, and ignores the unit and the multiplicities.  A
 reducible radical gets the exact splitting-field composition of its
 factors when they are linear and quadratic with at most one cubic (always
 so up to degree 4), else only its factor degrees.
@@ -265,8 +266,8 @@ def _identify_irreducible(
     degree n in 2..6, and the evidence that left them.
 
     F is f's monic integer model of scale m: ``fac.model`` when the scan
-    ran on the input (then the input is squarefree and F is f's), else
-    built here.  The rows, of the degree-n table or conjugate into
+    ran on the input (then the input is f times a unit, and F is f's),
+    else built here.  The rows, of the degree-n table or conjugate into
     ``within``, are cut to the parity of disc(F) = m^(n(n-1)) disc(f) (a
     quartic's from its resolvent cubic, whose discriminant equals disc(F)
     in closed form), then by each Frobenius cycle type (Dedekind) that the
@@ -336,19 +337,20 @@ def _compose_kind(cyclic: str, rank: int) -> tuple[str, int]:
     return ("D6", 12) if rank else ("S3", 6)
 
 
-def _reducible_radical(fac: Factorization, rad: Factorization) -> GaloisId:
-    """The group of a polynomial whose radical ``rad`` is reducible: the
-    exact splitting-field composition when the factors are linear and
-    quadratic with at most one cubic (always so up to degree 4), else only
-    the factor degrees (mode 'factored').  The quadratics' discriminants
-    span the C2 part; an S3 cubic's own field already holds the square root
-    of its discriminant, so that class is counted in the rank and taken
-    off again."""
-    degrees = rad.type()
-    cubics = [g for g, _ in rad.factors if g.degree == 3]
+def _reducible_radical(fac: Factorization) -> GaloisId:
+    """The group of a polynomial whose radical, the distinct factors of
+    ``fac``, is reducible: the exact splitting-field composition when they
+    are linear and quadratic with at most one cubic (always so up to degree
+    4), else only their degrees (mode 'factored').  The quadratics'
+    discriminants span the C2 part; an S3 cubic's own field already holds
+    the square root of its discriminant, so that class is counted in the
+    rank and taken off again."""
+    radical = [g for g, _ in fac.factors]
+    degrees = tuple(sorted(g.degree for g in radical))
+    cubics = [g for g in radical if g.degree == 3]
     if degrees[-1] > 3 or len(cubics) > 1:
         return GaloisId(degree=fac.degree, mode="factored", factor_degrees=degrees)
-    classes = [discriminant_uni(g) for g, _ in rad.factors if g.degree == 2]
+    classes = [discriminant_uni(g) for g in radical if g.degree == 2]
     cyclic = "1"
     if cubics:
         d3 = discriminant_uni(cubics[0])
@@ -367,24 +369,24 @@ def _reducible_radical(fac: Factorization, rad: Factorization) -> GaloisId:
 def classify_degree_le4(fac: Factorization) -> GaloisId:
     """Definitive Galois group of a polynomial whose radical has degree 1..4.
 
-    Only the radical of the factorization is read: the splitting field only
-    sees distinct roots (the degenerate specializations audited inside
-    exclusion sets need this).  An irreducible radical of degree 2..4 takes
-    the table filter on the scan that the factorization hands over, with
-    no walk resumed, and a quartic that keeps two or more rows the
-    resolvent stage; its ``GaloisId`` carries no sieve evidence.
+    Only the radical is read, off the distinct factors that the
+    factorization lists: the splitting field only sees distinct roots (the
+    degenerate specializations audited inside exclusion sets need this).
+    An irreducible radical of degree 2..4 takes the table filter on the
+    scan that the factorization hands over, with no walk resumed, and a
+    quartic that keeps two or more rows the resolvent stage; its
+    ``GaloisId`` carries no sieve evidence.
     """
     if fac.degree < 1:
         raise DomainError("classification needs degree >= 1")
-    rad = fac.radical()
-    if rad.degree > 4:
+    if sum(g.degree for g, _ in fac.factors) > 4:  # the radical's degree
         raise DomainError("degree > 4")
-    if not rad.is_irreducible():
-        return _reducible_radical(fac, rad)
-    f = rad.factors[0][0]
+    if len(fac.factors) > 1:
+        return _reducible_radical(fac)
+    f = fac.factors[0][0]
     if f.degree == 1:
         return GaloisId(degree=fac.degree, mode="definitive", kind="C1", order=1)
-    (e,), _ = _identify_irreducible(rad, f, None, None)
+    (e,), _ = _identify_irreducible(fac, f, None, None)
     return GaloisId(degree=fac.degree, mode="definitive", label=e.label, kind=e.kind, order=e.order)
 
 
@@ -403,20 +405,20 @@ def sieve_degree_5_6(
     reference (``ReferenceMismatchError``).  With no resolvent stage for
     these degrees yet, two or more candidates are 'sieved'.  A reducible
     radical gets its splitting field when that is resolved here, else only
-    its factor degrees.
+    its factor degrees.  The radical is read off the distinct factors that
+    the factorization lists.
     """
     if budget < 1:
         raise DomainError("prime budget must be at least 1")
-    rad = fac.radical()
-    if rad.degree not in (5, 6):
+    if sum(g.degree for g, _ in fac.factors) not in (5, 6):  # the radical's degree
         raise DomainError("sieve handles degrees 5 and 6")
     n = fac.degree
-    if not rad.is_irreducible():
-        return _reducible_radical(fac, rad)
-    f = rad.factors[0][0]
+    if len(fac.factors) > 1:
+        return _reducible_radical(fac)
+    f = fac.factors[0][0]
     if within is not None and within.degree != f.degree:
         raise DomainError(f"reference degree {within.degree} != {f.degree}")
-    candidates, evidence = _identify_irreducible(rad, f, budget, within)
+    candidates, evidence = _identify_irreducible(fac, f, budget, within)
     if len(candidates) == 1:
         e = candidates[0]
         return GaloisId(

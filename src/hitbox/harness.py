@@ -8,9 +8,11 @@ parameters together with the curve points that certify them.
 
 Indeterminate Galois identifications (the degree-5/6 sieve cannot always
 separate groups) are a verdict of their own: they are reported and
-counted, never silently passed or failed.  So is a violation, a t outside
-D whose witness contradicts its group match; the report lists exactly the
-records of that verdict as its equivalence violations.
+counted, never silently passed or failed; against a reference, a t
+outside D whose group match is undecided is indeterminate, witness or
+not.  So is a violation, a t outside D whose witness contradicts its
+group match.  The report lists exactly the records of these two verdicts
+as its indeterminates and its equivalence violations.
 
 Equivalence sweeps sieve each sextic inside the subgroups of the reference
 group, as the decomposition-group argument behind D allows for t outside D.
@@ -96,7 +98,8 @@ class SpecializationRecord:
     factorization: tuple[int, ...]
     galois: GaloisId | None
     # excluded | violation | exceptional | generic | indeterminate; a
-    # violation is a t outside D whose match contradicts its witness
+    # violation is a t outside D whose match contradicts its witness, and
+    # with a reference an undecided match is indeterminate, witness or not
     verdict: str
     # groups_match(galois, reference) for t outside D, when a reference was given
     match: bool | None = None
@@ -228,10 +231,12 @@ def exceptional_test(
         verdict = "excluded"
     elif match is not None and (witness is not None) == match:
         verdict = "violation"
+    elif reference is not None and gid is not None and match is None:
+        verdict = "indeterminate"
     elif witness is not None:
         verdict = "exceptional"
-    elif reference is not None and gid is not None:
-        verdict = "indeterminate" if match is None else "generic"
+    elif match is not None:
+        verdict = "generic"
     else:
         verdict = "generic" if gid is not None and gid.mode == "definitive" else "indeterminate"
     return SpecializationRecord(
@@ -368,7 +373,7 @@ def verify_equivalence(
     counts: dict[str, int] = {}
     for rec in records:
         counts[rec.verdict] = counts.get(rec.verdict, 0) + 1
-        if rec.match is None:
+        if rec.verdict == "indeterminate":
             indeterminates.append(rec)
         elif rec.verdict == "violation":
             violations.append(rec)

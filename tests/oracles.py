@@ -11,6 +11,7 @@ numeric root finding, exhaustive modular searches.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -409,6 +410,24 @@ def expand_factorization(fac) -> UniPoly:
     for f, m in fac.factors:
         out = out * f**m
     return out
+
+
+def cycle_type_by_sympy(f: UniPoly, p: int) -> tuple[int, ...] | None:
+    """Degrees of the irreducible factors of f mod the prime p, largest
+    first, from sympy's factorization over GF(p); None when p is unusable
+    for f: p divides the leading coefficient or a denominator, or f mod p
+    has a repeated factor."""
+    import sympy
+
+    coeffs = f.coeffs
+    if coeffs[-1].numerator % p == 0 or any(c.denominator % p == 0 for c in coeffs):
+        return None
+    scale = math.lcm(*(c.denominator for c in coeffs))  # a unit mod p
+    ints = [int(c * scale) for c in reversed(coeffs)]
+    _, factors = sympy.Poly(ints, sympy.Symbol("x"), modulus=p).factor_list()
+    if any(mult > 1 for _, mult in factors):
+        return None
+    return tuple(sorted((g.degree() for g, _ in factors), reverse=True))
 
 
 def f2_rank_by_elimination(classes: Iterable[Fraction]) -> int:

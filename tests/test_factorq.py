@@ -6,12 +6,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import expand_factorization, roots_by_divisor_check, trial_division_irreducible
+from oracles import (
+    cycle_type_by_sympy,
+    expand_factorization,
+    roots_by_divisor_check,
+    trial_division_irreducible,
+)
 
 from hitbox import factorq, rationals
 from hitbox.errors import DomainError
 from hitbox.factorq import (
-    cycle_type_mod_p,
     factor_over_Q,
     factorization_type,
     is_irreducible,
@@ -20,7 +24,7 @@ from hitbox.factorq import (
     root_sieve,
 )
 from hitbox.harness import load_fixture, resolve_reference, verify_equivalence
-from hitbox.polys import BiPoly, UniPoly, _add, _mul, _sub, parse_unipoly, poly_str, uni_gcd
+from hitbox.polys import BiPoly, UniPoly, _add, _discriminant_ints, _mul, _sub, parse_unipoly, poly_str, uni_gcd
 from hitbox.rationals import rationals_up_to_height
 
 
@@ -170,15 +174,15 @@ def test_factorization_type_examples():
 
 def test_radical_is_the_factorization_itself_only_when_it_is_its_own_radical():
     fac = factor_over_Q(parse_unipoly("X^5 - X - 1"))
-    assert fac.radical() is fac
     scaled = factor_over_Q(parse_unipoly("3*X^5 - 3*X - 3"))
-    assert scaled.radical() == fac and scaled.radical().unit == 1
-    # a squarefree input's radical keeps what the scan handed over
-    assert scaled.radical().model == scaled.model == fac.model and scaled.model is not None
-    assert scaled.radical().scanned == scaled.scanned == fac.scanned != ()
+    assert scaled.factors == fac.factors and scaled.unit == 3
+    # the unit moves neither what the scan handed over
+    assert scaled.model == fac.model and scaled.model is not None
+    assert scaled.scanned == fac.scanned != ()
+    # a repeated factor: the scan did not run on the input, so it hands over nothing
     repeated = factor_over_Q(parse_unipoly("(X^2 + 1)^3*(X - 2)"))
     assert repeated.unit == 1
-    assert repeated.radical().factors == tuple((g, 1) for g, _ in repeated.factors)
+    assert repeated.model is None and repeated.scanned == ()
 
 
 def test_factorization_type_additive_on_products():
@@ -247,25 +251,41 @@ def test_monic_int_model_matches_the_fraction_construction():
     assert [factorq._monic_int_model(ints)[1] for ints in serre] == [15, 21, 6]
 
 
+def _walked_type(f: UniPoly, p: int) -> tuple[int, ...] | None:
+    """The cycle type that ``usable_cycle_types`` reads at p on f's monic
+    integer model, or None when the walk passes over p."""
+    F, m = factorq._monic_int_model(f.primitive())
+    disc = _discriminant_ints(F)
+    if not disc:
+        return None  # a repeated factor: no prime is usable
+    q, ct = next(factorq.usable_cycle_types(F, m, disc, p - 1))
+    return ct if q == p else None
+
+
 def test_cycle_type_mod_p():
     f = parse_unipoly("X^2+1")
-    assert cycle_type_mod_p(f, 5) == (1, 1)
-    assert cycle_type_mod_p(f, 3) == (2,)
-    assert cycle_type_mod_p(f, 2) is None  # ramified: not squarefree mod 2
-    # p dividing the leading coefficient or a denominator is rejected
-    assert cycle_type_mod_p(parse_unipoly("5*X^3+X+1"), 5) is None
-    g = UniPoly([Fraction(1, 5), 1, 1])
-    assert cycle_type_mod_p(g, 5) is None
-    assert cycle_type_mod_p(parse_unipoly("X^3-X-1"), 5) == (2, 1)
-    assert cycle_type_mod_p(parse_unipoly("X^3-2"), 7) == (3,)
-    with pytest.raises(DomainError):
-        cycle_type_mod_p(f, 9)
-    # degrees always sum to deg f on usable primes
+    cases = [
+        (f, 5, (1, 1)),
+        (f, 3, (2,)),
+        (f, 2, None),  # ramified: not squarefree mod 2
+        (parse_unipoly("X^2-3"), 3, None),  # ramified at an odd prime
+        # p dividing the leading coefficient or a denominator is rejected
+        (parse_unipoly("5*X^3+X+1"), 5, None),
+        (UniPoly([Fraction(1, 5), 1, 1]), 5, None),
+        (parse_unipoly("X^3-X-1"), 5, (2, 1)),
+        (parse_unipoly("X^3-2"), 7, (3,)),
+    ]
+    for g, p, want in cases:
+        assert cycle_type_by_sympy(g, p) == want, (poly_str(g), p)
+        assert _walked_type(g, p) == want, (poly_str(g), p)
+    # the walk reads the oracle's types at usable primes, summing to deg f;
+    # the primitive integer form has the model's leading primes
     rng = random.Random(14)
     for _ in range(80):
         f = rand_poly(rng, 6)
         p = rng.choice([3, 5, 7, 11, 13, 17])
-        ct = cycle_type_mod_p(f, p)
+        ct = cycle_type_by_sympy(UniPoly(f.primitive()), p)
+        assert _walked_type(f, p) == ct, (poly_str(f), p)
         if ct is not None:
             assert sum(ct) == f.degree
 
@@ -498,7 +518,7 @@ def test_recombination_for_a_quartic_that_splits_modulo_every_prime():
     f = parse_unipoly("X^4-10*X^2+1")
     assert is_irreducible(f)
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        assert max(cycle_type_mod_p(f, p)) <= 2
+        assert max(cycle_type_by_sympy(f, p)) <= 2
     _assert_matches_sympy(f)
     _assert_matches_sympy(f * parse_unipoly("X^4-4*X^2+1") * parse_unipoly("X^2-6"))
 
@@ -736,7 +756,8 @@ def test_ddf_matches_sympy_and_complete_factorization(p):
         assert ours == theirs, (f, p)
         assert sorted(factorq._usable_ddf(f, p).parts) == theirs, (f, p)  # the cached split
         degrees = sorted((len(g) - 1 for g in _sympy_factors_mod_p(f, p)), reverse=True)
-        assert cycle_type_mod_p(UniPoly(f), p) == tuple(degrees), (f, p)
+        assert factorq._usable_ddf(f, p).cycle_type == tuple(degrees), (f, p)
+        assert cycle_type_by_sympy(UniPoly(f), p) == tuple(degrees), (f, p)
 
 
 # -- arithmetic modulo m: the integer core plus one reduction -----------------

@@ -12,6 +12,7 @@ from oracles import (
     closure,
     conjugate_in_symmetric,
     conjugates_into,
+    cycle_type_by_sympy,
     f2_rank_by_elimination,
     is_even,
     label_for_group,
@@ -21,8 +22,8 @@ from oracles import (
 )
 
 from hitbox import factorq, galois
-from hitbox.errors import DomainError, ReferenceMismatchError
-from hitbox.factorq import cycle_type_mod_p, factor_over_Q, rational_roots
+from hitbox.errors import DomainError, InconclusiveError, ReferenceMismatchError
+from hitbox.factorq import factor_over_Q, rational_roots
 from hitbox.galois import (
     classify_degree_le4,
     groups_match,
@@ -265,7 +266,7 @@ def test_dedekind_soundness():
             continue
         entry = table_entry(gid.label)
         p = rng.choice([3, 5, 7, 11, 13, 17, 19])
-        ct = cycle_type_mod_p(f, p)
+        ct = cycle_type_by_sympy(f, p)
         if ct is None:
             continue
         assert ct in entry.cycle_types, (f, p, ct, gid.label)
@@ -357,6 +358,44 @@ def test_identify_galois_radicalizes():
     assert gid.degree == 4 and gid.factor_degrees == (1, 2) and gid.order == 2
 
 
+def _identified_up_to_degree(fac, budget, within):
+    """identify_galois's result with ``degree`` cleared, or its error."""
+    try:
+        return dataclasses.replace(identify_galois(fac, budget, within), degree=None)
+    except (DomainError, InconclusiveError) as e:
+        return type(e), e.args
+
+
+def _factors(min_degree: int):
+    """Polynomials c0/den + ... + c(d-1)/den X^(d-1) + lead X^d, d <= 3."""
+    return st.tuples(
+        st.lists(st.integers(-6, 6), min_size=min_degree, max_size=3),
+        st.sampled_from([1, 2, 3, -5]),
+        st.sampled_from([1, 2, 3, 4]),
+    ).map(lambda c: UniPoly([Fraction(a, c[2]) for a in c[0]] + [c[1]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _factors(1),
+    _factors(0),
+    st.sampled_from([1, -1, 3, Fraction(-2, 7)]),
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 3, 24]),
+    st.sampled_from([None, 0, -1]),
+)
+@example(X - 1, 3 * X**2 + 2 * X + 1, 3, 2, 24, None)  # serre-a4 at t = 0
+@example(X**2 - 2, X**3 - X - 1, 3, 2, 24, -1)  # a reducible quintic radical
+def test_identification_reads_only_the_distinct_factors(f, g, c, k, budget, within):
+    radical = factor_over_Q(f * g)
+    assume(all(m == 1 for _, m in radical.factors))
+    n = f.degree + g.degree
+    entry = None if within is None or n < 2 else transitive_table(n)[within]
+    assert _identified_up_to_degree(
+        factor_over_Q(c * f**k * g), budget, entry
+    ) == _identified_up_to_degree(radical, budget, entry)
+
+
 def test_transitive_subgroups_of_references():
     assert [e.label for e in transitive_subgroups(table_entry("6T3"))] == ["6T1", "6T2", "6T3"]
     assert [e.label for e in transitive_subgroups(table_entry("6T1"))] == ["6T1"]
@@ -396,7 +435,7 @@ def test_sieve_within_wrong_reference_raises():
     d6 = table_entry("6T3")
     # X^6+X+1 (group S6) has cycle type (3,2,1) mod 3, which D6 lacks
     f = parse_unipoly("X^6+X+1")
-    assert cycle_type_mod_p(f, 3) == (3, 2, 1)
+    assert cycle_type_by_sympy(f, 3) == (3, 2, 1)
     with pytest.raises(ReferenceMismatchError) as info:
         sieve_degree_5_6(factor_over_Q(f), 40, within=d6)
     err = info.value
@@ -600,21 +639,19 @@ def test_quartic_classifier_reads_only_the_handed_over_scan(monkeypatch):
 def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
     serre = load_fixture("serre-a4")
     ref, _ = resolve_reference(serre)
-    calls, radicals = [], []
-    roots, radical = galois.rational_roots, factorq.Factorization.radical
+    calls, classified = [], []
+    roots, classify = galois.rational_roots, galois.classify_degree_le4
     monkeypatch.setattr(galois, "rational_roots", lambda f: calls.append(f) or roots(f))
-    monkeypatch.setattr(factorq.Factorization, "radical", lambda fac: radicals.append(fac) or radical(fac))
+    monkeypatch.setattr(galois, "classify_degree_le4", lambda fac: classified.append(fac) or classify(fac))
     report = verify_equivalence(serre, ref, 30, keep_records=True)
     # the scan's 3-cycle and the square test settle every A4 record; only
     # the V4 fibres at t = +-10/27, which have no 3-cycle, solve the cubic
     assert len(calls) <= 2
-    # each distinct fibre builds its radical once: every unit is 3, so none
-    # is the factorization itself, and P(-t, X) = P(t, X) halves the 1110
-    # records to 555 fibres through the sweep's fibre memo
+    # each distinct fibre is classified once: P(-t, X) = P(t, X) halves the
+    # 1110 records to 555 fibres through the sweep's fibre memo
     assert len(report.records) == 1110
-    assert len(radicals) == 555
+    assert len(classified) == 555
     # the resolvent-only path, which reads no scan, gives the same report
-    classify = galois.classify_degree_le4
     monkeypatch.setattr(
         galois,
         "classify_degree_le4",
@@ -637,7 +674,7 @@ def _assert_walk_reads_the_cycle_types(f: UniPoly, k: int = 6):
     walked = list(islice(_walk(f), k))
     monic = f.monic()
     last = walked[-1][0]
-    want = [(p, cycle_type_mod_p(monic, p)) for p in range(3, last + 1, 2) if is_prime(p)]
+    want = [(p, cycle_type_by_sympy(monic, p)) for p in range(3, last + 1, 2) if is_prime(p)]
     assert walked == [(p, ct) for p, ct in want if ct is not None], poly_str(f)
     # a walk resumed after a prime continues the same sequence
     assert list(islice(_walk(f, walked[1][0]), k - 2)) == walked[2:], poly_str(f)
@@ -659,7 +696,7 @@ def test_walk_skips_primes_dividing_the_scale():
     # with pattern (2, 1, 1); but 3 divides the monic input's denominator,
     # so the scan and the walk pass over it, and (3, 1) at 5 comes first
     f = parse_unipoly("81*X^4 + 81*X + 2")
-    assert cycle_type_mod_p(f.monic(), 3) is None
+    assert cycle_type_by_sympy(f.monic(), 3) is None
     F, m = factorq._monic_int_model(f.primitive())
     assert (F, m) == ([2, 27, 0, 0, 1], 3)
     assert factorq._usable_ddf(F, 3) is not None

@@ -354,6 +354,23 @@ def test_a_witness_with_the_reference_group_is_a_violation():
     assert report.violations == [r for r in report.records if r.verdict == "violation"]
 
 
+def test_an_undecided_match_with_a_witness_is_indeterminate():
+    # X^2 - 1 has a root at every t, so every record has a witness; at
+    # t = -3 and -1/3 the sieve cannot tell 6T2 from 6T1 or 6T3, so the
+    # match is undecided and the record is indeterminate, not exceptional
+    P, S = parse_poly("X^6 - T"), (parse_poly("X^2 - 1"),)
+    data = HitData(name="toy", P=P, D=compute_exclusion_set(P, S), S=S)
+    report = verify_equivalence(data, table_entry("6T3"), 3, keep_records=True)
+    assert report.counts == {"exceptional": 2, "indeterminate": 2, "violation": 10}
+    assert [r.t for r in report.indeterminates] == [-3, Fraction(-1, 3)]
+    assert all(r.witness is not None and r.match is None for r in report.indeterminates)
+    # the listed indeterminates are exactly the records of that verdict
+    assert report.indeterminates == [r for r in report.records if r.verdict == "indeterminate"]
+    assert json.loads(report_to_json(report))["indeterminate_ts"] == ["-3", "-1/3"]
+    rec = exceptional_test(Fraction(-3), data, table_entry("6T3"))
+    assert rec.witness is not None and rec.match is None and rec.verdict == "indeterminate"
+
+
 def test_degenerate_empty_s_flags_invalid():
     data = load_fixture({"name": "empty", "P": "3*X^4-4*X^3+1+3*T^2", "D": ["0"], "S": []})
     ref = table_entry("4T4")
