@@ -40,29 +40,13 @@ from .harness import (
 )
 from .localsolve import REAL, bad_places, conic_solvable_global, conic_solvable_local, finite_place
 from .polys import (
-    _MAX_DIGITS,
     _frac_str,
     discriminant_in_x,
     discriminant_uni,
+    parse_number,
     parse_poly,
     poly_str,
 )
-
-
-def _number(text: str, kind=Fraction):
-    """A number given on the command line, as ``kind`` (``Fraction`` or
-    ``int``); ``ParseError`` if the text is not one.  As in the polynomial
-    grammar, exponent notation and literals of more than ``_MAX_DIGITS``
-    digits are refused before any number is built: ``Fraction("1e30000")``
-    alone takes seconds."""
-    what = "an integer" if kind is int else "a rational number"
-    digits = max(sum(c.isdigit() for c in part) for part in text.split("/"))
-    if "e" in text.lower() or digits > _MAX_DIGITS:
-        raise ParseError(f"not {what} of at most {_MAX_DIGITS} digits without an exponent")
-    try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not {what}: {text!r}") from None
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -207,7 +191,7 @@ def cmd_curve_param_check(args) -> int:
 
 
 def cmd_curve_torsion(args) -> int:
-    E = EllipticCurve.short(_number(args.A), _number(args.B))
+    E = EllipticCurve.short(parse_number(args.A), parse_number(args.B))
     pts = ec_torsion_lutz_nagell(E)
     payload = {
         "curve": f"y^2 = x^3 + {args.A}*x + {args.B}",
@@ -238,14 +222,14 @@ def cmd_curve_cases(args) -> int:
 
 
 def cmd_local_conic(args) -> int:
-    a, b, c = _number(args.a), _number(args.b), _number(args.c)
+    a, b, c = parse_number(args.a), parse_number(args.b), parse_number(args.c)
     rows = []
     if args.place == "all":
         places = bad_places(a, b, c)
     elif args.place == "real":
         places = [REAL]
     else:
-        places = [finite_place(_number(args.place, int))]
+        places = [finite_place(parse_number(args.place, int))]
     for v in places:
         rows.append((str(v), conic_solvable_local(a, b, c, v)))
     glob = conic_solvable_global(a, b, c)

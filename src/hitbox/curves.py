@@ -8,9 +8,9 @@ are out of scope: bounded searches corroborate them, they do not prove them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import DomainError
 from .factorq import rational_roots
@@ -20,15 +20,26 @@ from .rationals import divisors, height, rationals_up_to_height
 MAZUR_TORSION_BOUND = 12  # largest possible torsion order over Q
 
 
-@dataclass(frozen=True)
 class PlaneCurve:
     """Affine plane curve f(T, X) = 0."""
 
-    f: BiPoly
+    __slots__ = ("f",)
 
-    def __post_init__(self):
-        if self.f.is_zero():
+    def __init__(self, f: BiPoly):
+        if f.is_zero():
             raise DomainError("the zero polynomial is not a curve")
+        self.f = f
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.f == other.f
+
+    def __hash__(self):
+        return hash((self.f,))
+
+    def __repr__(self) -> str:
+        return f"PlaneCurve(f={self.f!r})"
 
     @staticmethod
     def from_text(text: str) -> "PlaneCurve":
@@ -47,8 +58,7 @@ def _reduced(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
     return num, den
 
 
-@dataclass(frozen=True)
-class LineToCurveMap:
+class LineToCurveMap(NamedTuple):
     """V -> (t(V), x(V)); both components stored in lowest terms."""
 
     t_num: UniPoly
@@ -63,16 +73,27 @@ class LineToCurveMap:
         return LineToCurveMap(tn, td, xn, xd)
 
 
-@dataclass(frozen=True)
 class CurveToLineMap:
     """(t, x) -> value; a single bivariate rational function."""
 
-    num: BiPoly
-    den: BiPoly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __init__(self, num: BiPoly, den: BiPoly):
+        if den.is_zero():
             raise DomainError("zero denominator in rational map")
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"CurveToLineMap(num={self.num!r}, den={self.den!r})"
 
 
 RationalMap = LineToCurveMap | CurveToLineMap
@@ -223,8 +244,7 @@ def verify_case_identities() -> list[tuple[int, bool]]:
 # -- elliptic curves -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """Affine point (x, y) or the point at infinity."""
 
     x: Fraction | None = None
@@ -246,16 +266,27 @@ class CurvePoint:
         return "infinity" if self.is_infinity else f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
 class EllipticCurve:
     """Short Weierstrass model y^2 = x^3 + a4 x + a6."""
 
-    a4: Fraction = Fraction(0)
-    a6: Fraction = Fraction(0)
+    __slots__ = ("a4", "a6")
 
-    def __post_init__(self):
+    def __init__(self, a4: Fraction = Fraction(0), a6: Fraction = Fraction(0)):
+        self.a4 = a4
+        self.a6 = a6
         if self.discriminant() == 0:
             raise DomainError("singular Weierstrass model")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a4 == other.a4 and self.a6 == other.a6
+
+    def __hash__(self):
+        return hash((self.a4, self.a6))
+
+    def __repr__(self) -> str:
+        return f"EllipticCurve(a4={self.a4!r}, a6={self.a6!r})"
 
     @staticmethod
     def short(A, B) -> "EllipticCurve":
@@ -344,8 +375,7 @@ def ec_torsion_lutz_nagell(E: EllipticCurve) -> list[CurvePoint]:
     return out
 
 
-@dataclass(frozen=True)
-class ModelMap:
+class ModelMap(NamedTuple):
     """Affine change of coordinates (x, y) -> (sx * x + tx, sy * y)."""
 
     sx: Fraction

@@ -109,7 +109,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
@@ -554,22 +553,41 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
 # -- factorization over Q ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Factorization:
     """unit * prod(factor^mult) reconstructs the input exactly.
 
     ``factor_over_Q`` also hands over what its residue scan read, when the
     scan ran on the input itself (a squarefree input): the monic integer
     model (F, m) and the (p, cycle type) of every usable prime it read,
-    in increasing order.  These ride along outside equality and hashing.
-    The unit changes neither, so they also describe the radical, the
-    distinct factors, which is all that the Galois identification reads.
+    in increasing order.  These ride along outside equality, hashing and
+    the repr.  The unit changes neither, so they also describe the radical,
+    the distinct factors, which is all that the Galois identification reads.
     """
 
-    unit: Fraction
-    factors: tuple[tuple[UniPoly, int], ...]
-    model: tuple[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
-    scanned: tuple[tuple[int, tuple[int, ...]], ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("unit", "factors", "model", "scanned")
+
+    def __init__(
+        self,
+        unit: Fraction,
+        factors: tuple[tuple[UniPoly, int], ...],
+        model: tuple[tuple[int, ...], int] | None = None,
+        scanned: tuple[tuple[int, tuple[int, ...]], ...] = (),
+    ):
+        self.unit = unit
+        self.factors = factors
+        self.model = model
+        self.scanned = scanned
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.unit == other.unit and self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.unit, self.factors))
+
+    def __repr__(self) -> str:
+        return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
     def type(self) -> tuple[int, ...]:
         degs: list[int] = []

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .errors import DomainError, InconclusiveError, ReferenceMismatchError
 from .factorq import Factorization, _monic_int_model, rational_roots, usable_cycle_types
@@ -120,8 +120,7 @@ _TABLE_DATA: dict[int, list[tuple[str, int, str, tuple[int, ...], str, tuple[int
 }
 
 
-@dataclass(frozen=True)
-class TransitiveGroupEntry:
+class TransitiveGroupEntry(NamedTuple):
     degree: int
     label: str
     order: int
@@ -179,15 +178,13 @@ def transitive_subgroups(G: TransitiveGroupEntry) -> tuple[TransitiveGroupEntry,
 # -- identification results ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SieveEvidence:
+class SieveEvidence(NamedTuple):
     primes: tuple[int, ...] = ()
     observed_types: frozenset = frozenset()
     disc_square: bool | None = None
 
 
-@dataclass(frozen=True)
-class GaloisId:
+class GaloisId(NamedTuple):
     """Identification of the Galois group of a specialized polynomial.
 
     mode 'definitive': label and order are exact; kind names the abstract
@@ -208,7 +205,7 @@ class GaloisId:
     order: int | None = None
     candidates: tuple[str, ...] = ()
     factor_degrees: tuple[int, ...] = ()
-    evidence: SieveEvidence = field(default_factory=SieveEvidence)
+    evidence: SieveEvidence = SieveEvidence()
 
     def candidate_orders(self) -> frozenset[int]:
         return frozenset(table_entry(lbl).order for lbl in self.candidates)

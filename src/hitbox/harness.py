@@ -40,13 +40,14 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import DomainError, FixtureError, InconclusiveError, ReferenceMismatchError
+from .errors import DomainError, FixtureError, InconclusiveError, ParseError, ReferenceMismatchError
 from .factorq import SIEVE_FAMILY_MAX, factor_over_Q, factorization_type, rational_roots, root_mask, root_sieve
 from .galois import (
     GaloisId,
@@ -61,6 +62,7 @@ from .polys import (
     _frac_str,
     discriminant_in_x,
     leading_coeff_in_x,
+    parse_number,
     parse_poly,
 )
 from .rationals import coprime_pairs_up_to_height, height, sample_rationals
@@ -68,18 +70,47 @@ from .rationals import coprime_pairs_up_to_height, height, sample_rationals
 DEFAULT_PRIME_BUDGET = 24
 
 
-@dataclass(frozen=True)
 class HitData:
-    """A polynomial family with its exclusion set and auxiliary polynomials."""
+    """A polynomial family with its exclusion set and auxiliary polynomials.
 
-    name: str
-    P: BiPoly
-    D: frozenset[Fraction]
-    S: tuple[BiPoly, ...]
-    provenance: dict = field(default_factory=dict)
-    g_label: str | None = None
-    g_order: int | None = None
-    notes: str = ""
+    Unhashable, as its ``provenance`` dict is.  A plain class, not a tuple
+    or a slotted one: ``root_sieve`` is cached in the instance ``__dict__``,
+    which pickles with the data."""
+
+    def __init__(
+        self,
+        name: str,
+        P: BiPoly,
+        D: frozenset[Fraction],
+        S: tuple[BiPoly, ...],
+        provenance: dict | None = None,
+        g_label: str | None = None,
+        g_order: int | None = None,
+        notes: str = "",
+    ):
+        self.name = name
+        self.P = P
+        self.D = D
+        self.S = S
+        self.provenance = {} if provenance is None else provenance
+        self.g_label = g_label
+        self.g_order = g_order
+        self.notes = notes
+
+    def _key(self) -> tuple:
+        return (self.name, self.P, self.D, self.S, self.provenance, self.g_label, self.g_order, self.notes)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"HitData(name={self.name!r}, P={self.P!r}, D={self.D!r}, S={self.S!r}, "
+            f"provenance={self.provenance!r}, g_label={self.g_label!r}, "
+            f"g_order={self.g_order!r}, notes={self.notes!r})"
+        )
 
     @functools.cached_property
     def root_sieve(self) -> tuple[tuple[int, bytes], ...]:
@@ -90,8 +121,7 @@ class HitData:
         return root_sieve(self.S)
 
 
-@dataclass(frozen=True)
-class SpecializationRecord:
+class SpecializationRecord(NamedTuple):
     t: Fraction
     in_d: bool
     witness: tuple[int, Fraction] | None
@@ -105,8 +135,7 @@ class SpecializationRecord:
     match: bool | None = None
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     fixture: str
     height_bound: int
     prime_budget: int
@@ -118,7 +147,7 @@ class EquivalenceReport:
     violations: list[SpecializationRecord]
     indeterminates: list[SpecializationRecord]
     invalid_configuration: bool = False
-    records: list[SpecializationRecord] = field(default_factory=list)
+    records: Sequence[SpecializationRecord] = ()
     kind = "equivalence"
 
     @property
@@ -455,7 +484,12 @@ def load_fixture(source) -> HitData:
             path = fixture_path(str(source))
         if not path.exists():
             raise FixtureError(f"no such fixture: {source}")
-        raw = json.loads(path.read_text())
+        try:
+            raw = json.loads(path.read_text())
+        except (OSError, ValueError) as e:
+            raise FixtureError(f"cannot read {source} as JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise FixtureError("not a JSON object")
         name = raw.get("name", path.stem)
     unknown = set(raw) - _FIXTURE_FIELDS
     if unknown:
@@ -463,6 +497,13 @@ def load_fixture(source) -> HitData:
     for key in ("P", "D", "S"):
         if key not in raw:
             raise FixtureError("missing field", key)
+    for key in ("D", "S"):
+        if not isinstance(raw[key], list) or not all(isinstance(s, str) for s in raw[key]):
+            raise FixtureError("must be a list of strings", key)
+    notes = raw.get("notes", "")
+    for key, value in (("name", name), ("notes", notes)):
+        if not isinstance(value, str):
+            raise FixtureError("must be a string", key)
     g_label, g_order = raw.get("G_label"), raw.get("G_order")
     if g_label is not None and not isinstance(g_label, str):
         raise FixtureError("must be a transitive group label such as 6T3", "G_label")
@@ -494,9 +535,9 @@ def load_fixture(source) -> HitData:
             raise FixtureError("auxiliary polynomial needs X-degree >= 2", f"S[{i}]")
         S.append(f)
     try:
-        declared_d = frozenset(Fraction(s) for s in raw["D"])
-    except ValueError as e:
-        raise FixtureError(str(e), "D")
+        declared_d = frozenset(parse_number(s) for s in raw["D"])
+    except ParseError as e:
+        raise FixtureError(str(e), "D") from None
     try:
         computed_d = compute_exclusion_set(P, S)
     except DomainError as e:
@@ -504,7 +545,6 @@ def load_fixture(source) -> HitData:
     if not declared_d <= computed_d:
         missing = sorted(declared_d - computed_d)
         raise FixtureError(f"declared values {missing} are not in the computed set", "D")
-    notes = raw.get("notes", "")
     if not S:
         notes = (notes + " " if notes else "") + "no maximal subgroup data"
     return HitData(

@@ -7,7 +7,6 @@ The p = 2 symbol uses the classical unit-square formulas in the exponents
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -24,15 +23,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of Q: a finite prime, or None for the real place."""
 
-    p: int | None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            as_prime(self.p)
+    def __init__(self, p: int | None):
+        if p is not None:
+            as_prime(p)
+        self.p = p
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"Place(p={self.p!r})"
 
     @property
     def is_real(self) -> bool:

@@ -861,6 +861,22 @@ def parse_unipoly(text: str, var: str = "X") -> UniPoly:
     return P.as_unipoly_t()
 
 
+def parse_number(text: str, kind=Fraction):
+    """A number written as text, as ``kind`` (``Fraction`` or ``int``);
+    ``ParseError`` if the text is not one.  As in the polynomial grammar,
+    exponent notation and literals of more than ``_MAX_DIGITS`` digits are
+    refused before any number is built: ``Fraction("1e30000")`` alone
+    takes seconds."""
+    what = "an integer" if kind is int else "a rational number"
+    digits = max(sum(c.isdigit() for c in part) for part in text.split("/"))
+    if "e" in text.lower() or digits > _MAX_DIGITS:
+        raise ParseError(f"not {what} of at most {_MAX_DIGITS} digits without an exponent")
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"not {what}: {text!r}") from None
+
+
 def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 

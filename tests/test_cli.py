@@ -1,11 +1,10 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from hitbox import cli, polys, rationals
+from hitbox import polys, rationals
 from hitbox.cli import _psi_cross_check, _psi_search_bound, main
 from hitbox.errors import ParseError
 from hitbox.harness import enumerate_exceptional, fixture_path, load_fixture
@@ -130,6 +129,17 @@ def test_malformed_reference_field_exit_code(capsys, tmp_path, key, value):
     code, out, err = run(capsys, "hit", "verify", "--fixture", str(bad), "--height", "2")
     assert code == 3 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [("D", ["1/0"]), ("D", ["1e100000"]), ("S", None), ("notes", 5)])
+def test_malformed_fixture_field_exit_code(capsys, tmp_path, key, value):
+    # a malformed field is a validation error (exit 3), not a traceback
+    raw = json.loads(fixture_path("fermat-x6").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**raw, key: value}))
+    code, out, err = run(capsys, "hit", "compute-d", "--fixture", str(bad))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {key}: ")
 
 
 def test_resource_limit_exit_code(capsys, monkeypatch):
@@ -304,7 +314,7 @@ def test_psi_cross_check_fails_on_a_dropped_or_an_unreached_t():
     # the image sweep meets -9/10, which the records no longer have
     assert _psi_cross_check(data, recs[1:], 27) is False
     # v^3 + 18 v^2 - 9 v - 18, the preimage cubic of t = 2, has no rational root
-    assert _psi_cross_check(data, recs + [dataclasses.replace(recs[0], t=Fraction(2))], 27) is False
+    assert _psi_cross_check(data, recs + [recs[0]._replace(t=Fraction(2))], 27) is False
 
 
 def test_curve_commands(capsys):
@@ -371,8 +381,8 @@ def test_number_is_refused_before_it_is_built(text):
         raise AssertionError("a number was built")
 
     with pytest.raises(ParseError):
-        cli._number(text, build)
-    assert cli._number("9" * 1000) == 10**1000 - 1
+        polys.parse_number(text, build)
+    assert polys.parse_number("9" * 1000) == 10**1000 - 1
 
 
 def test_table_command(capsys):

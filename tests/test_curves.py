@@ -41,6 +41,15 @@ def test_eval_map_examples():
     assert eval_map(PHI, (Fraction(0), Fraction(-40))) is None  # base point
 
 
+def test_the_zero_curve_and_a_zero_denominator_are_refused():
+    with pytest.raises(DomainError):
+        PlaneCurve(parse_poly("0"))
+    with pytest.raises(DomainError):
+        CurveToLineMap(parse_poly("X"), parse_poly("0"))
+    with pytest.raises(DomainError):
+        LineToCurveMap.from_fractions(V, UniPoly(), V, UniPoly.constant(1))
+
+
 def test_verify_parametrization():
     assert verify_parametrization(CURVE, PSI, PHI)
     bad_phi = CurveToLineMap(

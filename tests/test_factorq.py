@@ -16,6 +16,7 @@ from oracles import (
 from hitbox import factorq, rationals
 from hitbox.errors import DomainError
 from hitbox.factorq import (
+    Factorization,
     factor_over_Q,
     factorization_type,
     is_irreducible,
@@ -183,6 +184,15 @@ def test_radical_is_the_factorization_itself_only_when_it_is_its_own_radical():
     repeated = factor_over_Q(parse_unipoly("(X^2 + 1)^3*(X - 2)"))
     assert repeated.unit == 1
     assert repeated.model is None and repeated.scanned == ()
+
+
+def test_factorization_equality_hash_and_repr_ignore_what_the_scan_handed_over():
+    fac = factor_over_Q(parse_unipoly("X^5 - X - 1"))
+    assert fac.model is not None and fac.scanned != ()
+    bare = Factorization(fac.unit, fac.factors)
+    assert bare.model is None and bare.scanned == ()
+    assert bare == fac and hash(bare) == hash(fac) and repr(bare) == repr(fac)
+    assert Factorization(2 * fac.unit, fac.factors, fac.model, fac.scanned) != fac
 
 
 def test_factorization_type_additive_on_products():

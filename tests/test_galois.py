@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -23,8 +22,9 @@ from oracles import (
 
 from hitbox import factorq, galois
 from hitbox.errors import DomainError, InconclusiveError, ReferenceMismatchError
-from hitbox.factorq import factor_over_Q, rational_roots
+from hitbox.factorq import Factorization, factor_over_Q, rational_roots
 from hitbox.galois import (
+    GaloisId,
     classify_degree_le4,
     groups_match,
     identify_galois,
@@ -361,7 +361,7 @@ def test_identify_galois_radicalizes():
 def _identified_up_to_degree(fac, budget, within):
     """identify_galois's result with ``degree`` cleared, or its error."""
     try:
-        return dataclasses.replace(identify_galois(fac, budget, within), degree=None)
+        return identify_galois(fac, budget, within)._replace(degree=None)
     except (DomainError, InconclusiveError) as e:
         return type(e), e.args
 
@@ -562,7 +562,7 @@ _QUARTICS = st.one_of(
 def test_quartic_group_from_the_scan_matches_the_resolvent_path(f):
     fac = factor_over_Q(f)
     assume(fac.is_irreducible())
-    resolvent_only = dataclasses.replace(fac, model=None, scanned=())
+    resolvent_only = Factorization(fac.unit, fac.factors)
     gid = classify_degree_le4(fac)
     assert gid == classify_degree_le4(resolvent_only), poly_str(f)
     assert gid.mode == "definitive" and gid.evidence == galois.SieveEvidence()
@@ -594,7 +594,7 @@ def test_quadratic_and_cubic_groups_match_sympy(f):
     assert (gid.label, gid.kind) == (_sympy_label(f), _SYMPY_KIND[theirs.name]), poly_str(f)
     assert gid.order == theirs.get_perm_group().order(), poly_str(f)
     # with no model handed over, the filter builds its own
-    assert identify_galois(dataclasses.replace(fac, model=None, scanned=())) == gid
+    assert identify_galois(Factorization(fac.unit, fac.factors)) == gid
 
 
 def test_quartic_classifier_reads_only_the_handed_over_scan(monkeypatch):
@@ -655,7 +655,7 @@ def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
     monkeypatch.setattr(
         galois,
         "classify_degree_le4",
-        lambda fac: classify(dataclasses.replace(fac, model=None, scanned=())),
+        lambda fac: classify(Factorization(fac.unit, fac.factors)),
     )
     calls.clear()
     assert report_to_json(verify_equivalence(serre, ref, 30, keep_records=True)) == report_to_json(report)
@@ -737,7 +737,7 @@ _QUINTICS_AND_SEXTICS = st.tuples(
 def test_sieve_on_the_handed_over_scan_matches_a_fresh_walk(f):
     fac = factor_over_Q(f)
     assume(fac.is_irreducible())
-    fresh = dataclasses.replace(fac, model=None, scanned=())
+    fresh = Factorization(fac.unit, fac.factors)
     assert fresh == fac
     table = transitive_table(f.degree)
     # the symmetric group fits every polynomial; the cyclic one refutes most
@@ -781,7 +781,7 @@ def test_sieve_adds_no_residue_cache_miss_at_the_scan_primes(monkeypatch):
                 # read again, from the cache or otherwise
                 assert not set(handed) & set(reads), (poly_str(f), budget)
                 # a resumed walk reads no prime past the last one the sieve used
-                last = got[1] if isinstance(got, tuple) else got.evidence.primes[-1]
+                last = got.evidence.primes[-1] if isinstance(got, GaloisId) else got[1]
                 assert all(p <= last for p in reads), (poly_str(f), budget)
                 resumed += bool(reads)
     assert scanned >= 20 and resumed >= 100

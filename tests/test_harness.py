@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -76,6 +77,39 @@ def test_fixture_validation_errors():
     # inseparable P is rejected
     with pytest.raises(FixtureError):
         load_fixture({"name": "insep", "P": "(X - T)^2", "D": [], "S": []})
+    # D and S are lists of strings, name and notes strings, and a number in
+    # D is refused before it is built if it has an exponent or 1001 digits
+    ok = {**base, "S": ["X^2 - T"]}
+    for bad in (
+        {"D": ["1/0"]},
+        {"D": [None]},
+        {"D": None},
+        {"D": "0"},
+        {"D": [0]},
+        {"D": ["1e100000"]},
+        {"D": ["1e3000000"]},
+        {"D": ["1" * 1001]},
+        {"S": None},
+        {"S": "X^2 - T"},
+        {"notes": 5, "S": []},
+        {"name": 5},
+    ):
+        with pytest.raises(FixtureError, match="^(D|S|name|notes): "):
+            load_fixture({**ok, **bad})
+    load_fixture(ok)
+
+
+def test_a_fixture_file_that_is_no_json_object_is_refused(tmp_path):
+    bad = tmp_path / "bad.json"
+    for text in ("{", "[]", '"fermat-x6"'):
+        bad.write_text(text)
+        with pytest.raises(FixtureError):
+            load_fixture(bad)
+    bad.write_bytes(b"\xff")
+    with pytest.raises(FixtureError):
+        load_fixture(bad)
+    with pytest.raises(FixtureError):
+        load_fixture(tmp_path)  # a directory
 
 
 def test_empty_s_accepted_with_flag():
@@ -650,6 +684,33 @@ def test_serial_imports_leave_the_process_pool_unloaded():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_cli_import_loads_no_dataclasses():
+    """The value types are tuples and plain classes: importing the CLI, in
+    an interpreter with no site packages, leaves ``dataclasses`` and the
+    ``inspect`` it pulls in unloaded."""
+    src = Path(hitbox.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import hitbox.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_records_and_fixture_data_survive_a_pickle_round_trip():
+    # what a pool sends to its workers and back
+    data = load_fixture("fermat-x6")
+    built = data.root_sieve
+    copy = pickle.loads(pickle.dumps(data))
+    assert copy == data and copy.__dict__["root_sieve"] == built
+    ref, _ = resolve_reference(data)
+    rec = exceptional_test(Fraction(2), data, ref)
+    assert rec.galois.mode == "conditional" and rec.galois.evidence.primes
+    for value in (rec, rec.galois):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
 
 
 def _sympy_galois_order(f) -> int:

@@ -8,6 +8,7 @@ from oracles import hilbert2_no_primitive_solution
 from hitbox.errors import DomainError
 from hitbox.localsolve import (
     REAL,
+    Place,
     bad_places,
     conic_solvable_global,
     conic_solvable_local,
@@ -34,6 +35,12 @@ def test_symbol_examples():
         assert hilbert_symbol(Fraction(-2, 3), Fraction(2, 3), v) == 1
     with pytest.raises(DomainError):
         hilbert_symbol(Fraction(0), Fraction(1), P2)
+
+
+def test_a_place_is_a_prime_or_the_real_place():
+    assert Place(7) == finite_place(7) and Place(None) == REAL and str(REAL) == "real"
+    with pytest.raises(DomainError):
+        Place(4)
 
 
 def test_symbol_at_2_against_exhaustive_modular_search():
