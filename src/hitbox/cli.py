@@ -46,6 +46,7 @@ from .polys import (
     parse_number,
     parse_poly,
     poly_str,
+    squarefree_part,
 )
 
 
@@ -78,6 +79,11 @@ def cmd_factor(args) -> int:
 
 def cmd_galois(args) -> int:
     f = parse_poly(args.poly).as_unipoly_x()
+    # the splitting field only sees distinct roots: refuse by the radical's
+    # degree before anything is factored
+    n = squarefree_part(f).degree if f.degree > 6 else f.degree
+    if n > 6:
+        raise DomainError(f"the squarefree part has degree {n}; Galois groups are identified up to degree 6")
     gid = identify_galois(factor_over_Q(f), args.primes)
     _emit(args, galois_to_dict(gid), gid.describe())
     return 0

@@ -36,8 +36,12 @@ within 11 (the last, X^6 - 1, has quadratic factors).  Zassenhaus starts
 from the prime with the fewest modular factors, the only prime factored
 completely: quadratic multifactor Hensel lifting modulo m^2 past the
 Landau-Mignotte bound of the cofactor, then subset recombination (modular
-factor counts stay tiny at the degrees this package handles).  The scan
-is the record's only walk over the primes: a squarefree input's
+factor counts stay tiny at the degrees this package handles).  Past
+``_RECOMBINATION_TRIALS`` subset trials recombination gives up with a
+``ResourceLimitError``: the Swinnerton-Dyer polynomial of degree 32 (the
+square roots of the primes 2 to 11) needs 39,202 trials, and the one of
+degree 64 would need over two billion.  The scan is the record's only
+walk over the primes: a squarefree input's
 ``Factorization`` keeps the model (F, m) and the (p, cycle type) of every
 usable prime the scan read, and the Galois sieve reads that list first and
 resumes the walk on F after its last prime (``usable_cycle_types``) only
@@ -113,7 +117,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .polys import UniPoly, _add, _deriv, _mul, _primitive, _pseudo_divmod, _sub, _trim, squarefree_part
 from .rationals import _odd_primes_below, is_square_int, odd_primes
 
@@ -428,6 +432,10 @@ _PRIME_SCAN = 5
 _DEGREE_SCAN = 12
 
 
+# Subset trials that recombination makes at most before it gives up.
+_RECOMBINATION_TRIALS = 100_000
+
+
 class _Scan(NamedTuple):
     """What the residue scan learned about a monic integer polynomial."""
 
@@ -499,7 +507,7 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
     {0, 1, n-1, n}, so a factor of the cofactor, which has no rational
     root, would put a middle degree in it.  Otherwise the cofactor is
     Hensel-lifted past its Landau-Mignotte bound and its lifted factors
-    are recombined by subsets."""
+    are recombined by subsets, ``_RECOMBINATION_TRIALS`` at most."""
     if scan.degrees == 1 | 1 << len(f) - 1:
         return [f]
     p, split = scan.chosen
@@ -523,8 +531,15 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
         pl = p**l
         indices = list(range(len(lifted)))
         s = 1
+        trials = 0
         while 2 * s <= len(indices):
             for combo in combinations(indices, s):
+                trials += 1
+                if trials > _RECOMBINATION_TRIALS:
+                    raise ResourceLimitError(
+                        f"recombining {len(lifted)} modular factors of a degree-{len(f) - 1} "
+                        f"polynomial takes over {_RECOMBINATION_TRIALS} subset trials"
+                    )
                 # quick test on the constant coefficient
                 c = 1
                 for i in combo:

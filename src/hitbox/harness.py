@@ -19,9 +19,13 @@ group, as the decomposition-group argument behind D allows for t outside D.
 A group pinned that way is 'conditional' on the reference: exact if the
 reference is the generic group, and no better than the reference when that
 is derived by specialization sampling (fermat-x6), which the report's
-reference provenance says.  Sieve evidence that no subgroup of the
-reference fits raises ``ReferenceMismatchError``.  The reference is the
-table entry that ``resolve_reference`` picks (a
+reference provenance says.  The sampling walk over a binomial a(T) X^n +
+c(T), as fermat-x6 is, sieves inside the holomorph Hol(C_n), which holds
+every specialization's group, and stops at the first sample that reaches
+its order: fermat-x6 factors one sample, not three.  Its provenance still
+reads "(not a proof)", as the report digests require.  Sieve evidence
+that no subgroup of the reference fits raises ``ReferenceMismatchError``.
+The reference is the table entry that ``resolve_reference`` picks (a
 ``galois.TransitiveGroupEntry``), so its label, order and kind are read,
 never searched for.
 
@@ -282,7 +286,24 @@ def exceptional_test(
 # -- reference group ------------------------------------------------------------
 
 
-def generic_group(P: BiPoly, samples, budget: int = 48) -> int:
+# The holomorph Hol(C_n), the maps k -> uk + b on Z/n, as its table entry.
+_HOLOMORPH = {2: "2T1", 3: "3T2", 4: "4T3", 5: "5T3", 6: "6T3"}
+
+
+def _binomial_bound(P: BiPoly) -> TransitiveGroupEntry | None:
+    """Hol(C_n)'s table entry when P = a(T) X^n + c(T) with c nonzero, else
+    None.  The roots of every such binomial, and of each specialization
+    with a(t) c(t) nonzero, are zeta^k alpha for a primitive n-th root of
+    unity zeta and any one root alpha; a Galois element maps alpha to
+    zeta^b alpha and zeta to zeta^u, so it acts on the index k as
+    k -> uk + b.  Hence each of these groups is conjugate into Hol(C_n)."""
+    n = P.degree_x
+    if n not in _HOLOMORPH or not P.xcoeffs[0] or any(P.xcoeffs[1:n]):
+        return None
+    return table_entry(_HOLOMORPH[n])
+
+
+def generic_group(P: BiPoly, samples, budget: int = 48, within: TransitiveGroupEntry | None = None) -> int:
     """Largest Galois group order attained on the sample parameters.
 
     Outside a thin set the specialization attains the generic group, so the
@@ -290,6 +311,14 @@ def generic_group(P: BiPoly, samples, budget: int = 48) -> int:
     derived evidence, never a proof (``resolve_reference`` says so in its
     provenance).  Each distinct specialization is identified once, through
     a memo local to this call: fermat-x6's five samples are three sextics.
+
+    ``within``, a table entry that every specialization's group is known
+    to be conjugate into (``_binomial_bound``), bounds each sample's sieve,
+    so a singleton is 'conditional' and counts as exact; and as no order
+    can pass ``within.order``, the walk stops at the first sample that
+    reaches it.  The bound never lowers an order: the bounded sieve still
+    holds the sample's group, and its least candidate order is at least
+    the full table's.
     """
     samples = [Fraction(s) for s in samples]
     if len(samples) < 5:
@@ -300,11 +329,13 @@ def generic_group(P: BiPoly, samples, budget: int = 48) -> int:
         pt = P.specialize(t)
         if pt.degree < 1:
             continue
-        _, gid = _fibre(pt, budget, None, memo)
-        if gid.mode == "definitive":
+        _, gid = _fibre(pt, budget, within, memo)
+        if gid.mode in ("definitive", "conditional"):
             orders.append(gid.order)
         elif gid.mode == "sieved":
             orders.append(min(gid.candidate_orders()))
+        if within is not None and within.order in orders:
+            break
     if not orders:
         raise InconclusiveError("every sample parameter was degenerate")
     return max(orders)
@@ -315,7 +346,12 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[TransitiveGroupE
     entry, with its provenance.
 
     The fixture label, else the fixture order, else an order derived by
-    specialization sampling picks the candidate table entries.  When
+    specialization sampling picks the candidate table entries.  A binomial
+    P samples inside its holomorph (``_binomial_bound``), so fermat-x6's
+    walk stops at its first sample, t = -2, which the sieve pins as 6T3
+    after two primes.  The provenance still reads "(not a proof)", which
+    the report digests pin, although that sample inside that bound would
+    certify G: no report states the certificate yet.  When
     auxiliary polynomials are present, only the entries whose
     maximal-subgroup indices (a column of the transitive table) are their
     X-degrees stay.  Exactly one entry must remain.  A degree without a
@@ -335,7 +371,7 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[TransitiveGroupE
             order, prov = data.g_order, f"fixture order {data.g_order}"
         else:
             samples = sample_rationals(5, exclude=data.D | {Fraction(0)})
-            order = generic_group(data.P, samples, budget)
+            order = generic_group(data.P, samples, budget, _binomial_bound(data.P))
             prov = "order derived from specialization sampling (not a proof)"
         cands = [e for e in table if e.order == order]
     sdegs = sorted(f.degree_x for f in data.S)

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 from typing import Iterable, Sequence
 
 from hitbox.errors import DomainError, ParseError, ResourceLimitError
@@ -457,6 +457,36 @@ def specialize_by_horner(P: BiPoly, t) -> UniPoly:
             acc = acc * t + a
         out.append(acc)
     return UniPoly(out)
+
+
+def _int_add(f: list[int], g: list[int]) -> list[int]:
+    return [a + b for a, b in zip_longest(f, g, fillvalue=0)]
+
+
+def _int_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def swinnerton_dyer(primes: Sequence[int]) -> UniPoly:
+    """The Swinnerton-Dyer polynomial of the given primes, of degree
+    2^len(primes): the product of X - (±sqrt(p1) ± sqrt(p2) ± ...).
+
+    Irreducible over Q, yet it splits into factors of degree at most 2
+    modulo every prime, so Zassenhaus recombination meets 2^(len - 1)
+    modular factors.  Built by SD_{k+1}(x) = A(x)^2 - p B(x)^2, where
+    SD_k(x + y) = A(x) + y B(x) modulo y^2 - p (Horner in x + y)."""
+    f = [0, 1]
+    for p in primes:
+        A, B = [0], [0]
+        for c in reversed(f):
+            # (A + y B)(x + y) + c = (x A + p B + c) + y (A + x B)
+            A, B = _int_add(_int_add([0] + A, [p * b for b in B]), [c]), _int_add(A, [0] + B)
+        f = _int_add(_int_mul(A, A), [-p * b for b in _int_mul(B, B)])
+    return UniPoly(f)
 
 
 def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
+
+from oracles import swinnerton_dyer
 
 from hitbox import polys, rationals
 from hitbox.cli import _psi_cross_check, _psi_search_bound, main
@@ -150,6 +153,37 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "local", "conic", "--a", "1152921515344265237", "--b", "0", "--c", "1")
     assert code == 3 and out == ""
     assert err.startswith("error: Pollard rho took over 100 steps")
+
+
+def test_factor_gives_up_on_recombination_past_its_trial_cap(capsys):
+    # sqrt 2..11: 16 quadratic factors mod every prime, 39,202 subset
+    # trials; sqrt 2..13: 32 of them, over two billion
+    code, out, _ = run(capsys, "factor", polys.poly_str(swinnerton_dyer([2, 3, 5, 7, 11])))
+    assert code == 0 and "type: [32]" in out
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "factor", polys.poly_str(swinnerton_dyer([2, 3, 5, 7, 11, 13])))
+    assert time.perf_counter() - t0 < 2
+    assert code == 3 and out == ""
+    assert err.startswith("error: recombining 32 modular factors of a degree-64 polynomial takes over 100000")
+
+
+@pytest.mark.parametrize(
+    "text, degree",
+    [("X^7 - 2", 7), ("(X^3 - 2)*(X^4 - 3)", 7), (polys.poly_str(swinnerton_dyer([2, 3, 5, 7, 11, 13])), 64)],
+    ids=["x7", "x3-x4", "sd64"],
+)
+def test_galois_refuses_a_radical_above_degree_6_before_factoring(capsys, monkeypatch, text, degree):
+    monkeypatch.setattr("hitbox.cli.factor_over_Q", lambda f: pytest.fail("factored"))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "galois", text)
+    assert time.perf_counter() - t0 < 2
+    assert code == 3 and out == ""
+    assert err == f"error: the squarefree part has degree {degree}; Galois groups are identified up to degree 6\n"
+
+
+def test_galois_degree_cap_counts_each_distinct_root_once(capsys):
+    code, out, _ = run(capsys, "galois", "(X^3 - 2)^3")
+    assert (code, out) == (0, "3T2 (order 6)\n")
 
 
 def test_galois_of_a_semiprime_square_class_needs_no_factoring(capsys):

@@ -10,11 +10,12 @@ from oracles import (
     cycle_type_by_sympy,
     expand_factorization,
     roots_by_divisor_check,
+    swinnerton_dyer,
     trial_division_irreducible,
 )
 
 from hitbox import factorq, rationals
-from hitbox.errors import DomainError
+from hitbox.errors import DomainError, ResourceLimitError
 from hitbox.factorq import (
     Factorization,
     factor_over_Q,
@@ -531,6 +532,18 @@ def test_recombination_for_a_quartic_that_splits_modulo_every_prime():
         assert max(cycle_type_by_sympy(f, p)) <= 2
     _assert_matches_sympy(f)
     _assert_matches_sympy(f * parse_unipoly("X^4-4*X^2+1") * parse_unipoly("X^2-6"))
+
+
+def test_recombination_trial_cap_counts_every_subset(monkeypatch):
+    # sqrt 2..11 splits into 16 quadratics modulo every prime; proving it
+    # irreducible tries every subset of at most 8 of them but half of the
+    # 8-subsets: 39,202 trials, which a cap of 39,202 allows and 39,201 not
+    f = swinnerton_dyer([2, 3, 5, 7, 11])
+    monkeypatch.setattr(factorq, "_RECOMBINATION_TRIALS", 39_202)
+    assert is_irreducible(f)
+    monkeypatch.setattr(factorq, "_RECOMBINATION_TRIALS", 39_201)
+    with pytest.raises(ResourceLimitError, match="recombining 16 modular factors of a degree-32 polynomial"):
+        factor_over_Q(f)
 
 
 @pytest.mark.parametrize("name", ["serre-a4", "fermat-x6"])

@@ -1,8 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +20,7 @@ from hitbox.galois import table_entry
 from hitbox.harness import (
     EquivalenceReport,
     HitData,
+    _binomial_bound,
     _find_witness,
     compute_exclusion_set,
     enumerate_exceptional,
@@ -31,8 +34,8 @@ from hitbox.harness import (
     resolve_reference,
     verify_equivalence,
 )
-from hitbox.polys import BiPoly, parse_poly
-from hitbox.rationals import coprime_pairs_up_to_height, height, rationals_up_to_height
+from hitbox.polys import BiPoly, UniPoly, parse_poly
+from hitbox.rationals import coprime_pairs_up_to_height, height, rationals_up_to_height, sample_rationals
 
 SERRE = load_fixture("serre-a4")
 FERMAT = load_fixture("fermat-x6")
@@ -338,6 +341,52 @@ def test_generic_group_identifies_each_distinct_sample_once(monkeypatch):
     samples = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(2), Fraction(-3)]
     assert generic_group(FERMAT.P, samples) == 12
     assert calls == [FERMAT.P.specialize(t) for t in samples[:2] + samples[4:]]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_binomial_bound_is_the_holomorph_of_the_cyclic_group(n):
+    from oracles import closure, label_for_group
+
+    # Hol(C_n) acts on Z/n by k -> uk + b: generated by the shift and the units
+    shift = tuple((k + 1) % n for k in range(n))
+    units = [tuple(u * k % n for k in range(n)) for u in range(2, n) if math.gcd(u, n) == 1]
+    holomorph = closure(n, [shift, *units])
+    bound = _binomial_bound(parse_poly(f"(T^2 + 1)*X^{n} - T^3 + 2"))
+    assert bound.label == label_for_group(holomorph)
+    assert bound.order == holomorph.order == n * (1 + len(units))
+
+
+@pytest.mark.parametrize("P", [SERRE.P, FERMAT.P + parse_poly("X"), parse_poly("(T + 1)*X^6"), parse_poly("X^7 - T")])
+def test_binomial_bound_is_none_outside_degrees_2_to_6_binomials(P):
+    assert _binomial_bound(P) is None
+
+
+def test_binomial_bound_leaves_the_sampled_order_unchanged():
+    rng = random.Random(31)
+    families = [SERRE.P, FERMAT.P]
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        a = UniPoly([rng.choice([1, 2, -3]), rng.randint(-2, 2)])
+        c = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))])
+        families.append(BiPoly([c, *[0] * (n - 1), a]))
+    samples = sample_rationals(5, exclude={Fraction(0)})
+    for P in families:
+        assert generic_group(P, samples, within=_binomial_bound(P)) == generic_group(P, samples), P
+
+
+def test_fermat_reference_sampling_stops_at_its_first_sample(monkeypatch):
+    # inside Hol(C_6) = 6T3 the sieve pins t = -2 after two primes, so the
+    # walk stops there; the provenance is the unbounded walk's
+    calls, gids = [], []
+    real_factor, real_identify = harness.factor_over_Q, harness.identify_galois
+    monkeypatch.setattr(harness, "factor_over_Q", lambda f: calls.append(f) or real_factor(f))
+    monkeypatch.setattr(harness, "identify_galois", lambda *a: gids.append(real_identify(*a)) or gids[-1])
+    entry, prov = resolve_reference(FERMAT)
+    assert entry == table_entry("6T3")
+    assert prov == "order derived from specialization sampling (not a proof), matched 6T3"
+    assert calls == [FERMAT.P.specialize(-2)]
+    (gid,) = gids
+    assert (gid.mode, gid.label, gid.evidence.primes) == ("conditional", "6T3", (5, 11))
 
 
 def test_verify_equivalence_toy_square_family():
