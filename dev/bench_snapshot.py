@@ -6,7 +6,11 @@ the end-to-end figures (``params_per_s``, ``setup_s``, ``peak_rss_mb``)
 from the newest untraced run, the layer shares and sieve figures from the
 newest traced run, and each run's git revision and machine, into
 ``BENCH_<workload>.json`` at the repository root, so that the performance
-trajectory lives in version control.
+trajectory lives in version control.  A run stamps the revision of HEAD,
+so each revision is written with ``"dirty": true`` when, at snapshot
+time, a tracked file other than the ``BENCH_*.json`` snapshots differs
+from HEAD: then the figures are of uncommitted code (``null`` outside a
+git checkout).
 
 Run from the repository root after the benchmark, e.g.::
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,12 +45,27 @@ def newest(workload: str, traced: int) -> Path | None:
     return files[-1] if files else None
 
 
-def run_summary(path: Path, keep) -> dict:
+def tree_dirty() -> bool | None:
+    """Whether a tracked file, the snapshots aside, differs from HEAD; None
+    outside a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(ROOT), "status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"],
+            capture_output=True,
+            text=True,
+        )
+    except OSError:  # no git
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
+def run_summary(path: Path, keep, dirty: bool | None) -> dict:
     report = json.loads(path.read_text())
     env = report["env"]
     return {
         "file": str(path.relative_to(ROOT)),
         "git_revision": env.get("git_revision"),
+        "dirty": dirty,
         "machine": {
             "python": env.get("python"),
             "nproc": env.get("nproc"),
@@ -61,10 +81,11 @@ def snapshot(workload: str) -> dict:
     if untraced is None and traced is None:
         raise SystemExit(f"no results for {workload} in {OUT}; run perfbench/run.py first")
     out = {"workload": workload, "platform": platform.platform()}
+    dirty = tree_dirty()
     if untraced is not None:
-        out["end_to_end"] = run_summary(untraced, lambda k: k in END_TO_END)
+        out["end_to_end"] = run_summary(untraced, lambda k: k in END_TO_END, dirty)
     if traced is not None:
-        out["layers"] = run_summary(traced, lambda k: k.endswith(".share") or k in TRACED)
+        out["layers"] = run_summary(traced, lambda k: k.endswith(".share") or k in TRACED, dirty)
     return out
 
 

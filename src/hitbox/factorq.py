@@ -62,8 +62,8 @@ returns exactly what a computation would.
 Across a bounded-height sweep P(t, X) mod p takes few values, so a split
 is computed once per residue class instead of once per parameter (``hit
 verify`` on fermat-x6 at height 30, reference included, makes 4262 calls
-of ``_usable_ddf`` over 408 keys, where the sweep's fibre memo in
-``harness`` factors each of its 555 distinct sextics once).  The cache
+of ``_usable_ddf`` over 408 keys, where the sweep's record memo in
+``harness`` factors one sextic per orbit {t, -t}, 555 in all).  The cache
 holds at most ``_RESIDUE_CACHE_SIZE`` = 4096 entries and drops the least
 recently used; an entry takes about 0.5 KB, and under 0.7 KB for a sextic
 split into six linear factors, so a full cache holds under 3 MB.  Values
@@ -81,8 +81,8 @@ integer coefficients and need no integer factoring: the roots
 of the monic integer model F modulo a small odd prime p are found by
 evaluating F at the p residues.  p is usable when each of them is a simple
 root (F'(r) != 0 mod p); then each lifts uniquely by Newton's method, past
-twice the Cauchy bound, and is kept only if it is an exact integer root of
-F (ibid., §15).  Rejecting a prime costs at most p evaluations.
+twice Fujiwara's root bound, and is kept only if it is an exact integer
+root of F (ibid., §15).  Rejecting a prime costs at most p evaluations.
 
 The witness scan asks whether some member f of a fixed family S in Q[T][X]
 has a rational root at t, for many t; almost never is the answer yes.  A
@@ -689,7 +689,8 @@ def factor_over_Q(f: UniPoly) -> Factorization:
 
     One residue scan (``_good_prime``) of the monic integer model proves it
     squarefree and settles or prepares its factorization; the model and the
-    cycle types the scan read are kept on the result.  When the scan finds
+    cycle types the scan read are kept on the result; an input the scan
+    proves irreducible is its own factor, ``f.monic()``.  When the scan finds
     no usable prime, the squarefree part is factored instead, and the
     multiplicity of each of its factors is the number of times it divides f.
     """
@@ -706,6 +707,8 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     if repeated:
         F, m = _monic_int_model(squarefree_part(f).primitive())
         scan = _good_prime(F, m, squarefree=True)
+    elif scan.degrees == 1 | 1 << len(F) - 1:  # the scan proved f irreducible
+        return Factorization(unit, ((f.monic(), 1),), model, scanned)
     out: list[tuple[UniPoly, int]] = []
     for h in _zassenhaus_monic(F, scan):
         # undo y = m*x: h(m x) / m^deg h is monic
@@ -757,12 +760,15 @@ def _lift_roots(F: list[int], p: int, residues) -> list[int]:
     """The integer roots of a monic integer F among the lifts of its simple
     roots mod p (``residues``).
 
-    Each lifts uniquely (Newton), and past twice the Cauchy bound
-    1 + max|F_i| its symmetric representative is the only integer root of F
-    it can be; every candidate is checked exactly (von zur Gathen &
-    Gerhard, §15)."""
+    Each lifts uniquely (Newton), and past twice a bound on the roots its
+    symmetric representative is the only integer root of F it can be;
+    every candidate is checked exactly (von zur Gathen & Gerhard, §15).
+    The bound is read off bit lengths: every root of F has absolute value
+    at most 2 max |F_(n-i)|^(1/i) over i = 1..n (Fujiwara), and
+    |F_(n-i)|^(1/i) < 2^k for k = ceil(bitlen |F_(n-i)| / i), so
+    4 << max k is at least twice that."""
     dF = _deriv(F)
-    bound = 2 * (1 + max(abs(c) for c in F))
+    bound = 4 << max((-(-c.bit_length() // i) for i, c in enumerate(reversed(F[:-1]), 1)), default=0)
     roots = []
     for r in residues:
         q = p

@@ -29,14 +29,16 @@ The reference is the table entry that ``resolve_reference`` picks (a
 ``galois.TransitiveGroupEntry``), so its label, order and kind are read,
 never searched for.
 
-Each sweep identifies each distinct specialization once.  It creates one
-fibre memo, a dict keyed by (P(t, X), the reference bound), and passes it
-to every ``exceptional_test`` call; the factorization type and the
-``GaloisId`` are functions of that key at the sweep's fixed budget.  Both
-fixtures are polynomials in T^2, so t and -t share a fibre and the memo
-halves their factoring.  The memo is dropped with its sweep, and each
-chunk of a pooled sweep fills its own copy, so a pair split across two
-chunks is identified twice and the output stays the same.
+Both fixtures, and every auxiliary polynomial of theirs, are polynomials
+in T^2 with a symmetric D, so the records at t and -t agree in every field
+but t.  ``HitData.even_in_t`` checks this once per family.  When it holds,
+each sweep creates one record memo, a dict keyed by the orbit (|a|, b) of
+t = a/b, and passes it to every ``exceptional_test`` call: the first
+member of each orbit is computed, and the other is answered with that
+record's fields and its own t.  Every value still gets its own call.  The
+memo is dropped with its sweep, and each chunk of a pooled sweep fills its
+own copy, so a pair split across two chunks is computed twice and the
+output stays the same.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ class HitData:
     """A polynomial family with its exclusion set and auxiliary polynomials.
 
     Unhashable, as its ``provenance`` dict is.  A plain class, not a tuple
-    or a slotted one: ``root_sieve`` is cached in the instance ``__dict__``,
-    which pickles with the data."""
+    or a slotted one: ``root_sieve``, ``d_pairs`` and ``even_in_t`` are
+    cached in the instance ``__dict__``, which pickles with the data."""
 
     def __init__(
         self,
@@ -123,6 +125,20 @@ class HitData:
         built once, in the parent, and pickled with the data into every
         chunk that a pool worker receives."""
         return root_sieve(self.S)
+
+    @functools.cached_property
+    def d_pairs(self) -> frozenset[tuple[int, int]]:
+        """D as the coprime pairs (a, b), b > 0, of its values a/b, which
+        ``exceptional_test`` looks t up among without hashing a
+        ``Fraction``."""
+        return frozenset((d.numerator, d.denominator) for d in self.D)
+
+    @functools.cached_property
+    def even_in_t(self) -> bool:
+        """Whether P, every S[i] and D are invariant under T -> -T, so that
+        the records at t and -t agree in every field but t."""
+        odd = any(any(c.coeffs[1::2]) for f in (self.P, *self.S) for c in f.xcoeffs)
+        return not odd and all((-a, b) in self.d_pairs for a, b in self.d_pairs)
 
 
 class SpecializationRecord(NamedTuple):
@@ -204,27 +220,6 @@ def _find_witness(ab: tuple[int, int], data: HitData) -> tuple[int, Fraction] | 
     return None
 
 
-def _fibre(pt, budget: int, within, memo: dict) -> tuple[tuple[int, ...], GaloisId]:
-    """(factorization type, ``GaloisId``) of the specialization pt, a
-    nonconstant ``UniPoly``, identified inside ``within``.  Both are
-    functions of (pt, within) for a fixed budget, so they are looked up in
-    ``memo`` under that key and computed, from one factorization, only on a
-    miss.
-
-    The key is one flat tuple: pt's integer pair as ``BiPoly.specialize``
-    built it (the same pair at t and -t on a family in T^2), then the label
-    of ``within``.  Hashing pt itself would reduce the pair by a gcd, the
-    entry hashes every field, and a nested tuple stays longer in the
-    garbage collector's view: costs that a family whose fibres never repeat
-    would pay on every record for nothing."""
-    key = (*pt._ints, pt._den, within and within.label)
-    out = memo.get(key)
-    if out is None:
-        fac = factor_over_Q(pt)
-        out = memo[key] = (fac.type(), identify_galois(fac, budget, within))
-    return out
-
-
 def exceptional_test(
     t,
     data: HitData,
@@ -237,25 +232,37 @@ def exceptional_test(
     P(t, X) is factored over Q once; its factorization type and its Galois
     identification both come from that one factorization.  For t outside D
     a given reference (a table entry) bounds the sieve (the Galois group is
-    conjugate into it) and is matched once, on ``match``.
+    conjugate into it) and is matched once, on ``match``.  The record is
+    worked out on the coprime pair (a, b) of t = a/b: D is looked up among
+    ``HitData.d_pairs`` and the witness scan reads the pair.
 
-    ``memo`` is the sweep's fibre memo, a dict that one sweep (one budget)
-    passes to every call and then drops: a specialization already seen in
-    the sweep with the same reference bound, such as P(-t, X) = P(t, X) on
-    a family in T^2, reuses its type and identification.  The witness,
-    ``in_d``, the match and the verdict are worked out for every t.
+    ``memo`` is the sweep's record memo, a dict that one sweep (one
+    reference, one budget) passes to every call and then drops.  On a
+    family even in T (``HitData.even_in_t``) it maps the orbit key (|a|, b)
+    to the first record computed, and the other member of the orbit gets
+    that record with its own t.  On any other family it is not read.
     """
-    t = Fraction(t)
-    in_d = t in data.D
+    if t.__class__ is not Fraction:
+        t = Fraction(t)
+    a, b = ab = t.numerator, t.denominator
+    orbit = None
+    if memo is not None and data.even_in_t:
+        orbit = (-a, b) if a < 0 else ab
+        rec = memo.get(orbit)
+        if rec is not None:
+            return SpecializationRecord(t, *rec[1:])
+    in_d = ab in data.d_pairs
     within = None if in_d else reference
-    witness = _find_witness((t.numerator, t.denominator), data)
+    witness = _find_witness(ab, data)
     pt = data.P.specialize(t)
     ftype: tuple[int, ...] = ()
     gid: GaloisId | None = None
     match: bool | None = None
     if pt.degree >= 1:
+        fac = factor_over_Q(pt)
+        ftype = fac.type()
         try:
-            ftype, gid = _fibre(pt, budget, within, {} if memo is None else memo)
+            gid = identify_galois(fac, budget, within)
         except ReferenceMismatchError as e:
             raise ReferenceMismatchError(e.prime, e.cycle_type, e.reference, t) from None
         if within is not None:
@@ -272,7 +279,7 @@ def exceptional_test(
         verdict = "generic"
     else:
         verdict = "generic" if gid is not None and gid.mode == "definitive" else "indeterminate"
-    return SpecializationRecord(
+    rec = SpecializationRecord(
         t=t,
         in_d=in_d,
         witness=witness,
@@ -281,6 +288,9 @@ def exceptional_test(
         verdict=verdict,
         match=match,
     )
+    if orbit is not None:
+        memo[orbit] = rec
+    return rec
 
 
 # -- reference group ------------------------------------------------------------
@@ -309,8 +319,9 @@ def generic_group(P: BiPoly, samples, budget: int = 48, within: TransitiveGroupE
     Outside a thin set the specialization attains the generic group, so the
     maximum over a handful of samples is the working reference order; it is
     derived evidence, never a proof (``resolve_reference`` says so in its
-    provenance).  Each distinct specialization is identified once, through
-    a memo local to this call: fermat-x6's five samples are three sextics.
+    provenance).  Each distinct specialization is identified once, looked
+    up in a dict local to this call: fermat-x6's five samples are three
+    sextics.
 
     ``within``, a table entry that every specialization's group is known
     to be conjugate into (``_binomial_bound``), bounds each sample's sieve,
@@ -324,12 +335,14 @@ def generic_group(P: BiPoly, samples, budget: int = 48, within: TransitiveGroupE
     if len(samples) < 5:
         raise DomainError("need at least 5 sample parameters")
     orders = []
-    memo: dict = {}
+    seen: dict = {}  # specialization -> GaloisId
     for t in samples:
         pt = P.specialize(t)
         if pt.degree < 1:
             continue
-        _, gid = _fibre(pt, budget, within, memo)
+        gid = seen.get(pt)
+        if gid is None:
+            gid = seen[pt] = identify_galois(factor_over_Q(pt), budget, within)
         if gid.mode in ("definitive", "conditional"):
             orders.append(gid.order)
         elif gid.mode == "sieved":
@@ -430,8 +443,8 @@ def verify_equivalence(
     sweep, so a sweep error is raised before its ``InconclusiveError``.
     """
     values = [Fraction(a, b) for a, b in coprime_pairs_up_to_height(height_bound, data.D)]
-    data.root_sieve  # built here, so that pool workers receive it with the data
-    memo: dict = {}  # the sweep's fibre memo; a pooled chunk gets its own copy
+    data.root_sieve, data.d_pairs, data.even_in_t  # built here, so that pool workers receive them
+    memo: dict = {}  # the sweep's record memo; a pooled chunk gets its own copy
     records = _parallel_map(exceptional_test, values, workers, data, reference, budget, memo)
     violations = []
     indeterminates = []
@@ -493,7 +506,7 @@ def enumerate_exceptional(
     pairs = list(coprime_pairs_up_to_height(height_bound, data.D))
     data.root_sieve  # built here, so that pool workers receive it with the data
     witnesses = _parallel_map(_find_witness, pairs, workers, data)
-    memo: dict = {}
+    memo: dict = {}  # the sweep's record memo
     return [
         exceptional_test(Fraction(a, b), data, None, budget, memo)
         for (a, b), w in zip(pairs, witnesses)

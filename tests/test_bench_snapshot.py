@@ -51,3 +51,43 @@ def test_snapshot_copies_end_to_end_and_layer_figures(tmp_path, monkeypatch):
         "galois.sieve.candidates_mean": 1.2,
         "indeterminate_frac": 0.0,
     }
+
+
+def _snapshot_with_git_status(tmp_path, monkeypatch, status: str, returncode: int = 0) -> tuple[dict, list]:
+    import subprocess
+
+    snap = _load()
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    monkeypatch.setattr(snap, "ROOT", tmp_path)
+    monkeypatch.setattr(snap, "OUT", out)
+    (out / "verify-a4-seed0-trace0.json").write_text(json.dumps(_report({"params_per_s": 900.0}, "abc")))
+    (out / "verify-a4-seed0-trace1.json").write_text(json.dumps(_report({"galois.sieve.share": 0.0}, "abc")))
+    calls = []
+
+    def git(cmd, **kw):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, returncode, stdout=status, stderr="")
+
+    monkeypatch.setattr(snap.subprocess, "run", git)
+    assert snap.main(["verify-a4"]) == 0
+    return json.loads((tmp_path / "BENCH_verify-a4.json").read_text()), calls
+
+
+def test_snapshot_marks_both_runs_dirty_when_a_tracked_file_differs_from_head(tmp_path, monkeypatch):
+    got, calls = _snapshot_with_git_status(tmp_path, monkeypatch, " M src/hitbox/harness.py\n")
+    assert got["end_to_end"]["git_revision"] == got["layers"]["git_revision"] == "abc"
+    assert got["end_to_end"]["dirty"] is got["layers"]["dirty"] is True
+    # one status call, tracked files only, and the snapshots themselves left out
+    assert len(calls) == 1 and calls[0][:2] == ["git", "-C"]
+    assert "--untracked-files=no" in calls[0] and ":(exclude)BENCH_*.json" in calls[0]
+
+
+def test_snapshot_of_a_clean_tree_is_not_dirty(tmp_path, monkeypatch):
+    got, _ = _snapshot_with_git_status(tmp_path, monkeypatch, "")
+    assert got["end_to_end"]["dirty"] is got["layers"]["dirty"] is False
+
+
+def test_snapshot_outside_a_checkout_leaves_dirty_unknown(tmp_path, monkeypatch):
+    got, _ = _snapshot_with_git_status(tmp_path, monkeypatch, "", returncode=128)
+    assert got["end_to_end"]["dirty"] is None

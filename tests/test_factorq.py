@@ -439,6 +439,53 @@ def test_factor_over_Q_matches_sympy_on_linear_factors_times_an_irreducible(line
     _assert_matches_sympy(linear * cofactor * unit)
 
 
+# integer roots at and beside powers of two up to 2^40, where the bit-length
+# form of Fujiwara's root bound in _lift_roots is at its tightest
+_ROOTS_NEAR_POWERS_OF_TWO = st.builds(
+    lambda k, d, sign: sign * (2**k + d), st.integers(1, 40), st.integers(-1, 1), st.sampled_from([1, -1])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_ROOTS_NEAR_POWERS_OF_TWO, min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda cs: cs[-1] != 0),
+    st.sampled_from([1, -3, Fraction(2, 7)]),
+)
+def test_large_integer_roots_are_found_as_sympy_finds_them(roots, cofactor, unit):
+    f = math.prod((UniPoly([-r, 1]) for r in roots), start=UniPoly(cofactor) * unit)
+    _assert_matches_sympy(f)
+    _, factors = _sympy_factors(f)
+    assert rational_roots(f) == {-c[0] for c, _ in factors if len(c) == 2}, poly_str(f)
+    assert set(roots) <= rational_roots(f)
+
+
+def test_lift_roots_stops_past_twice_fujiwaras_bound():
+    # X - r: the bound is 4 << bitlen(r); lifting from 3 stops at the first
+    # power 3^(2^j) above it, where r is the symmetric representative
+    for r in (2**40 - 1, 2**40, -(2**40) - 1, 10**9 + 7):
+        F = [-r, 1]
+        assert factorq._lift_roots(F, 3, [r % 3]) == [r]
+    # roots of absolute value up to Fujiwara's 2 max |F_(n-i)|^(1/i)
+    F = _mul(_mul([-(2**30), 1], [2**30 + 1, 1]), [7, 0, 1])  # (X - 2^30)(X + 2^30 + 1)(X^2 + 7)
+    p = next(p for p in (3, 5, 7, 11, 13) if factorq._simple_roots_mod(F, p) is not None)
+    assert sorted(factorq._lift_roots(F, p, factorq._simple_roots_mod(F, p))) == [-(2**30) - 1, 2**30]
+
+
+@pytest.mark.parametrize("text", ["X^6 - 63/64", "X^6 - 665/729", "-7/2*X^5 + X - 1/3", "6*X - 4"])
+def test_factor_over_Q_returns_an_irreducible_input_as_its_monic_pair(monkeypatch, text):
+    # the scan's degree set is {0, n}; X^6 - 63/64 is fermat-x6 at t = 1/2
+    zassenhaus = _counting(monkeypatch, "_zassenhaus_monic")
+    f = parse_unipoly(text)
+    fac = factor_over_Q(f)
+    assert fac.is_irreducible() and fac.unit == f.lc() and not zassenhaus
+    (g, _), = fac.factors
+    # the same lowest-terms pair as the model rescaled by m^i and reduced
+    F, m = fac.model
+    rescaled = UniPoly.from_ints([c * m**i for i, c in enumerate(F)], m ** (len(F) - 1)).monic()
+    assert (g._ints, g._den) == (f.monic()._ints, f.monic()._den) == (rescaled._ints, rescaled._den)
+
+
 def _s3_cubic(cubic: UniPoly) -> bool:
     """An irreducible cubic has group S3 when its discriminant is no square."""
     sympy = pytest.importorskip("sympy")

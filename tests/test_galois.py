@@ -648,7 +648,7 @@ def test_serre_a4_sweep_solves_the_resolvent_cubic_only_twice(monkeypatch):
     # the V4 fibres at t = +-10/27, which have no 3-cycle, solve the cubic
     assert len(calls) <= 2
     # each distinct fibre is classified once: P(-t, X) = P(t, X) halves the
-    # 1110 records to 555 fibres through the sweep's fibre memo
+    # 1110 records to 555 orbits {t, -t} through the sweep's record memo
     assert len(report.records) == 1110
     assert len(classified) == 555
     # the resolvent-only path, which reads no scan, gives the same report

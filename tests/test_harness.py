@@ -299,7 +299,7 @@ def test_pooled_sweep_raises_the_first_failure_in_sweep_order():
     assert named[0] == named[1]
 
 
-def test_groups_match_runs_once_per_record(monkeypatch):
+def test_groups_match_runs_once_per_orbit(monkeypatch):
     import hitbox.galois
 
     calls = []
@@ -309,11 +309,12 @@ def test_groups_match_runs_once_per_record(monkeypatch):
         return hitbox.galois.groups_match(gid, reference)
 
     monkeypatch.setattr(harness, "groups_match", counting)
-    for data, bound in ((SERRE, 6), (FERMAT, 7)):
+    # both fixtures are even in T: one computed record per orbit {t, -t}
+    for data, bound, orbits in ((SERRE, 6, 23), (FERMAT, 7, 35)):
         ref, _ = resolve_reference(data)
         calls.clear()
         rep = verify_equivalence(data, ref, bound, workers=1, keep_records=True)
-        assert len(calls) == rep.checked
+        assert len(calls) == orbits == len({abs(r.t) for r in rep.records})
         assert all(rec.match is not None for rec in rep.records)
 
 
@@ -332,6 +333,66 @@ def test_sweep_identifies_each_distinct_fibre_once(monkeypatch):
             assert len(calls) == len(set(calls)) == fibres
         pooled = verify_equivalence(data, ref, 30, workers=2, keep_records=True)
         assert report_to_json(pooled) == report_to_json(rep)
+
+
+def test_both_fixtures_are_even_in_t_and_the_toy_is_not():
+    assert SERRE.even_in_t and FERMAT.even_in_t
+    assert not TOY.even_in_t  # X^2 - T
+    assert FERMAT.d_pairs == {(-1, 1), (1, 1)}
+
+
+@pytest.mark.parametrize("data, bound", [(SERRE, 8), (FERMAT, 8)])
+def test_orbit_memo_gives_the_records_of_a_memo_free_sweep(data, bound):
+    ref, _ = resolve_reference(data)
+    values = [Fraction(a, b) for a, b in coprime_pairs_up_to_height(bound, data.D)]
+    computed = [exceptional_test(t, data, ref) for t in values]
+    memo: dict = {}
+    assert [exceptional_test(t, data, ref, memo=memo) for t in values] == computed
+    assert len(memo) == len({abs(t) for t in values}) < len(values)
+    # the canonical order meets -t first; positive t first gives the same records
+    memo.clear()
+    assert [exceptional_test(t, data, ref, memo=memo) for t in reversed(values)] == computed[::-1]
+
+
+def _factor_calls_per_sweep(monkeypatch, data, ref, bound):
+    calls = []
+    real = harness.factor_over_Q
+    monkeypatch.setattr(harness, "factor_over_Q", lambda f: calls.append(f) or real(f))
+    rep = verify_equivalence(data, ref, bound, keep_records=True)
+    return len(calls), rep
+
+
+def test_orbit_memo_is_off_for_an_odd_auxiliary_polynomial(monkeypatch):
+    S = (SERRE.S[0], parse_poly("X^4 - T*X - 1"))  # the second member is odd in T
+    data = HitData(name="odd-s", P=SERRE.P, D=compute_exclusion_set(SERRE.P, S), S=S)
+    assert not data.even_in_t
+    calls, rep = _factor_calls_per_sweep(monkeypatch, data, table_entry("4T4"), 8)
+    ts = {r.t for r in rep.records}
+    assert calls == rep.checked and any(-t in ts for t in ts if t)  # t and -t both factored
+
+
+def test_orbit_memo_is_off_for_an_exclusion_set_that_is_not_symmetric(monkeypatch):
+    data = HitData(name="lopsided-d", P=FERMAT.P, D=FERMAT.D | {Fraction(1, 2)}, S=FERMAT.S)
+    assert not data.even_in_t
+    ref, _ = resolve_reference(FERMAT)
+    calls, rep = _factor_calls_per_sweep(monkeypatch, data, ref, 7)
+    assert calls == rep.checked
+    assert [r.t for r in rep.records if r.t in (Fraction(-1, 2), Fraction(1, 2))] == [Fraction(-1, 2)]
+    assert rep.records == [exceptional_test(r.t, FERMAT, ref) for r in rep.records]
+
+
+@pytest.mark.parametrize("data", [SERRE, FERMAT], ids=["serre-a4", "fermat-x6"])
+def test_pooled_sweep_equals_serial_when_a_chunk_splits_an_orbit(monkeypatch, data):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    ref, _ = resolve_reference(data)
+    values = [Fraction(a, b) for a, b in coprime_pairs_up_to_height(10, data.D)]
+    chunk = -(-len(values) // (4 * 2))  # _parallel_map's chunk size for 2 workers
+    where = {t: i // chunk for i, t in enumerate(values)}
+    assert len(values) >= 64 and any(where[t] != where[-t] for t in values)
+    serial = verify_equivalence(data, ref, 10, workers=1, keep_records=True)
+    pooled = verify_equivalence(data, ref, 10, workers=2, keep_records=True)
+    assert pooled.records == serial.records
+    assert report_to_json(pooled) == report_to_json(serial)
 
 
 def test_generic_group_identifies_each_distinct_sample_once(monkeypatch):
