@@ -1,7 +1,7 @@
 """Compare one workload's end-to-end figure with another revision's.
 
     python3 dev/bench_setup.py --against REV [--workload verify-x6] [-n 10]
-    python3 dev/bench_setup.py --against REV --metric params_per_s [--seconds 10]
+    python3 dev/bench_setup.py --against REV --metric params_per_s [--workload verify-a4]
 
 Extracts the committed files of REV (``git archive``) into a temporary
 directory, then measures each side n times, in fresh processes and
@@ -11,8 +11,10 @@ so that a drift of the machine's speed falls on both.
 ``setup_s`` (the default) runs ``perfbench/probe.py`` once per
 measurement; both sides are timed by this tree's probe, which imports the
 ``src`` of the checkout it is given.  ``params_per_s`` runs each side's
-own ``perfbench/run.py --workload W --trace 0 --seconds S``, which writes
-its details under that side's git-ignored ``perfbench/out/``.  Prints
+own ``perfbench/run.py --workload W --trace 0 --seconds S``, S being the
+``run_seconds`` of this tree's ``BENCHMARK.json``, so that each run is as
+long as the benchmark's own; it writes its details under that side's
+git-ignored ``perfbench/out/``.  Prints
 each side's median and quartiles and the pairs in which this tree was
 better.  It edits no tracked file of either tree; the extracted copy is
 removed on exit.
@@ -32,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = ROOT / "perfbench" / "probe.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 # metric -> (scale, unit, better): figures are printed times the scale
 METRICS = {
@@ -92,7 +95,6 @@ def main(argv=None) -> int:
     ap.add_argument("--against", required=True, metavar="REV", help="git revision to compare with")
     ap.add_argument("--workload", default="verify-x6")
     ap.add_argument("--metric", choices=METRICS, default="setup_s")
-    ap.add_argument("--seconds", type=float, default=10, help="length of each params_per_s run")
     ap.add_argument("-n", type=int, default=10, help="pairs of measurements (at least 2)")
     args = ap.parse_args(argv)
     if args.n < 2:
@@ -100,8 +102,10 @@ def main(argv=None) -> int:
     if args.metric == "setup_s":
         measure = probe
     else:
+        seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
+
         def measure(root, workload):
-            return run(root, workload, args.seconds)
+            return run(root, workload, seconds)
     ours, theirs = [], []
     with tempfile.TemporaryDirectory(prefix="bench_setup-") as tmp:
         other = Path(tmp)

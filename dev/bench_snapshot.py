@@ -6,11 +6,12 @@ the end-to-end figures (``params_per_s``, ``setup_s``, ``peak_rss_mb``)
 from the newest untraced run, the layer shares and sieve figures from the
 newest traced run, and each run's git revision and machine, into
 ``BENCH_<workload>.json`` at the repository root, so that the performance
-trajectory lives in version control.  A run stamps the revision of HEAD,
-so each revision is written with ``"dirty": true`` when, at snapshot
-time, a tracked file other than the ``BENCH_*.json`` snapshots differs
-from HEAD: then the figures are of uncommitted code (``null`` outside a
-git checkout).
+trajectory lives in version control.  A run stamps the revision of HEAD
+at run time, uncommitted changes or not, so each revision is written with
+``"dirty": true`` when its figures may be of uncommitted code: at
+snapshot time a tracked file other than the ``BENCH_*.json`` snapshots
+differs from HEAD, or HEAD is no longer the run's revision (a commit made
+after the run).  ``null`` outside a git checkout.
 
 Run from the repository root after the benchmark, e.g.::
 
@@ -45,26 +46,35 @@ def newest(workload: str, traced: int) -> Path | None:
     return files[-1] if files else None
 
 
-def tree_dirty() -> bool | None:
-    """Whether a tracked file, the snapshots aside, differs from HEAD; None
-    outside a git checkout."""
+def git(*args: str) -> str | None:
+    """The stripped output of ``git args`` at the root; None outside a git
+    checkout."""
     try:
-        proc = subprocess.run(
-            ["git", "-C", str(ROOT), "status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"],
-            capture_output=True,
-            text=True,
-        )
+        proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
     except OSError:  # no git
         return None
-    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def run_summary(path: Path, keep, dirty: bool | None) -> dict:
+def tree_state() -> tuple[str | None, bool | None]:
+    """HEAD's revision, and whether a tracked file, the snapshots aside,
+    differs from it; (None, None) outside a git checkout."""
+    status = git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json")
+    if status is None:
+        return None, None
+    return git("rev-parse", "HEAD"), bool(status)
+
+
+def run_summary(path: Path, keep, state: tuple[str | None, bool | None]) -> dict:
     report = json.loads(path.read_text())
     env = report["env"]
+    head, dirty = state
+    revision = env.get("git_revision")
+    if dirty is not None and revision != head:
+        dirty = True  # committed after the run, or run at another revision
     return {
         "file": str(path.relative_to(ROOT)),
-        "git_revision": env.get("git_revision"),
+        "git_revision": revision,
         "dirty": dirty,
         "machine": {
             "python": env.get("python"),
@@ -81,11 +91,11 @@ def snapshot(workload: str) -> dict:
     if untraced is None and traced is None:
         raise SystemExit(f"no results for {workload} in {OUT}; run perfbench/run.py first")
     out = {"workload": workload, "platform": platform.platform()}
-    dirty = tree_dirty()
+    state = tree_state()
     if untraced is not None:
-        out["end_to_end"] = run_summary(untraced, lambda k: k in END_TO_END, dirty)
+        out["end_to_end"] = run_summary(untraced, lambda k: k in END_TO_END, state)
     if traced is not None:
-        out["layers"] = run_summary(traced, lambda k: k.endswith(".share") or k in TRACED, dirty)
+        out["layers"] = run_summary(traced, lambda k: k.endswith(".share") or k in TRACED, state)
     return out
 
 

@@ -689,8 +689,7 @@ def factor_over_Q(f: UniPoly) -> Factorization:
 
     One residue scan (``_good_prime``) of the monic integer model proves it
     squarefree and settles or prepares its factorization; the model and the
-    cycle types the scan read are kept on the result; an input the scan
-    proves irreducible is its own factor, ``f.monic()``.  When the scan finds
+    cycle types the scan read are kept on the result.  When the scan finds
     no usable prime, the squarefree part is factored instead, and the
     multiplicity of each of its factors is the number of times it divides f.
     """
@@ -707,8 +706,6 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     if repeated:
         F, m = _monic_int_model(squarefree_part(f).primitive())
         scan = _good_prime(F, m, squarefree=True)
-    elif scan.degrees == 1 | 1 << len(F) - 1:  # the scan proved f irreducible
-        return Factorization(unit, ((f.monic(), 1),), model, scanned)
     out: list[tuple[UniPoly, int]] = []
     for h in _zassenhaus_monic(F, scan):
         # undo y = m*x: h(m x) / m^deg h is monic

@@ -38,7 +38,10 @@ member of each orbit is computed, and the other is answered with that
 record's fields and its own t.  Every value still gets its own call.  The
 memo is dropped with its sweep, and each chunk of a pooled sweep fills its
 own copy, so a pair split across two chunks is computed twice and the
-output stays the same.
+output stays the same.  On any other family every value is computed,
+factoring included: a family with P even in T but an odd auxiliary
+polynomial or a lopsided D factors P(t, X) = P(-t, X) twice (no shipped
+family is one, so that cost is unmeasured).
 """
 
 from __future__ import annotations

@@ -45,15 +45,17 @@ def test_report_counts_the_pairs_in_which_this_tree_is_higher_for_throughput():
     ]
 
 
-def test_main_runs_each_sides_benchmark_for_throughput(monkeypatch, capsys):
+def test_main_runs_each_sides_benchmark_for_throughput_as_long_as_the_benchmark(monkeypatch, capsys, tmp_path):
     bench = _load()
     calls = []
     monkeypatch.setattr(bench, "extract", lambda rev, into: calls.append(("extract", rev)))
     monkeypatch.setattr(bench, "probe", lambda root, w: calls.append("probe"))
     monkeypatch.setattr(bench, "run", lambda root, w, s: calls.append((root == bench.ROOT, w, s)) or 30000.0)
-    argv = ["--against", "HEAD~1", "--workload", "verify-a4", "--metric", "params_per_s", "--seconds", "4", "-n", "2"]
+    monkeypatch.setattr(bench, "BENCHMARK", tmp_path / "BENCHMARK.json")
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 25}')
+    argv = ["--against", "HEAD~1", "--workload", "verify-a4", "--metric", "params_per_s", "-n", "2"]
     assert bench.main(argv) == 0
-    assert calls == [("extract", "HEAD~1")] + [(side, "verify-a4", 4.0) for side in (True, False, False, True)]
+    assert calls == [("extract", "HEAD~1")] + [(side, "verify-a4", 25) for side in (True, False, False, True)]
     assert "this tree higher in 0 of 2 pairs" in capsys.readouterr().out
 
 
@@ -71,3 +73,4 @@ def test_run_reads_the_params_per_s_of_the_last_line(monkeypatch, tmp_path):
     monkeypatch.setattr(bench.subprocess, "run", fake)
     assert bench.run(tmp_path, "verify-a4", 3.0) == 31234.5
     assert seen[0][1:] == [str(tmp_path / "perfbench" / "run.py"), "--workload", "verify-a4", "--trace", "0", "--seconds", "3.0"]
+

@@ -53,7 +53,9 @@ def test_snapshot_copies_end_to_end_and_layer_figures(tmp_path, monkeypatch):
     }
 
 
-def _snapshot_with_git_status(tmp_path, monkeypatch, status: str, returncode: int = 0) -> tuple[dict, list]:
+def _snapshot_with_git_status(
+    tmp_path, monkeypatch, status: str, returncode: int = 0, head: str = "abc"
+) -> tuple[dict, list]:
     import subprocess
 
     snap = _load()
@@ -67,7 +69,8 @@ def _snapshot_with_git_status(tmp_path, monkeypatch, status: str, returncode: in
 
     def git(cmd, **kw):
         calls.append(cmd)
-        return subprocess.CompletedProcess(cmd, returncode, stdout=status, stderr="")
+        out = head + "\n" if "rev-parse" in cmd else status
+        return subprocess.CompletedProcess(cmd, returncode, stdout=out, stderr="")
 
     monkeypatch.setattr(snap.subprocess, "run", git)
     assert snap.main(["verify-a4"]) == 0
@@ -79,13 +82,21 @@ def test_snapshot_marks_both_runs_dirty_when_a_tracked_file_differs_from_head(tm
     assert got["end_to_end"]["git_revision"] == got["layers"]["git_revision"] == "abc"
     assert got["end_to_end"]["dirty"] is got["layers"]["dirty"] is True
     # one status call, tracked files only, and the snapshots themselves left out
-    assert len(calls) == 1 and calls[0][:2] == ["git", "-C"]
-    assert "--untracked-files=no" in calls[0] and ":(exclude)BENCH_*.json" in calls[0]
+    status = [c for c in calls if "status" in c]
+    assert len(status) == 1 and status[0][:2] == ["git", "-C"]
+    assert "--untracked-files=no" in status[0] and ":(exclude)BENCH_*.json" in status[0]
 
 
 def test_snapshot_of_a_clean_tree_is_not_dirty(tmp_path, monkeypatch):
     got, _ = _snapshot_with_git_status(tmp_path, monkeypatch, "")
     assert got["end_to_end"]["dirty"] is got["layers"]["dirty"] is False
+
+
+def test_snapshot_marks_a_run_dirty_when_head_is_not_its_revision(tmp_path, monkeypatch):
+    # run on an uncommitted tree at abc, committed as def before the snapshot
+    got, _ = _snapshot_with_git_status(tmp_path, monkeypatch, "", head="def")
+    assert got["end_to_end"]["git_revision"] == "abc"
+    assert got["end_to_end"]["dirty"] is got["layers"]["dirty"] is True
 
 
 def test_snapshot_outside_a_checkout_leaves_dirty_unknown(tmp_path, monkeypatch):
