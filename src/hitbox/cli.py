@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 violations found, 2 parse error, 3 validation
-error.  Reports are machine-readable JSON first; the table rendering is
-derived from the same records.
+error or an error of the operating system, such as an ``--out`` path
+that cannot be written.  Reports are machine-readable JSON first; the
+table rendering is derived from the same records.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .harness import (
 )
 from .localsolve import REAL, bad_places, conic_solvable_global, conic_solvable_local, finite_place
 from .polys import (
-    _frac_str,
     discriminant_in_x,
     discriminant_uni,
     parse_number,
@@ -66,9 +66,9 @@ def cmd_factor(args) -> int:
     f = parse_poly(args.poly).as_unipoly_x()
     fac = factor_over_Q(f)
     parts = [f"({poly_str(g)})" + (f"^{m}" if m > 1 else "") for g, m in fac.factors]
-    table = f"{_frac_str(fac.unit)} * " + " * ".join(parts) if parts else _frac_str(fac.unit)
+    table = f"{fac.unit} * " + " * ".join(parts) if parts else str(fac.unit)
     payload = {
-        "unit": _frac_str(fac.unit),
+        "unit": str(fac.unit),
         "factors": [{"poly": poly_str(g), "multiplicity": m} for g, m in fac.factors],
         "type": list(fac.type()),
         "irreducible": fac.is_irreducible(),
@@ -97,14 +97,14 @@ def cmd_disc(args) -> int:
     else:
         f = P.as_unipoly_x() if P.degree_x > 0 else P.as_unipoly_t()
         d = discriminant_uni(f)
-        _emit(args, {"discriminant": _frac_str(d)}, _frac_str(d))
+        _emit(args, {"discriminant": str(d)}, str(d))
     return 0
 
 
 def cmd_hit_compute_d(args) -> int:
     data = load_fixture(args.fixture)
     ds = sorted(data.D)
-    _emit(args, {"fixture": data.name, "D": [_frac_str(t) for t in ds]}, "{" + ", ".join(_frac_str(t) for t in ds) + "}")
+    _emit(args, {"fixture": data.name, "D": list(map(str, ds))}, "{" + ", ".join(map(str, ds)) + "}")
     return 0
 
 
@@ -127,6 +127,8 @@ def cmd_hit_verify(args) -> int:
 
 def cmd_hit_enumerate(args) -> int:
     data = load_fixture(args.fixture)
+    if args.cross_check and data.name not in PARAMETRIZATIONS:
+        raise FixtureError(f"no parametrization data for fixture {data.name} to cross-check against")
     recs = enumerate_exceptional(data, args.height, budget=args.primes, workers=args.threads)
     payload: dict = {
         "fixture": data.name,
@@ -134,7 +136,7 @@ def cmd_hit_enumerate(args) -> int:
         "exceptional": [record_to_dict(r) for r in recs],
     }
     table = records_table(recs) if recs else "(none)"
-    if args.cross_check and data.name in PARAMETRIZATIONS:
+    if args.cross_check:
         ok = _psi_cross_check(data, recs, args.height)
         payload["psi_cross_check"] = ok
         table += f"\npsi cross-check: {ok}"
@@ -185,12 +187,12 @@ def cmd_curve_param_check(args) -> int:
     payload = {
         "fixture": data.name,
         "parametrization_verified": ok,
-        "unit_fiber_points": [[_frac_str(t), _frac_str(x)] for t, x in fibers],
+        "unit_fiber_points": [[str(t), str(x)] for t, x in fibers],
     }
     table = (
         f"parametrization identities: {'pass' if ok else 'FAIL'}\n"
         f"pullback of +-1 (height <= {args.height}): "
-        + ", ".join(f"({_frac_str(t)}, {_frac_str(x)})" for t, x in fibers)
+        + ", ".join(f"({t}, {x})" for t, x in fibers)
     )
     _emit(args, payload, table)
     return 0 if ok else 1
@@ -203,7 +205,7 @@ def cmd_curve_torsion(args) -> int:
         "curve": f"y^2 = x^3 + {args.A}*x + {args.B}",
         "order": len(pts),
         "points": [
-            "infinity" if p.is_infinity else [_frac_str(p.x), _frac_str(p.y)] for p in pts
+            "infinity" if p.is_infinity else [str(p.x), str(p.y)] for p in pts
         ],
     }
     _emit(args, payload, f"torsion order {len(pts)}: " + ", ".join(str(p) for p in pts))
@@ -213,8 +215,8 @@ def cmd_curve_torsion(args) -> int:
 def cmd_curve_search(args) -> int:
     C = PlaneCurve(parse_poly(args.curve))
     pts = bounded_point_search(C, args.height)
-    payload = {"points": [[_frac_str(t), _frac_str(x)] for t, x in pts]}
-    table = "\n".join(f"({_frac_str(t)}, {_frac_str(x)})" for t, x in pts) or "(none)"
+    payload = {"points": [[str(t), str(x)] for t, x in pts]}
+    table = "\n".join(f"({t}, {x})" for t, x in pts) or "(none)"
     _emit(args, payload, table)
     return 0
 
@@ -380,7 +382,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (FixtureError, DomainError, InconclusiveError, ResourceLimitError) as e:
+    except (FixtureError, DomainError, InconclusiveError, ResourceLimitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -15,31 +15,21 @@ from typing import NamedTuple
 from .errors import DomainError
 from .factorq import rational_roots
 from .polys import BiPoly, UniPoly, compose_rational, parse_poly, uni_gcd
-from .rationals import divisors, height, rationals_up_to_height
+from .rationals import Value, divisors, height, rationals_up_to_height
 
 MAZUR_TORSION_BOUND = 12  # largest possible torsion order over Q
 
 
-class PlaneCurve:
+class PlaneCurve(Value):
     """Affine plane curve f(T, X) = 0."""
 
     __slots__ = ("f",)
+    _fields = __slots__
 
     def __init__(self, f: BiPoly):
         if f.is_zero():
             raise DomainError("the zero polynomial is not a curve")
         self.f = f
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.f == other.f
-
-    def __hash__(self):
-        return hash((self.f,))
-
-    def __repr__(self) -> str:
-        return f"PlaneCurve(f={self.f!r})"
 
     @staticmethod
     def from_text(text: str) -> "PlaneCurve":
@@ -73,27 +63,17 @@ class LineToCurveMap(NamedTuple):
         return LineToCurveMap(tn, td, xn, xd)
 
 
-class CurveToLineMap:
+class CurveToLineMap(Value):
     """(t, x) -> value; a single bivariate rational function."""
 
     __slots__ = ("num", "den")
+    _fields = __slots__
 
     def __init__(self, num: BiPoly, den: BiPoly):
         if den.is_zero():
             raise DomainError("zero denominator in rational map")
         self.num = num
         self.den = den
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"CurveToLineMap(num={self.num!r}, den={self.den!r})"
 
 
 RationalMap = LineToCurveMap | CurveToLineMap
@@ -266,27 +246,17 @@ class CurvePoint(NamedTuple):
         return "infinity" if self.is_infinity else f"({self.x}, {self.y})"
 
 
-class EllipticCurve:
+class EllipticCurve(Value):
     """Short Weierstrass model y^2 = x^3 + a4 x + a6."""
 
     __slots__ = ("a4", "a6")
+    _fields = __slots__
 
     def __init__(self, a4: Fraction = Fraction(0), a6: Fraction = Fraction(0)):
         self.a4 = a4
         self.a6 = a6
         if self.discriminant() == 0:
             raise DomainError("singular Weierstrass model")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a4 == other.a4 and self.a6 == other.a6
-
-    def __hash__(self):
-        return hash((self.a4, self.a6))
-
-    def __repr__(self) -> str:
-        return f"EllipticCurve(a4={self.a4!r}, a6={self.a6!r})"
 
     @staticmethod
     def short(A, B) -> "EllipticCurve":

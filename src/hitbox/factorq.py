@@ -119,7 +119,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .polys import UniPoly, _add, _deriv, _mul, _primitive, _pseudo_divmod, _sub, _trim, squarefree_part
-from .rationals import _odd_primes_below, is_square_int, odd_primes
+from .rationals import Value, _odd_primes_below, is_square_int, odd_primes
 
 # -- dense arithmetic mod p (ascending int lists) ------------------------------
 #
@@ -568,7 +568,7 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
 # -- factorization over Q ------------------------------------------------------
 
 
-class Factorization:
+class Factorization(Value):
     """unit * prod(factor^mult) reconstructs the input exactly.
 
     ``factor_over_Q`` also hands over what its residue scan read, when the
@@ -580,6 +580,7 @@ class Factorization:
     """
 
     __slots__ = ("unit", "factors", "model", "scanned")
+    _fields = ("unit", "factors")
 
     def __init__(
         self,
@@ -592,17 +593,6 @@ class Factorization:
         self.factors = factors
         self.model = model
         self.scanned = scanned
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.unit == other.unit and self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.unit, self.factors))
-
-    def __repr__(self) -> str:
-        return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
     def type(self) -> tuple[int, ...]:
         degs: list[int] = []

@@ -131,31 +131,27 @@ class TransitiveGroupEntry(NamedTuple):
     in_alternating: bool  # every cycle type even
 
 
-_TABLE_CACHE: dict[int, list[TransitiveGroupEntry]] = {}
-
-
+@functools.cache
 def transitive_table(n: int) -> list[TransitiveGroupEntry]:
     """All transitive groups of degree n (2 <= n <= 6), read from the table."""
     if n not in _TABLE_DATA:
         raise DomainError(f"no transitive table for degree {n}")
-    if n not in _TABLE_CACHE:
-        entries = []
-        for label, order, kind, maximal, types, ks in _TABLE_DATA[n]:
-            cycle_types = frozenset(tuple(map(int, word)) for word in types.split())
-            entries.append(
-                TransitiveGroupEntry(
-                    degree=n,
-                    label=label,
-                    order=order,
-                    kind=kind,
-                    maximal_indices=maximal,
-                    cycle_types=cycle_types,
-                    subgroup_ks=ks,
-                    in_alternating=all((n - len(ct)) % 2 == 0 for ct in cycle_types),
-                )
+    entries = []
+    for label, order, kind, maximal, types, ks in _TABLE_DATA[n]:
+        cycle_types = frozenset(tuple(map(int, word)) for word in types.split())
+        entries.append(
+            TransitiveGroupEntry(
+                degree=n,
+                label=label,
+                order=order,
+                kind=kind,
+                maximal_indices=maximal,
+                cycle_types=cycle_types,
+                subgroup_ks=ks,
+                in_alternating=all((n - len(ct)) % 2 == 0 for ct in cycle_types),
             )
-        _TABLE_CACHE[n] = entries
-    return _TABLE_CACHE[n]
+        )
+    return entries
 
 
 def table_entry(label: str) -> TransitiveGroupEntry:

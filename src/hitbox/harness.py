@@ -51,7 +51,6 @@ import json
 import os
 from collections.abc import Sequence
 from fractions import Fraction
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -68,23 +67,25 @@ from .galois import (
 )
 from .polys import (
     BiPoly,
-    _frac_str,
     discriminant_in_x,
     leading_coeff_in_x,
     parse_number,
     parse_poly,
 )
-from .rationals import coprime_pairs_up_to_height, height, sample_rationals
+from .rationals import Value, coprime_pairs_up_to_height, height, sample_rationals
 
 DEFAULT_PRIME_BUDGET = 24
 
 
-class HitData:
+class HitData(Value):
     """A polynomial family with its exclusion set and auxiliary polynomials.
 
-    Unhashable, as its ``provenance`` dict is.  A plain class, not a tuple
-    or a slotted one: ``root_sieve``, ``d_pairs`` and ``even_in_t`` are
-    cached in the instance ``__dict__``, which pickles with the data."""
+    Unhashable, as its ``provenance`` dict is.  Not a tuple and not slotted:
+    ``root_sieve``, ``d_pairs`` and ``even_in_t`` are cached in the instance
+    ``__dict__``, which pickles with the data."""
+
+    _fields = ("name", "P", "D", "S", "provenance", "g_label", "g_order", "notes")
+    __hash__ = None
 
     def __init__(
         self,
@@ -105,21 +106,6 @@ class HitData:
         self.g_label = g_label
         self.g_order = g_order
         self.notes = notes
-
-    def _key(self) -> tuple:
-        return (self.name, self.P, self.D, self.S, self.provenance, self.g_label, self.g_order, self.notes)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (
-            f"HitData(name={self.name!r}, P={self.P!r}, D={self.D!r}, S={self.S!r}, "
-            f"provenance={self.provenance!r}, g_label={self.g_label!r}, "
-            f"g_order={self.g_order!r}, notes={self.notes!r})"
-        )
 
     @functools.cached_property
     def root_sieve(self) -> tuple[tuple[int, bytes], ...]:
@@ -523,7 +509,7 @@ _FIXTURE_FIELDS = {"name", "P", "D", "S", "G_label", "G_order", "notes"}
 
 
 def fixture_path(name: str) -> Path:
-    return Path(str(resources.files("hitbox") / "fixtures" / f"{name}.json"))
+    return Path(__file__).with_name("fixtures") / f"{name}.json"
 
 
 def load_fixture(source) -> HitData:
@@ -632,13 +618,13 @@ def galois_to_dict(gid: GaloisId) -> dict:
 def record_to_dict(rec: SpecializationRecord) -> dict:
     gal = None if rec.galois is None else galois_to_dict(rec.galois)
     return {
-        "t": _frac_str(rec.t),
+        "t": str(rec.t),
         "height": height(rec.t),
         "in_d": rec.in_d,
         "verdict": rec.verdict,
         "witness": None
         if rec.witness is None
-        else {"index": rec.witness[0], "root": _frac_str(rec.witness[1])},
+        else {"index": rec.witness[0], "root": str(rec.witness[1])},
         "factorization_type": list(rec.factorization),
         "galois": gal,
     }
@@ -662,7 +648,7 @@ def report_to_dict(report: EquivalenceReport) -> dict:
         "indeterminate_count": len(report.indeterminates),
         "indeterminate_fraction": round(report.indeterminate_fraction(), 6),
         "violations": [record_to_dict(r) for r in report.violations],
-        "indeterminate_ts": [_frac_str(r.t) for r in report.indeterminates],
+        "indeterminate_ts": [str(r.t) for r in report.indeterminates],
     }
     if report.records:
         out["records"] = [record_to_dict(r) for r in report.records]
@@ -676,11 +662,11 @@ def report_to_json(report: EquivalenceReport) -> str:
 def records_table(records) -> str:
     rows = [("t", "verdict", "witness", "type", "galois")]
     for rec in records:
-        wit = "-" if rec.witness is None else f"f{rec.witness[0] + 1} @ {_frac_str(rec.witness[1])}"
+        wit = "-" if rec.witness is None else f"f{rec.witness[0] + 1} @ {rec.witness[1]}"
         gal = "-" if rec.galois is None else rec.galois.describe()
         rows.append(
             (
-                _frac_str(rec.t),
+                str(rec.t),
                 rec.verdict,
                 wit,
                 "{" + ",".join(map(str, rec.factorization)) + "}",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .rationals import as_prime, factor_int, int_valuation
+from .rationals import Value, as_prime, factor_int, int_valuation
 
 __all__ = [
     "Place",
@@ -23,26 +23,16 @@ __all__ = [
 ]
 
 
-class Place:
+class Place(Value):
     """A place of Q: a finite prime, or None for the real place."""
 
     __slots__ = ("p",)
+    _fields = __slots__
 
     def __init__(self, p: int | None):
         if p is not None:
             as_prime(p)
         self.p = p
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __repr__(self) -> str:
-        return f"Place(p={self.p!r})"
 
     @property
     def is_real(self) -> bool:

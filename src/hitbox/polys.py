@@ -877,18 +877,14 @@ def parse_number(text: str, kind=Fraction):
         raise ParseError(f"not {what}: {text!r}") from None
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def _term_str(c: Fraction, monomial: str) -> str:
     if not monomial:
-        return _frac_str(c)
+        return str(c)
     if c == 1:
         return monomial
     if c == -1:
         return f"-{monomial}"
-    return f"{_frac_str(c)}*{monomial}"
+    return f"{c}*{monomial}"
 
 
 def _power_str(var: str, i: int) -> str:

@@ -1,4 +1,5 @@
-"""Exact rational arithmetic helpers: heights, valuations, primes, squares.
+"""Exact rational arithmetic helpers: heights, valuations, primes, squares,
+and ``Value``, the base of the package's validating value classes.
 
 Rationals are plain ``fractions.Fraction`` values (always in lowest terms
 with positive denominator), so every operation in the package is exact.
@@ -276,3 +277,28 @@ def sample_rationals(count: int, exclude: Iterable[Fraction] = ()) -> list[Fract
     skipping `exclude`."""
     pairs = itertools.islice(coprime_pairs_up_to_height(MAX_HEIGHT, exclude), count)
     return list(itertools.starmap(Fraction, pairs))
+
+
+class Value:
+    """Equality, hashing and the repr from the attributes named in
+    ``_fields``, for a value class whose ``__init__`` validates or fills a
+    default (a plain tuple cannot).  Equal only to the same class with
+    equal fields; attributes outside ``_fields`` ride along unseen."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"

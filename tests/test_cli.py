@@ -334,6 +334,14 @@ def test_enumerate_command(capsys):
     assert payload["psi_cross_check"] is True
 
 
+def test_enumerate_cross_check_needs_a_parametrization(capsys):
+    # fermat-x6 has none: the check asked for is refused before the sweep,
+    # not skipped in silence
+    code, out, err = run(capsys, "hit", "enumerate", "--fixture", "fermat-x6", "--cross-check", "--json")
+    assert code == 3 and out == ""
+    assert err == "error: no parametrization data for fixture fermat-x6 to cross-check against\n"
+
+
 def test_psi_search_bound_matches_the_rounded_real_cube_root():
     # the float formula serves as the oracle; the command itself uses none
     for bound in range(1, rationals.MAX_HEIGHT + 1):
@@ -449,10 +457,17 @@ def test_table_command_matches_golden_digest(capsys, degree):
     assert tuple(digests) == GOLDEN_TABLE_TRANSITIVE[degree]
 
 
-def test_output_file(capsys, tmp_path):
-    out_file = tmp_path / "d.json"
-    code, out, _ = run(
+@pytest.mark.parametrize("name", ["d.json", "missing/d.json"], ids=["written", "missing-dir"])
+def test_output_file(capsys, tmp_path, name):
+    out_file = tmp_path / name
+    code, out, err = run(
         capsys, "hit", "compute-d", "--fixture", "serre-a4", "--json", "--out", str(out_file)
     )
-    assert code == 0 and out == ""
-    assert json.loads(out_file.read_text())["D"] == ["0"]
+    assert out == ""
+    if out_file.parent.is_dir():
+        assert code == 0 and err == ""
+        assert json.loads(out_file.read_text())["D"] == ["0"]
+    else:
+        # a validation error naming the path, not exit 1 ("violations found")
+        assert code == 3 and not out_file.parent.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out_file) in err

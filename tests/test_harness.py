@@ -14,8 +14,9 @@ import pytest
 
 import hitbox
 from hitbox import harness, rationals
+from hitbox.curves import PARAMETRIZATIONS, EllipticCurve
 from hitbox.errors import DomainError, FixtureError, ReferenceMismatchError
-from hitbox.factorq import rational_roots, root_mask, root_sieve
+from hitbox.factorq import factor_over_Q, rational_roots, root_mask, root_sieve
 from hitbox.galois import table_entry
 from hitbox.harness import (
     EquivalenceReport,
@@ -34,8 +35,9 @@ from hitbox.harness import (
     resolve_reference,
     verify_equivalence,
 )
+from hitbox.localsolve import Place
 from hitbox.polys import BiPoly, UniPoly, parse_poly
-from hitbox.rationals import coprime_pairs_up_to_height, height, rationals_up_to_height, sample_rationals
+from hitbox.rationals import Value, coprime_pairs_up_to_height, height, rationals_up_to_height, sample_rationals
 
 SERRE = load_fixture("serre-a4")
 FERMAT = load_fixture("fermat-x6")
@@ -797,13 +799,14 @@ def test_serial_imports_leave_the_process_pool_unloaded():
 
 
 def test_the_cli_import_loads_no_dataclasses():
-    """The value types are tuples and plain classes: importing the CLI, in
-    an interpreter with no site packages, leaves ``dataclasses`` and the
-    ``inspect`` it pulls in unloaded."""
+    """The value types are tuples and plain classes, and the bundled
+    fixtures sit beside ``harness.py``: importing the CLI, in an interpreter
+    with no site packages, leaves ``dataclasses`` and the ``inspect`` it
+    pulls in unloaded, and ``importlib.resources`` too."""
     src = Path(hitbox.__file__).resolve().parent.parent
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import hitbox.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -821,6 +824,45 @@ def test_records_and_fixture_data_survive_a_pickle_round_trip():
     for value in (rec, rec.galois):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
+
+
+class _Lookalike(Value):
+    """Another ``Value`` class, given the same field names and values."""
+
+    def __init__(self, names, values):
+        self._fields = names
+        for name, value in zip(names, values):
+            setattr(self, name, value)
+
+
+# (make, its field names): the six classes built on ``rationals.Value``
+VALUE_TYPES = {
+    "HitData": (lambda: SERRE, ("name", "P", "D", "S", "provenance", "g_label", "g_order", "notes")),
+    "Factorization": (lambda: factor_over_Q(parse_poly("(X^2+1)^2*(X-3)").as_unipoly_x()), ("unit", "factors")),
+    "PlaneCurve": (lambda: PARAMETRIZATIONS["serre-a4"]()[0], ("f",)),
+    "CurveToLineMap": (lambda: PARAMETRIZATIONS["serre-a4"]()[2], ("num", "den")),
+    "EllipticCurve": (lambda: EllipticCurve.short(Fraction(-1, 2), 3), ("a4", "a6")),
+    "Place": (lambda: Place(7), ("p",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_compare_hash_and_print_their_fields(name):
+    make, names = VALUE_TYPES[name]
+    v = make()
+    assert type(v).__name__ == name
+    values = tuple(getattr(v, f) for f in names)
+    assert repr(v) == f"{name}(" + ", ".join(f"{f}={x!r}" for f, x in zip(names, values)) + ")"
+    # equal only to the same class: not to a lookalike class, not to a tuple
+    other = _Lookalike(names, values)
+    assert v != other and other != v and v != values and values != v
+    if name == "HitData":
+        with pytest.raises(TypeError):
+            hash(v)
+    else:
+        assert hash(v) == hash(values)
+    copy = pickle.loads(pickle.dumps(v))
+    assert copy == v and type(copy) is type(v) and repr(copy) == repr(v)
 
 
 def _sympy_galois_order(f) -> int:
