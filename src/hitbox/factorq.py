@@ -343,7 +343,7 @@ def _usable_ddf(ints, p):
     return _Split(parts, tuple(sorted(degs, reverse=True)), sums)
 
 
-def usable_cycle_types(F: list[int], m: int, disc: int, after: int = 2):
+def usable_cycle_types(F: list[int], m: int, disc: int | None, after: int = 2):
     """(p, cycle type of g mod p) at every usable odd prime p > after of a
     squarefree monic rational g, in increasing order, without end: p is
     usable when it divides no denominator of g and g stays squarefree mod
@@ -358,9 +358,9 @@ def usable_cycle_types(F: list[int], m: int, disc: int, after: int = 2):
     types are g's.  Primes dividing m or ``disc`` are unusable and skipped
     unread.
     """
-    if not disc:
+    if disc == 0:
         raise DomainError("a polynomial with a repeated factor has no usable prime")
-    skip = m * disc
+    skip = m if disc is None else m * disc
     for p in odd_primes():
         if p > after and skip % p:
             split = _usable_ddf(F, p)

@@ -233,19 +233,23 @@ def _splits_over(disc_q: int, D: int) -> bool:
     return is_square_int(disc_q) or is_square_int(disc_q * D)
 
 
-def _quartic_resolvent(F, disc: int) -> TransitiveGroupEntry:
+def _quartic_resolvent(F, disc_sq: bool, disc: int | None) -> TransitiveGroupEntry:
     """The degree-4 resolvent stage: the group of the irreducible monic
-    integer quartic F = X^4 + a X^3 + b X^2 + c X + d of discriminant disc,
+    integer quartic F = X^4 + a X^3 + b X^2 + c X + d, whose discriminant
+    has the square class disc_sq and is disc (None: not computed yet),
     from the rational roots of its resolvent cubic.  None gives A4 or S4 by
-    the square class of disc, three give V4, and one root z gives C4 or D4
-    by the Kappe-Warren test: C4 exactly when z^2 - 4d and a^2 - 4(b - z)
-    both split over Q(sqrt(disc))."""
+    disc_sq, three give V4, and one root z gives C4 or D4 by the
+    Kappe-Warren test, the one step that needs disc itself: C4 exactly when
+    z^2 - 4d and a^2 - 4(b - z) both split over Q(sqrt(disc))."""
     C4, V4, D4, A4, S4 = transitive_table(4)
-    roots = rational_roots(UniPoly.from_ints(_resolvent_ints(F), 1))
+    cubic = _resolvent_ints(F)
+    roots = rational_roots(UniPoly.from_ints(cubic, 1))
     if not roots:
-        return A4 if is_square_int(disc) else S4
+        return A4 if disc_sq else S4
     if len(roots) == 3:
         return V4
+    if disc is None:
+        disc = _discriminant_ints(cubic)
     z = roots.pop().numerator  # an integer: the cubic is monic
     d, _, b, a, _ = F
     cyclic = _splits_over(z * z - 4 * d, disc) and _splits_over(a * a - 4 * (b - z), disc)
@@ -273,8 +277,12 @@ def _identify_irreducible(
     """
     n = f.degree
     F, m = fac.model or _monic_int_model(f.primitive())
-    disc = _discriminant_ints(_resolvent_ints(F) if n == 4 else F)
-    disc_sq = is_square_int(disc)
+    disc = None
+    if any((n - len(ct)) % 2 for _, ct in fac.scanned):
+        disc_sq = False  # Stickelberger: an odd Frobenius, a non-square disc(F)
+    else:
+        disc = _discriminant_ints(_resolvent_ints(F) if n == 4 else F)
+        disc_sq = is_square_int(disc)
     table = transitive_table(n) if within is None else transitive_subgroups(within)
     rows = [e for e in table if e.in_alternating == disc_sq]
     stop = 1 if len(rows) > 1 else 0  # the set size that ends the walk
@@ -294,7 +302,7 @@ def _identify_irreducible(
             raise ReferenceMismatchError(p, ct, within.label)
         raise InconclusiveError("no transitive group fits the evidence")
     if n == 4 and len(rows) > 1:
-        rows = [_quartic_resolvent(F, disc)]
+        rows = [_quartic_resolvent(F, disc_sq, disc)]
     return rows, SieveEvidence(tuple(primes), frozenset(observed), disc_sq)
 
 
