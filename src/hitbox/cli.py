@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .curves import (
-    PARAMETRIZATIONS,
-    PlaneCurve,
-    EllipticCurve,
-    bounded_point_search,
-    ec_torsion_lutz_nagell,
-    eval_map,
-    pullback_fiber,
-    verify_case_identities,
-    verify_parametrization,
-)
 from .errors import DomainError, FixtureError, InconclusiveError, ParseError, ResourceLimitError
 from .factorq import factor_over_Q, rational_roots
 from .galois import identify_galois, transitive_table
@@ -39,7 +29,6 @@ from .harness import (
     resolve_reference,
     verify_equivalence,
 )
-from .localsolve import REAL, bad_places, conic_solvable_global, conic_solvable_local, finite_place
 from .polys import (
     discriminant_in_x,
     discriminant_uni,
@@ -127,8 +116,11 @@ def cmd_hit_verify(args) -> int:
 
 def cmd_hit_enumerate(args) -> int:
     data = load_fixture(args.fixture)
-    if args.cross_check and data.name not in PARAMETRIZATIONS:
-        raise FixtureError(f"no parametrization data for fixture {data.name} to cross-check against")
+    if args.cross_check:
+        from .curves import PARAMETRIZATIONS
+
+        if data.name not in PARAMETRIZATIONS:
+            raise FixtureError(f"no parametrization data for fixture {data.name} to cross-check against")
     recs = enumerate_exceptional(data, args.height, budget=args.primes, workers=args.threads)
     payload: dict = {
         "fixture": data.name,
@@ -148,6 +140,7 @@ def _psi_cross_check(data, recs, bound) -> bool:
     """Found exceptional t's coincide with the image of the cubic curve's
     parametrization: solve the preimage cubic exactly for each t, and sweep
     small parameter values the other way."""
+    from .curves import PARAMETRIZATIONS, eval_map
     from .rationals import height, rationals_up_to_height
 
     _, psi, _ = PARAMETRIZATIONS[data.name]()
@@ -175,6 +168,8 @@ def _psi_search_bound(bound: int) -> int:
 
 
 def cmd_curve_param_check(args) -> int:
+    from .curves import PARAMETRIZATIONS, pullback_fiber, verify_parametrization
+
     data = load_fixture(args.fixture)
     if data.name not in PARAMETRIZATIONS:
         raise FixtureError(f"no parametrization data for fixture {data.name}")
@@ -199,6 +194,8 @@ def cmd_curve_param_check(args) -> int:
 
 
 def cmd_curve_torsion(args) -> int:
+    from .curves import EllipticCurve, ec_torsion_lutz_nagell
+
     E = EllipticCurve.short(parse_number(args.A), parse_number(args.B))
     pts = ec_torsion_lutz_nagell(E)
     payload = {
@@ -213,6 +210,8 @@ def cmd_curve_torsion(args) -> int:
 
 
 def cmd_curve_search(args) -> int:
+    from .curves import PlaneCurve, bounded_point_search
+
     C = PlaneCurve(parse_poly(args.curve))
     pts = bounded_point_search(C, args.height)
     payload = {"points": [[str(t), str(x)] for t, x in pts]}
@@ -222,6 +221,8 @@ def cmd_curve_search(args) -> int:
 
 
 def cmd_curve_cases(args) -> int:
+    from .curves import verify_case_identities
+
     results = verify_case_identities()
     payload = {"cases": {str(i): ok for i, ok in results}}
     table = "\n".join(f"case {i}: {'pass' if ok else 'FAIL'}" for i, ok in results)
@@ -230,6 +231,8 @@ def cmd_curve_cases(args) -> int:
 
 
 def cmd_local_conic(args) -> int:
+    from .localsolve import REAL, bad_places, conic_solvable_global, conic_solvable_local, finite_place
+
     a, b, c = parse_number(args.a), parse_number(args.b), parse_number(args.c)
     rows = []
     if args.place == "all":
@@ -377,6 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # an --out that cannot be opened is refused before the command runs
+    out = getattr(args, "out", None)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        print(f"error: the directory of --out {out} does not exist", file=sys.stderr)
+        return 3
     try:
         return args.fn(args)
     except ParseError as e:

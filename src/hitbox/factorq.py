@@ -43,9 +43,11 @@ square roots of the primes 2 to 11) needs 39,202 trials, and the one of
 degree 64 would need over two billion.  The scan is the record's only
 walk over the primes: a squarefree input's
 ``Factorization`` keeps the model (F, m) and the (p, cycle type) of every
-usable prime the scan read, and the Galois sieve reads that list first and
-resumes the walk on F after its last prime (``usable_cycle_types``) only
-when it needs more primes.
+usable prime the scan read, and the Galois identification reads that list
+first: an odd cycle type in it settles the square class of disc(F), which
+is then never computed (Stickelberger), and the sieve resumes the walk on
+F after the list's last prime (``usable_cycle_types``, which needs no
+discriminant) only when it needs more primes.
 
 Distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
 Algebra, §14) raises x to p once per prime and then steps through the
@@ -349,14 +351,20 @@ def usable_cycle_types(F: list[int], m: int, disc: int | None, after: int = 2):
     usable when it divides no denominator of g and g stays squarefree mod
     p, and the cycle type lists the degrees of g's irreducible factors mod
     p, largest first.  F is g's monic integer model of scale m
-    (``_monic_int_model``) and ``disc`` the discriminant of F.
+    (``_monic_int_model``) and ``disc`` the discriminant of F, or None
+    when it is not computed.
 
     These are the polynomial and the primes of ``factor_over_Q``'s residue
     scan, so a walk resumed after the scan's last prime continues it.  A
     prime divides m exactly when it divides a denominator of g; away from
     m, y = m x is a unit change of variable mod p, so usability and cycle
     types are g's.  Primes dividing m or ``disc`` are unusable and skipped
-    unread.
+    unread.  With ``disc`` None only the primes dividing m are skipped: a
+    prime dividing disc(F) leaves the monic F not squarefree mod p, so
+    ``_usable_ddf`` reads it as unusable, and the walk yields the same
+    pairs.  Only a nonzero ``disc`` proves g squarefree; with None the
+    caller knows it is (the walk over a g with a repeated factor finds no
+    usable prime and never ends).
     """
     if disc == 0:
         raise DomainError("a polynomial with a repeated factor has no usable prime")
@@ -679,9 +687,11 @@ def factor_over_Q(f: UniPoly) -> Factorization:
 
     One residue scan (``_good_prime``) of the monic integer model proves it
     squarefree and settles or prepares its factorization; the model and the
-    cycle types the scan read are kept on the result.  When the scan finds
-    no usable prime, the squarefree part is factored instead, and the
-    multiplicity of each of its factors is the number of times it divides f.
+    cycle types the scan read are kept on the result, and an input it
+    proves irreducible is its own monic factor, not rebuilt from the model.
+    When the scan finds no usable prime, the squarefree part is factored
+    instead, and the multiplicity of each of its factors is the number of
+    times it divides f.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -696,8 +706,11 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     if repeated:
         F, m = _monic_int_model(squarefree_part(f).primitive())
         scan = _good_prime(F, m, squarefree=True)
+    found = _zassenhaus_monic(F, scan)
+    if len(found) == 1 and not repeated:  # F itself: the input is irreducible
+        return Factorization(unit, ((f.monic(), 1),), model, scanned)
     out: list[tuple[UniPoly, int]] = []
-    for h in _zassenhaus_monic(F, scan):
+    for h in found:
         # undo y = m*x: h(m x) / m^deg h is monic
         g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1)).monic()
         out.append((g, _multiplicity(f, g) if repeated else 1))

@@ -11,7 +11,13 @@ An irreducible radical f of degree 2-6 takes one table filter over the
 embedded transitive-group tables: the rows whose parity fits the square
 class of the integer discriminant of f's monic integer model, and whose
 cycle types hold every Frobenius cycle type that the factorizer's residue
-scan already read on that model.  Degrees 5 and 6 resume the scan's walk
+scan already read on that model.  The square class comes from an odd
+Frobenius first: by Stickelberger's theorem (Swan, Pacific J. Math. 12,
+1962) a cycle type of r parts with n - r odd, at a usable odd prime,
+proves the discriminant no square.  The discriminant itself (a
+subresultant PRS) is computed only when every scanned type is even, or
+when the quartic resolvent's Kappe-Warren test needs its value.  Degrees
+5 and 6 resume the scan's walk
 at further primes, up to a budget; degrees 2-4 read only the scan.  The
 true group always survives, and the tables list every transitive group,
 so a single row left is the group: parity alone leaves one in degrees 2
@@ -265,15 +271,20 @@ def _identify_irreducible(
     F is f's monic integer model of scale m: ``fac.model`` when the scan
     ran on the input (then the input is f times a unit, and F is f's),
     else built here.  The rows, of the degree-n table or conjugate into
-    ``within``, are cut to the parity of disc(F) = m^(n(n-1)) disc(f) (a
+    ``within``, are cut to the parity of disc(F) = m^(n(n-1)) disc(f).  A
+    scanned cycle type of r parts with n - r odd proves disc(F) no square
+    (Stickelberger), and then disc(F) is left uncomputed; only when every
+    scanned type is even, or none was handed over, is it computed (a
     quartic's from its resolvent cubic, whose discriminant equals disc(F)
-    in closed form), then by each Frobenius cycle type (Dedekind) that the
+    in closed form).  The rows are then cut by each Frobenius cycle type
+    (Dedekind) that the
     scan handed over and, in degrees 5 and 6, that the walk resumed after
     it reads (``factorq.usable_cycle_types``): at most ``budget`` primes
     (None: no bound), until at most one row is left.  A set that starts as
     a singleton is read to the end, so that a wrong reference can still be
     refuted; an empty one raises.  The resolvent slot: a quartic that keeps
-    two or more rows gets its group from ``_quartic_resolvent``.
+    two or more rows gets its group from ``_quartic_resolvent``, which
+    computes disc(F) itself if its Kappe-Warren test needs the value.
     """
     n = f.degree
     F, m = fac.model or _monic_int_model(f.primitive())

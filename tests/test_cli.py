@@ -471,3 +471,14 @@ def test_output_file(capsys, tmp_path, name):
         # a validation error naming the path, not exit 1 ("violations found")
         assert code == 3 and not out_file.parent.exists()
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out_file) in err
+
+
+def test_a_missing_out_directory_is_refused_before_the_sweep(capsys, tmp_path, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("hitbox.cli.verify_equivalence", sweep)
+    out_file = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "hit", "verify", "--fixture", "fermat-x6", "--height", "100", "--out", str(out_file))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out_file) in err

@@ -42,7 +42,7 @@ from hitbox.polys import (
     parse_unipoly,
     poly_str,
 )
-from hitbox.rationals import is_prime, is_square_rational, rationals_up_to_height
+from hitbox.rationals import is_prime, is_square_int, is_square_rational, rationals_up_to_height
 
 X = UniPoly.gen()
 FERMAT = load_fixture("fermat-x6")
@@ -712,6 +712,56 @@ def test_walk_refuses_a_repeated_factor():
     with pytest.raises(DomainError):
         next(_walk(f))
     assert factor_over_Q(f).model is None and factor_over_Q(f).scanned == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=6),
+    st.sampled_from([1, 2, 3, 6, -4, 9]),
+)
+@example([-63, 0, 0, 0, 0, 0], 64)  # fermat-x6 at t = 1/2: an odd type at the scan's first prime
+@example([12, 8, 0, 0], 1)  # X^4+8*X+12, A4: every type even
+@example([1, -3, 0], 1)  # X^3-3*X+1, C3
+def test_an_odd_frobenius_reads_the_square_class_of_the_discriminant(coeffs, lead):
+    # Stickelberger: squarefree mod an odd prime with r factors there, F
+    # has a non-square discriminant when n - r is odd
+    sympy = pytest.importorskip("sympy")
+    f = UniPoly(coeffs + [lead])
+    fac = factor_over_Q(f)
+    assume(fac.is_irreducible())
+    n = f.degree
+    F, m = fac.model
+    disc = _discriminant_ints(F)
+    theirs = int(sympy.discriminant(sympy.Poly(list(reversed(f.primitive())), sympy.Symbol("x"))))
+    # F(y) = m^n f(y/m) up to a square: both discriminants share a square class
+    assert is_square_int(disc) == is_square_int(theirs), poly_str(f)
+    for p, ct in fac.scanned:
+        assert (n - len(ct)) % 2 == 0 or not is_square_int(theirs), (poly_str(f), p, ct)
+    # the shortcut and the discriminant give one square class and one row set
+    rows, evidence = galois._identify_irreducible(fac, fac.factors[0][0], 24, None)
+    assert evidence.disc_square == is_square_int(disc), poly_str(f)
+    fresh, computed = galois._identify_irreducible(Factorization(fac.unit, fac.factors), fac.factors[0][0], 24, None)
+    assert (rows, evidence.disc_square) == (fresh, computed.disc_square), poly_str(f)
+    # a walk that is not told disc skips its primes as unusable, unread
+    walked = list(islice(factorq.usable_cycle_types(F, m, disc), 6))
+    assert list(islice(factorq.usable_cycle_types(F, m, None), 6)) == walked, poly_str(f)
+
+
+def test_verify_sweeps_compute_a_discriminant_only_without_an_odd_frobenius(monkeypatch):
+    calls = []
+    disc = galois._discriminant_ints
+    monkeypatch.setattr(galois, "_discriminant_ints", lambda F: calls.append(F) or disc(F))
+    # every fermat-x6 fibre hands over an odd cycle type from its scan
+    ref, _ = resolve_reference(FERMAT)
+    calls.clear()
+    verify_equivalence(FERMAT, ref, 7)
+    assert calls == []
+    # A4 has only even cycle types: one discriminant per computed record
+    serre = load_fixture("serre-a4")
+    ref, _ = resolve_reference(serre)
+    calls.clear()
+    verify_equivalence(serre, ref, 6)
+    assert len(calls) == 23
 
 
 def _sieve_outcome(fac, budget, within):
