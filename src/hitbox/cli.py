@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, FixtureError, InconclusiveError, ParseError, ResourceLimitError
 from .factorq import factor_over_Q, rational_roots

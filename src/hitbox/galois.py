@@ -15,13 +15,13 @@ scan already read on that model.  The square class comes from an odd
 Frobenius first: by Stickelberger's theorem (Swan, Pacific J. Math. 12,
 1962) a cycle type of r parts with n - r odd, at a usable odd prime,
 proves the discriminant no square.  The discriminant itself (a
-subresultant PRS) is computed only when every scanned type is even, or
-when the quartic resolvent's Kappe-Warren test needs its value.  Degrees
-5 and 6 resume the scan's walk
-at further primes, up to a budget; degrees 2-4 read only the scan.  The
-true group always survives, and the tables list every transitive group,
-so a single row left is the group: parity alone leaves one in degrees 2
-and 3, and a 3-cycle in degree 4.  A quartic left with two or more rows
+subresultant PRS past degree 4) is computed only when every scanned type
+is even, or when the quartic resolvent's Kappe-Warren test needs its
+value.  Degrees 5 and 6 resume the scan's walk at further primes, up to a
+budget; degrees 2-4 read only the scan.  The true group always survives,
+and the tables list every transitive group, so a single row left is the
+group: parity alone leaves one in degrees 2 and 3, and a 3-cycle in
+degree 4.  A quartic left with two or more rows
 goes to the filter's resolvent slot, the rational roots of its resolvent
 cubic and the Kappe-Warren test, so degrees up to 4 are definitive.
 Degrees 5 and 6 have no resolvent stage yet, so the only definitive
