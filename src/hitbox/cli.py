@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # an --out that cannot be opened is refused before the command runs
+    # an --out whose directory does not exist is refused before the command runs
     out = getattr(args, "out", None)
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         print(f"error: the directory of --out {out} does not exist", file=sys.stderr)

@@ -351,26 +351,23 @@ def usable_cycle_types(F: list[int], m: int, disc: int | None, after: int = 2):
     usable when it divides no denominator of g and g stays squarefree mod
     p, and the cycle type lists the degrees of g's irreducible factors mod
     p, largest first.  F is g's monic integer model of scale m
-    (``_monic_int_model``) and ``disc`` the discriminant of F, or None
-    when it is not computed.
+    (``_monic_int_model``).
 
     These are the polynomial and the primes of ``factor_over_Q``'s residue
     scan, so a walk resumed after the scan's last prime continues it.  A
     prime divides m exactly when it divides a denominator of g; away from
     m, y = m x is a unit change of variable mod p, so usability and cycle
-    types are g's.  Primes dividing m or ``disc`` are unusable and skipped
-    unread.  With ``disc`` None only the primes dividing m are skipped: a
-    prime dividing disc(F) leaves the monic F not squarefree mod p, so
-    ``_usable_ddf`` reads it as unusable, and the walk yields the same
-    pairs.  Only a nonzero ``disc`` proves g squarefree; with None the
-    caller knows it is (the walk over a g with a repeated factor finds no
-    usable prime and never ends).
+    types are g's.  Primes dividing m are unusable and skipped unread; a
+    prime dividing disc(F) leaves the monic F not squarefree mod p, and
+    ``_usable_ddf`` reads it as unusable.  The walk needs no discriminant:
+    ``disc`` is only a guard, the discriminant of F when the caller has it
+    (a g with a repeated factor has no usable prime, so its walk would
+    never end), or None when the caller knows g squarefree.
     """
     if disc == 0:
         raise DomainError("a polynomial with a repeated factor has no usable prime")
-    skip = m if disc is None else m * disc
     for p in odd_primes():
-        if p > after and skip % p:
+        if p > after and m % p:
             split = _usable_ddf(F, p)
             if split is not None:
                 yield p, split.cycle_type
@@ -687,11 +684,9 @@ def factor_over_Q(f: UniPoly) -> Factorization:
 
     One residue scan (``_good_prime``) of the monic integer model proves it
     squarefree and settles or prepares its factorization; the model and the
-    cycle types the scan read are kept on the result, and an input it
-    proves irreducible is its own monic factor, not rebuilt from the model.
-    When the scan finds no usable prime, the squarefree part is factored
-    instead, and the multiplicity of each of its factors is the number of
-    times it divides f.
+    cycle types the scan read are kept on the result.  When the scan finds
+    no usable prime, the squarefree part is factored instead, and the
+    multiplicity of each of its factors is the number of times it divides f.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -706,11 +701,8 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     if repeated:
         F, m = _monic_int_model(squarefree_part(f).primitive())
         scan = _good_prime(F, m, squarefree=True)
-    found = _zassenhaus_monic(F, scan)
-    if len(found) == 1 and not repeated:  # F itself: the input is irreducible
-        return Factorization(unit, ((f.monic(), 1),), model, scanned)
     out: list[tuple[UniPoly, int]] = []
-    for h in found:
+    for h in _zassenhaus_monic(F, scan):
         # undo y = m*x: h(m x) / m^deg h is monic
         g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1)).monic()
         out.append((g, _multiplicity(f, g) if repeated else 1))

@@ -277,12 +277,11 @@ def _identify_irreducible(
     scanned type is even, or none was handed over, is it computed (a
     quartic's from its resolvent cubic, whose discriminant equals disc(F)
     in closed form).  The rows are then cut by each Frobenius cycle type
-    (Dedekind) that the
-    scan handed over and, in degrees 5 and 6, that the walk resumed after
-    it reads (``factorq.usable_cycle_types``): at most ``budget`` primes
-    (None: no bound), until at most one row is left.  A set that starts as
-    a singleton is read to the end, so that a wrong reference can still be
-    refuted; an empty one raises.  The resolvent slot: a quartic that keeps
+    (Dedekind) that the scan handed over and, in degrees 5 and 6, that the
+    walk resumed after it reads (``factorq.usable_cycle_types``): at most
+    ``budget`` primes (None: no bound), until at most one row is left.  A
+    set that starts as a singleton is read to the end, so that a wrong
+    reference can still be refuted; an empty one raises.  The resolvent slot: a quartic that keeps
     two or more rows gets its group from ``_quartic_resolvent``, which
     computes disc(F) itself if its Kappe-Warren test needs the value.
     """
@@ -299,7 +298,7 @@ def _identify_irreducible(
     stop = 1 if len(rows) > 1 else 0  # the set size that ends the walk
     walk = fac.scanned
     if n > 4:
-        walk = chain(walk, usable_cycle_types(F, m, disc, walk[-1][0] if walk else 2))
+        walk = chain(walk, usable_cycle_types(F, m, None, walk[-1][0] if walk else 2))
     observed: set[tuple[int, ...]] = set()
     primes: list[int] = []
     for p, ct in islice(walk, budget):

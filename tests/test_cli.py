@@ -457,19 +457,23 @@ def test_table_command_matches_golden_digest(capsys, degree):
     assert tuple(digests) == GOLDEN_TABLE_TRANSITIVE[degree]
 
 
-@pytest.mark.parametrize("name", ["d.json", "missing/d.json"], ids=["written", "missing-dir"])
+@pytest.mark.parametrize(
+    "name", ["d.json", "missing/d.json", ""], ids=["written", "missing-dir", "a-directory"]
+)
 def test_output_file(capsys, tmp_path, name):
+    # a missing directory is refused before the command runs; a directory
+    # as --out fails to open once it has run
     out_file = tmp_path / name
     code, out, err = run(
         capsys, "hit", "compute-d", "--fixture", "serre-a4", "--json", "--out", str(out_file)
     )
     assert out == ""
-    if out_file.parent.is_dir():
+    if out_file.parent.is_dir() and not out_file.is_dir():
         assert code == 0 and err == ""
         assert json.loads(out_file.read_text())["D"] == ["0"]
     else:
         # a validation error naming the path, not exit 1 ("violations found")
-        assert code == 3 and not out_file.parent.exists()
+        assert code == 3 and (out_file.is_dir() or not out_file.parent.exists())
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out_file) in err
 
 

@@ -742,9 +742,10 @@ def test_an_odd_frobenius_reads_the_square_class_of_the_discriminant(coeffs, lea
     assert evidence.disc_square == is_square_int(disc), poly_str(f)
     fresh, computed = galois._identify_irreducible(Factorization(fac.unit, fac.factors), fac.factors[0][0], 24, None)
     assert (rows, evidence.disc_square) == (fresh, computed.disc_square), poly_str(f)
-    # a walk that is not told disc skips its primes as unusable, unread
-    walked = list(islice(factorq.usable_cycle_types(F, m, disc), 6))
-    assert list(islice(factorq.usable_cycle_types(F, m, None), 6)) == walked, poly_str(f)
+    # the walk skips only the primes dividing m: one dividing disc(F) is unusable
+    walked = list(islice(factorq.usable_cycle_types(F, m, None), 6))
+    assert walked == list(islice(factorq.usable_cycle_types(F, m, disc), 6)), poly_str(f)
+    assert all(disc % p for p, _ in walked), poly_str(f)
 
 
 def test_verify_sweeps_compute_a_discriminant_only_without_an_odd_frobenius(monkeypatch):
