@@ -15,8 +15,10 @@ own ``perfbench/run.py --workload W --trace 0 --seconds S``, S being the
 ``run_seconds`` of this tree's ``BENCHMARK.json``, so that each run is as
 long as the benchmark's own; it writes its details under that side's
 git-ignored ``perfbench/out/``.  Prints
-each side's median and quartiles and the pairs in which this tree was
-better.  It edits no tracked file of either tree; the extracted copy is
+each side's median and quartiles, the pairs in which this tree was
+better, whether that meets the claim rule (better in at least 9 of 10
+pairs, by more than REV's interquartile range), and the change of the
+median.  It edits no tracked file of either tree; the extracted copy is
 removed on exit.
 """
 
@@ -79,15 +81,38 @@ def extract(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
+def _wins(ours: list[float], theirs: list[float], better: str) -> int:
+    """The pairs in which this tree's figure is the better one; a tie counts for neither."""
+    return sum((a < b) if better == "lower" else (a > b) for a, b in zip(ours, theirs))
+
+
 def report(workload: str, rev: str, ours: list[float], theirs: list[float], metric: str = "setup_s") -> str:
     scale, unit, better = METRICS[metric]
-    wins = sum((a < b) if better == "lower" else (a > b) for a, b in zip(ours, theirs))
     lines = [f"{workload} {metric}, {len(ours)} alternating fresh-process pairs"]
     for name, xs in (("this tree", ours), (rev, theirs)):
         q1, q2, q3 = (q * scale for q in statistics.quantiles(xs, n=4))
         lines.append(f"  {name:>12}: median {q2:.1f} {unit}, quartiles {q1:.1f}-{q3:.1f} {unit}")
-    lines.append(f"  this tree {better} in {wins} of {len(ours)} pairs")
+    lines.append(f"  this tree {better} in {_wins(ours, theirs, better)} of {len(ours)} pairs")
     return "\n".join(lines)
+
+
+def verdict(rev: str, ours: list[float], theirs: list[float], metric: str = "setup_s") -> str:
+    """The claim rule, read off the pairs: a gain counts when this tree is
+    better in at least 9 of 10 pairs and its median is better than rev's
+    by more than rev's interquartile range.  The change of the median
+    beside it is what a no-regression row compares with the benchmark's
+    bound."""
+    scale, unit, better = METRICS[metric]
+    wins = 10 * _wins(ours, theirs, better) >= 9 * len(ours)
+    q1, median, q3 = statistics.quantiles(theirs, n=4)
+    change = statistics.median(ours) - median
+    gap = change if better == "higher" else -change
+    return "\n".join([
+        f"  claim rule: better in at least 9 of 10 pairs: {'yes' if wins else 'no'}; "
+        f"median better by {gap * scale:.1f} {unit}, more than {rev}'s interquartile range "
+        f"{(q3 - q1) * scale:.1f} {unit}: {'yes' if gap > q3 - q1 else 'no'}",
+        f"  median change: {100 * change / median:+.1f}% of {rev}'s",
+    ])
 
 
 def main(argv=None) -> int:
@@ -115,6 +140,7 @@ def main(argv=None) -> int:
             for root, out in sides if i % 2 == 0 else sides[::-1]:
                 out.append(measure(root, args.workload))
     print(report(args.workload, args.against, ours, theirs, args.metric))
+    print(verdict(args.against, ours, theirs, args.metric))
     return 0
 
 

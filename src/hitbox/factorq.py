@@ -34,9 +34,15 @@ of the fermat-x6 sextics of height at most 30, 185 keep a middle degree
 after 5 usable primes, and the degree set proves 184 of them irreducible
 within 11 (the last, X^6 - 1, has quadratic factors).  Zassenhaus starts
 from the prime with the fewest modular factors, the only prime factored
-completely: quadratic multifactor Hensel lifting modulo m^2 past the
-Landau-Mignotte bound of the cofactor, then subset recombination (modular
-factor counts stay tiny at the degrees this package handles).  Past
+completely: its linear factors are x - r for the roots r of the split's
+degree-1 part, which the integer roots are lifted from anyway, and only
+the parts of degree 2 and more are split into equal-degree factors.  A
+modular factor whose symmetric lift divides the cofactor exactly is an
+irreducible factor over Q and comes off with no lifting (X^6 - 1 makes
+no lift at all).  What is left takes quadratic multifactor Hensel
+lifting modulo m^2 past the Landau-Mignotte bound of the cofactor, then
+subset recombination (modular factor counts stay tiny at the degrees this
+package handles).  Past
 ``_RECOMBINATION_TRIALS`` subset trials recombination gives up with a
 ``ResourceLimitError``: the Swinnerton-Dyer polynomial of degree 32 (the
 square roots of the primes 2 to 11) needs 39,202 trials, and the one of
@@ -73,8 +79,8 @@ are tuples, so no caller can change one.  The equal-degree split of the
 Zassenhaus prime (``_gp_factor_sqf``) is not cached: a sweep seldom
 repeats one (serre-a4 makes 2 at height 30 under ``hit verify``, and 5 on
 4 residue classes at height 100 under ``hit enumerate``), so it is
-computed each time, its random polynomials from a source seeded with p
-and the input reduced mod p.
+computed each time, the random polynomials of each part from a source
+seeded with p and that part.
 
 Rational roots are read straight from the integer pair, whose content
 and denominator move no root: zero roots come off as a factor X^k, and
@@ -100,7 +106,12 @@ heuristic.  Since N is homogeneous in (a, b), the answer depends only on
 the point (a : b) of P^1(F_p).  So the family has one table per prime
 (``root_sieve``), read off p + 1 points and ORed across S, whose byte at
 (a, b) has bit i set unless p rules out S[i]: ANDing one byte per prime
-(``root_mask``) answers for all of S at once.  ``root_mask`` reads the
+(``root_mask``) answers for all of S at once.  The walk over the tables
+ends at the first 0, so they come most selective first, as ratpoints puts
+its most selective primes first; AND is commutative, so the order moves
+no mask, only the number of tables read: 2.90 per pair on average on
+fermat-x6 at height 25, where increasing prime order reads 5.44, and 4.63
+against 7.54 on serre-a4 at height 27.  ``root_mask`` reads the
 integers a and b themselves, as ratpoints sieves integer pairs, so a sweep
 carries coprime pairs and builds a ``Fraction`` only where a mask leaves
 a member to specialize.  The bounded point
@@ -306,12 +317,14 @@ def _gp_edf(f, d, p, rng):
             return _gp_edf(g, d, p, rng) + _gp_edf(_gp_divmod(f, g, p)[0], d, p, rng)
 
 
-def _gp_factor_sqf(f, p, split):
-    """Irreducible factors of a monic squarefree f reduced mod p, sorted,
-    from its distinct-degree split; the random polynomials come from a
-    source seeded with p and f."""
-    rng = random.Random(_edf_seed(f, p))
-    out = [list(h) for g, d in split for h in _gp_edf(g, d, p, rng)]
+def _gp_factor_sqf(split, p):
+    """The irreducible factors of degree at least 2, sorted, of a monic
+    squarefree polynomial mod p, from its distinct-degree split.  The
+    degree-1 part is left alone: its factors are x - r for its roots r,
+    which ``_zassenhaus_monic`` finds by evaluation.  Each part's random
+    polynomials come from a source seeded with p and that part, so the
+    cost of one part does not depend on the draws of another."""
+    out = [list(h) for g, d in split if d > 1 for h in _gp_edf(g, d, p, random.Random(_edf_seed(g, p)))]
     return sorted(out, key=lambda h: (len(h), h))
 
 
@@ -447,7 +460,9 @@ class _Scan(NamedTuple):
     splits: list  # (p, _Split) of each usable prime, in order
     degrees: int  # bit d set: every split allows a factor of degree d over Q
     chosen: tuple | None  # (p, split): the Zassenhaus prime's, else the last
-    modular: list  # the irreducible factors mod the Zassenhaus prime, if any
+    # the irreducible factors of degree >= 2 mod the Zassenhaus prime, or
+    # None when no prime is factored completely
+    modular: list | None
 
 
 def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
@@ -491,9 +506,9 @@ def _good_prime(f: list[int], m: int, squarefree: bool = False) -> _Scan:
         if not degrees & middle or len(splits) == _DEGREE_SCAN:
             break
     if not splits or not degrees & middle:
-        return _Scan(splits, degrees, splits[-1] if splits else None, [])
+        return _Scan(splits, degrees, splits[-1] if splits else None, None)
     p, split = min(splits, key=lambda s: len(s[1].cycle_type))
-    return _Scan(splits, degrees, (p, split), _gp_factor_sqf(_red(f, p), p, split.parts))
+    return _Scan(splits, degrees, (p, split), _gp_factor_sqf(split.parts, p))
 
 
 def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
@@ -504,15 +519,19 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
     An integer root of f is a root of the degree-1 part of the chosen
     split, and a simple one, since the prime is usable; so the roots mod p
     of that part are lifted (``_lift_roots``, von zur Gathen & Gerhard,
-    §15).  As f is squarefree mod p, each root y accounts for exactly one
-    modular factor, x - (y mod p), and the cofactor is congruent mod p to
-    the product of the others.  With fewer than two of them left the
-    cofactor is irreducible.  That covers a scan whose degree set settles
-    f, which factors no prime completely: the set lies inside
-    {0, 1, n-1, n}, so a factor of the cofactor, which has no rational
-    root, would put a middle degree in it.  Otherwise the cofactor is
-    Hensel-lifted past its Landau-Mignotte bound and its lifted factors
-    are recombined by subsets, ``_RECOMBINATION_TRIALS`` at most."""
+    §15).  A scan whose degree set settles f factors no prime completely,
+    and its cofactor is irreducible: the set lies inside {0, 1, n-1, n},
+    so a factor of the cofactor, which has no rational root, would put a
+    middle degree in it.  Otherwise the modular factors are x - r for the
+    roots r mod p and the factors of degree >= 2 of the scan.  As f is
+    squarefree mod p, each integer root y accounts for exactly one of
+    them, x - (y mod p), and the cofactor is congruent mod p to the
+    product of the others.  A factor of degree >= 2 whose symmetric lift
+    divides the cofactor exactly comes off too: that divisor is
+    irreducible, since its image mod p is one irreducible factor.  With
+    fewer than two modular factors left the cofactor is irreducible;
+    else it is Hensel-lifted past its Landau-Mignotte bound and its lifted
+    factors are recombined by subsets, ``_RECOMBINATION_TRIALS`` at most."""
     if scan.degrees == 1 | 1 << len(f) - 1:
         return [f]
     p, split = scan.chosen
@@ -521,12 +540,21 @@ def _zassenhaus_monic(f: list[int], scan: _Scan) -> list[list[int]]:
         residues = [-linear[0] % p]
     else:
         residues = [r for r, v in enumerate(_values_mod(linear, p)) if not v]
-    found = []
-    modular = scan.modular
-    for y in _lift_roots(f, p, residues):
-        found.append([-y, 1])
-        f = _pseudo_divmod(f, found[-1])[0]
-        modular = [h for h in modular if h != [-y % p, 1]]
+    found = [[-y, 1] for y in _lift_roots(f, p, residues)]
+    for g in found:
+        f = _pseudo_divmod(f, g)[0]
+    modular = []
+    if scan.modular is not None:
+        rooted = {-g[0] % p for g in found}
+        modular = [[-r % p, 1] for r in residues if r not in rooted]
+        for h in scan.modular:
+            G = [c - p if 2 * c > p else c for c in h]  # the symmetric lift
+            q, r = _pseudo_divmod(f, G)
+            if r:
+                modular.append(h)
+            else:
+                found.append(G)
+                f = q
     if len(modular) >= 2:
         B = _mignotte_bound(f)
         l = 1
@@ -706,8 +734,6 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         # undo y = m*x: h(m x) / m^deg h is monic
         g = UniPoly.from_ints([c * m**i for i, c in enumerate(h)], m ** (len(h) - 1)).monic()
         out.append((g, _multiplicity(f, g) if repeated else 1))
-    if len(out) > 1:
-        out.sort(key=lambda fm_: (fm_[0].degree, fm_[0].coeffs, fm_[1]))
     return Factorization(unit, tuple(out), model, scanned)
 
 
@@ -876,13 +902,16 @@ def _point_roots(rows: list[list[int]], d: int, p: int) -> list[int]:
 def root_sieve(family) -> tuple[tuple[int, bytes], ...]:
     """(p, table) for each sieve prime that rejects some point for some
     member of ``family`` (at most ``SIEVE_FAMILY_MAX`` polynomials in
-    Q[T][X]), in increasing order.  Entry (b mod p) * p + (a mod p) of a
+    Q[T][X]), most selective first.  Entry (b mod p) * p + (a mod p) of a
     table has bit i set unless p proves that member i has no rational root
     at t = a/b (in lowest terms).
 
     The bits are taken at the p + 1 points of P^1(F_p) (``_point_roots``),
     ORed across the family, and expanded once: the point of (a, b) is
-    (1 : 0) when b = 0 mod p, else (a / b : 1)."""
+    (1 : 0) when b = 0 mod p, else (a / b : 1).  The order is greedy: with
+    r_i(p) the share of p's table entries that keep member i and s_i the
+    product of r_i over the tables already placed, the next table is the
+    one with the least sum of s_i * r_i(p), the smaller prime on a tie."""
     if len(family) > SIEVE_FAMILY_MAX:
         raise DomainError(f"the root sieve holds at most {SIEVE_FAMILY_MAX} polynomials")
     forms = []
@@ -891,7 +920,7 @@ def root_sieve(family) -> tuple[tuple[int, bytes], ...]:
         g = math.gcd(*[c for row in rows for c in row])
         forms.append(([[c // g for c in row] for row in rows], d))
     full = (1 << len(family)) - 1
-    tables = []
+    kept = []
     for p in _SIEVE_PRIMES:
         masks = [0] * (p + 1)
         for i, (rows, d) in enumerate(forms):
@@ -899,10 +928,26 @@ def root_sieve(family) -> tuple[tuple[int, bytes], ...]:
                 masks[j] |= r << i
         if all(m == full for m in masks):
             continue
+        # the share of the p * p entries with bit i set: (1 : 0) fills p
+        # entries, each affine point p - 1
+        rates = [
+            ((masks[p] >> i & 1) * p + sum(m >> i & 1 for m in masks[:p]) * (p - 1)) / (p * p)
+            for i in range(len(family))
+        ]
         proj = bytes(masks[:p])
         # the row of b != 0 is proj read with step 1/b
         by_b = [(proj * p)[:: pow(b, -1, p)][:p] for b in range(1, p)]
-        tables.append((p, bytes([masks[p]]) * p + b"".join(by_b)))
+        kept.append((rates, (p, bytes([masks[p]]) * p + b"".join(by_b))))
+    survival = [1.0] * len(family)
+    tables = []
+    while kept:
+        # the table that leaves the fewest members alive in expectation, if
+        # the primes rule members out independently; min keeps the smaller
+        # prime on a tie
+        best = min(range(len(kept)), key=lambda k: sum(s * r for s, r in zip(survival, kept[k][0])))
+        rates, table = kept.pop(best)
+        survival = [s * r for s, r in zip(survival, rates)]
+        tables.append(table)
     return tuple(tables)
 
 

@@ -74,3 +74,32 @@ def test_run_reads_the_params_per_s_of_the_last_line(monkeypatch, tmp_path):
     assert bench.run(tmp_path, "verify-a4", 3.0) == 31234.5
     assert seen[0][1:] == [str(tmp_path / "perfbench" / "run.py"), "--workload", "verify-a4", "--trace", "0", "--seconds", "3.0"]
 
+
+
+def test_main_prints_the_claim_rules_verdict_after_the_pairs(monkeypatch, capsys, tmp_path):
+    bench = _load()
+    figures = iter([30000.0, 26000.0, 25000.0, 31000.0, 32000.0, 25500.0, 24000.0, 29000.0])
+    monkeypatch.setattr(bench, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench, "run", lambda root, w, s: next(figures))
+    monkeypatch.setattr(bench, "BENCHMARK", tmp_path / "BENCHMARK.json")
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 25}')
+    argv = ["--against", "abc123", "--workload", "enumerate-x6", "--metric", "params_per_s", "-n", "4"]
+    assert bench.main(argv) == 0
+    # this tree 30000, 31000, 32000, 29000; abc123 26000, 25000, 25500, 24000
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "  this tree higher in 4 of 4 pairs",
+        "  claim rule: better in at least 9 of 10 pairs: yes; median better by 5250.0 params/s, "
+        "more than abc123's interquartile range 1625.0 params/s: yes",
+        "  median change: +20.8% of abc123's",
+    ]
+
+
+def test_verdict_needs_nine_wins_in_ten_and_a_gap_wider_than_the_quartiles():
+    bench = _load()
+    theirs = [0.050, 0.052, 0.048, 0.051, 0.049, 0.053, 0.047, 0.050, 0.050, 0.050]
+    ours = [t - 0.001 for t in theirs[:9]] + [0.051]  # lower in 9 of 10, by 1 ms
+    assert bench.verdict("abc123", ours, theirs).splitlines() == [
+        "  claim rule: better in at least 9 of 10 pairs: yes; median better by 1.0 ms, "
+        "more than abc123's interquartile range 2.5 ms: no",
+        "  median change: -2.0% of abc123's",
+    ]

@@ -25,9 +25,9 @@ from hitbox.factorq import (
     root_mask,
     root_sieve,
 )
-from hitbox.harness import load_fixture, resolve_reference, verify_equivalence
+from hitbox.harness import enumerate_exceptional, load_fixture, resolve_reference, verify_equivalence
 from hitbox.polys import BiPoly, UniPoly, _add, _discriminant_ints, _mul, _sub, parse_unipoly, poly_str, uni_gcd
-from hitbox.rationals import rationals_up_to_height
+from hitbox.rationals import coprime_pairs_up_to_height, rationals_up_to_height
 
 
 def rand_poly(rng, max_deg=8, max_c=9):
@@ -525,14 +525,41 @@ def test_split_off_roots_come_from_the_scan(monkeypatch, text):
     _assert_matches_sympy(f)
 
 
-def test_x6_minus_1_lifts_only_the_quadratic_factors_of_its_cofactor(monkeypatch):
-    # the roots +-1 come off first; the two quadratic factors mod p of
-    # X^4 + X^2 + 1 take one split and two leaves, where lifting all four
-    # modular factors of X^6 - 1 took 7 calls
-    lifts = _counting(monkeypatch, "_hensel_lift")
+def test_x6_minus_1_needs_no_lift_and_no_split_of_its_linear_part(monkeypatch):
+    # mod 5, X^6 - 1 = (X - 1)(X + 1)(X^2 + X + 1)(X^2 - X + 1): the roots
+    # +-1 are read off the degree-1 part and lift to integer roots, and the
+    # symmetric lifts of the two quadratics divide the cofactor X^4 + X^2 + 1
+    lifts, splits = _counting(monkeypatch, "_hensel_lift"), _counting(monkeypatch, "_gp_edf")
     fac = factor_over_Q(parse_unipoly("X^6 - 1"))
     assert fac.type() == (1, 1, 2, 2)
-    assert len(lifts) <= 3
+    assert lifts == []
+    assert [d for _, d in splits] == [2, 2, 2]  # one split of the quartic part, two leaves
+
+
+@pytest.mark.parametrize("height", [27, 100])
+def test_serre_a4_hits_factor_as_sympy_factors_them(height):
+    data = load_fixture("serre-a4")
+    hits = [rec.t for rec in enumerate_exceptional(data, height)]
+    # t = +-9/10 give two quadratic factors, the others an irreducible quartic
+    assert {Fraction(9, 10), Fraction(-9, 10), Fraction(10, 27), Fraction(-10, 27)} <= set(hits)
+    for t in hits:
+        _assert_matches_sympy(data.P.specialize(t))
+
+
+_rational_pieces = st.lists(
+    st.fractions(-12, 12, max_denominator=6), min_size=2, max_size=4
+).filter(lambda cs: cs[-1] != 0).map(UniPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_rational_pieces, st.integers(1, 2)), min_size=1, max_size=3))
+@example([(UniPoly([-4, 0, 1]), 2), (UniPoly([Fraction(1, 3), 1]), 1)])
+def test_factor_over_Q_lists_its_factors_by_degree_then_coefficients(pieces):
+    f = UniPoly([Fraction(-3, 7)])
+    for g, mult in pieces:
+        f = f * g**mult
+    keys = [(g.degree, g.coeffs) for g, _ in factor_over_Q(f).factors]
+    assert keys == sorted(set(keys)), poly_str(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -695,14 +722,15 @@ def test_good_prime_scan_is_bounded_and_factors_only_the_winner(monkeypatch):
         assert {d for d in range(n + 1) if scan.degrees >> d & 1} == common, f
         if common <= {0, 1, n - 1, n}:
             # proven irreducible, or decided by rational roots: nothing to lift
-            assert scan.chosen == scan.splits[-1] and scan.modular == [] and complete == [], f
+            assert scan.chosen == scan.splits[-1] and scan.modular is None and complete == [], f
             continue
         zassenhaus += 1
         assert len(usable) == factorq._DEGREE_SCAN
         fewest = min(len(degrees) for _, degrees in expected)
         p = next(q for q, degrees in expected if len(degrees) == fewest)
         assert scan.chosen[0] == p and [q for _, q in complete] == [p], f
-        assert sorted(scan.modular) == _sympy_factors_mod_p(f, p)
+        # the linear factors mod p are left to the roots of the degree-1 part
+        assert sorted(scan.modular) == [h for h in _sympy_factors_mod_p(f, p) if len(h) > 2], f
     assert zassenhaus >= 5  # the Zassenhaus branch is exercised too
 
 
@@ -773,7 +801,7 @@ def _assert_settled_by_degree_sets(monkeypatch, f: UniPoly):
 def test_late_settling_fermat_sextics_need_no_lifting(monkeypatch, t):
     f = load_fixture("fermat-x6").P.specialize(t)
     scan = factorq._good_prime(*factorq._monic_int_model(f.primitive()))
-    assert scan.modular == [] and factorq._PRIME_SCAN < len(scan.splits) <= factorq._DEGREE_SCAN
+    assert scan.modular is None and factorq._PRIME_SCAN < len(scan.splits) <= factorq._DEGREE_SCAN
     _assert_settled_by_degree_sets(monkeypatch, f)
 
 
@@ -842,6 +870,45 @@ def _up(f):
 
 
 _coefficients = st.lists(st.integers(-10**6, 10**6), max_size=9)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_factor_sqf_with_the_roots_of_the_linear_part_matches_sympy(p):
+    rng = random.Random(41 + p)
+    for _ in range(40):
+        # a random monic polynomial times X - r for one to three residues r
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+        for r in rng.sample(range(p), rng.randint(1, 3)):
+            f = factorq._gp_mul(f, [-r % p, 1], p)
+        theirs = _sympy_factors_mod_p(f, p)
+        if theirs is None:
+            continue
+        parts = factorq._gp_ddf(f, p)
+        linear = next(g for g, d in parts if d == 1)
+        roots = [[-r % p, 1] for r, v in enumerate(factorq._values_mod(linear, p)) if not v]
+        assert sorted(roots + factorq._gp_factor_sqf(parts, p)) == theirs, (f, p)
+
+
+def test_equal_degree_tries_do_not_rise(monkeypatch):
+    # a source per part and no split of the degree-1 part, against one
+    # source seeded with the whole polynomial for every part: each try of
+    # the equal-degree split raises a random polynomial to (p^d - 1)/2
+    rng = random.Random(35)
+    inputs = []
+    for _ in range(2000):
+        p = rng.choice([3, 5, 7, 11, 13])
+        f = _random_monic_squarefree(rng, p)
+        inputs.append((f, p, factorq._gp_ddf(list(f), p)))
+    tries = _counting(monkeypatch, "_gp_pow_mod")
+    for f, p, parts in inputs:
+        source = random.Random(factorq._edf_seed(f, p))
+        for g, d in parts:
+            factorq._gp_edf(g, d, p, source)
+    before = len(tries)
+    tries.clear()
+    for f, p, parts in inputs:
+        factorq._gp_factor_sqf(parts, p)
+    assert len(tries) <= before
 
 
 @settings(max_examples=200, deadline=None)
@@ -1028,6 +1095,50 @@ def test_family_root_sieve_has_each_members_bit(S, planted, content):
             assert (mask >> i & 1) == (not _rejected_directly(f, t)), (t, i)
         if planted < len(S):
             assert mask >> planted & 1, t
+
+
+def _in_prime_order(sieve):
+    return tuple(sorted(sieve))
+
+
+@pytest.mark.parametrize("name", ["fermat-x6", "serre-a4"])
+def test_ordered_root_sieve_masks_equal_those_in_prime_order(name):
+    # AND is commutative: the order of the tables moves no mask
+    data = load_fixture(name)
+    sieve = root_sieve(data.S)
+    increasing = _in_prime_order(sieve)
+    assert sieve != increasing
+    for a, b in coprime_pairs_up_to_height(60, data.D):
+        assert root_mask(sieve, a, b) == root_mask(increasing, a, b), (a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_bipoly(3, 4).filter(lambda f: not f.is_zero()), min_size=1, max_size=4))
+def test_ordered_family_root_sieve_masks_equal_those_in_prime_order(S):
+    sieve = root_sieve(S)
+    increasing = _in_prime_order(sieve)
+    for t in rationals_up_to_height(8):
+        a, b = t.numerator, t.denominator
+        assert root_mask(sieve, a, b) == root_mask(increasing, a, b), (t, S)
+
+
+def _tables_read(sieve, a, b):
+    """The tables ``root_mask`` reads at (a, b) before its mask is 0."""
+    mask = 0xFF
+    for n, (p, table) in enumerate(sieve, 1):
+        mask &= table[b % p * p + a % p]
+        if not mask:
+            return n
+    return len(sieve)
+
+
+@pytest.mark.parametrize("name, height, most", [("fermat-x6", 25, 3.0), ("serre-a4", 27, 4.7)])
+def test_most_selective_tables_come_first(name, height, most):
+    # in increasing prime order the mean walks are 5.44 and 7.54 tables
+    data = load_fixture(name)
+    sieve = root_sieve(data.S)
+    pairs = list(coprime_pairs_up_to_height(height, data.D))
+    assert sum(_tables_read(sieve, a, b) for a, b in pairs) / len(pairs) <= most
 
 
 def test_hensel_lift_reaches_the_requested_precision():
