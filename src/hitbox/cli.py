@@ -105,7 +105,6 @@ def cmd_hit_verify(args) -> int:
         reference,
         args.height,
         budget=args.primes,
-        workers=args.threads,
         keep_records=args.full,
         factor_types=args.factor_types,
     )
@@ -120,7 +119,7 @@ def cmd_hit_enumerate(args) -> int:
 
         if data.name not in PARAMETRIZATIONS:
             raise FixtureError(f"no parametrization data for fixture {data.name} to cross-check against")
-    recs = enumerate_exceptional(data, args.height, budget=args.primes, workers=args.threads)
+    recs = enumerate_exceptional(data, args.height, budget=args.primes)
     payload: dict = {
         "fixture": data.name,
         "height_bound": args.height,
@@ -318,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("verify", help="root-witness equivalence sweep")
     common(p, fixture=True, height=30)
     p.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--full", action="store_true", help="include every record")
     p.add_argument(
         "--factor-types",
@@ -330,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("enumerate", help="exceptional parameters with witnesses")
     common(p, fixture=True, height=30)
     p.add_argument("--primes", type=int, default=DEFAULT_PRIME_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(fn=cmd_hit_enumerate)
 

@@ -928,25 +928,30 @@ def root_sieve(family) -> tuple[tuple[int, bytes], ...]:
                 masks[j] |= r << i
         if all(m == full for m in masks):
             continue
-        # the share of the p * p entries with bit i set: (1 : 0) fills p
+        # the number of the p * p entries with bit i set: (1 : 0) fills p
         # entries, each affine point p - 1
-        rates = [
-            ((masks[p] >> i & 1) * p + sum(m >> i & 1 for m in masks[:p]) * (p - 1)) / (p * p)
+        counts = [
+            (masks[p] >> i & 1) * p + sum(m >> i & 1 for m in masks[:p]) * (p - 1)
             for i in range(len(family))
         ]
         proj = bytes(masks[:p])
         # the row of b != 0 is proj read with step 1/b
         by_b = [(proj * p)[:: pow(b, -1, p)][:p] for b in range(1, p)]
-        kept.append((rates, (p, bytes([masks[p]]) * p + b"".join(by_b))))
-    survival = [1.0] * len(family)
+        kept.append((counts, (p, bytes([masks[p]]) * p + b"".join(by_b))))
+    # s_i times the product of p * p over the tables placed; every member
+    # shares that factor, so these integers compare the sums exactly
+    survival = [1] * len(family)
     tables = []
     while kept:
         # the table that leaves the fewest members alive in expectation, if
         # the primes rule members out independently; min keeps the smaller
         # prime on a tie
-        best = min(range(len(kept)), key=lambda k: sum(s * r for s, r in zip(survival, kept[k][0])))
-        rates, table = kept.pop(best)
-        survival = [s * r for s, r in zip(survival, rates)]
+        best = min(
+            range(len(kept)),
+            key=lambda k: Fraction(sum(s * c for s, c in zip(survival, kept[k][0])), kept[k][1][0] ** 2),
+        )
+        counts, table = kept.pop(best)
+        survival = [s * c for s, c in zip(survival, counts)]
         tables.append(table)
     return tuple(tables)
 

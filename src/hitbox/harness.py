@@ -36,22 +36,18 @@ each sweep creates one record memo, a dict keyed by the orbit (|a|, b) of
 t = a/b, and passes it to every ``exceptional_test`` call: the first
 member of each orbit is computed, and the other is answered with that
 record's fields and its own t.  Every value still gets its own call.  The
-memo is dropped with its sweep, and each chunk of a pooled sweep fills its
-own copy, so a pair split across two chunks is computed twice and the
-output stays the same.  On any other family every value is computed,
-factoring included: a family with P even in T but an odd auxiliary
-polynomial or a lopsided D factors P(t, X) = P(-t, X) twice (no shipped
-family is one, so that cost is unmeasured).
+memo is dropped with its sweep.  On any other family every value is
+computed, factoring included: a family with P even in T but an odd
+auxiliary polynomial or a lopsided D factors P(t, X) = P(-t, X) twice (no
+shipped family is one, so that cost is unmeasured).
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,7 +78,7 @@ class HitData(Value):
 
     Unhashable, as its ``provenance`` dict is.  Not a tuple and not slotted:
     ``root_sieve``, ``d_pairs`` and ``even_in_t`` are cached in the instance
-    ``__dict__``, which pickles with the data."""
+    ``__dict__``."""
 
     _fields = ("name", "P", "D", "S", "provenance", "g_label", "g_order", "notes")
     __hash__ = None
@@ -110,9 +106,7 @@ class HitData(Value):
     @functools.cached_property
     def root_sieve(self) -> tuple[tuple[int, bytes], ...]:
         """``factorq.root_sieve`` of S, built on first use and kept with the
-        data.  Each sweep asks for it before ``_parallel_map``, so it is
-        built once, in the parent, and pickled with the data into every
-        chunk that a pool worker receives."""
+        data."""
         return root_sieve(self.S)
 
     @functools.cached_property
@@ -392,26 +386,6 @@ def resolve_reference(data: HitData, budget: int = 48) -> tuple[TransitiveGroupE
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _parallel_map(fn, values: list, workers: int, *args) -> list:
-    """``[fn(t, *args) for t in values]``, in order.
-
-    Sweeps of 64 values or more run on a process pool of at most
-    ``os.cpu_count()`` workers, in a few contiguous chunks per worker.
-    ``Executor.map`` keeps the order of ``values`` and raises the exception
-    of the first failing value in that order, as the serial map does.
-    ``fn`` must be a module-level function, so that workers receive it by
-    name.
-    """
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(values) < 64:
-        return [fn(t, *args) for t in values]
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for the import
-
-    chunksize = -(-len(values) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values, *map(repeat, args), chunksize=chunksize))
-
-
 def verify_equivalence(
     data: HitData,
     reference: TransitiveGroupEntry,
@@ -424,6 +398,10 @@ def verify_equivalence(
     """Check (some f in S has a rational root at t) <=> (G_t differs from G)
     for every t outside D up to the height bound.
 
+    One serial sweep over the pair stream: each pair (a, b) becomes t =
+    a/b and one ``exceptional_test`` call, and one record memo serves the
+    whole sweep.  ``workers`` is accepted and ignored.
+
     With ``factor_types`` the same records also check the implication
     (the factorization type of P(t, X) differs from P's over Q(T)) => (some
     f in S has a rational root at t).  Its violations follow the
@@ -431,10 +409,11 @@ def verify_equivalence(
     says how many there are.  P's generic type is certified after the
     sweep, so a sweep error is raised before its ``InconclusiveError``.
     """
-    values = [Fraction(a, b) for a, b in coprime_pairs_up_to_height(height_bound, data.D)]
-    data.root_sieve, data.d_pairs, data.even_in_t  # built here, so that pool workers receive them
-    memo: dict = {}  # the sweep's record memo; a pooled chunk gets its own copy
-    records = _parallel_map(exceptional_test, values, workers, data, reference, budget, memo)
+    memo: dict = {}  # the sweep's record memo
+    records = [
+        exceptional_test(Fraction(a, b), data, reference, budget, memo)
+        for a, b in coprime_pairs_up_to_height(height_bound, data.D)
+    ]
     violations = []
     indeterminates = []
     counts: dict[str, int] = {}
@@ -488,18 +467,16 @@ def enumerate_exceptional(
     """All exceptional parameters up to the height bound, with witnesses.
 
     Each witness (i, x) is an exact rational point (t, x) on the plane
-    curve cut out by the i-th auxiliary polynomial.  The sweep scans the
-    coprime pairs for witnesses first (a pool is sent int pairs), and
-    builds a ``Fraction`` and a full audit record only for the hits.
+    curve cut out by the i-th auxiliary polynomial.  One serial sweep
+    scans the pair stream for witnesses, and builds a ``Fraction`` and a
+    full audit record only for the hits, as it meets them.  ``workers``
+    is accepted and ignored.
     """
-    pairs = list(coprime_pairs_up_to_height(height_bound, data.D))
-    data.root_sieve  # built here, so that pool workers receive it with the data
-    witnesses = _parallel_map(_find_witness, pairs, workers, data)
     memo: dict = {}  # the sweep's record memo
     return [
         exceptional_test(Fraction(a, b), data, None, budget, memo)
-        for (a, b), w in zip(pairs, witnesses)
-        if w is not None
+        for a, b in coprime_pairs_up_to_height(height_bound, data.D)
+        if _find_witness((a, b), data) is not None
     ]
 
 

@@ -221,18 +221,16 @@ def test_sweep_height_is_checked_before_the_first_row(capsys, monkeypatch, argv,
 
 
 def test_verify_command_and_determinism(capsys):
-    # height 6 (46 values) stays serial; height 7 (70 values) reaches the pool
     for height in ("6", "7"):
         code, out1, _ = run(
             capsys, "hit", "verify", "--fixture", "serre-a4", "--height", height, "--json"
         )
         assert code == 0
         code, out2, _ = run(
-            capsys, "hit", "verify", "--fixture", "serre-a4", "--height", height, "--json",
-            "--threads", "2",
+            capsys, "hit", "verify", "--fixture", "serre-a4", "--height", height, "--json"
         )
         assert code == 0
-        assert out1 == out2  # byte-identical report, parallel or not
+        assert out1 == out2  # byte-identical report
         payload = json.loads(out1)
         assert payload["passed"] is True
         assert payload["reference"]["label"] == "4T4"
@@ -247,17 +245,22 @@ GOLDEN_VERIFY_HEIGHT_30 = {
 
 
 @pytest.mark.parametrize("fixture", ["serre-a4", "fermat-x6"])
-def test_verify_height_30_is_identical_serial_and_pooled(capsys, fixture):
-    outs = []
-    for threads in ("1", "2"):
-        code, out, _ = run(
-            capsys, "hit", "verify", "--fixture", fixture, "--height", "30", "--json",
-            "--full", "--threads", threads,
-        )
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert hashlib.sha256(outs[0].encode()).hexdigest() == GOLDEN_VERIFY_HEIGHT_30[fixture]
+def test_verify_height_30_matches_golden_digest(capsys, fixture):
+    code, out, _ = run(
+        capsys, "hit", "verify", "--fixture", fixture, "--height", "30", "--json", "--full"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_HEIGHT_30[fixture]
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_sweeps_refuse_the_removed_threads_option(capsys, command):
+    # every sweep is serial; --threads is an unknown option, a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["hit", command, "--fixture", "serre-a4", "--threads", "2"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert err.startswith("usage:") and "unrecognized arguments: --threads 2" in err
 
 
 # the same with --factor-types, recorded when the factorization check ran
@@ -269,11 +272,10 @@ GOLDEN_VERIFY_FACTOR_TYPES_HEIGHT_30 = {
 
 
 @pytest.mark.parametrize("fixture", ["serre-a4", "fermat-x6"])
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_verify_factor_types_height_30_matches_golden_digest(capsys, fixture, threads):
+def test_verify_factor_types_height_30_matches_golden_digest(capsys, fixture):
     code, out, _ = run(
         capsys, "hit", "verify", "--fixture", fixture, "--height", "30", "--json",
-        "--full", "--factor-types", "--threads", threads,
+        "--full", "--factor-types",
     )
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -293,7 +295,7 @@ def test_verify_factor_types_runs_one_sweep(capsys, monkeypatch):
     monkeypatch.setattr(harness, "exceptional_test", counting)
     code, out, _ = run(
         capsys, "hit", "verify", "--fixture", "fermat-x6", "--height", "6", "--json",
-        "--factor-types", "--threads", "1",
+        "--factor-types",
     )
     assert code == 0
     assert len(calls) == json.loads(out)["checked"]

@@ -218,7 +218,7 @@ def test_resolve_reference_reads_maximal_indices_without_closing_groups():
     assert ref == table_entry("6T15") and prov == "fixture label 6T15"
     # the run path reads the table's columns: no permutation code is loaded
     ref, _ = resolve_reference(FERMAT)
-    assert verify_equivalence(FERMAT, ref, 7, workers=1).passed
+    assert verify_equivalence(FERMAT, ref, 7).passed
     assert "hitbox.permgroups" not in sys.modules
     assert importlib.util.find_spec("hitbox.permgroups") is None
 
@@ -290,15 +290,11 @@ def test_verify_equivalence_wrong_reference_fails_fast():
     assert err.reference == "6T1" and err.cycle_type == (2, 2, 1, 1)
     assert err.t is not None and height(err.t) <= 4
     assert f"t = {err.t}" in str(err) and f"mod {err.prime}" in str(err)
-
-
-def test_pooled_sweep_raises_the_first_failure_in_sweep_order():
-    named = []
-    for workers in (1, 2):
-        with pytest.raises(ReferenceMismatchError) as info:
-            verify_equivalence(FERMAT, table_entry("6T1"), 9, workers=workers)
-        named.append(info.value.t)
-    assert named[0] == named[1]
+    # the sweep raises at its first failing value, which a higher bound
+    # does not move
+    with pytest.raises(ReferenceMismatchError) as info:
+        verify_equivalence(FERMAT, table_entry("6T1"), 9)
+    assert info.value.t == err.t
 
 
 def test_groups_match_runs_once_per_orbit(monkeypatch):
@@ -315,7 +311,7 @@ def test_groups_match_runs_once_per_orbit(monkeypatch):
     for data, bound, orbits in ((SERRE, 6, 23), (FERMAT, 7, 35)):
         ref, _ = resolve_reference(data)
         calls.clear()
-        rep = verify_equivalence(data, ref, bound, workers=1, keep_records=True)
+        rep = verify_equivalence(data, ref, bound, keep_records=True)
         assert len(calls) == orbits == len({abs(r.t) for r in rep.records})
         assert all(rec.match is not None for rec in rep.records)
 
@@ -333,8 +329,6 @@ def test_sweep_identifies_each_distinct_fibre_once(monkeypatch):
             rep = verify_equivalence(data, ref, 30, keep_records=True)
             assert rep.checked == records
             assert len(calls) == len(set(calls)) == fibres
-        pooled = verify_equivalence(data, ref, 30, workers=2, keep_records=True)
-        assert report_to_json(pooled) == report_to_json(rep)
 
 
 def test_both_fixtures_are_even_in_t_and_the_toy_is_not():
@@ -381,20 +375,6 @@ def test_orbit_memo_is_off_for_an_exclusion_set_that_is_not_symmetric(monkeypatc
     assert calls == rep.checked
     assert [r.t for r in rep.records if r.t in (Fraction(-1, 2), Fraction(1, 2))] == [Fraction(-1, 2)]
     assert rep.records == [exceptional_test(r.t, FERMAT, ref) for r in rep.records]
-
-
-@pytest.mark.parametrize("data", [SERRE, FERMAT], ids=["serre-a4", "fermat-x6"])
-def test_pooled_sweep_equals_serial_when_a_chunk_splits_an_orbit(monkeypatch, data):
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    ref, _ = resolve_reference(data)
-    values = [Fraction(a, b) for a, b in coprime_pairs_up_to_height(10, data.D)]
-    chunk = -(-len(values) // (4 * 2))  # _parallel_map's chunk size for 2 workers
-    where = {t: i // chunk for i, t in enumerate(values)}
-    assert len(values) >= 64 and any(where[t] != where[-t] for t in values)
-    serial = verify_equivalence(data, ref, 10, workers=1, keep_records=True)
-    pooled = verify_equivalence(data, ref, 10, workers=2, keep_records=True)
-    assert pooled.records == serial.records
-    assert report_to_json(pooled) == report_to_json(serial)
 
 
 def test_generic_group_identifies_each_distinct_sample_once(monkeypatch):
@@ -596,24 +576,21 @@ def test_enumerate_serre_height_27_matches_parametrization_image():
     assert found == images - SERRE.D
 
 
-def test_reports_are_deterministic_and_parallel_safe():
+def test_reports_are_deterministic():
     ref, _ = resolve_reference(SERRE)
-    # height 6 (46 values) stays serial; height 7 (70 values) reaches the pool
     for bound in (6, 7):
-        a = report_to_json(verify_equivalence(SERRE, ref, bound, workers=1))
-        b = report_to_json(verify_equivalence(SERRE, ref, bound, workers=1))
+        a = report_to_json(verify_equivalence(SERRE, ref, bound))
+        b = report_to_json(verify_equivalence(SERRE, ref, bound))
         assert a == b
-        c = report_to_json(verify_equivalence(SERRE, ref, bound, workers=2))
-        assert a == c
         payload = json.loads(a)
         assert payload["passed"] is True and payload["kind"] == "equivalence"
 
 
-def test_enumerate_parallel_matches_serial():
-    serial = enumerate_exceptional(FERMAT, 12, workers=1)
-    pooled = enumerate_exceptional(FERMAT, 12, workers=2)
-    assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
-    assert [r.t for r in serial] == [Fraction(0)]
+def test_enumerate_is_deterministic():
+    first = enumerate_exceptional(FERMAT, 12)
+    again = enumerate_exceptional(FERMAT, 12)
+    assert [record_to_dict(r) for r in again] == [record_to_dict(r) for r in first]
+    assert [r.t for r in first] == [Fraction(0)]
 
 
 @pytest.mark.parametrize("data", [SERRE, FERMAT], ids=lambda d: d.name)
@@ -654,7 +631,7 @@ def test_enumerate_builds_no_fraction_row_and_scans_each_parameter_once(monkeypa
     # the sweep reads coprime pairs, never the Fraction stream, builds a
     # Fraction only at its one hit (t = 0), and reaches each parameter
     # through the module global _find_witness exactly once; the hit adds
-    # one call from its record
+    # one call from its record, right after its own scan
     calls, built, real = [], [], harness._find_witness
 
     def counting(ab, data):
@@ -672,48 +649,26 @@ def test_enumerate_builds_no_fraction_row_and_scans_each_parameter_once(monkeypa
     monkeypatch.setattr(harness, "Fraction", fraction)
     monkeypatch.setattr(rationals, "rationals_up_to_height", no_stream)
     monkeypatch.setattr(harness, "rationals_up_to_height", no_stream, raising=False)
-    recs = enumerate_exceptional(FERMAT, 25, workers=1)
+    recs = enumerate_exceptional(FERMAT, 25)
     assert [r.t for r in recs] == [Fraction(0)]
     assert set(built) == {Fraction(0)} and len(calls) == 797 + 1
-    assert calls[:-1] == list(coprime_pairs_up_to_height(25, FERMAT.D)) and calls[-1] == (0, 1)
+    pairs = list(coprime_pairs_up_to_height(25, FERMAT.D))
+    i = pairs.index((0, 1))
+    assert calls == pairs[: i + 1] + [(0, 1)] + pairs[i + 1 :]
 
 
-def test_root_sieve_is_built_lazily_and_pooled_sweeps_agree():
+def test_root_sieve_is_built_lazily():
+    # set-up builds no table; each sweep builds it on first use
     fresh = load_fixture("fermat-x6")
-    # set-up builds no table
     assert "root_sieve" not in fresh.__dict__
-    serial = enumerate_exceptional(fresh, 40, workers=1)
+    recs = enumerate_exceptional(fresh, 40)
     assert "root_sieve" in fresh.__dict__
-    pooled = enumerate_exceptional(load_fixture("fermat-x6"), 40, workers=2)
-    assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
-    assert [r.t for r in serial] == [Fraction(0)]
-
-
-def test_pooled_sweeps_build_the_root_sieve_in_the_parent_only(monkeypatch):
-    # forked workers inherit this wrapper, and a worker that built the
-    # tables itself would fail its chunk, which the sweep re-raises
-    import multiprocessing
-
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers inherit the wrapper only when forked")
-    parent, real = os.getpid(), harness.root_sieve
-
-    def parent_only(S):
-        assert os.getpid() == parent, "a pool worker built the root sieve"
-        return real(S)
-
-    monkeypatch.setattr(harness, "root_sieve", parent_only)
+    assert [r.t for r in recs] == [Fraction(0)]
     ref, _ = resolve_reference(FERMAT)
     fresh = load_fixture("fermat-x6")
     assert "root_sieve" not in fresh.__dict__
-    pooled = verify_equivalence(fresh, ref, 9, workers=2, keep_records=True)
-    serial = verify_equivalence(load_fixture("fermat-x6"), ref, 9, workers=1, keep_records=True)
-    assert report_to_json(pooled) == report_to_json(serial)
-    fresh = load_fixture("fermat-x6")
-    assert "root_sieve" not in fresh.__dict__
-    pooled = enumerate_exceptional(fresh, 12, workers=2)
-    serial = enumerate_exceptional(load_fixture("fermat-x6"), 12, workers=1)
-    assert [record_to_dict(r) for r in pooled] == [record_to_dict(r) for r in serial]
+    verify_equivalence(fresh, ref, 9)
+    assert "root_sieve" in fresh.__dict__
 
 
 # sha256 of the canonical JSON of sweeps whose outputs must never change;
@@ -732,65 +687,28 @@ def _sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("data", [SERRE, FERMAT], ids=lambda d: d.name)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_verify_output_matches_golden_digest(data, workers):
+def test_verify_output_matches_golden_digest(data):
     ref, _ = resolve_reference(data)
-    report = verify_equivalence(data, ref, 8, workers=workers, keep_records=True)
+    report = verify_equivalence(data, ref, 8, keep_records=True)
     assert _sha256(report_to_json(report)) == GOLDEN_VERIFY_HEIGHT_8[data.name]
 
 
 def test_enumerate_output_matches_golden_digest():
-    records = enumerate_exceptional(FERMAT, 12, workers=1)
+    records = enumerate_exceptional(FERMAT, 12)
     text = json.dumps([record_to_dict(r) for r in records], sort_keys=True, separators=(",", ":"))
     assert _sha256(text) == GOLDEN_ENUMERATE_FERMAT_HEIGHT_12
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
-def test_pool_is_capped_at_cpu_count(monkeypatch):
-    import concurrent.futures
-
-    import hitbox.harness as harness
-
-    ref, _ = resolve_reference(SERRE)
-    serial = report_to_json(verify_equivalence(SERRE, ref, 7, workers=1, keep_records=True))
-    # the pooled branch imports the pool class when it runs
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-    _InlinePool.sizes = []
-    capped = report_to_json(verify_equivalence(SERRE, ref, 7, workers=1000, keep_records=True))
-    assert _InlinePool.sizes == [3] and capped == serial
-    recs = enumerate_exceptional(SERRE, 10, workers=1000)
-    assert _InlinePool.sizes == [3, 3]
-    assert [r.t for r in recs] == [r.t for r in enumerate_exceptional(SERRE, 10, workers=1)]
-    # a single CPU means no pool at all
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
-    verify_equivalence(SERRE, ref, 7, workers=1000)
-    assert _InlinePool.sizes == [3, 3]
-
-
 def test_serial_imports_leave_the_process_pool_unloaded():
-    """Importing the package for a serial sweep or a CLI run loads no
-    process pool; only a pooled sweep imports one."""
+    """Importing the package for a sweep or a CLI run loads no process
+    pool, and neither do sweeps that are given ``workers=2``: every sweep
+    is serial."""
     src = Path(hitbox.__file__).resolve().parent.parent
     code = (
         "import sys, hitbox.harness, hitbox.curves, hitbox.cli; "
+        "from hitbox.harness import enumerate_exceptional, load_fixture, resolve_reference, verify_equivalence; "
+        "FERMAT = load_fixture('fermat-x6'); ref, _ = resolve_reference(FERMAT); "
+        "verify_equivalence(FERMAT, ref, 7, workers=2); enumerate_exceptional(FERMAT, 12, workers=2); "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -816,7 +734,7 @@ def test_the_cli_import_loads_no_dataclasses():
 
 
 def test_records_and_fixture_data_survive_a_pickle_round_trip():
-    # what a pool sends to its workers and back
+    # plain values: they pickle by their fields, cached tables included
     data = load_fixture("fermat-x6")
     built = data.root_sieve
     copy = pickle.loads(pickle.dumps(data))
